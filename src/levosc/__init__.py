@@ -26,7 +26,8 @@ from .detection import (CoilSpec, DetectionGeometry, DriveSpec, MediumSpec,
                         induced_voltage, load_geometry, mutual_inductance,
                         orthogonal_geometry, position_sweep,
                         resonance_frequency, self_inductance)
-from .axisym import GridSpec, OracleResult, axisymmetric_oracle, oracle_delta_L
+from .axisym import (GridSpec, OracleResult, axisymmetric_oracle,
+                     oracle_delta_L, oracle_sweep)
 from .ringdown import (AmplitudeRow, AmplitudeSeries, Block, BlockSchedule,
                        DecayFit, RingdownParams, analyze_ringdown,
                        block_amplitude, fit_decay, synthesize_ringdown)
@@ -54,6 +55,7 @@ __all__ = [
     "position_sweep", "coaxial_geometry", "orthogonal_geometry",
     "load_geometry",
     "GridSpec", "OracleResult", "axisymmetric_oracle", "oracle_delta_L",
+    "oracle_sweep",
     "RingdownParams", "BlockSchedule", "Block", "AmplitudeRow",
     "AmplitudeSeries", "DecayFit", "synthesize_ringdown", "block_amplitude",
     "analyze_ringdown", "fit_decay",

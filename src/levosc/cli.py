@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +285,17 @@ _DETECTION_KEYS = {"geometry", "sweep_start_m", "sweep_stop_m",
                    "oracle_grid"}
 
 
+def _oracle_grid(sec: dict) -> axisym.GridSpec:
+    n = sec.get("oracle_grid", 128)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigError(
+            f"detection.oracle_grid must be an integer, got {n!r}")
+    try:
+        return axisym.GridSpec(n_rho=n, n_z=n)
+    except ValueError as exc:
+        raise ConfigError(f"detection.oracle_grid: {exc}") from exc
+
+
 def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
     sec = _section(cfg, "detection", _DETECTION_KEYS)
     geom = _geometry_from_config(args, cfg)
@@ -296,6 +306,7 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
         raise ConfigError("detection.sweep_points must be at least 1")
     radius = float(sec.get("sphere_radius_m", 0.985e-3))
     driven = sec.get("driven", "transmitter")
+    grid = _oracle_grid(sec) if args.oracle else None
     receiver = geom.receivers[0]
     positions = np.linspace(start, stop, points)
     poses = [detection.SpherePose(
@@ -303,23 +314,8 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
         for d in positions]
     result = detection.position_sweep(geom, poses, driven=driven)
 
-    oracle_col = None
-    if args.oracle:
-        grid_n = int(sec.get("oracle_grid", 128))
-        grid = axisym.GridSpec(n_rho=grid_n, n_z=grid_n)
-        coils, _ = axisym._axial_coordinates(geom, poses[0])
-        mesh = axisym._build_axes(coils, None, None, grid)
-        base = axisym.axisymmetric_oracle(geom, None, grid,
-                                          driven="receiver", mesh=mesh)
-
-        def solve_row(pose):
-            res = axisym.axisymmetric_oracle(geom, pose, grid,
-                                             driven="receiver", mesh=mesh)
-            return res.L_eff - base.L_eff
-
-        workers = max(1, args.threads)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            oracle_col = list(pool.map(solve_row, poses))
+    oracle_col = (axisym.oracle_sweep(geom, poses, grid, workers=args.threads)
+                  if args.oracle else None)
 
     core = args._manifest
     outputs = []

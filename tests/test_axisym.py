@@ -11,11 +11,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levosc import (GeometryError, GridSpec, SpherePose, axisymmetric_oracle,
                     coaxial_geometry, effective_inductance, mutual_inductance,
                     oracle_delta_L, orthogonal_geometry)
-from levosc.axisym import write_field_map_csv
+from levosc.axisym import (_axial_coordinates, _build_axes, oracle_sweep,
+                           write_field_map_csv)
 from levosc.errors import SolverError
 
 
@@ -40,8 +43,6 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(n_rho=32)
-        with pytest.raises(ValueError):
-            GridSpec(omega=2.0)
         with pytest.raises(ValueError):
             GridSpec(tol=0.0)
         with pytest.raises(ValueError):
@@ -111,9 +112,44 @@ class TestSphereSolves:
             axisymmetric_oracle(geometry, None, GRID, driven="bogus")
 
     def test_nonconvergence_reported(self, geometry):
-        grid = GridSpec(n_rho=64, n_z=64, tol=1e-14, max_sweeps=20)
+        # the sphere-free solve is exact from the start, so only a sphere
+        # solve held to one iteration can miss the tolerance
+        grid = GridSpec(n_rho=64, n_z=64, max_sweeps=1)
+        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
         with pytest.raises(SolverError):
-            axisymmetric_oracle(geometry, None, grid)
+            axisymmetric_oracle(geometry, pose, grid)
+
+
+class TestConjugateGradientSolve:
+    def test_delta_L_pinned_to_relaxation_value(self, geometry):
+        # value the red-black relaxation solver converged to on this mesh
+        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
+        dL, _, _ = oracle_delta_L(geometry, pose, GRID)
+        assert rel(dL, -7.8826182e-10) < 1e-6
+
+    def test_sweep_matches_per_pose_solves(self, geometry):
+        grid = GridSpec(n_rho=64, n_z=64)
+        poses = [SpherePose(center=(0.0, 0.0, d), radius=0.985e-3)
+                 for d in (0.017, 0.011, 0.006)]
+        coils, _ = _axial_coordinates(geometry, None)
+        mesh = _build_axes(coils, None, None, grid)
+        base = axisymmetric_oracle(geometry, None, grid, mesh=mesh)
+        expected = [axisymmetric_oracle(geometry, pose, grid, mesh=mesh).L_eff
+                    - base.L_eff for pose in poses]
+        for workers in (1, 2):
+            swept = oracle_sweep(geometry, poses, grid, workers=workers)
+            assert swept.tolist() == expected
+
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.integers(64, 96), d=st.floats(4e-3, 20e-3))
+    def test_sphere_solve_properties(self, geometry, n, d):
+        grid = GridSpec(n_rho=n, n_z=n)
+        pose = SpherePose(center=(0.0, 0.0, d), radius=0.985e-3)
+        dL, with_sphere, without = oracle_delta_L(geometry, pose, grid)
+        assert with_sphere.residual < grid.tol
+        assert without.residual < grid.tol
+        assert dL < 0.0
+        assert with_sphere.L_eff < without.L_eff
 
 
 class TestFieldMapOutput:

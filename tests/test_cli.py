@@ -229,6 +229,16 @@ def test_detection_sweep_oracle_columns(tmp_path):
             < 1e-12
 
 
+@pytest.mark.parametrize("grid", [32, "abc"])
+def test_detection_sweep_bad_oracle_grid_exits_2(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, {"detection": {"oracle_grid": grid}})
+    out = tmp_path / "out"
+    assert main(["detection-sweep", "--config", str(cfg),
+                 "--out", str(out), "--oracle"]) == 2
+    assert "oracle_grid" in capsys.readouterr().err
+    assert not (out / "detection_sweep.csv").exists()
+
+
 def test_detection_sweep_empty_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"detection": {"sweep_points": 0}})
     assert main(["detection-sweep", "--config", str(cfg),
