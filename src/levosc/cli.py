@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -165,6 +164,20 @@ def _resolve_inputs(args, cfg: dict) -> dict[str, Path]:
     return inputs
 
 
+def _tau_vacuum(sec: dict) -> float | None:
+    value = sec.get("tau_vacuum_s", damping.DEFAULT_TAU_VACUUM)
+    if value is None:
+        return None
+    try:
+        tau = float(value)
+    except (TypeError, ValueError):
+        tau = None
+    if tau is None or not tau > 0:
+        raise ConfigError(
+            f"tau_vacuum_s must be a positive number or null, got {value!r}")
+    return tau
+
+
 def _mode_from(sec: dict, key: str = "mode") -> damping.RegimeMode:
     name = sec.get(key, "ReciprocalSum")
     for mode in damping.RegimeMode:
@@ -235,19 +248,17 @@ def _cmd_damping_curve(args, cfg: dict) -> list[str]:
     else:
         raise ConfigError(f"unknown grid kind {kind!r}")
     x3 = float(sec.get("x3", 0.0))
-    tau_vac = sec.get("tau_vacuum_s", damping.DEFAULT_TAU_VACUUM)
-    tau_vac = None if tau_vac is None else float(tau_vac)
+    tau_vac = _tau_vacuum(sec)
     mode = _mode_from(sec)
-    state = media.HeliumState(temperature=1.0, he3_fraction=0.0,
-                              he4_mass_density=med.he4_mass_density)
-    n3 = x3 * media.he4_number_density(state, med.constants)
-    rows = damping.damping_curve(osc, med, grid.tolist(), n3, mode, tau_vac)
+    n3 = x3 * med.n4
+    table = damping.damping_table(osc, med, grid, n3, mode, tau_vac)
 
     core = args._manifest
     outputs = []
     out_csv = args.out / "damping_curve.csv"
     with open(out_csv, "w") as fh:
-        damping.write_damping_csv(rows, fh, header_comment=_csv_comment(core))
+        damping.write_damping_csv(table, fh,
+                                  header_comment=_csv_comment(core))
     outputs.append(out_csv.name)
     meta = damping.damping_metadata(osc, med, n3, mode, tau_vac)
     meta["x3"] = x3
@@ -256,18 +267,17 @@ def _cmd_damping_curve(args, cfg: dict) -> list[str]:
     outputs.append(meta_path.name)
     if args.svg:
         svg_path = args.out / "damping_curve.svg"
-        svg_path.write_text(_damping_svg(rows, _csv_comment(core)))
+        svg_path.write_text(_damping_svg(table, _csv_comment(core)))
         outputs.append(svg_path.name)
     return outputs
 
 
-def _damping_svg(rows, comment: str) -> str:
-    T = [r[0] for r in rows]
+def _damping_svg(table: damping.DampingTable, comment: str) -> str:
+    T = table.T.tolist()
 
     def channel(name):
-        vals = [getattr(bd, name) for _, bd in rows]
-        return [v if v is not None and math.isfinite(v) else math.nan
-                for v in vals]
+        tau = getattr(table, name)
+        return np.where(np.isfinite(tau), tau, np.nan).tolist()
 
     series = [Series(T, channel("tau_total"), "total", color="#000000")]
     labels = {"tau_hydr": "hydrodynamic", "tau_ph": "phonon",
@@ -305,6 +315,9 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
     if points < 1:
         raise ConfigError("detection.sweep_points must be at least 1")
     radius = float(sec.get("sphere_radius_m", 0.985e-3))
+    if not radius > 0:
+        raise ConfigError(
+            f"detection.sphere_radius_m must be positive, got {radius!r}")
     driven = sec.get("driven", "transmitter")
     grid = _oracle_grid(sec) if args.oracle else None
     receiver = geom.receivers[0]
@@ -369,6 +382,19 @@ def _ringdown_config(cfg: dict, seed_override: int | None,
     return params, schedule, fmt
 
 
+def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
+    """``block_NNNNNN.<suffix>`` files by block index, in index order."""
+    files = {}
+    for path in blocks_dir.glob(f"block_*.{suffix}"):
+        digits = path.name[len("block_"):-len(suffix) - 1]
+        if not (digits.isdecimal()
+                and path.name == f"block_{int(digits):06d}.{suffix}"):
+            raise ConfigError(f"block file {path.name!r} is not named "
+                              f"block_NNNNNN.{suffix} by its block index")
+        files[int(digits)] = path
+    return dict(sorted(files.items()))
+
+
 def _cmd_ringdown(args, cfg: dict) -> list[str]:
     params, schedule, fmt = _ringdown_config(cfg, args.seed)
     blocks_dir = _blocks_dir(args)
@@ -400,23 +426,27 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
         outputs.append(truth_path.name)
         return outputs
 
-    bins = sorted(blocks_dir.glob("block_*.rngd"))
-    csvs = sorted(blocks_dir.glob("block_*.csv"))
-    if not bins and not csvs:
+    files = (_block_files(blocks_dir, "rngd")
+             or _block_files(blocks_dir, "csv"))
+    if not files:
         raise DataError(f"no block files found in {blocks_dir}")
-    if bins:
+    if next(iter(files.values())).suffix == ".rngd":
+        # a binary frame carries no start time: it is the block index's
         blocks = [rd.read_block_bin(path,
                                     start_time=k * schedule.block_interval)
-                  for k, path in enumerate(bins)]
+                  for k, path in files.items()]
     else:
-        blocks = [rd.read_block_csv(path) for path in csvs]
+        blocks = [rd.read_block_csv(path) for path in files.values()]
     series, fit = rd.analyze_ringdown(blocks, schedule, params.f0)
     series_path = args.out / "amplitude_series.csv"
     with open(series_path, "w") as fh:
         rd.write_series_csv(series, fh, header_comment=_csv_comment(core))
     outputs.append(series_path.name)
+    record = rd.decay_fit_dict(fit)
+    record["missing_block_indices"] = sorted(
+        set(range(len(schedule.block_starts()))) - set(files))
     fit_path = args.out / "decay_fit.json"
-    _json_out(fit_path, rd.decay_fit_dict(fit), core)
+    _json_out(fit_path, record, core)
     outputs.append(fit_path.name)
     return outputs
 
@@ -431,11 +461,16 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
     osc = _osc_from_config(cfg)
     med = _media_from_config(args, cfg)
     series = fitting.load_tau_series_csv(args.data)
-    bracket = tuple(float(v) for v in sec.get("bracket_per_m3",
-                                              (1e18, 1e23)))
+    raw = sec.get("bracket_per_m3", [1e18, 1e23])
+    try:
+        bracket = tuple(float(v) for v in raw)
+    except (TypeError, ValueError):
+        bracket = ()
+    if len(bracket) != 2:
+        raise ConfigError(
+            f"fit.bracket_per_m3 must be two numbers, got {raw!r}")
     mode = _mode_from(sec)
-    tau_vac = sec.get("tau_vacuum_s", damping.DEFAULT_TAU_VACUUM)
-    tau_vac = None if tau_vac is None else float(tau_vac)
+    tau_vac = _tau_vacuum(sec)
     fit = fitting.fit_he3_concentration(
         series, osc, med, bracket=bracket, mode=mode, tau_vacuum=tau_vac,
         fit_vacuum=bool(sec.get("fit_vacuum", False)))

@@ -15,6 +15,16 @@ Channels:
 A channel that evaluates to ``math.inf`` is a saturated "negligible"
 channel; it contributes nothing to the composite but is reported as
 present. A channel that is ``None`` is absent.
+
+Curves are evaluated over arrays: :func:`damping_table` computes every
+channel over the whole temperature grid in a few numpy expressions,
+marks absent entries NaN, forms the composite and checks its
+invariants once per grid. :func:`damping_curve`, :func:`tau_total` and
+:func:`write_damping_csv` are thin wrappers over that path, and the
+scalar channel functions share its formulas, so each computation has
+one composition rule. :func:`medium_channels` and :func:`compose` split
+the path where n3 enters, so that a fit over n3 evaluates the other
+channels once.
 """
 
 from __future__ import annotations
@@ -25,15 +35,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import ConfigError, DomainError, RangeError
-from .media import (HeliumMedia, HeliumState, PhysicalConstants,
-                    QuasiparticleParams, he3_number_density,
-                    thermal_velocity_he3, viscosity_normal)
+import numpy as np
+
+from .errors import ConfigError, DomainError
+from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
+                    thermal_velocity_he3, viscosity_normal_grid)
 
 __all__ = [
     "OscillatorSpec",
     "RegimeMode",
     "DampingBreakdown",
+    "DampingTable",
+    "MediumChannels",
     "SensitivityReport",
     "DEFAULT_TAU_VACUUM",
     "KNUDSEN_DRAG_COEFF",
@@ -46,6 +59,9 @@ __all__ = [
     "drag_force",
     "noise_density",
     "sensitivity_report",
+    "medium_channels",
+    "compose",
+    "damping_table",
     "damping_curve",
     "write_damping_csv",
     "damping_metadata",
@@ -145,11 +161,41 @@ class SensitivityReport:
                 raise ValueError(f"{name} must be non-negative")
 
 
+def _hydrodynamic(osc: OscillatorSpec, eta_n):
+    return osc.mass / (3.0 * math.pi * eta_n * osc.radius)
+
+
+def _phonon(osc: OscillatorSpec, params: QuasiparticleParams,
+            constants: PhysicalConstants, T):
+    kT = constants.k_B * np.asarray(T, dtype=float)
+    # (k_B T)^4 underflows to zero below about 1e-70 K: saturate to inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(45.0 * osc.mass * constants.hbar**3 * params.c**4,
+                         math.pi**2 * kT**4 * math.pi * osc.radius**2)
+
+
+def _roton(osc: OscillatorSpec, params: QuasiparticleParams,
+           constants: PhysicalConstants, T):
+    boltzmann = np.exp(-params.delta_over_kB / np.asarray(T, dtype=float))
+    # the Boltzmann factor underflows: saturate to inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(6.0 * math.pi**2 * osc.mass,
+                         constants.hbar * params.k0**4 * boltzmann
+                         * math.pi * osc.radius**2)
+
+
+def _impurity(osc: OscillatorSpec, media: HeliumMedia, v_th, n3: float):
+    m3_eff = media.quasiparticles.m3_eff_ratio * media.constants.m3
+    return (4.0 * osc.mass
+            / (KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
+               * n3 * m3_eff * v_th))
+
+
 def tau_hydrodynamic(osc: OscillatorSpec, eta_n: float) -> float:
     """Stokes-drag decay time M / (3 pi eta_n r)."""
     if eta_n <= 0:
         raise DomainError(f"viscosity must be positive, got {eta_n:g}")
-    return osc.mass / (3.0 * math.pi * eta_n * osc.radius)
+    return _hydrodynamic(osc, eta_n)
 
 
 def tau_phonon(osc: OscillatorSpec, params: QuasiparticleParams,
@@ -157,12 +203,14 @@ def tau_phonon(osc: OscillatorSpec, params: QuasiparticleParams,
     """Ballistic-phonon decay time, growing as T^-4 toward low T.
 
     45 M hbar^3 c^4 / (pi^2 (k_B T)^4 pi r^2)
+
+    Below roughly 1e-70 K (k_B T)^4 underflows and the true value
+    overflows a double; the channel then saturates to ``math.inf``
+    (negligible).
     """
     if T <= 0:
         raise DomainError(f"temperature must be positive, got {T:g} K")
-    kT = constants.k_B * T
-    return (45.0 * osc.mass * constants.hbar**3 * params.c**4
-            / (math.pi**2 * kT**4 * math.pi * osc.radius**2))
+    return float(_phonon(osc, params, constants, T))
 
 
 def tau_roton(osc: OscillatorSpec, params: QuasiparticleParams,
@@ -174,12 +222,7 @@ def tau_roton(osc: OscillatorSpec, params: QuasiparticleParams,
     """
     if T <= 0:
         raise DomainError(f"temperature must be positive, got {T:g} K")
-    boltzmann = math.exp(-params.delta_over_kB / T)
-    if boltzmann == 0.0:
-        return math.inf
-    return (6.0 * math.pi**2 * osc.mass
-            / (constants.hbar * params.k0**4 * boltzmann
-               * math.pi * osc.radius**2))
+    return float(_roton(osc, params, constants, T))
 
 
 def tau_impurity(osc: OscillatorSpec, media: HeliumMedia, T: float,
@@ -194,11 +237,42 @@ def tau_impurity(osc: OscillatorSpec, media: HeliumMedia, T: float,
         raise DomainError(f"n3 must be non-negative, got {n3:g}")
     if n3 == 0.0:
         return None
-    m3_eff = media.quasiparticles.m3_eff_ratio * media.constants.m3
     v_th = thermal_velocity_he3(media.constants, media.quasiparticles, T)
-    return (4.0 * osc.mass
-            / (KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
-               * n3 * m3_eff * v_th))
+    return float(_impurity(osc, media, v_th, n3))
+
+
+# Running state of a composition: summed decay rate, fastest channel,
+# and whether every channel folded in so far is positive or absent.
+_EMPTY_FOLD = (0.0, math.nan, True)
+
+
+def _fold(channels: Sequence, acc: tuple = _EMPTY_FOLD) -> tuple:
+    """Fold channel decay times (floats or arrays; NaN absent, inf
+    saturated) into the running state ``acc`` of a composition."""
+    rate, fastest, ok = acc
+    with np.errstate(divide="ignore"):
+        for tau in channels:
+            absent = np.isnan(tau)
+            rate = rate + np.where(absent, 0.0, 1.0 / tau)
+            fastest = np.fmin(fastest, tau)
+            ok = ok & ((tau > 0) | absent)
+    return rate, fastest, ok
+
+
+def _composite(mode: RegimeMode, acc: tuple) -> np.ndarray:
+    """Composite decay time of the folded channels: NaN where a present
+    channel is not positive or the composite exceeds the fastest one."""
+    rate, fastest, ok = acc
+    if mode is RegimeMode.RECIPROCAL_SUM:
+        with np.errstate(divide="ignore"):
+            total = 1.0 / rate
+        # allow 1 ulp of slack from the reciprocal arithmetic
+        ok = ok & (total <= fastest * (1.0 + 1e-12))
+    elif mode is RegimeMode.DOMINANT_ONLY:
+        total = fastest
+    else:
+        raise ConfigError(f"unknown regime mode {mode!r}")
+    return np.where(ok & (total > 0), total, np.nan)
 
 
 def tau_total(mode: RegimeMode = RegimeMode.RECIPROCAL_SUM, *,
@@ -211,21 +285,17 @@ def tau_total(mode: RegimeMode = RegimeMode.RECIPROCAL_SUM, *,
 
     ``RECIPROCAL_SUM`` adds decay rates (Matthiessen-style);
     ``DOMINANT_ONLY`` takes the fastest channel alone. Saturated
-    (infinite) channels contribute zero rate either way.
+    (infinite) channels contribute zero rate either way. The
+    composition rule is the one :func:`damping_table` applies.
     """
     channels = {"tau_hydr": tau_hydr, "tau_ph": tau_ph, "tau_rot": tau_rot,
                 "tau_imp": tau_imp, "tau_vacuum": tau_vacuum}
-    present = {k: v for k, v in channels.items() if v is not None}
-    if not present:
+    if all(v is None for v in channels.values()):
         raise ConfigError("no damping channels present")
-    if mode is RegimeMode.RECIPROCAL_SUM:
-        rate = math.fsum(1.0 / v for v in present.values())
-        total = math.inf if rate == 0.0 else 1.0 / rate
-    elif mode is RegimeMode.DOMINANT_ONLY:
-        total = min(present.values())
-    else:
-        raise ConfigError(f"unknown regime mode {mode!r}")
-    return DampingBreakdown(regime_mode=mode, tau_total=total, **channels)
+    total = _composite(mode, _fold([v for v in channels.values()
+                                    if v is not None]))
+    return DampingBreakdown(regime_mode=mode, tau_total=float(total),
+                            **channels)
 
 
 def linewidth(tau: float) -> float:
@@ -264,62 +334,156 @@ def sensitivity_report(osc: OscillatorSpec, T: float, tau: float,
         linewidth=linewidth(tau))
 
 
+@dataclass(frozen=True)
+class MediumChannels:
+    """The channels that do not depend on n3, over a temperature array:
+    hydrodynamic (NaN outside the viscosity table), phonon and roton,
+    plus the helium-3 thermal velocity the impurity channel needs and
+    the three channels already folded into a composition."""
+
+    T: np.ndarray
+    tau_hydr: np.ndarray
+    tau_ph: np.ndarray
+    tau_rot: np.ndarray
+    v_th: np.ndarray
+    folded: tuple
+
+
+def medium_channels(osc: OscillatorSpec, media: HeliumMedia,
+                    T) -> MediumChannels:
+    """Evaluate the n3-independent channels at every positive ``T``."""
+    T = np.asarray(T, dtype=float)
+    q, c = media.quasiparticles, media.constants
+    hydr = _hydrodynamic(osc, viscosity_normal_grid(media.viscosity, T))
+    ph = _phonon(osc, q, c, T)
+    rot = _roton(osc, q, c, T)
+    return MediumChannels(T=T, tau_hydr=hydr, tau_ph=ph, tau_rot=rot,
+                          v_th=thermal_velocity_he3(c, q, T),
+                          folded=_fold((hydr, ph, rot)))
+
+
+@dataclass(frozen=True)
+class DampingTable:
+    """Columnar channel breakdown over a temperature grid.
+
+    Every channel column holds one decay time per temperature: NaN
+    where the channel is absent (hydrodynamic outside the viscosity
+    table, impurity at n3 = 0, no vacuum channel), ``inf`` where it is
+    saturated. ``tau_total`` is NaN in rows that break the composite's
+    invariants; :func:`damping_table` never returns such rows.
+    """
+
+    T: np.ndarray
+    tau_hydr: np.ndarray
+    tau_ph: np.ndarray
+    tau_rot: np.ndarray
+    tau_imp: np.ndarray
+    tau_vacuum: np.ndarray
+    tau_total: np.ndarray
+    regime_mode: RegimeMode
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """T, the five channels and the composite, in CSV column order."""
+        return (self.T, self.tau_hydr, self.tau_ph, self.tau_rot,
+                self.tau_imp, self.tau_vacuum, self.tau_total)
+
+    def rows(self) -> list[tuple[float, DampingBreakdown]]:
+        """One (T, breakdown) pair per temperature; absent is ``None``."""
+        out = []
+        for T, hydr, ph, rot, imp, vac, total in zip(
+                *(col.tolist() for col in self.columns())):
+            out.append((T, DampingBreakdown(
+                tau_ph=ph, tau_rot=rot, tau_total=total,
+                regime_mode=self.regime_mode, tau_hydr=_present(hydr),
+                tau_imp=_present(imp), tau_vacuum=_present(vac))))
+        return out
+
+
+def _present(value: float) -> float | None:
+    return None if math.isnan(value) else value
+
+
+def compose(medium: MediumChannels, osc: OscillatorSpec,
+            media: HeliumMedia, n3: float,
+            mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
+            tau_vacuum: float | None = DEFAULT_TAU_VACUUM) -> DampingTable:
+    """Add the impurity and vacuum channels to ``medium`` and form the
+    composite. Rows breaking the invariants get a NaN ``tau_total``."""
+    if not n3 >= 0:
+        raise DomainError(f"n3 must be non-negative, got {n3:g}")
+    T = medium.T
+    imp = (_impurity(osc, media, medium.v_th, n3) if n3 > 0
+           else np.full_like(T, np.nan))
+    vac = np.full_like(T, np.nan if tau_vacuum is None else tau_vacuum)
+    total = _composite(mode, _fold((imp, vac), medium.folded))
+    return DampingTable(T, medium.tau_hydr, medium.tau_ph, medium.tau_rot,
+                        imp, vac, total, mode)
+
+
+def damping_table(osc: OscillatorSpec, media: HeliumMedia,
+                  T_grid: Sequence[float], n3: float,
+                  mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
+                  tau_vacuum: float | None = DEFAULT_TAU_VACUUM,
+                  ) -> DampingTable:
+    """Evaluate every channel and the composite on a strictly
+    increasing T grid, as arrays.
+
+    Channels outside their validity window (hydrodynamic below the
+    viscosity table's floor) are marked absent for that point rather
+    than aborting the sweep. The composite's invariants (present
+    channels positive, composite no slower than the fastest channel)
+    are checked once for the whole grid.
+    """
+    T = np.asarray(T_grid, dtype=float).reshape(-1)
+    if not len(T):
+        raise ConfigError("temperature grid is empty")
+    if np.any(np.diff(T) <= 0):
+        raise ConfigError("temperature grid must be strictly increasing")
+    if T[0] <= 0:
+        raise ConfigError("temperatures must be positive")
+    if not n3 >= 0:
+        raise DomainError(f"grid row 0 (T = {T[0]:g} K): n3 must be "
+                          f"non-negative, got {n3:g}")
+    table = compose(medium_channels(osc, media, T), osc, media, n3, mode,
+                    tau_vacuum)
+    bad = np.flatnonzero(np.isnan(table.tau_total))
+    if len(bad):
+        raise ValueError(
+            f"grid row {bad[0]} (T = {T[bad[0]]:g} K): a channel is not "
+            "positive or the composite exceeds the fastest channel")
+    return table
+
+
 def damping_curve(osc: OscillatorSpec, media: HeliumMedia,
                   T_grid: Sequence[float], n3: float,
                   mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
                   tau_vacuum: float | None = DEFAULT_TAU_VACUUM,
                   ) -> list[tuple[float, DampingBreakdown]]:
-    """Evaluate the channel breakdown on a strictly increasing T grid.
-
-    Channels outside their validity window (hydrodynamic below the
-    viscosity table's floor) are marked absent for that point rather
-    than aborting the sweep.
-    """
-    grid = list(T_grid)
-    if not grid:
-        raise ConfigError("temperature grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("temperature grid must be strictly increasing")
-    if grid[0] <= 0:
-        raise ConfigError("temperatures must be positive")
-    rows = []
-    for i, T in enumerate(grid):
-        try:
-            try:
-                eta = viscosity_normal(media.viscosity, T)
-                hydr = tau_hydrodynamic(osc, eta)
-            except RangeError:
-                hydr = None
-            ph = tau_phonon(osc, media.quasiparticles, media.constants, T)
-            rot = tau_roton(osc, media.quasiparticles, media.constants, T)
-            imp = tau_impurity(osc, media, T, n3)
-        except DomainError as exc:
-            raise DomainError(f"grid row {i} (T = {T:g} K): {exc}") from exc
-        rows.append((T, tau_total(mode, tau_hydr=hydr, tau_ph=ph,
-                                  tau_rot=rot, tau_imp=imp,
-                                  tau_vacuum=tau_vacuum)))
-    return rows
+    """:func:`damping_table` as one (T, breakdown) pair per temperature."""
+    return damping_table(osc, media, T_grid, n3, mode, tau_vacuum).rows()
 
 
 _CSV_COLUMNS = ("T_K", "tau_hydr_s", "tau_ph_s", "tau_rot_s", "tau_imp_s",
                 "tau_vac_s", "tau_total_s")
 
 
-def write_damping_csv(rows: Sequence[tuple[float, DampingBreakdown]],
-                      fh: io.TextIOBase, header_comment: str | None = None,
-                      ) -> None:
-    """Emit the curve as CSV; absent channels become empty fields."""
+def write_damping_csv(
+        curve: DampingTable | Sequence[tuple[float, DampingBreakdown]],
+        fh: io.TextIOBase, header_comment: str | None = None) -> None:
+    """Emit a :class:`DampingTable`, or the rows of
+    :func:`damping_curve`, as CSV; absent channels become empty fields."""
+    if isinstance(curve, DampingTable):
+        columns = curve.columns()
+    else:
+        columns = np.array([(T, bd.tau_hydr, bd.tau_ph, bd.tau_rot,
+                             bd.tau_imp, bd.tau_vacuum, bd.tau_total)
+                            for T, bd in curve], dtype=float).reshape(-1, 7).T
+    fields = [["" if text == "nan" else text
+               for text in map(repr, col.tolist())] for col in columns]
     if header_comment:
         fh.write(f"# {header_comment}\n")
     fh.write(",".join(_CSV_COLUMNS) + "\n")
-
-    def fmt(value):
-        return "" if value is None else repr(value)
-
-    for T, bd in rows:
-        fh.write(",".join([repr(T), fmt(bd.tau_hydr), fmt(bd.tau_ph),
-                           fmt(bd.tau_rot), fmt(bd.tau_imp),
-                           fmt(bd.tau_vacuum), fmt(bd.tau_total)]) + "\n")
+    fh.writelines(",".join(record) + "\n" for record in zip(*fields))
 
 
 def damping_metadata(osc: OscillatorSpec, media: HeliumMedia, n3: float,

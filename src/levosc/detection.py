@@ -9,6 +9,11 @@ opposing the local field. The sphere radius is small compared with
 every coil distance of interest, which is what makes dipole order
 sufficient; the finite-difference solver in :mod:`levosc.axisym`
 quantifies the error independently.
+
+Field and clearance helpers take (n, 3) blocks of points, so a
+position sweep evaluates each coil's field once over all pose centers
+and the pose-independent inductances once per sweep; the single-pose
+functions run the same helpers on a block of one.
 """
 
 from __future__ import annotations
@@ -228,24 +233,37 @@ class SweepResult:
                 raise ValueError("L_eff must be positive")
 
 
-def _point_to_circle_distance(point: np.ndarray, center: np.ndarray,
-                              axis: np.ndarray, radius: float) -> float:
-    rel = point - center
-    z = float(np.dot(rel, axis))
-    rho = float(np.linalg.norm(rel - z * axis))
-    return math.hypot(rho - radius, z)
+def _circle_distance(points: np.ndarray, coil: CoilSpec) -> np.ndarray:
+    """Distance from each row of an (n, 3) block of points to the coil's
+    mean winding circle."""
+    axis = coil.axis_v
+    rel = points - coil.center_v
+    z = rel @ axis
+    rho = np.linalg.norm(rel - np.outer(z, axis), axis=1)
+    return np.hypot(rho - coil.mean_radius, z)
+
+
+def _clearance_failures(geometry: DetectionGeometry, centers: np.ndarray,
+                        radii: np.ndarray) -> dict[int, str]:
+    """Error text for each pose whose sphere surface comes within
+    MIN_COIL_CLEARANCE of a winding, keyed by pose index; the first
+    offending coil (transmitter, then receivers) is reported."""
+    failures: dict[int, str] = {}
+    for coil in (geometry.transmitter, *geometry.receivers):
+        d = _circle_distance(centers, coil)
+        for i in np.flatnonzero(d < radii + MIN_COIL_CLEARANCE).tolist():
+            failures.setdefault(i, (
+                f"sphere surface within {MIN_COIL_CLEARANCE * 1e3:.1f} mm "
+                f"of a {coil.role} winding (separation {d[i]:.4g} m)"))
+    return failures
 
 
 def check_clearance(geometry: DetectionGeometry, pose: SpherePose) -> None:
     """Reject poses that put the sphere within 0.1 mm of any winding."""
-    coils = (geometry.transmitter, *geometry.receivers)
-    for coil in coils:
-        d = _point_to_circle_distance(pose.center_v, coil.center_v,
-                                      coil.axis_v, coil.mean_radius)
-        if d < pose.radius + MIN_COIL_CLEARANCE:
-            raise GeometryError(
-                f"sphere surface within {MIN_COIL_CLEARANCE * 1e3:.1f} mm of "
-                f"a {coil.role} winding (separation {d:.4g} m)")
+    failures = _clearance_failures(geometry, pose.center_v[None, :],
+                                   np.array([pose.radius]))
+    if failures:
+        raise GeometryError(failures[0])
 
 
 def _orthobasis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,9 +345,7 @@ def _min_circle_separation(coil_a: CoilSpec, coil_b: CoilSpec,
     ring = (coil_a.center_v[None, :]
             + coil_a.mean_radius * (np.outer(np.cos(phi), u)
                                     + np.outer(np.sin(phi), v)))
-    dists = [_point_to_circle_distance(p, coil_b.center_v, coil_b.axis_v,
-                                       coil_b.mean_radius) for p in ring]
-    return min(dists)
+    return float(np.min(_circle_distance(ring, coil_b)))
 
 
 def mutual_inductance(coil_a: CoilSpec, coil_b: CoilSpec,
@@ -366,6 +382,21 @@ def induced_dipole(B_local, sphere_radius: float) -> np.ndarray:
     return -(2.0 * math.pi * sphere_radius**3 / MU0) * _as_vec(B_local)
 
 
+def _unperturbed_inductance(geometry: DetectionGeometry,
+                            receiver: CoilSpec) -> float:
+    if geometry.receiver_inductance is not None:
+        return geometry.receiver_inductance
+    return self_inductance(receiver)
+
+
+def _dipole_flux(B_source: np.ndarray, B_pickup: np.ndarray,
+                 radii: np.ndarray) -> np.ndarray:
+    """Flux m . B_pickup per pose of the sphere dipole induced by the
+    unit-current field ``B_source``; fields are (n, 3) blocks."""
+    moment = -(2.0 * math.pi * radii**3 / MU0)[:, None] * B_source
+    return np.einsum("ij,ij->i", moment, B_pickup)
+
+
 def effective_inductance(geometry: DetectionGeometry, pose: SpherePose,
                          which_receiver: int = 0) -> tuple[float, float]:
     """Receiver inductance with the sphere present.
@@ -377,13 +408,9 @@ def effective_inductance(geometry: DetectionGeometry, pose: SpherePose,
     """
     check_clearance(geometry, pose)
     receiver = geometry.receivers[which_receiver]
-    if geometry.receiver_inductance is not None:
-        L0 = geometry.receiver_inductance
-    else:
-        L0 = self_inductance(receiver)
-    B_unit = coil_field(receiver, 1.0, pose.center_v)
-    moment = induced_dipole(B_unit, pose.radius)
-    delta_L = float(np.dot(moment, B_unit))
+    L0 = _unperturbed_inductance(geometry, receiver)
+    B_unit = _coil_field_points(receiver, 1.0, pose.center_v[None, :])
+    delta_L = float(_dipole_flux(B_unit, B_unit, np.array([pose.radius]))[0])
     return L0 + delta_L, delta_L
 
 
@@ -407,10 +434,10 @@ def _mutual_with_sphere(geometry: DetectionGeometry, pose: SpherePose | None,
     M0 = mutual_inductance(geometry.transmitter, receiver)
     if pose is None:
         return M0
-    B_t = coil_field(geometry.transmitter, 1.0, pose.center_v)
-    B_r = coil_field(receiver, 1.0, pose.center_v)
-    moment = induced_dipole(B_t, pose.radius)
-    return M0 + float(np.dot(moment, B_r))
+    center = pose.center_v[None, :]
+    B_t = _coil_field_points(geometry.transmitter, 1.0, center)
+    B_r = _coil_field_points(receiver, 1.0, center)
+    return M0 + float(_dipole_flux(B_t, B_r, np.array([pose.radius]))[0])
 
 
 def induced_voltage(geometry: DetectionGeometry, pose: SpherePose | None,
@@ -422,23 +449,25 @@ def induced_voltage(geometry: DetectionGeometry, pose: SpherePose | None,
     where M_eff is the sphere-perturbed transmitter-receiver coupling;
     with the receiver itself driven it is |L_eff| I0 omega.
     """
-    if driven not in ("transmitter", "receiver"):
-        raise ConfigError(f"driven must be transmitter or receiver, got {driven!r}")
+    _check_driven(driven)
     if pose is not None:
         check_clearance(geometry, pose)
     I0 = geometry.drive.amplitude
     omega = geometry.drive.angular_frequency
     if driven == "transmitter":
         coupling = _mutual_with_sphere(geometry, pose, which_receiver)
+    elif pose is None:
+        coupling = _unperturbed_inductance(
+            geometry, geometry.receivers[which_receiver])
     else:
-        if pose is None:
-            L0 = (geometry.receiver_inductance
-                  if geometry.receiver_inductance is not None
-                  else self_inductance(geometry.receivers[which_receiver]))
-            coupling = L0
-        else:
-            coupling, _ = effective_inductance(geometry, pose, which_receiver)
+        coupling, _ = effective_inductance(geometry, pose, which_receiver)
     return abs(coupling) * I0 * omega
+
+
+def _check_driven(driven: str) -> None:
+    if driven not in ("transmitter", "receiver"):
+        raise ConfigError(
+            f"driven must be transmitter or receiver, got {driven!r}")
 
 
 def position_sweep(geometry: DetectionGeometry,
@@ -448,29 +477,62 @@ def position_sweep(geometry: DetectionGeometry,
     """Evaluate L_eff, resonance, and voltage along a pose path.
 
     The recorded position is the signed distance of the sphere center
-    from the receiver center along the receiver axis. Rows that fail a
-    geometry or domain check are kept as NaN rows and the error text is
-    collected; the sweep always completes.
+    from the receiver center along the receiver axis. All poses are
+    evaluated at once: the unperturbed receiver inductance and the
+    transmitter-receiver mutual inductance once per sweep, each coil's
+    field once over all pose centers. Rows that fail a geometry or
+    domain check are kept as NaN rows and the error text is collected,
+    exactly as :func:`effective_inductance`, :func:`resonance_frequency`
+    and :func:`induced_voltage` would raise it for that pose; the sweep
+    always completes.
     """
     if not poses:
         raise ConfigError("sweep needs at least one pose")
+    _check_driven(driven)
     receiver = geometry.receivers[which_receiver]
-    rows: list[SweepRow] = []
-    errors: list[tuple[int, str]] = []
-    for i, pose in enumerate(poses):
-        position = float(np.dot(pose.center_v - receiver.center_v,
-                                receiver.axis_v))
+    centers = np.array([pose.center for pose in poses])
+    radii = np.array([pose.radius for pose in poses])
+    n = len(poses)
+    position = (centers - receiver.center_v) @ receiver.axis_v
+    L_eff, delta_L, f, V = (np.full(n, math.nan) for _ in range(4))
+    errors = _clearance_failures(geometry, centers, radii)
+
+    def fail_rest(message: str) -> None:
+        for i in range(n):
+            errors.setdefault(i, message)
+
+    try:
+        L0 = _unperturbed_inductance(geometry, receiver)
+    except DomainError as exc:
+        L0 = math.nan
+        fail_rest(str(exc))
+    ok = [i for i in range(n) if i not in errors]
+    B_r = _coil_field_points(receiver, 1.0, centers[ok])
+    delta_L[ok] = _dipole_flux(B_r, B_r, radii[ok])
+    L_eff[ok] = L0 + delta_L[ok]
+    for i in np.flatnonzero(L_eff <= 0).tolist():
+        errors.setdefault(i, "inductance and capacitance must be positive")
+    with np.errstate(invalid="ignore"):
+        f = 1.0 / (2.0 * math.pi * np.sqrt(L_eff * geometry.capacitance))
+    I0 = geometry.drive.amplitude
+    omega = geometry.drive.angular_frequency
+    if driven == "receiver":
+        V = np.abs(L_eff) * I0 * omega
+    else:
         try:
-            L_eff, delta_L = effective_inductance(geometry, pose,
-                                                  which_receiver)
-            f = resonance_frequency(L_eff, geometry.capacitance)
-            V = induced_voltage(geometry, pose, which_receiver, driven)
-            rows.append(SweepRow(position, L_eff, delta_L, f, V))
+            M0 = mutual_inductance(geometry.transmitter, receiver)
         except DomainError as exc:
-            errors.append((i, str(exc)))
-            rows.append(SweepRow(position, math.nan, math.nan,
-                                 math.nan, math.nan))
-    return SweepResult(rows=tuple(rows), errors=tuple(errors))
+            fail_rest(str(exc))
+        else:
+            B_t = _coil_field_points(geometry.transmitter, 1.0, centers[ok])
+            V[ok] = np.abs(M0 + _dipole_flux(B_t, B_r, radii[ok])) * I0 * omega
+    failed = list(errors)
+    columns = [L_eff, delta_L, f, V]
+    for col in columns:
+        col[failed] = math.nan
+    rows = tuple(SweepRow(*values) for values in zip(
+        position.tolist(), *(col.tolist() for col in columns)))
+    return SweepResult(rows=rows, errors=tuple(sorted(errors.items())))
 
 
 def write_sweep_csv(result: SweepResult, fh: io.TextIOBase,

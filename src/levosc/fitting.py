@@ -7,6 +7,11 @@ in log space because tau spans many decades. Rows above the regime
 threshold (default 0.6 K) are down-weighted: the hydrodynamic-ballistic
 cross-over has no trustworthy model, so those points should steer the
 fit only weakly.
+
+The model is evaluated over the whole series at once: the channels that
+do not depend on n3 once per fit, the impurity and vacuum channels and
+the composite once per objective evaluation (see
+:func:`levosc.damping.compose`).
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
-                      damping_curve)
+from .damping import (DEFAULT_TAU_VACUUM, MediumChannels, OscillatorSpec,
+                      RegimeMode, compose, damping_table, medium_channels)
 from .errors import BracketError, ConfigError, DataError
-from .media import HeliumMedia, HeliumState, he4_number_density
+from .media import HeliumMedia
 
 __all__ = [
     "TauTemperatureSeries",
@@ -91,8 +96,18 @@ def model_tau(osc: OscillatorSpec, media: HeliumMedia, T: float, n3: float,
               mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
               tau_vacuum: float | None = DEFAULT_TAU_VACUUM) -> float:
     """Composite decay time at one temperature for a given n3."""
-    (_, bd), = damping_curve(osc, media, [T], n3, mode, tau_vacuum)
-    return bd.tau_total
+    table = damping_table(osc, media, [T], n3, mode, tau_vacuum)
+    return float(table.tau_total[0])
+
+
+def _log_residuals(medium: MediumChannels, log_taus: np.ndarray,
+                   osc: OscillatorSpec, media: HeliumMedia, n3: float,
+                   mode: RegimeMode, tau_vacuum: float | None) -> np.ndarray:
+    total = compose(medium, osc, media, n3, mode, tau_vacuum).tau_total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.log(total) - log_taus
+    r[~np.isfinite(r)] = np.nan
+    return r
 
 
 def model_residuals(series: TauTemperatureSeries, osc: OscillatorSpec,
@@ -102,17 +117,13 @@ def model_residuals(series: TauTemperatureSeries, osc: OscillatorSpec,
                     ) -> np.ndarray:
     """Log-space residuals ln(tau_model) - ln(tau_data), one per row.
 
-    A row where the model cannot be evaluated becomes NaN rather than
-    failing the whole vector; downstream sums skip NaN rows.
+    A row where the model is not finite, or breaks the composite's
+    invariants, becomes NaN rather than failing the whole vector;
+    downstream sums skip NaN rows.
     """
-    out = np.empty(len(series.rows))
-    for i, (T, tau_data, _) in enumerate(series.rows):
-        try:
-            tau_m = model_tau(osc, media, T, n3, mode, tau_vacuum)
-            out[i] = math.log(tau_m) - math.log(tau_data)
-        except (ValueError, ArithmeticError):
-            out[i] = math.nan
-    return out
+    medium = medium_channels(osc, media, series.temperatures)
+    return _log_residuals(medium, np.log(series.taus), osc, media, n3, mode,
+                          tau_vacuum)
 
 
 def _regime_weights(series: TauTemperatureSeries,
@@ -157,6 +168,11 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
 
     With ``fit_vacuum`` the constant vacuum channel is fitted too, by a
     nested 1-D search at every n3 candidate.
+
+    The hydrodynamic, phonon and roton channels do not depend on n3 or
+    the vacuum channel, so they are evaluated once per fit; each
+    objective evaluation adds only the impurity and vacuum channels
+    over the whole series.
     """
     n3_lo, n3_hi = bracket
     if not 0 < n3_lo < n3_hi:
@@ -164,9 +180,15 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
     if math.log10(n3_hi / n3_lo) < 4.0:
         raise ConfigError("bracket must span at least four decades of n3")
     weights = _regime_weights(series, regime_threshold, regime_weight)
+    medium = medium_channels(osc, media, series.temperatures)
+    log_taus = np.log(series.taus)
+
+    def residuals(n3: float, tau_vac: float | None) -> np.ndarray:
+        return _log_residuals(medium, log_taus, osc, media, n3, mode,
+                              tau_vac)
 
     def objective_for(n3: float, tau_vac: float | None) -> float:
-        r = model_residuals(series, osc, media, n3, mode, tau_vac)
+        r = residuals(n3, tau_vac)
         ok = np.isfinite(r)
         if not ok.any():
             raise DataError("model undefined on every row")
@@ -196,14 +218,11 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
     n3 = math.exp(u_star)
     fitted_vac = math.exp(best_vacuum(n3)) if fit_vacuum else None
     vac_used = fitted_vac if fit_vacuum else tau_vacuum
-    r = model_residuals(series, osc, media, n3, mode, vac_used)
+    r = residuals(n3, vac_used)
     ok = np.isfinite(r)
     rms = float(np.sqrt(np.sum(weights[ok] * r[ok]**2)
                         / np.sum(weights[ok])))
-    state = HeliumState(temperature=1.0, he3_fraction=0.0,
-                        he4_mass_density=media.he4_mass_density)
-    n4 = he4_number_density(state, media.constants)
-    return ConcentrationFit(n3=n3, x3=n3 / n4, residual_rms=rms,
+    return ConcentrationFit(n3=n3, x3=n3 / media.n4, residual_rms=rms,
                             n3_bracket=(n3_lo, n3_hi), regime_mode=mode,
                             tau_vacuum=tau_vacuum,
                             fitted_tau_vacuum=fitted_vac)
@@ -228,14 +247,13 @@ def predict_contamination(x3: "float | ConcentrationFit", added_x3: float,
         x3 = x3.x3
     if added_x3 < 0:
         raise ConfigError("added_x3 must be non-negative")
-    state = HeliumState(temperature=1.0, he3_fraction=0.0,
-                        he4_mass_density=media.he4_mass_density)
-    n4 = he4_number_density(state, media.constants)
-    base = damping_curve(osc, media, T_grid, x3 * n4, mode, tau_vacuum=None)
-    contaminated = damping_curve(osc, media, T_grid, (x3 + added_x3) * n4,
+    n4 = media.n4
+    base = damping_table(osc, media, T_grid, x3 * n4, mode, tau_vacuum=None)
+    contaminated = damping_table(osc, media, T_grid, (x3 + added_x3) * n4,
                                  mode, tau_vacuum=None)
-    return ([(T, bd.tau_total) for T, bd in base],
-            [(T, bd.tau_total) for T, bd in contaminated])
+    T = base.T.tolist()
+    return (list(zip(T, base.tau_total.tolist())),
+            list(zip(T, contaminated.tau_total.tolist())))
 
 
 def load_tau_series_csv(path: str | Path) -> TauTemperatureSeries:

@@ -10,11 +10,11 @@ viscosity table. All values are overridable through a plain-text
 from __future__ import annotations
 
 import csv
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, RangeError
 
@@ -27,6 +27,7 @@ __all__ = [
     "DEFAULT_VISCOSITY_TABLE",
     "DEFAULT_HE4_MASS_DENSITY",
     "viscosity_normal",
+    "viscosity_normal_grid",
     "thermal_velocity_he3",
     "he4_number_density",
     "he3_number_density",
@@ -187,11 +188,38 @@ class HeliumMedia:
         if self.he4_mass_density <= 0:
             raise ValueError("he4_mass_density must be positive")
 
+    @property
+    def n4(self) -> float:
+        """Helium-4 number density rho4 / m4, 1/m^3."""
+        return self.he4_mass_density / self.constants.m4
+
+
+def viscosity_normal_grid(table: ViscosityTable, T) -> np.ndarray:
+    """Normal-component viscosity at each temperature of the array ``T``.
+
+    Log-log linear interpolation between table nodes, exact at nodes;
+    NaN outside the table's validity interval, where the hydrodynamic
+    description stops being meaningful.
+    """
+    T = np.asarray(T, dtype=float)
+    temps = np.array([t for t, _ in table.entries])
+    etas = np.array([eta for _, eta in table.entries])
+    i = np.clip(np.searchsorted(temps, T, side="right") - 1,
+                0, len(temps) - 2)
+    t0, t1, e0, e1 = temps[i], temps[i + 1], etas[i], etas[i + 1]
+    # entries outside the table are computed from the end segments and
+    # masked below; they may overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        frac = (np.log(T) - np.log(t0)) / (np.log(t1) - np.log(t0))
+        eta = np.exp(np.log(e0) + frac * (np.log(e1) - np.log(e0)))
+    eta = np.where(T == t0, e0, np.where(T == t1, e1, eta))
+    lo, hi = table.valid_range
+    return np.where((T >= lo) & (T <= hi), eta, np.nan)
+
 
 def viscosity_normal(table: ViscosityTable, T: float) -> float:
-    """Normal-component viscosity at temperature ``T``.
-
-    Log-log linear interpolation between table nodes; exact at nodes.
+    """Normal-component viscosity at temperature ``T``; see
+    :func:`viscosity_normal_grid`.
 
     Raises
     ------
@@ -202,23 +230,19 @@ def viscosity_normal(table: ViscosityTable, T: float) -> float:
     if not lo <= T <= hi:
         raise RangeError(
             f"viscosity valid only for {lo:g} K <= T <= {hi:g} K, got {T:g} K")
-    temps = [t for t, _ in table.entries]
-    i = bisect_right(temps, T) - 1
-    if temps[i] == T:
-        return table.entries[i][1]
-    t0, e0 = table.entries[i]
-    t1, e1 = table.entries[i + 1]
-    frac = (math.log(T) - math.log(t0)) / (math.log(t1) - math.log(t0))
-    return math.exp(math.log(e0) + frac * (math.log(e1) - math.log(e0)))
+    return float(viscosity_normal_grid(table, T))
 
 
 def thermal_velocity_he3(constants: PhysicalConstants,
-                         params: QuasiparticleParams, T: float) -> float:
-    """Thermal velocity sqrt(2 k_B T / m3*) of a helium-3 quasiparticle."""
-    if T <= 0:
-        raise DomainError(f"temperature must be positive, got {T:g} K")
+                         params: QuasiparticleParams, T):
+    """Thermal velocity sqrt(2 k_B T / m3*) of a helium-3 quasiparticle,
+    for a temperature or an array of them."""
+    if np.any(np.less_equal(T, 0.0)):
+        raise DomainError(
+            f"temperature must be positive, got {np.min(T):g} K")
     m3_eff = params.m3_eff_ratio * constants.m3
-    return math.sqrt(2.0 * constants.k_B * T / m3_eff)
+    return np.sqrt(2.0 * constants.k_B * np.asarray(T, dtype=float)
+                   / m3_eff)
 
 
 def he4_number_density(state: HeliumState,

@@ -35,10 +35,16 @@ def _fmt(v: float) -> str:
 
 def _tick_values(lo: float, hi: float, log: bool) -> list[float]:
     if log:
-        lo_d = math.floor(math.log10(lo))
-        hi_d = math.ceil(math.log10(hi))
-        return [10.0**d for d in range(int(lo_d), int(hi_d) + 1)
-                if lo <= 10.0**d <= hi]
+        ticks = []
+        for d in range(math.floor(math.log10(lo)),
+                       math.ceil(math.log10(hi)) + 1):
+            try:
+                v = 10.0**d
+            except OverflowError:       # a decade beyond the largest double
+                continue
+            if lo <= v <= hi:
+                ticks.append(v)
+        return ticks
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):

@@ -189,6 +189,46 @@ def test_damping_curve_physics_error_exits_3(tmp_path, capsys):
     assert "row 0" in capsys.readouterr().err
 
 
+def test_damping_curve_phonon_saturates_at_tiny_T(tmp_path):
+    # (k_B T)^4 underflows at 1e-90 K: the channel saturates to inf
+    cfg = write_config(tmp_path, {"damping": {
+        "T_min_K": 1e-90, "T_max_K": 0.1, "points": 5}})
+    out = tmp_path / "out"
+    assert main(["damping-curve", "--config", str(cfg), "--out", str(out),
+                 "--svg"]) == 0
+    _, rows, _ = read_csv(out / "damping_curve.csv")
+    assert rows[0][2] == "inf"
+    assert abs(float(rows[0][6]) - DEFAULT_TAU_VACUUM) \
+        < 1e-12 * DEFAULT_TAU_VACUUM
+
+
+def test_damping_curve_svg_at_10000_points(tmp_path):
+    # roton tau reaches ~1e308 on this grid; its decade ticks must not
+    # overflow
+    cfg = write_config(tmp_path, {"damping": {"points": 10000,
+                                              "x3": 4.2e-8}})
+    out = tmp_path / "out"
+    assert main(["damping-curve", "--config", str(cfg), "--out", str(out),
+                 "--svg"]) == 0
+    _, rows, _ = read_csv(out / "damping_curve.csv")
+    assert len(rows) == 10000
+    svg = (out / "damping_curve.svg").read_text()
+    assert svg.rstrip().endswith("</svg>")
+    assert svg.count("<polyline") == 6
+
+
+@pytest.mark.parametrize("command", ["damping-curve", "fit-he3"])
+@pytest.mark.parametrize("tau_vac", [-1.0, 0.0, "long"])
+def test_bad_tau_vacuum_exits_2(tmp_path, capsys, command, tau_vac):
+    section = "damping" if command == "damping-curve" else "fit"
+    cfg = write_config(tmp_path, {section: {"tau_vacuum_s": tau_vac}})
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "fit-he3":
+        argv += ["--data", str(model_data_csv(tmp_path, 4.2e-8))]
+    assert main(argv) == 2
+    assert "tau_vacuum_s" in capsys.readouterr().err
+
+
 # ------------------------------------------------------ detection-sweep
 
 def test_detection_sweep_default_monotonicity(tmp_path):
@@ -237,6 +277,15 @@ def test_detection_sweep_bad_oracle_grid_exits_2(tmp_path, capsys, grid):
                  "--out", str(out), "--oracle"]) == 2
     assert "oracle_grid" in capsys.readouterr().err
     assert not (out / "detection_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("radius", [0.0, -1e-3])
+def test_detection_sweep_bad_sphere_radius_exits_2(tmp_path, capsys,
+                                                   radius):
+    cfg = write_config(tmp_path, {"detection": {"sphere_radius_m": radius}})
+    assert main(["detection-sweep", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "sphere_radius_m" in capsys.readouterr().err
 
 
 def test_detection_sweep_empty_exits_2(tmp_path):
@@ -352,6 +401,38 @@ def test_ringdown_corrupt_block_exits_3(tmp_path, capsys):
     assert "block_000003.rngd" in capsys.readouterr().err
 
 
+def test_ringdown_analyze_missing_blocks_keeps_tau(tmp_path):
+    # start times come from the block numbers, so gaps do not bias tau
+    cfg = write_config(tmp_path, {"ringdown": dict(RINGDOWN_CFG["ringdown"],
+                                                   noise_rms=0.0)})
+    out = tmp_path / "out"
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    for k in (0, 5, 6):
+        (out / "blocks" / f"block_{k:06d}.rngd").unlink()
+    assert main(["ringdown", "analyze", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    fit = json.loads((out / "decay_fit.json").read_text())
+    assert abs(fit["tau_s"] - 1.0e5) / 1.0e5 < 1e-6
+    assert fit["missing_block_indices"] == [0, 5, 6]
+    _, rows, _ = read_csv(out / "amplitude_series.csv")
+    assert [float(r[0]) for r in rows] == [
+        k * 3600.0 for k in range(12) if k not in (0, 5, 6)]
+
+
+@pytest.mark.parametrize("name", ["block_7.rngd", "block_extra.rngd",
+                                  "block_0000001.rngd"])
+def test_ringdown_analyze_misnamed_block_exits_2(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, RINGDOWN_CFG)
+    out = tmp_path / "out"
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    (out / "blocks" / "block_000001.rngd").rename(out / "blocks" / name)
+    assert main(["ringdown", "analyze", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_ringdown_bad_config_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"ringdown": {"tau_s": -5.0}})
     assert main(["ringdown", "simulate", "--config", str(cfg),
@@ -435,6 +516,16 @@ def test_fit_he3_no_signature_exits_3(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "bracket" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bracket", [[1e18], ["low", "high"], 1e20,
+                                     [1e18, 1e20, 1e23]])
+def test_fit_he3_bad_bracket_exits_2(tmp_path, capsys, bracket):
+    data = model_data_csv(tmp_path, 4.2e-8)
+    cfg = write_config(tmp_path, {"fit": {"bracket_per_m3": bracket}})
+    assert main(["fit-he3", "--data", str(data), "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "bracket_per_m3" in capsys.readouterr().err
 
 
 def test_fit_he3_missing_data_exits_3(tmp_path):

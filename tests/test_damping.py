@@ -10,15 +10,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from levosc import (ConfigError, DampingBreakdown, DomainError, HeliumState,
-                    OscillatorSpec, RegimeMode, damping_curve, drag_force,
-                    he4_number_density, linewidth, noise_density,
-                    sensitivity_report, tau_hydrodynamic, tau_impurity,
-                    tau_phonon, tau_roton, tau_total, viscosity_normal)
+                    OscillatorSpec, RangeError, RegimeMode, damping_curve,
+                    drag_force, he4_number_density, linewidth,
+                    noise_density, sensitivity_report, tau_hydrodynamic,
+                    tau_impurity, tau_phonon, tau_roton, tau_total,
+                    viscosity_normal)
 from levosc.damping import (DEFAULT_TAU_VACUUM, KNUDSEN_DRAG_COEFF,
-                            damping_metadata, write_damping_csv)
+                            damping_metadata, damping_table,
+                            write_damping_csv)
 
 
 def rel(a, b):
@@ -67,6 +69,14 @@ class TestChannelReferences:
     def test_roton_saturates_instead_of_overflowing(self, osc, media):
         q, c = media.quasiparticles, media.constants
         assert tau_roton(osc, q, c, 0.01) == math.inf
+
+    def test_phonon_saturates_where_kT4_underflows(self, osc, media):
+        q, c = media.quasiparticles, media.constants
+        assert tau_phonon(osc, q, c, 1e-90) == math.inf
+        table = damping_table(osc, media, [1e-90, 1e-3], 0.0)
+        assert table.tau_ph[0] == math.inf
+        assert math.isfinite(table.tau_ph[1])
+        assert rel(table.tau_total[0], DEFAULT_TAU_VACUUM) < 1e-12
 
     def test_impurity(self, osc, media):
         tau = tau_impurity(osc, media, 0.04, reference_n3(media))
@@ -304,3 +314,86 @@ class TestIntrinsicLimitBracket:
         # the inversion really solves the equation
         assert rel(tau_impurity(osc, media, 0.04, n3_star),
                    DEFAULT_TAU_VACUUM) < 1e-12
+
+
+def _reference_channels(osc, media, T, n3, tau_vacuum):
+    """The closed forms in plain float arithmetic, None where absent."""
+    q, c = media.quasiparticles, media.constants
+    try:
+        hydr = osc.mass / (3.0 * math.pi * viscosity_normal(media.viscosity, T)
+                           * osc.radius)
+    except RangeError:
+        hydr = None
+    kT = c.k_B * T
+    ph = (45.0 * osc.mass * c.hbar**3 * q.c**4
+          / (math.pi**2 * kT**4 * math.pi * osc.radius**2))
+    boltzmann = math.exp(-q.delta_over_kB / T)
+    rot = math.inf if boltzmann == 0.0 else (
+        6.0 * math.pi**2 * osc.mass
+        / (c.hbar * q.k0**4 * boltzmann * math.pi * osc.radius**2))
+    m3_eff = q.m3_eff_ratio * c.m3
+    v_th = math.sqrt(2.0 * c.k_B * T / m3_eff)
+    imp = None if n3 == 0.0 else (
+        4.0 * osc.mass / (KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
+                          * n3 * m3_eff * v_th))
+    return {"tau_hydr": hydr, "tau_ph": ph, "tau_rot": rot, "tau_imp": imp,
+            "tau_vacuum": tau_vacuum}
+
+
+class TestArrayPath:
+    """The array path against the closed forms, point by point."""
+
+    @given(st.lists(st.floats(min_value=1e-3, max_value=2.5), min_size=1,
+                    max_size=30, unique=True),
+           st.one_of(st.just(0.0), st.floats(min_value=1e16,
+                                             max_value=1e25)),
+           st.sampled_from(list(RegimeMode)),
+           st.one_of(st.none(), st.floats(min_value=1e2, max_value=1e8)))
+    @settings(max_examples=80, deadline=None)
+    def test_table_matches_scalar_formulas(self, osc, media, temps, n3, mode,
+                                           tau_vacuum):
+        grid = sorted(temps)
+        table = damping_table(osc, media, grid, n3, mode, tau_vacuum)
+        assert table.T.tolist() == grid
+        for i, T in enumerate(grid):
+            ref = _reference_channels(osc, media, T, n3, tau_vacuum)
+            for name, want in ref.items():
+                got = float(getattr(table, name)[i])
+                if want is None:
+                    assert math.isnan(got), name
+                elif math.isinf(want):
+                    assert got == want, name
+                else:
+                    assert rel(got, want) < 1e-12, name
+            present = [v for v in ref.values() if v is not None]
+            total = float(table.tau_total[i])
+            assert 0.0 < total <= min(present) * (1.0 + 1e-12)
+            if mode is RegimeMode.DOMINANT_ONLY:
+                want = min(present)
+            else:
+                want = 1.0 / math.fsum(1.0 / v for v in present)
+            assert rel(total, want) < 1e-12
+
+    @given(st.floats(min_value=1e-3, max_value=2.5),
+           st.floats(min_value=1e16, max_value=1e25),
+           st.sampled_from(list(RegimeMode)))
+    @settings(max_examples=40, deadline=None)
+    def test_curve_rows_are_table_rows(self, osc, media, T, n3, mode):
+        table = damping_table(osc, media, [T], n3, mode)
+        (T_row, bd), = damping_curve(osc, media, [T], n3, mode)
+        assert T_row == T
+        assert bd.tau_total == table.tau_total[0]
+        assert bd.tau_ph == table.tau_ph[0]
+        assert (bd.tau_hydr is None) == bool(np.isnan(table.tau_hydr[0]))
+
+    def test_table_csv_equals_rows_csv(self, osc, media):
+        grid = np.geomspace(0.01, 2.1, 40)
+        table = damping_table(osc, media, grid, reference_n3(media))
+        from_table, from_rows = io.StringIO(), io.StringIO()
+        write_damping_csv(table, from_table)
+        write_damping_csv(table.rows(), from_rows)
+        assert from_table.getvalue() == from_rows.getvalue()
+
+    def test_invariant_breach_rejected_for_the_grid(self, osc, media):
+        with pytest.raises(ValueError, match="row 0"):
+            damping_table(osc, media, [0.1, 0.2], 0.0, tau_vacuum=-1.0)

@@ -366,6 +366,77 @@ class TestPositionSweep:
         assert math.isnan(res.rows[3].L_eff)
         assert not math.isnan(res.rows[2].L_eff)
 
+    @staticmethod
+    def overlapping_transmitter_geometry():
+        g = coaxial_geometry()
+        tx = CoilSpec(center=(0.0, 0.0, 5e-5), axis=(0.0, 0.0, 1.0),
+                      mean_radius=3e-3, turns=100,
+                      conductor_cross_section_total=2.2e-6,
+                      role="transmitter")
+        return DetectionGeometry(transmitter=tx, receivers=g.receivers,
+                                 drive=g.drive, capacitance=g.capacitance,
+                                 receiver_inductance=21e-6)
+
+    @staticmethod
+    def fat_receiver_geometry():
+        g = coaxial_geometry(receiver_inductance=None)
+        rx = CoilSpec(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
+                      mean_radius=3e-3, turns=60,
+                      conductor_cross_section_total=5e-5)
+        return DetectionGeometry(transmitter=g.transmitter, receivers=(rx,),
+                                 drive=g.drive, capacitance=g.capacitance)
+
+    @given(st.sampled_from(["coaxial", "geometric", "overlap", "fat"]),
+           st.lists(st.floats(min_value=-0.006, max_value=0.02),
+                    min_size=1, max_size=8, unique=True),
+           st.booleans(),
+           st.floats(min_value=0.0, max_value=2 * math.pi),
+           st.floats(min_value=0.0, max_value=4e-3),
+           st.floats(min_value=0.3e-3, max_value=1.5e-3),
+           st.sampled_from(["transmitter", "receiver"]))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_per_pose_functions(self, kind, zs, on_axis, phi,
+                                              rho, radius, driven):
+        g = {"coaxial": coaxial_geometry,
+             "geometric": lambda: coaxial_geometry(receiver_inductance=None),
+             "overlap": self.overlapping_transmitter_geometry,
+             "fat": self.fat_receiver_geometry}[kind]()
+        x, y = (0.0, 0.0) if on_axis else (rho * math.cos(phi),
+                                           rho * math.sin(phi))
+        poses = [SpherePose(center=(x, y, z), radius=radius)
+                 for z in sorted(zs)]
+        res = position_sweep(g, poses, driven=driven)
+        errors = dict(res.errors)
+        assert len(errors) == len(res.errors)
+        for i, (pose, row) in enumerate(zip(poses, res.rows)):
+            assert row.position == pose.center[2]
+            try:
+                L_eff, delta_L = effective_inductance(g, pose)
+                f = resonance_frequency(L_eff, g.capacitance)
+                V = induced_voltage(g, pose, driven=driven)
+            except DomainError as exc:
+                assert errors[i] == str(exc)
+                assert all(math.isnan(v) for v in
+                           (row.L_eff, row.delta_L, row.f, row.V))
+                continue
+            assert i not in errors
+            assert rel(row.L_eff, L_eff) < 1e-12
+            assert rel(row.delta_L, delta_L) < 1e-12
+            assert rel(row.f, f) < 1e-12
+            if V == 0.0:
+                assert row.V == 0.0
+            else:
+                assert rel(row.V, V) < 1e-12
+
+    def test_overlapping_coils_fail_every_row(self):
+        g = self.overlapping_transmitter_geometry()
+        res = position_sweep(g, self.poses([0.012, 0.009]))
+        assert [i for i, _ in res.errors] == [0, 1]
+        assert all("overlap" in msg for _, msg in res.errors)
+        res = position_sweep(g, self.poses([0.012, 0.009]),
+                             driven="receiver")
+        assert not res.errors
+
     def test_empty_poses_rejected(self):
         with pytest.raises(ConfigError):
             position_sweep(coaxial_geometry(), [])

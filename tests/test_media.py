@@ -117,6 +117,12 @@ class TestNumberDensities:
         n4 = he4_number_density(state, media.constants)
         assert rel(n4, 2.1831114438521342e+28) < 1e-14
 
+    def test_media_n4_is_he4_number_density(self):
+        for density in (DEFAULT_HE4_MASS_DENSITY, 125.0):
+            med = HeliumMedia(he4_mass_density=density)
+            state = HeliumState(temperature=1.0, he4_mass_density=density)
+            assert med.n4 == he4_number_density(state, med.constants)
+
     def test_he3_density_at_reference_fraction(self, media):
         state = HeliumState(temperature=1.0, he3_fraction=4.2e-8)
         n3 = he3_number_density(state, media.constants)
