@@ -426,12 +426,12 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
         outputs.append(truth_path.name)
         return outputs
 
-    files = (_block_files(blocks_dir, "rngd")
-             or _block_files(blocks_dir, "csv"))
+    bins = _block_files(blocks_dir, "rngd")
+    files = bins or _block_files(blocks_dir, "csv")
     if not files:
         raise DataError(f"no block files found in {blocks_dir}")
-    if next(iter(files.values())).suffix == ".rngd":
-        # a binary frame carries no start time: it is the block index's
+    if bins:
+        # a binary frame carries no start time; the block index gives it
         blocks = [rd.read_block_bin(path,
                                     start_time=k * schedule.block_interval)
                   for k, path in files.items()]

@@ -334,7 +334,7 @@ def sensitivity_report(osc: OscillatorSpec, T: float, tau: float,
         linewidth=linewidth(tau))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MediumChannels:
     """The channels that do not depend on n3, over a temperature array:
     hydrodynamic (NaN outside the viscosity table), phonon and roton,
@@ -362,7 +362,7 @@ def medium_channels(osc: OscillatorSpec, media: HeliumMedia,
                           folded=_fold((hydr, ph, rot)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DampingTable:
     """Columnar channel breakdown over a temperature grid.
 
@@ -409,9 +409,10 @@ def compose(medium: MediumChannels, osc: OscillatorSpec,
             tau_vacuum: float | None = DEFAULT_TAU_VACUUM) -> DampingTable:
     """Add the impurity and vacuum channels to ``medium`` and form the
     composite. Rows breaking the invariants get a NaN ``tau_total``."""
-    if not n3 >= 0:
-        raise DomainError(f"n3 must be non-negative, got {n3:g}")
     T = medium.T
+    if not n3 >= 0:
+        raise DomainError(f"grid row 0 (T = {T[0]:g} K): n3 must be "
+                          f"non-negative, got {n3:g}")
     imp = (_impurity(osc, media, medium.v_th, n3) if n3 > 0
            else np.full_like(T, np.nan))
     vac = np.full_like(T, np.nan if tau_vacuum is None else tau_vacuum)
@@ -441,9 +442,6 @@ def damping_table(osc: OscillatorSpec, media: HeliumMedia,
         raise ConfigError("temperature grid must be strictly increasing")
     if T[0] <= 0:
         raise ConfigError("temperatures must be positive")
-    if not n3 >= 0:
-        raise DomainError(f"grid row 0 (T = {T[0]:g} K): n3 must be "
-                          f"non-negative, got {n3:g}")
     table = compose(medium_channels(osc, media, T), osc, media, n3, mode,
                     tau_vacuum)
     bad = np.flatnonzero(np.isnan(table.tau_total))

@@ -440,6 +440,12 @@ def _mutual_with_sphere(geometry: DetectionGeometry, pose: SpherePose | None,
     return M0 + float(_dipole_flux(B_t, B_r, np.array([pose.radius]))[0])
 
 
+def _check_driven(driven: str) -> None:
+    if driven not in ("transmitter", "receiver"):
+        raise ConfigError(
+            f"driven must be transmitter or receiver, got {driven!r}")
+
+
 def induced_voltage(geometry: DetectionGeometry, pose: SpherePose | None,
                     which_receiver: int = 0,
                     driven: str = "transmitter") -> float:
@@ -462,12 +468,6 @@ def induced_voltage(geometry: DetectionGeometry, pose: SpherePose | None,
     else:
         coupling, _ = effective_inductance(geometry, pose, which_receiver)
     return abs(coupling) * I0 * omega
-
-
-def _check_driven(driven: str) -> None:
-    if driven not in ("transmitter", "receiver"):
-        raise ConfigError(
-            f"driven must be transmitter or receiver, got {driven!r}")
 
 
 def position_sweep(geometry: DetectionGeometry,
@@ -494,7 +494,6 @@ def position_sweep(geometry: DetectionGeometry,
     radii = np.array([pose.radius for pose in poses])
     n = len(poses)
     position = (centers - receiver.center_v) @ receiver.axis_v
-    L_eff, delta_L, f, V = (np.full(n, math.nan) for _ in range(4))
     errors = _clearance_failures(geometry, centers, radii)
 
     def fail_rest(message: str) -> None:
@@ -508,24 +507,26 @@ def position_sweep(geometry: DetectionGeometry,
         fail_rest(str(exc))
     ok = [i for i in range(n) if i not in errors]
     B_r = _coil_field_points(receiver, 1.0, centers[ok])
+    delta_L = np.full(n, math.nan)
     delta_L[ok] = _dipole_flux(B_r, B_r, radii[ok])
-    L_eff[ok] = L0 + delta_L[ok]
+    L_eff = L0 + delta_L
     for i in np.flatnonzero(L_eff <= 0).tolist():
         errors.setdefault(i, "inductance and capacitance must be positive")
     with np.errstate(invalid="ignore"):
         f = 1.0 / (2.0 * math.pi * np.sqrt(L_eff * geometry.capacitance))
     I0 = geometry.drive.amplitude
     omega = geometry.drive.angular_frequency
-    if driven == "receiver":
-        V = np.abs(L_eff) * I0 * omega
-    else:
+    coupling = L_eff
+    if driven == "transmitter":
+        coupling = np.full(n, math.nan)
         try:
             M0 = mutual_inductance(geometry.transmitter, receiver)
         except DomainError as exc:
             fail_rest(str(exc))
         else:
             B_t = _coil_field_points(geometry.transmitter, 1.0, centers[ok])
-            V[ok] = np.abs(M0 + _dipole_flux(B_t, B_r, radii[ok])) * I0 * omega
+            coupling[ok] = M0 + _dipole_flux(B_t, B_r, radii[ok])
+    V = np.abs(coupling) * I0 * omega
     failed = list(errors)
     columns = [L_eff, delta_L, f, V]
     for col in columns:
