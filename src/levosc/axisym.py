@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,24 +415,18 @@ def oracle_delta_L(geometry: DetectionGeometry, pose: SpherePose,
 
 
 def oracle_sweep(geometry: DetectionGeometry, poses: list[SpherePose],
-                 grid: GridSpec = GridSpec(), workers: int = 1) -> np.ndarray:
+                 grid: GridSpec = GridSpec()) -> np.ndarray:
     """Sphere-induced receiver inductance change at each pose.
 
     Every solve shares one mesh built without the sphere, so a single
-    sphere-free base solve serves all poses; ``workers`` threads run the
-    per-pose solves."""
+    sphere-free base solve serves all poses."""
     coils, _ = _axial_coordinates(geometry, None)
     mesh = _build_axes(coils, None, None, grid)
     base = axisymmetric_oracle(geometry, None, grid, driven="receiver",
                                mesh=mesh)
-
-    def delta_L(pose: SpherePose) -> float:
-        res = axisymmetric_oracle(geometry, pose, grid, driven="receiver",
-                                  mesh=mesh)
-        return res.L_eff - base.L_eff
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        return np.array(list(pool.map(delta_L, poses)))
+    return np.array([axisymmetric_oracle(geometry, pose, grid,
+                                         driven="receiver", mesh=mesh).L_eff
+                     - base.L_eff for pose in poses])
 
 
 def write_field_map_csv(result: OracleResult, fh: io.TextIOBase,

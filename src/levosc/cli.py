@@ -6,6 +6,10 @@ content hash over the configuration, input files, and seed; every
 output file references that hash, so a directory of results is
 traceable to the exact inputs that produced it.
 
+Every config input is declared once, in CONFIG_TABLE, and read by
+_read_config before any compute: unknown sections and keys and values
+of the wrong JSON type exit 2 naming ``section.key``.
+
 Exit codes: 0 success, 2 usage or configuration problems, 3 physics,
 geometry, or data problems.
 """
@@ -23,13 +27,55 @@ import numpy as np
 
 from . import __version__, axisym, damping, detection, fitting, media
 from . import ringdown as rd
-from .errors import ConfigError, DataError, DomainError, LevoscError
+from .errors import ConfigError, DataError, LevoscError
 from .svgplot import Series, line_plot_svg
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "CONFIG_TABLE"]
 
-_DEFAULT_OSC = {"mass_kg": 6.33e-6, "radius_warm_m": 1.00e-3,
-              "contraction_fraction": 0.015, "resonant_frequency_Hz": 2.7}
+_MODES = tuple(mode.value for mode in damping.RegimeMode)
+
+# Every config input: section -> key -> (JSON type, default); a tuple
+# type lists the strings allowed. media_overrides is a top-level value.
+CONFIG_TABLE = {
+    "oscillator": {
+        "mass_kg": ("number", 6.33e-6), "radius_warm_m": ("number", 1.00e-3),
+        "contraction_fraction": ("number", 0.015),
+        "resonant_frequency_Hz": ("number", 2.7)},
+    "media_overrides": ("string or null", None),
+    "damping": {
+        "T_min_K": ("number", 0.01), "T_max_K": ("number", 2.1),
+        "points": ("integer", 50), "grid": (("log", "linear"), "log"),
+        "x3": ("number", 0.0), "mode": (_MODES, "ReciprocalSum"),
+        "tau_vacuum_s": ("number or null", damping.DEFAULT_TAU_VACUUM)},
+    "detection": {
+        "geometry": ("string or null", None),
+        "sweep_start_m": ("number", 0.019), "sweep_stop_m": ("number", 0.002),
+        "sweep_points": ("integer", 18),
+        "sphere_radius_m": ("number", 0.985e-3),
+        "driven": (("transmitter", "receiver"), "transmitter"),
+        "oracle_grid": ("integer", 128)},
+    "ringdown": {
+        "amplitude0": ("number", 1.0), "f0_Hz": ("number", 2.7),
+        "phase0_rad": ("number", 0.0), "tau_s": ("number", 410400.0),
+        "noise_rms": ("number", 0.0), "seed": ("integer", 0),
+        "sample_rate_Hz": ("number", 50.0),
+        "total_duration_s": ("number", 432000.0),
+        "block_length_s": ("number", 300.0),
+        "block_interval_s": ("number", 3600.0),
+        "format": (("bin", "csv"), "bin")},
+    "fit": {
+        "bracket_per_m3": ("two numbers", [1e18, 1e23]),
+        "mode": (_MODES, "ReciprocalSum"),
+        "tau_vacuum_s": ("number or null", damping.DEFAULT_TAU_VACUUM),
+        "fit_vacuum": ("boolean", False), "added_x3": ("number", 0.0),
+        "predict_T_min_K": ("number", 0.015),
+        "predict_T_max_K": ("number", 0.7),
+        "predict_points": ("integer", 40)},
+    "sensitivity": {
+        "temperature_K": ("number", 0.005),
+        "tau_s": ("number", damping.DEFAULT_TAU_VACUUM),
+        "velocity_m_s": ("number", 1e-5)},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default ./out)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the configured random seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker bound for sweep evaluation")
-    common.add_argument("--oracle", action="store_true",
-                        help="cross-check sweeps with the field solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("damping-curve", parents=[common],
@@ -60,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inductance, resonance, and voltage versus "
                             "sphere position")
     p.add_argument("--svg", action="store_true", help="also write a plot")
+    p.add_argument("--oracle", action="store_true",
+                   help="cross-check the sweep with the field solver")
 
     p = sub.add_parser("ringdown", parents=[common],
                        help="synthesize or analyze ring-down blocks")
@@ -82,37 +126,80 @@ def _sha256(data: bytes) -> str:
 
 
 def _load_config(path: Path | None) -> tuple[dict, bytes]:
-    if path is None:
-        return {}, b"{}"
+    """The checked config with every default filled in, and its bytes."""
     try:
-        blob = path.read_bytes()
+        blob = b"{}" if path is None else path.read_bytes()
         cfg = json.loads(blob)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return cfg, blob
+    return _read_config(CONFIG_TABLE, cfg, "config"), blob
 
 
-def _section(cfg: dict, name: str, allowed: set[str]) -> dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(sec) - allowed
+def _typed(kind, value):
+    """``value`` as the Python value of JSON type ``kind``; ValueError if
+    it has another type: a bool is no number, 2.5 no integer and "false"
+    no boolean."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+    elif value is None:
+        if kind.endswith(" or null"):
+            return None
+    elif kind == "two numbers":
+        if isinstance(value, list) and len(value) == 2:
+            return tuple(_typed("number", v) for v in value)
+    elif kind.startswith("number"):
+        # float() raises OverflowError past the float range
+        if type(value) in (int, float) and np.isfinite(float(value)):
+            return float(value)
+    elif type(value) is {"integer": int, "boolean": bool,
+                         "string or null": str}[kind]:
+        return value
+    raise ValueError(kind)
+
+
+def _read_config(table: dict, given, where: str) -> dict:
+    """``given`` checked against ``table``, recursing into sections."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(given) - set(table)
     if unknown:
-        raise ConfigError(
-            f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return sec
+        what = "sections" if where == "config" else "keys"
+        raise ConfigError(f"unknown {what} in {where}: {sorted(unknown)}")
+    typed = {}
+    for key, spec in table.items():
+        name = key if where == "config" else f"{where}.{key}"
+        if isinstance(spec, dict):
+            typed[key] = _read_config(spec, given.get(key, {}), name)
+            continue
+        kind, default = spec
+        value = given.get(key, default)
+        try:
+            typed[key] = _typed(kind, value)
+        except (ValueError, OverflowError):
+            if not isinstance(kind, str):
+                kind = " or ".join(json.dumps(choice) for choice in kind)
+            raise ConfigError(f"{name}: expected {kind}, got {value!r}") \
+                from None
+    return typed
+
+
+def _require_positive(cfg: dict, section: str, *keys: str) -> None:
+    """Keys that the models or numpy need above zero; null passes."""
+    for key in keys:
+        value = cfg[section][key]
+        if value is not None and not value > 0:
+            raise ConfigError(
+                f"{section}.{key} must be positive, got {value!r}")
 
 
 def _osc_from_config(cfg: dict) -> damping.OscillatorSpec:
-    sec = {**_DEFAULT_OSC, **_section(cfg, "oscillator", set(_DEFAULT_OSC))}
+    sec = cfg["oscillator"]
     try:
         return damping.OscillatorSpec(
-            mass=float(sec["mass_kg"]),
-            radius_warm=float(sec["radius_warm_m"]),
-            contraction_fraction=float(sec["contraction_fraction"]),
-            resonant_frequency=float(sec["resonant_frequency_Hz"]))
+            mass=sec["mass_kg"], radius_warm=sec["radius_warm_m"],
+            contraction_fraction=sec["contraction_fraction"],
+            resonant_frequency=sec["resonant_frequency_Hz"])
     except ValueError as exc:
         raise ConfigError(f"oscillator config: {exc}") from exc
 
@@ -122,7 +209,7 @@ def _config_dir(args) -> Path:
 
 
 def _media_from_config(args, cfg: dict) -> media.HeliumMedia:
-    ref = cfg.get("media_overrides")
+    ref = cfg["media_overrides"]
     if ref is None:
         return media.default_media()
     overrides = media.load_property_overrides(_config_dir(args) / ref)
@@ -130,8 +217,7 @@ def _media_from_config(args, cfg: dict) -> media.HeliumMedia:
 
 
 def _geometry_from_config(args, cfg: dict) -> detection.DetectionGeometry:
-    sec = _section(cfg, "detection", _DETECTION_KEYS)
-    ref = sec.get("geometry")
+    ref = cfg["detection"]["geometry"]
     if ref is None:
         return detection.coaxial_geometry()
     return detection.load_geometry(_config_dir(args) / ref)
@@ -146,14 +232,13 @@ def _resolve_inputs(args, cfg: dict) -> dict[str, Path]:
     inputs: dict[str, Path] = {}
     if args.config is not None:
         inputs["config"] = args.config
-    ref = cfg.get("media_overrides")
+    ref = cfg["media_overrides"]
     if ref is not None and args.command in ("damping-curve", "fit-he3",
                                             "sensitivity"):
         inputs["media_overrides"] = _config_dir(args) / ref
-    if args.command == "detection-sweep":
-        sec = _section(cfg, "detection", _DETECTION_KEYS)
-        if sec.get("geometry") is not None:
-            inputs["geometry"] = _config_dir(args) / sec["geometry"]
+    ref = cfg["detection"]["geometry"]
+    if ref is not None and args.command == "detection-sweep":
+        inputs["geometry"] = _config_dir(args) / ref
     if args.command == "fit-he3":
         inputs["data"] = args.data
     if args.command == "ringdown" and args.action == "analyze":
@@ -164,35 +249,13 @@ def _resolve_inputs(args, cfg: dict) -> dict[str, Path]:
     return inputs
 
 
-def _tau_vacuum(sec: dict) -> float | None:
-    value = sec.get("tau_vacuum_s", damping.DEFAULT_TAU_VACUUM)
-    if value is None:
-        return None
-    try:
-        tau = float(value)
-    except (TypeError, ValueError):
-        tau = None
-    if tau is None or not tau > 0:
-        raise ConfigError(
-            f"tau_vacuum_s must be a positive number or null, got {value!r}")
-    return tau
-
-
-def _mode_from(sec: dict, key: str = "mode") -> damping.RegimeMode:
-    name = sec.get(key, "ReciprocalSum")
-    for mode in damping.RegimeMode:
-        if mode.value == name:
-            return mode
-    raise ConfigError(f"unknown regime mode {name!r}")
-
-
 def _manifest_core(command: str, config_blob: bytes,
                    inputs: dict[str, Path], seed: int | None) -> dict:
     digests = {}
     for name, path in sorted(inputs.items()):
         try:
             digests[name] = _sha256(Path(path).read_bytes())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:   # ValueError: a NUL in a path
             raise DataError(f"cannot digest input {path}: {exc}") from exc
     core = {"tool_version": __version__, "command": command,
             "config_sha256": _sha256(config_blob),
@@ -225,31 +288,17 @@ def _csv_comment(core: dict) -> str:
     return f"manifest {core['manifest_hash']} seed {core['seed']}"
 
 
-_DAMPING_KEYS = {"T_min_K", "T_max_K", "points", "grid", "x3", "mode",
-                 "tau_vacuum_s"}
-
-
 def _cmd_damping_curve(args, cfg: dict) -> list[str]:
-    sec = _section(cfg, "damping", _DAMPING_KEYS)
+    sec = cfg["damping"]
+    _require_positive(cfg, "damping", "points", "T_min_K", "tau_vacuum_s")
+    if not sec["T_min_K"] < sec["T_max_K"]:
+        raise ConfigError("need damping.T_min_K < damping.T_max_K")
     osc = _osc_from_config(cfg)
     med = _media_from_config(args, cfg)
-    t_lo = float(sec.get("T_min_K", 0.01))
-    t_hi = float(sec.get("T_max_K", 2.1))
-    points = int(sec.get("points", 50))
-    if points < 1:
-        raise ConfigError("damping.points must be at least 1")
-    if not 0 < t_lo < t_hi:
-        raise ConfigError("need 0 < T_min_K < T_max_K")
-    kind = sec.get("grid", "log")
-    if kind == "log":
-        grid = np.geomspace(t_lo, t_hi, points)
-    elif kind == "linear":
-        grid = np.linspace(t_lo, t_hi, points)
-    else:
-        raise ConfigError(f"unknown grid kind {kind!r}")
-    x3 = float(sec.get("x3", 0.0))
-    tau_vac = _tau_vacuum(sec)
-    mode = _mode_from(sec)
+    space = np.geomspace if sec["grid"] == "log" else np.linspace
+    grid = space(sec["T_min_K"], sec["T_max_K"], sec["points"])
+    x3, tau_vac = sec["x3"], sec["tau_vacuum_s"]
+    mode = damping.RegimeMode(sec["mode"])
     n3 = x3 * med.n4
     table = damping.damping_table(osc, med, grid, n3, mode, tau_vac)
 
@@ -290,44 +339,25 @@ def _damping_svg(table: damping.DampingTable, comment: str) -> str:
                          log_x=True, log_y=True, comment=comment)
 
 
-_DETECTION_KEYS = {"geometry", "sweep_start_m", "sweep_stop_m",
-                   "sweep_points", "sphere_radius_m", "driven",
-                   "oracle_grid"}
-
-
-def _oracle_grid(sec: dict) -> axisym.GridSpec:
-    n = sec.get("oracle_grid", 128)
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigError(
-            f"detection.oracle_grid must be an integer, got {n!r}")
-    try:
-        return axisym.GridSpec(n_rho=n, n_z=n)
-    except ValueError as exc:
-        raise ConfigError(f"detection.oracle_grid: {exc}") from exc
-
-
 def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
-    sec = _section(cfg, "detection", _DETECTION_KEYS)
+    sec = cfg["detection"]
+    _require_positive(cfg, "detection", "sweep_points", "sphere_radius_m")
+    if args.oracle:
+        try:
+            grid = axisym.GridSpec(n_rho=sec["oracle_grid"],
+                                   n_z=sec["oracle_grid"])
+        except ValueError as exc:
+            raise ConfigError(f"detection.oracle_grid: {exc}") from exc
     geom = _geometry_from_config(args, cfg)
-    start = float(sec.get("sweep_start_m", 0.019))
-    stop = float(sec.get("sweep_stop_m", 0.002))
-    points = int(sec.get("sweep_points", 18))
-    if points < 1:
-        raise ConfigError("detection.sweep_points must be at least 1")
-    radius = float(sec.get("sphere_radius_m", 0.985e-3))
-    if not radius > 0:
-        raise ConfigError(
-            f"detection.sphere_radius_m must be positive, got {radius!r}")
-    driven = sec.get("driven", "transmitter")
-    grid = _oracle_grid(sec) if args.oracle else None
     receiver = geom.receivers[0]
-    positions = np.linspace(start, stop, points)
+    positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
+                            sec["sweep_points"])
     poses = [detection.SpherePose(
-        center=tuple(receiver.center_v + d * receiver.axis_v), radius=radius)
-        for d in positions]
-    result = detection.position_sweep(geom, poses, driven=driven)
+        center=tuple(receiver.center_v + d * receiver.axis_v),
+        radius=sec["sphere_radius_m"]) for d in positions]
+    result = detection.position_sweep(geom, poses, driven=sec["driven"])
 
-    oracle_col = (axisym.oracle_sweep(geom, poses, grid, workers=args.threads)
+    oracle_col = (axisym.oracle_sweep(geom, poses, grid)
                   if args.oracle else None)
 
     core = args._manifest
@@ -351,37 +381,6 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
     return outputs
 
 
-_RINGDOWN_KEYS = {"amplitude0", "f0_Hz", "phase0_rad", "tau_s", "noise_rms",
-                  "seed", "sample_rate_Hz", "total_duration_s",
-                  "block_length_s", "block_interval_s", "format"}
-
-
-def _ringdown_config(cfg: dict, seed_override: int | None,
-                     ) -> tuple[rd.RingdownParams, rd.BlockSchedule, str]:
-    sec = _section(cfg, "ringdown", _RINGDOWN_KEYS)
-    seed = seed_override if seed_override is not None \
-        else int(sec.get("seed", 0))
-    try:
-        params = rd.RingdownParams(
-            amplitude0=float(sec.get("amplitude0", 1.0)),
-            f0=float(sec.get("f0_Hz", 2.7)),
-            tau=float(sec.get("tau_s", 410400.0)),
-            phase0=float(sec.get("phase0_rad", 0.0)),
-            noise_rms=float(sec.get("noise_rms", 0.0)),
-            seed=seed)
-        schedule = rd.BlockSchedule(
-            sample_rate=float(sec.get("sample_rate_Hz", 50.0)),
-            total_duration=float(sec.get("total_duration_s", 432000.0)),
-            block_length=float(sec.get("block_length_s", 300.0)),
-            block_interval=float(sec.get("block_interval_s", 3600.0)))
-    except ValueError as exc:
-        raise ConfigError(f"ringdown config: {exc}") from exc
-    fmt = sec.get("format", "bin")
-    if fmt not in ("bin", "csv"):
-        raise ConfigError(f"ringdown format must be bin or csv, got {fmt!r}")
-    return params, schedule, fmt
-
-
 def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
     """``block_NNNNNN.<suffix>`` files by block index, in index order."""
     files = {}
@@ -396,7 +395,19 @@ def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
 
 
 def _cmd_ringdown(args, cfg: dict) -> list[str]:
-    params, schedule, fmt = _ringdown_config(cfg, args.seed)
+    sec = cfg["ringdown"]
+    try:
+        params = rd.RingdownParams(
+            amplitude0=sec["amplitude0"], f0=sec["f0_Hz"], tau=sec["tau_s"],
+            phase0=sec["phase0_rad"], noise_rms=sec["noise_rms"],
+            seed=sec["seed"] if args.seed is None else args.seed)
+        schedule = rd.BlockSchedule(
+            sample_rate=sec["sample_rate_Hz"],
+            total_duration=sec["total_duration_s"],
+            block_length=sec["block_length_s"],
+            block_interval=sec["block_interval_s"])
+    except ValueError as exc:
+        raise ConfigError(f"ringdown config: {exc}") from exc
     blocks_dir = _blocks_dir(args)
     core = args._manifest
     outputs = []
@@ -404,7 +415,7 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
         blocks_dir.mkdir(parents=True, exist_ok=True)
         blocks = rd.synthesize_ringdown(params, schedule)
         for k, block in enumerate(blocks):
-            if fmt == "bin":
+            if sec["format"] == "bin":
                 path = blocks_dir / f"block_{k:06d}.rngd"
                 rd.write_block_bin(block, path)
             else:
@@ -413,21 +424,18 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
                     rd.write_block_csv(block, fh,
                                        header_comment=_csv_comment(core))
             outputs.append(str(path))
-        truth = {"amplitude0": params.amplitude0, "f0_Hz": params.f0,
-                 "phase0_rad": params.phase0, "tau_s": params.tau,
-                 "noise_rms": params.noise_rms, "seed": params.seed,
-                 "sample_rate_Hz": schedule.sample_rate,
-                 "total_duration_s": schedule.total_duration,
-                 "block_length_s": schedule.block_length,
-                 "block_interval_s": schedule.block_interval,
-                 "format": fmt, "n_blocks": len(blocks)}
+        truth = dict(sec, seed=params.seed, n_blocks=len(blocks))
         truth_path = args.out / "ringdown_truth.json"
         _json_out(truth_path, truth, core)
         outputs.append(truth_path.name)
         return outputs
 
     bins = _block_files(blocks_dir, "rngd")
-    files = bins or _block_files(blocks_dir, "csv")
+    csvs = _block_files(blocks_dir, "csv")
+    if bins and csvs:
+        raise ConfigError(f"{blocks_dir} holds both .rngd and .csv blocks; "
+                          "analyze one format at a time")
+    files = bins or csvs
     if not files:
         raise DataError(f"no block files found in {blocks_dir}")
     if bins:
@@ -451,29 +459,18 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
     return outputs
 
 
-_FIT_KEYS = {"bracket_per_m3", "mode", "tau_vacuum_s", "fit_vacuum",
-             "added_x3", "predict_T_min_K", "predict_T_max_K",
-             "predict_points"}
-
-
 def _cmd_fit_he3(args, cfg: dict) -> list[str]:
-    sec = _section(cfg, "fit", _FIT_KEYS)
+    sec = cfg["fit"]
+    _require_positive(cfg, "fit", "tau_vacuum_s", "predict_T_min_K",
+                      "predict_T_max_K", "predict_points")
     osc = _osc_from_config(cfg)
     med = _media_from_config(args, cfg)
     series = fitting.load_tau_series_csv(args.data)
-    raw = sec.get("bracket_per_m3", [1e18, 1e23])
-    try:
-        bracket = tuple(float(v) for v in raw)
-    except (TypeError, ValueError):
-        bracket = ()
-    if len(bracket) != 2:
-        raise ConfigError(
-            f"fit.bracket_per_m3 must be two numbers, got {raw!r}")
-    mode = _mode_from(sec)
-    tau_vac = _tau_vacuum(sec)
+    mode = damping.RegimeMode(sec["mode"])
+    tau_vac = sec["tau_vacuum_s"]
     fit = fitting.fit_he3_concentration(
-        series, osc, med, bracket=bracket, mode=mode, tau_vacuum=tau_vac,
-        fit_vacuum=bool(sec.get("fit_vacuum", False)))
+        series, osc, med, bracket=sec["bracket_per_m3"], mode=mode,
+        tau_vacuum=tau_vac, fit_vacuum=sec["fit_vacuum"])
 
     core = args._manifest
     outputs = []
@@ -490,12 +487,10 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
                                     header_comment=_csv_comment(core))
     outputs.append(res_path.name)
 
-    added = float(sec.get("added_x3", 0.0))
+    added = sec["added_x3"]
     if added > 0.0:
-        t_lo = float(sec.get("predict_T_min_K", 0.015))
-        t_hi = float(sec.get("predict_T_max_K", 0.7))
-        pts = int(sec.get("predict_points", 40))
-        grid = np.geomspace(t_lo, t_hi, pts).tolist()
+        grid = np.geomspace(sec["predict_T_min_K"], sec["predict_T_max_K"],
+                            sec["predict_points"]).tolist()
         base, contam = fitting.predict_contamination(fit.x3, added, osc,
                                                      med, grid, mode)
         pred_path = args.out / "contamination_prediction.csv"
@@ -508,23 +503,16 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
     return outputs
 
 
-_SENSITIVITY_KEYS = {"temperature_K", "tau_s", "velocity_m_s"}
-
-
 def _cmd_sensitivity(args, cfg: dict) -> list[str]:
-    sec = _section(cfg, "sensitivity", _SENSITIVITY_KEYS)
+    sec = cfg["sensitivity"]
     osc = _osc_from_config(cfg)
-    T = float(sec.get("temperature_K", 0.005))
-    tau = float(sec.get("tau_s", damping.DEFAULT_TAU_VACUUM))
-    velocity = float(sec.get("velocity_m_s", 1e-5))
-    report = damping.sensitivity_report(osc, T, tau, velocity)
+    report = damping.sensitivity_report(osc, sec["temperature_K"],
+                                        sec["tau_s"], sec["velocity_m_s"])
     core = args._manifest
     path = args.out / "sensitivity.json"
     _json_out(path, {"S_F_N2_per_Hz": report.S_F, "F_D_N": report.F_D,
                      "T_over_tau_K_per_s": report.T_over_tau,
-                     "linewidth_Hz": report.linewidth,
-                     "temperature_K": T, "tau_s": tau,
-                     "velocity_m_s": velocity}, core)
+                     "linewidth_Hz": report.linewidth, **sec}, core)
     return [path.name]
 
 
@@ -554,10 +542,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"levosc: config error: {exc}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"levosc: {exc}", file=sys.stderr)
-        return 3
-    except LevoscError as exc:
+    except (LevoscError, ValueError, ArithmeticError) as exc:
+        # a bare ValueError or ArithmeticError comes from a model's numerics
         print(f"levosc: {exc}", file=sys.stderr)
         return 3
 

@@ -89,6 +89,8 @@ class BlockSchedule:
             raise ValueError("sample_rate must be positive")
         if self.total_duration < self.block_interval:
             raise ValueError("total_duration must cover at least one interval")
+        if self.samples_per_block < 2:
+            raise ValueError("a block needs at least 2 samples")
 
     @property
     def samples_per_block(self) -> int:

@@ -7,11 +7,15 @@ temp dirs and are parsed back with plain csv/json.
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from levosc.cli import main
+from levosc.cli import CONFIG_TABLE, main
 from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
                             damping_curve)
 from levosc.media import HeliumState, default_media, he4_number_density
@@ -81,6 +85,137 @@ def test_config_list_not_object_exits_2(tmp_path):
     bad.write_text("[1, 2]")
     assert main(["damping-curve", "--config", str(bad),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def table_entries():
+    """(name, section, key, JSON type, default) for every config input;
+    section is None for a top-level value."""
+    for section, keys in CONFIG_TABLE.items():
+        if not isinstance(keys, dict):
+            yield (section, None, section, *keys)
+            continue
+        for key, (kind, default) in keys.items():
+            yield f"{section}.{key}", section, key, kind, default
+
+
+def type_name(kind):
+    if isinstance(kind, str):
+        return kind
+    return " or ".join(json.dumps(choice) for choice in kind)
+
+
+# the commands that read each section; "ringdown" simulates then analyzes
+SECTION_COMMANDS = {
+    None: ["damping-curve"], "oscillator": ["damping-curve", "fit-he3",
+                                            "sensitivity"],
+    "damping": ["damping-curve"], "detection": ["detection-sweep"],
+    "ringdown": ["ringdown"], "fit": ["fit-he3"],
+    "sensitivity": ["sensitivity"]}
+
+
+def run_command(work, command, cfg_obj):
+    """Exit codes of ``command`` on config ``cfg_obj`` inside ``work``."""
+    cfg = write_config(work, cfg_obj)
+    common = ["--config", str(cfg), "--out", str(work / "out")]
+    if command == "ringdown":
+        return [main(["ringdown", action, *common])
+                for action in ("simulate", "analyze")]
+    if command == "fit-he3":
+        common += ["--data", str(model_data_csv(work, 4.2e-8))]
+    if command == "detection-sweep":
+        common.append("--oracle")
+    return [main([command, *common])]
+
+
+# each of these ended in a traceback, ran silently or was ignored
+REJECTED_INPUTS = [
+    ("damping-curve", {"damping": {"x3": "abc"}}, "damping.x3"),
+    ("detection-sweep", {"detection": {"sweep_points": "abc"}},
+     "detection.sweep_points"),
+    ("ringdown", {"ringdown": {"seed": "abc"}}, "ringdown.seed"),
+    ("fit-he3", {"fit": {"added_x3": 1e-7, "predict_T_min_K": 0}},
+     "fit.predict_T_min_K"),
+    ("damping-curve", {"media_overrides": 5}, "media_overrides"),
+    ("damping-curve", {"damping": {"points": 2.5}}, "damping.points"),
+    ("ringdown", {"ringdown": {"seed": 1.7}}, "ringdown.seed"),
+    ("damping-curve", {"oscillator": {"mass_kg": True}},
+     "oscillator.mass_kg"),
+    ("fit-he3", {"fit": {"fit_vacuum": "false"}}, "fit.fit_vacuum"),
+    ("damping-curve", {"dampnig": {"points": 5}}, "dampnig"),
+    ("sensitivity", {"sensitivity": {"temperature_K": "abc"}},
+     "sensitivity.temperature_K"),
+    ("fit-he3", {"fit": {"added_x3": "abc"}}, "fit.added_x3"),
+    ("fit-he3", {"fit": {"added_x3": 1e-7, "predict_points": -3}},
+     "fit.predict_points"),
+    ("detection-sweep", {"detection": {"geometry": 5}},
+     "detection.geometry"),
+]
+
+
+@pytest.mark.parametrize("command, cfg_obj, name", REJECTED_INPUTS,
+                         ids=[case[2] for case in REJECTED_INPUTS])
+def test_config_input_rejected_exits_2(tmp_path, capsys, command, cfg_obj,
+                                       name):
+    assert run_command(tmp_path, command, cfg_obj)[0] == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["damping-curve", "--oracle"],
+                                  ["detection-sweep", "--threads", "2"]])
+def test_options_nothing_reads_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+# bounded so that no example allocates much: these keys size arrays
+SIZE_VALUES = {"points": st.integers(-3, 200),
+               "sweep_points": st.integers(-3, 8),
+               "predict_points": st.integers(-3, 200),
+               "oracle_grid": st.integers(-3, 72),
+               "total_duration_s": st.floats(-1e4, 1.5e4),
+               "sample_rate_Hz": st.floats(-10.0, 100.0)}
+WRONG_TYPES = st.one_of(st.text(max_size=6), st.booleans(), st.none(),
+                        st.lists(st.integers(), max_size=3))
+EXTREMES = st.one_of(st.sampled_from([0, 0.0, -1, -1e-300, 1e-300]),
+                     st.floats(max_value=-1e-3, allow_infinity=False),
+                     st.floats(1e100, 1.7e308),
+                     st.integers(-10**30, 10**30))
+# small ring-down records and oracle sweeps keep each example fast
+FUZZ_BASE = {"ringdown": {"total_duration_s": 7200.0},
+             "detection": {"sweep_points": 3, "oracle_grid": 64}}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(list(table_entries())).flatmap(
+    lambda entry: st.tuples(st.just(entry), st.one_of(
+        WRONG_TYPES, SIZE_VALUES.get(entry[2], EXTREMES)))))
+def test_any_config_value_exits_0_2_or_3(case):
+    (_, section, key, _, _), value = case
+    cfg_obj = json.loads(json.dumps(FUZZ_BASE))
+    if section is None:
+        cfg_obj[key] = value
+    else:
+        cfg_obj.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as work:
+        for command in SECTION_COMMANDS[section]:
+            assert set(run_command(Path(work), command, cfg_obj)) \
+                <= {0, 2, 3}
+
+
+def test_readme_config_table_matches_cli_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("### Configuration\n")[1]
+    documented = {}
+    for line in text.split("\n### ")[0].splitlines():
+        if line.startswith("| `"):
+            name, kind, default = (cell.strip().strip("`") for cell
+                                   in line.strip("|").split("|")[:3])
+            documented[name] = (kind, json.loads(default))
+    assert documented == {name: (type_name(kind), default) for
+                          name, _, _, kind, default in table_entries()}
 
 
 # -------------------------------------------------------- damping-curve
@@ -257,7 +392,7 @@ def test_detection_sweep_oracle_columns(tmp_path):
         "oracle_grid": 96}})
     out = tmp_path / "out"
     assert main(["detection-sweep", "--config", str(cfg),
-                 "--out", str(out), "--oracle", "--threads", "2"]) == 0
+                 "--out", str(out), "--oracle"]) == 0
     header, rows, _ = read_csv(out / "detection_sweep.csv")
     assert header[-2:] == ["delta_L_oracle_H", "oracle_agreement"]
     for r in rows:
@@ -431,6 +566,25 @@ def test_ringdown_analyze_misnamed_block_exits_2(tmp_path, capsys, name):
     assert main(["ringdown", "analyze", "--config", str(cfg),
                  "--out", str(out)]) == 2
     assert name in capsys.readouterr().err
+
+
+def test_ringdown_analyze_mixed_block_formats_exits_2(tmp_path, capsys):
+    # 12 .rngd blocks at tau 1e5 s beside 12 .csv blocks at tau 2e5 s:
+    # analyzing either set alone would silently drop the other
+    bin_cfg = write_config(tmp_path, RINGDOWN_CFG, name="bin.json")
+    csv_cfg = write_config(tmp_path, {"ringdown": dict(
+        RINGDOWN_CFG["ringdown"], tau_s=2.0e5, format="csv")},
+        name="csv.json")
+    out = tmp_path / "out"
+    for cfg in (bin_cfg, csv_cfg):
+        assert main(["ringdown", "simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert len(list((out / "blocks").glob("block_*"))) == 24
+    assert main(["ringdown", "analyze", "--config", str(bin_cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ".rngd" in err and ".csv" in err
+    assert not (out / "decay_fit.json").exists()
 
 
 def test_ringdown_bad_config_exits_2(tmp_path):
