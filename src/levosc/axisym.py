@@ -18,6 +18,13 @@ preconditioned with the exact fast solver of the sphere-free operator
 sphere then enters as a small perturbation that takes a handful of
 iterations (Concus & Golub 1973).
 
+Only the sphere depends on the pose. The sphere-free operator of one
+mesh and driven coil (link lengths, source, and the eigenpairs of both
+pencils) is built once and shared, read-only, by every solve on that
+mesh: the two solves of ``oracle_delta_L`` and the base solve and all
+poses of ``oracle_sweep``. Each solve pins the sphere's nodes and
+shortens the links across its surface in link conductances of its own.
+
 Receiver flux is the turns-weighted integral of B_z over the mean
 cross-section, which for the flux function is simply
 N * 2 pi * psi(r_receiver, z_receiver).
@@ -211,32 +218,57 @@ def _pencil(k: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[:, None] * u, lam
 
 
-def axisymmetric_oracle(geometry: DetectionGeometry,
-                        pose: SpherePose | None = None,
-                        grid: GridSpec = GridSpec(),
-                        driven: str = "receiver",
-                        mesh: tuple[np.ndarray, np.ndarray] | None = None,
-                        ) -> OracleResult:
-    """Solve the field problem and return receiver flux per unit drive
-    current (an inductance: self-flux when the receiver drives, mutual
-    coupling when the transmitter does).
+@dataclass(frozen=True)
+class _FieldOperator:
+    """Everything about one mesh and one driven coil that no sphere
+    changes: face coordinates, link lengths, the source, and the
+    eigenpairs of the two 1-D pencils whose Kronecker sum is the
+    sphere-free operator. Every array is a read-only view, so solves
+    that share the operator cannot alter it."""
 
-    ``mesh`` lets paired solves (sphere in / sphere out) share one
-    grid so their discretization bias cancels in differences.
+    receiver: CoilSpec
+    rho: np.ndarray
+    z: np.ndarray
+    rho_f: np.ndarray
+    dz_cell: np.ndarray
+    ln_fac: np.ndarray
+    h_e: np.ndarray
+    h_w: np.ndarray
+    h_n: np.ndarray
+    h_s: np.ndarray
+    source: np.ndarray
+    source_norm: float
+    phi_r: np.ndarray
+    phi_z: np.ndarray
+    lam: np.ndarray
 
-    Raises :class:`SolverError` if conjugate gradients do not bring the
-    maximum residual under ``tol`` times the source norm within
-    ``max_sweeps`` iterations.
-    """
-    if driven not in ("receiver", "transmitter"):
-        raise ConfigError(f"driven must be receiver or transmitter, got {driven!r}")
-    coils, sphere_z = _axial_coordinates(geometry, pose)
-    if mesh is None:
-        rho, z = _build_axes(coils, sphere_z, pose, grid)
-    else:
-        rho, z = mesh
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                view = value.view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
+
+    def conductances(self) -> tuple[np.ndarray, ...]:
+        """Fresh arrays of the sphere-free east, west, north and south
+        link conductances of every node, for one solve to alter. Built
+        per solve, not held: four grid-sized arrays beside each solve's
+        own would raise the peak memory of a sweep."""
+        c_e = (1.0 / np.maximum(self.rho_f[1:], 1e-300))[:, None] \
+            * self.dz_cell / self.h_e[:, None]
+        c_w = (1.0 / np.maximum(self.rho_f[:-1], 1e-300))[:, None] \
+            * self.dz_cell / self.h_w[:, None]
+        c_n = self.ln_fac / self.h_n[None, :]
+        c_s = self.ln_fac / self.h_s[None, :]
+        return c_e, c_w, c_n, c_s
+
+
+def _field_operator(geometry: DetectionGeometry,
+                    coils: list[tuple[CoilSpec, float]], rho: np.ndarray,
+                    z: np.ndarray, driven: str) -> _FieldOperator:
+    """The sphere-free operator on the mesh (rho, z), driven by the coil
+    of role ``driven``."""
     nr, nz = len(rho), len(z)
-
     rho_f = np.empty(nr + 1)
     rho_f[1:-1] = 0.5 * (rho[1:] + rho[:-1])
     rho_f[0], rho_f[-1] = rho[0], rho[-1]
@@ -262,20 +294,10 @@ def axisymmetric_oracle(geometry: DetectionGeometry,
     h_s[1:] = z[1:] - z[:-1]
     h_s[0] = np.inf
 
-    c_e = np.broadcast_to(
-        (1.0 / np.maximum(rho_f[1:], 1e-300))[:, None] * dz_cell
-        / h_e[:, None], (nr, nz)).copy()
-    c_w = np.broadcast_to(
-        (1.0 / np.maximum(rho_f[:-1], 1e-300))[:, None] * dz_cell
-        / h_w[:, None], (nr, nz)).copy()
-    c_n = np.broadcast_to(ln_fac / h_n[None, :], (nr, nz)).copy()
-    c_s = np.broadcast_to(ln_fac / h_s[None, :], (nr, nz)).copy()
-
     # source: mu0 * integral of J over each cell, from the driven coil
     source = np.zeros((nr, nz))
-    drive_role = driven
     for coil, zc in coils:
-        if coil.role != drive_role:
+        if coil.role != driven:
             continue
         side = math.sqrt(coil.conductor_cross_section_total)
         J = coil.turns * 1.0 / coil.conductor_cross_section_total
@@ -289,10 +311,36 @@ def axisymmetric_oracle(geometry: DetectionGeometry,
     if source_norm == 0.0:
         raise ConfigError("driven coil carries no current density")
 
+    # Without the sphere the interior operator is the Kronecker sum
+    # K_rho (x) D_z + D_rho (x) K_z; its exact inverse, applied through
+    # the eigenvectors of the two 1-D pencils, preconditions the solve.
+    phi_r, lam_r = _pencil(1.0 / (rho_f[1:-1] * np.diff(rho)),
+                           ln_fac[1:-1, 0])
+    phi_z, lam_z = _pencil(1.0 / np.diff(z), dz_cell[0, 1:-1])
+    return _FieldOperator(
+        receiver=geometry.receivers[0], rho=rho, z=z, rho_f=rho_f,
+        dz_cell=dz_cell, ln_fac=ln_fac, h_e=h_e, h_w=h_w, h_n=h_n, h_s=h_s,
+        source=source, source_norm=source_norm, phi_r=phi_r, phi_z=phi_z,
+        lam=lam_r[:, None] + lam_z[None, :])
+
+
+def _solve(op: _FieldOperator, pose: SpherePose | None,
+           sphere_z: float | None, grid: GridSpec) -> OracleResult:
+    """Receiver flux per unit drive current on the operator's mesh, with
+    the superconducting sphere ``pose`` centred at axial position
+    ``sphere_z``, or with no sphere. The sphere pins the nodes inside it
+    and shortens the links that cross its surface, in the solve's own
+    conductances."""
+    rho, z, rho_f, dz_cell, ln_fac = op.rho, op.z, op.rho_f, op.dz_cell, \
+        op.ln_fac
+    h_e, h_w, h_n, h_s = op.h_e, op.h_w, op.h_n, op.h_s
+    nr, nz = len(rho), len(z)
+    c_e, c_w, c_n, c_s = op.conductances()
+
     fixed = np.zeros((nr, nz), dtype=bool)
     fixed[0, :] = fixed[-1, :] = True
     fixed[:, 0] = fixed[:, -1] = True
-    if sphere_z is not None:
+    if pose is not None:
         rs = pose.radius
         inside = rho[:, None]**2 + (z[None, :] - sphere_z)**2 <= rs * rs
         if not inside.any():
@@ -338,13 +386,7 @@ def axisymmetric_oracle(geometry: DetectionGeometry,
         out[:, 1:] -= c_s[:, 1:] * p[:, :-1]
         return out
 
-    # Without the sphere the interior operator is the Kronecker sum
-    # K_rho (x) D_z + D_rho (x) K_z; its exact inverse, applied through
-    # the eigenvectors of the two 1-D pencils, preconditions the solve.
-    phi_r, lam_r = _pencil(1.0 / (rho_f[1:-1] * np.diff(rho)),
-                           ln_fac[1:-1, 0])
-    phi_z, lam_z = _pencil(1.0 / np.diff(z), dz_cell[0, 1:-1])
-    lam = lam_r[:, None] + lam_z[None, :]
+    phi_r, phi_z, lam = op.phi_r, op.phi_z, op.lam
 
     def precondition(r):
         out = np.zeros_like(r)
@@ -354,11 +396,11 @@ def axisymmetric_oracle(geometry: DetectionGeometry,
         return out
 
     def gate(r):
-        return float(np.max(np.abs(r))) / source_norm
+        return float(np.max(np.abs(r))) / op.source_norm
 
     # preconditioned conjugate gradients, started from the preconditioned
     # source, which is already the solution when there is no sphere
-    b = np.where(fixed, 0.0, source)
+    b = np.where(fixed, 0.0, op.source)
     psi = precondition(b)
     r = b - apply(psi)
     iterations = 0
@@ -379,11 +421,36 @@ def axisymmetric_oracle(geometry: DetectionGeometry,
             f"conjugate gradients did not converge in {iterations} "
             f"iterations (residual {residual:.3e}, tolerance {grid.tol:.1e})")
 
-    receiver = geometry.receivers[0]
-    flux_psi = _bilinear(psi, rho, z, receiver.mean_radius, 0.0)
-    L_eff = receiver.turns * 2.0 * math.pi * flux_psi
+    flux_psi = _bilinear(psi, rho, z, op.receiver.mean_radius, 0.0)
+    L_eff = op.receiver.turns * 2.0 * math.pi * flux_psi
     return OracleResult(L_eff=L_eff, iterations=iterations,
                         residual=residual, rho=rho, z=z, psi=psi)
+
+
+def axisymmetric_oracle(geometry: DetectionGeometry,
+                        pose: SpherePose | None = None,
+                        grid: GridSpec = GridSpec(),
+                        driven: str = "receiver",
+                        mesh: tuple[np.ndarray, np.ndarray] | None = None,
+                        ) -> OracleResult:
+    """Solve the field problem and return receiver flux per unit drive
+    current (an inductance: self-flux when the receiver drives, mutual
+    coupling when the transmitter does).
+
+    ``mesh`` lets paired solves (sphere in / sphere out) share one
+    grid so their discretization bias cancels in differences.
+
+    Raises :class:`SolverError` if conjugate gradients do not bring the
+    maximum residual under ``tol`` times the source norm within
+    ``max_sweeps`` iterations.
+    """
+    if driven not in ("receiver", "transmitter"):
+        raise ConfigError(f"driven must be receiver or transmitter, got {driven!r}")
+    coils, sphere_z = _axial_coordinates(geometry, pose)
+    if mesh is None:
+        mesh = _build_axes(coils, sphere_z, pose, grid)
+    op = _field_operator(geometry, coils, *mesh, driven)
+    return _solve(op, pose, sphere_z, grid)
 
 
 def _bilinear(psi: np.ndarray, rho: np.ndarray, z: np.ndarray,
@@ -407,10 +474,9 @@ def oracle_delta_L(geometry: DetectionGeometry, pose: SpherePose,
     identical mesh, so the discretization bias largely cancels."""
     coils, sphere_z = _axial_coordinates(geometry, pose)
     mesh = _build_axes(coils, sphere_z, pose, grid)
-    with_sphere = axisymmetric_oracle(geometry, pose, grid,
-                                      driven="receiver", mesh=mesh)
-    without = axisymmetric_oracle(geometry, None, grid, driven="receiver",
-                                  mesh=mesh)
+    op = _field_operator(geometry, coils, *mesh, "receiver")
+    with_sphere = _solve(op, pose, sphere_z, grid)
+    without = _solve(op, None, None, grid)
     return with_sphere.L_eff - without.L_eff, with_sphere, without
 
 
@@ -418,15 +484,18 @@ def oracle_sweep(geometry: DetectionGeometry, poses: list[SpherePose],
                  grid: GridSpec = GridSpec()) -> np.ndarray:
     """Sphere-induced receiver inductance change at each pose.
 
-    Every solve shares one mesh built without the sphere, so a single
-    sphere-free base solve serves all poses."""
+    Every solve shares one mesh built without the sphere, and with it
+    one sphere-free operator, so a single base solve and a single pair
+    of pencil eigendecompositions serve all poses."""
     coils, _ = _axial_coordinates(geometry, None)
     mesh = _build_axes(coils, None, None, grid)
-    base = axisymmetric_oracle(geometry, None, grid, driven="receiver",
-                               mesh=mesh)
-    return np.array([axisymmetric_oracle(geometry, pose, grid,
-                                         driven="receiver", mesh=mesh).L_eff
-                     - base.L_eff for pose in poses])
+    op = _field_operator(geometry, coils, *mesh, "receiver")
+    base = _solve(op, None, None, grid)
+    delta = []
+    for pose in poses:
+        _, sphere_z = _axial_coordinates(geometry, pose)
+        delta.append(_solve(op, pose, sphere_z, grid).L_eff - base.L_eff)
+    return np.array(delta)
 
 
 def write_field_map_csv(result: OracleResult, fh: io.TextIOBase,

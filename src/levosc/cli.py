@@ -10,8 +10,9 @@ Every config input is declared once, in CONFIG_TABLE, and read by
 _read_config before any compute: unknown sections and keys and values
 of the wrong JSON type exit 2 naming ``section.key``.
 
-Exit codes: 0 success, 2 usage or configuration problems, 3 physics,
-geometry, or data problems.
+Exit codes: 0 success, 2 usage or configuration problems (an input too
+large for the available memory among them), 3 physics, geometry, or
+data problems.
 """
 
 from __future__ import annotations
@@ -452,7 +453,7 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
     outputs.append(series_path.name)
     record = rd.decay_fit_dict(fit)
     record["missing_block_indices"] = sorted(
-        set(range(len(schedule.block_starts()))) - set(files))
+        set(range(schedule.n_blocks)) - set(files))
     fit_path = args.out / "decay_fit.json"
     _json_out(fit_path, record, core)
     outputs.append(fit_path.name)
@@ -534,7 +535,11 @@ def main(argv: list[str] | None = None) -> int:
         inputs = _resolve_inputs(args, cfg)
         args._manifest = _manifest_core(args.command, blob, inputs,
                                         args.seed)
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {args.out}: {exc}") from exc
         outputs = _DISPATCH[args.command](args, cfg)
         _write_manifest(args.out, args._manifest, "ok", outputs,
                         time.monotonic() - started)
@@ -546,6 +551,9 @@ def main(argv: list[str] | None = None) -> int:
         # a bare ValueError or ArithmeticError comes from a model's numerics
         print(f"levosc: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("levosc: input too large for available memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

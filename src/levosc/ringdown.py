@@ -48,6 +48,10 @@ BIN_VERSION = 1
 
 SNR_FLAG_THRESHOLD = 3.0
 
+# Most samples a schedule may ask for: 1 GiB of float64. The default
+# record, 120 blocks of 15,000 samples, is 1.8 M.
+MAX_SCHEDULE_SAMPLES = 2**27
+
 
 @dataclass(frozen=True)
 class RingdownParams:
@@ -89,6 +93,14 @@ class BlockSchedule:
             raise ValueError("sample_rate must be positive")
         if self.total_duration < self.block_interval:
             raise ValueError("total_duration must cover at least one interval")
+        # the block count in floats, so that 1e296 blocks cannot overflow;
+        # the first test keeps round() in samples_per_block finite
+        blocks = (self.total_duration - self.block_length) \
+            // self.block_interval + 1
+        if self.block_length * self.sample_rate > MAX_SCHEDULE_SAMPLES \
+                or blocks * self.samples_per_block > MAX_SCHEDULE_SAMPLES:
+            raise ValueError(f"schedule asks for more than "
+                             f"{MAX_SCHEDULE_SAMPLES} samples")
         if self.samples_per_block < 2:
             raise ValueError("a block needs at least 2 samples")
 
@@ -96,10 +108,13 @@ class BlockSchedule:
     def samples_per_block(self) -> int:
         return round(self.block_length * self.sample_rate)
 
+    @property
+    def n_blocks(self) -> int:
+        return int((self.total_duration - self.block_length)
+                   // self.block_interval) + 1
+
     def block_starts(self) -> list[float]:
-        last = int((self.total_duration - self.block_length)
-                   // self.block_interval)
-        return [k * self.block_interval for k in range(last + 1)]
+        return [k * self.block_interval for k in range(self.n_blocks)]
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from levosc import (GeometryError, GridSpec, SpherePose, axisymmetric_oracle,
                     coaxial_geometry, effective_inductance, mutual_inductance,
                     oracle_delta_L, orthogonal_geometry)
-from levosc.axisym import (_axial_coordinates, _build_axes, oracle_sweep,
-                           write_field_map_csv)
+from levosc.axisym import (_axial_coordinates, _build_axes, _field_operator,
+                           oracle_sweep, write_field_map_csv)
 from levosc.errors import SolverError
 
 
@@ -137,6 +137,51 @@ class TestConjugateGradientSolve:
         expected = [axisymmetric_oracle(geometry, pose, grid, mesh=mesh).L_eff
                     - base.L_eff for pose in poses]
         assert oracle_sweep(geometry, poses, grid).tolist() == expected
+
+    def test_sweep_poses_do_not_share_state(self, geometry):
+        # a solve that wrote into state shared across the sweep would
+        # change the poses after it
+        grid = GridSpec(n_rho=64, n_z=64)
+        p1, p2 = (SpherePose(center=(0.0, 0.0, d), radius=0.985e-3)
+                  for d in (0.007, 0.012))
+        pair = oracle_sweep(geometry, [p1, p2], grid)
+        alone = oracle_sweep(geometry, [p2], grid)
+        assert pair[1].hex() == alone[0].hex()
+
+    def test_sweep_diagonalizes_pencils_once(self, geometry, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        grid = GridSpec(n_rho=64, n_z=64)
+        poses = [SpherePose(center=(0.0, 0.0, d), radius=0.985e-3)
+                 for d in np.linspace(0.005, 0.019, 8)]
+        oracle_sweep(geometry, poses, grid)
+        assert len(calls) == 2
+
+    def test_operator_arrays_read_only(self, geometry):
+        grid = GridSpec(n_rho=64, n_z=64)
+        coils, _ = _axial_coordinates(geometry, None)
+        mesh = _build_axes(coils, None, None, grid)
+        op = _field_operator(geometry, coils, *mesh, "receiver")
+        arrays = {name: value for name, value in vars(op).items()
+                  if isinstance(value, np.ndarray)}
+        assert {"rho", "z", "source", "phi_r", "phi_z", "lam"} <= set(arrays)
+        for name, value in arrays.items():
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError):
+                value[(0,) * value.ndim] = 1.0
+        # the caller's mesh stays writeable
+        assert mesh[0].flags.writeable and mesh[1].flags.writeable
+        # each solve gets conductances of its own to alter
+        first = op.conductances()
+        for c in first:
+            c[1, 1] = -1.0
+        assert all(c[1, 1] > 0.0 for c in op.conductances())
 
     @settings(max_examples=12, deadline=None)
     @given(n=st.integers(64, 96), d=st.floats(4e-3, 20e-3))

@@ -8,6 +8,7 @@ import csv
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -587,6 +588,15 @@ def test_ringdown_analyze_mixed_block_formats_exits_2(tmp_path, capsys):
     assert not (out / "decay_fit.json").exists()
 
 
+def test_ringdown_huge_duration_exits_2_at_once(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"ringdown": {"total_duration_s": 1e300}})
+    started = time.monotonic()
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.monotonic() - started < 1.0
+    assert "samples" in capsys.readouterr().err
+
+
 def test_ringdown_bad_config_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"ringdown": {"tau_s": -5.0}})
     assert main(["ringdown", "simulate", "--config", str(cfg),
@@ -741,6 +751,24 @@ def test_manifest_hash_covers_input_content(tmp_path):
     out2 = tmp_path / "o2"
     assert main(["fit-he3", "--data", str(d1), "--out", str(out2)]) == 0
     assert manifest_of(out2)["manifest_hash"] != h1
+
+
+def test_out_under_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert main(["sensitivity", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
+def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("levosc.cli.axisym.oracle_sweep", exhausted)
+    assert main(["detection-sweep", "--oracle",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "too large for available memory" in capsys.readouterr().err
 
 
 def test_manifest_missing_override_file_exits_3(tmp_path, capsys):

@@ -18,6 +18,7 @@ from levosc.errors import ConfigError, DataError, FitError
 from levosc.ringdown import (
     BIN_MAGIC,
     BIN_VERSION,
+    MAX_SCHEDULE_SAMPLES,
     AmplitudeRow,
     AmplitudeSeries,
     Block,
@@ -72,6 +73,23 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         BlockSchedule(sample_rate=50.0, total_duration=1000.0,
                       block_interval=3600.0)
+
+
+def test_schedule_capped_at_max_samples():
+    # 2**20 samples per block: 128 blocks reach the cap, 129 pass it
+    side = float(2**20)
+    at_cap = BlockSchedule(sample_rate=1.0, total_duration=128 * side,
+                           block_length=side, block_interval=side)
+    assert at_cap.n_blocks * at_cap.samples_per_block == MAX_SCHEDULE_SAMPLES
+    with pytest.raises(ValueError, match="samples"):
+        BlockSchedule(sample_rate=1.0, total_duration=129 * side,
+                      block_length=side, block_interval=side)
+    # the block count is never materialized, however large it is
+    with pytest.raises(ValueError, match="samples"):
+        BlockSchedule(sample_rate=50.0, total_duration=1e300)
+    with pytest.raises(ValueError, match="samples"):
+        BlockSchedule(sample_rate=1e300, total_duration=1e300,
+                      block_length=1e300, block_interval=1e300)
 
 
 def test_params_validation():
