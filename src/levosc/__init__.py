@@ -14,11 +14,9 @@ from .media import (HeliumMedia, HeliumState, PhysicalConstants,
                     QuasiparticleParams, ViscosityTable, default_media,
                     he3_number_density, he4_number_density,
                     thermal_velocity_he3, viscosity_normal)
-from .damping import (DampingBreakdown, OscillatorSpec, RegimeMode,
-                      SensitivityReport, damping_curve, drag_force,
-                      linewidth, noise_density, sensitivity_report,
-                      tau_hydrodynamic, tau_impurity, tau_phonon,
-                      tau_roton, tau_total)
+from .damping import (DampingTable, OscillatorSpec, RegimeMode,
+                      SensitivityReport, damping_table, drag_force,
+                      linewidth, noise_density, sensitivity_report)
 from .detection import (CoilSpec, DetectionGeometry, DriveSpec, MediumSpec,
                         SpherePose, SweepResult, SweepRow,
                         capacitance_from_resonance, coaxial_geometry,
@@ -32,7 +30,7 @@ from .ringdown import (AmplitudeRow, AmplitudeSeries, Block, BlockSchedule,
                        DecayFit, RingdownParams, analyze_ringdown,
                        block_amplitude, fit_decay, synthesize_ringdown)
 from .fitting import (ConcentrationFit, TauTemperatureSeries,
-                      fit_he3_concentration, model_residuals, model_tau,
+                      fit_he3_concentration, model_residuals,
                       predict_contamination)
 
 __version__ = "0.1.0"
@@ -44,10 +42,9 @@ __all__ = [
     "PhysicalConstants", "QuasiparticleParams", "ViscosityTable",
     "HeliumState", "HeliumMedia", "default_media", "viscosity_normal",
     "thermal_velocity_he3", "he4_number_density", "he3_number_density",
-    "OscillatorSpec", "RegimeMode", "DampingBreakdown", "SensitivityReport",
-    "tau_hydrodynamic", "tau_phonon", "tau_roton", "tau_impurity",
-    "tau_total", "linewidth", "drag_force", "noise_density",
-    "sensitivity_report", "damping_curve",
+    "OscillatorSpec", "RegimeMode", "DampingTable", "SensitivityReport",
+    "damping_table", "linewidth", "drag_force", "noise_density",
+    "sensitivity_report",
     "CoilSpec", "DriveSpec", "MediumSpec", "DetectionGeometry", "SpherePose",
     "SweepRow", "SweepResult", "coil_field", "self_inductance",
     "mutual_inductance", "induced_dipole", "effective_inductance",
@@ -59,6 +56,6 @@ __all__ = [
     "RingdownParams", "BlockSchedule", "Block", "AmplitudeRow",
     "AmplitudeSeries", "DecayFit", "synthesize_ringdown", "block_amplitude",
     "analyze_ringdown", "fit_decay",
-    "TauTemperatureSeries", "ConcentrationFit", "model_tau",
-    "model_residuals", "fit_he3_concentration", "predict_contamination",
+    "TauTemperatureSeries", "ConcentrationFit", "model_residuals",
+    "fit_he3_concentration", "predict_contamination",
 ]

@@ -32,7 +32,6 @@ N * 2 pi * psi(r_receiver, z_receiver).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -47,7 +46,6 @@ __all__ = [
     "axisymmetric_oracle",
     "oracle_delta_L",
     "oracle_sweep",
-    "write_field_map_csv",
 ]
 
 _AXIS_TOL = 1e-9
@@ -87,7 +85,7 @@ class GridSpec:
 class OracleResult:
     """Converged solve: receiver flux per unit drive current, the
     conjugate-gradient iteration count and final relative residual, plus
-    the full flux-function map for inspection or dumping."""
+    the full flux-function map for inspection."""
 
     L_eff: float
     iterations: int
@@ -95,13 +93,6 @@ class OracleResult:
     rho: np.ndarray
     z: np.ndarray
     psi: np.ndarray
-
-    def a_phi(self) -> np.ndarray:
-        """Vector-potential map A_phi = psi / rho (0 on the axis)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.psi / self.rho[:, None]
-        out[self.rho == 0.0, :] = 0.0
-        return out
 
 
 def _axial_coordinates(geometry: DetectionGeometry,
@@ -496,15 +487,3 @@ def oracle_sweep(geometry: DetectionGeometry, poses: list[SpherePose],
         _, sphere_z = _axial_coordinates(geometry, pose)
         delta.append(_solve(op, pose, sphere_z, grid).L_eff - base.L_eff)
     return np.array(delta)
-
-
-def write_field_map_csv(result: OracleResult, fh: io.TextIOBase,
-                        header_comment: str | None = None) -> None:
-    """Dump the solve as (rho_m, z_m, A_phi) rows."""
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    fh.write("rho_m,z_m,A_phi\n")
-    a_phi = result.a_phi()
-    for i, r in enumerate(result.rho.tolist()):
-        for j, zz in enumerate(result.z.tolist()):
-            fh.write(f"{r!r},{zz!r},{float(a_phi[i, j])!r}\n")

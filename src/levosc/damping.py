@@ -12,19 +12,14 @@ Channels:
 * helium-3 impurity drag in the collisionless regime,
 * a constant externally supplied vacuum (intrinsic) channel.
 
-A channel that evaluates to ``math.inf`` is a saturated "negligible"
-channel; it contributes nothing to the composite but is reported as
-present. A channel that is ``None`` is absent.
-
-Curves are evaluated over arrays: :func:`damping_table` computes every
-channel over the whole temperature grid in a few numpy expressions,
-marks absent entries NaN, forms the composite and checks its
-invariants once per grid. :func:`damping_curve`, :func:`tau_total` and
-:func:`write_damping_csv` are thin wrappers over that path, and the
-scalar channel functions share its formulas, so each computation has
-one composition rule. :func:`medium_channels` and :func:`compose` split
-the path where n3 enters, so that a fit over n3 evaluates the other
-channels once.
+:func:`damping_table` is the one evaluation path: it computes every
+channel over a whole temperature grid in a few numpy expressions and
+returns them as the columns of a :class:`DampingTable`. A channel
+entry that is ``inf`` is saturated ("negligible"): it adds no rate to
+the composite but is reported as present. An entry that is NaN is
+absent. The composite's invariants are checked once per grid.
+:func:`medium_channels` and :func:`compose` split that path where n3
+enters, so that a fit over n3 evaluates the other channels once.
 """
 
 from __future__ import annotations
@@ -44,17 +39,11 @@ from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
 __all__ = [
     "OscillatorSpec",
     "RegimeMode",
-    "DampingBreakdown",
     "DampingTable",
     "MediumChannels",
     "SensitivityReport",
     "DEFAULT_TAU_VACUUM",
     "KNUDSEN_DRAG_COEFF",
-    "tau_hydrodynamic",
-    "tau_phonon",
-    "tau_roton",
-    "tau_impurity",
-    "tau_total",
     "linewidth",
     "drag_force",
     "noise_density",
@@ -62,7 +51,6 @@ __all__ = [
     "medium_channels",
     "compose",
     "damping_table",
-    "damping_curve",
     "write_damping_csv",
     "damping_metadata",
 ]
@@ -113,40 +101,6 @@ class RegimeMode(Enum):
 
 
 @dataclass(frozen=True)
-class DampingBreakdown:
-    """Per-channel decay times plus the composite, one temperature."""
-
-    tau_ph: float
-    tau_rot: float
-    tau_total: float
-    regime_mode: RegimeMode
-    tau_hydr: float | None = None
-    tau_imp: float | None = None
-    tau_vacuum: float | None = None
-
-    def __post_init__(self):
-        for name in ("tau_hydr", "tau_ph", "tau_rot", "tau_imp",
-                     "tau_vacuum", "tau_total"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive if present")
-        if self.regime_mode is RegimeMode.RECIPROCAL_SUM:
-            floor = min(self.present_channels().values())
-            # allow 1 ulp of slack from the reciprocal arithmetic
-            if self.tau_total > floor * (1.0 + 1e-12):
-                raise ValueError("composite tau exceeds fastest channel")
-
-    def present_channels(self) -> dict[str, float]:
-        out = {}
-        for name in ("tau_hydr", "tau_ph", "tau_rot", "tau_imp",
-                     "tau_vacuum"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-
-@dataclass(frozen=True)
 class SensitivityReport:
     """Force-sensing figures of merit at one operating point."""
 
@@ -162,11 +116,13 @@ class SensitivityReport:
 
 
 def _hydrodynamic(osc: OscillatorSpec, eta_n):
+    """Stokes-drag decay time M / (3 pi eta_n r)."""
     return osc.mass / (3.0 * math.pi * eta_n * osc.radius)
 
 
 def _phonon(osc: OscillatorSpec, params: QuasiparticleParams,
             constants: PhysicalConstants, T):
+    """Phonon decay time 45 M hbar^3 c^4 / (pi^2 (k_B T)^4 pi r^2)."""
     kT = constants.k_B * np.asarray(T, dtype=float)
     # (k_B T)^4 underflows to zero below about 1e-70 K: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
@@ -176,6 +132,7 @@ def _phonon(osc: OscillatorSpec, params: QuasiparticleParams,
 
 def _roton(osc: OscillatorSpec, params: QuasiparticleParams,
            constants: PhysicalConstants, T):
+    """Roton decay time 6 pi^2 M / (hbar k0^4 e^(-Delta/kT) pi r^2)."""
     boltzmann = np.exp(-params.delta_over_kB / np.asarray(T, dtype=float))
     # the Boltzmann factor underflows: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
@@ -185,60 +142,11 @@ def _roton(osc: OscillatorSpec, params: QuasiparticleParams,
 
 
 def _impurity(osc: OscillatorSpec, media: HeliumMedia, v_th, n3: float):
+    """Knudsen helium-3 drag decay time 4 M / (4.1906 pi r^2 n3 m3* v_th)."""
     m3_eff = media.quasiparticles.m3_eff_ratio * media.constants.m3
     return (4.0 * osc.mass
             / (KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
                * n3 * m3_eff * v_th))
-
-
-def tau_hydrodynamic(osc: OscillatorSpec, eta_n: float) -> float:
-    """Stokes-drag decay time M / (3 pi eta_n r)."""
-    if eta_n <= 0:
-        raise DomainError(f"viscosity must be positive, got {eta_n:g}")
-    return _hydrodynamic(osc, eta_n)
-
-
-def tau_phonon(osc: OscillatorSpec, params: QuasiparticleParams,
-               constants: PhysicalConstants, T: float) -> float:
-    """Ballistic-phonon decay time, growing as T^-4 toward low T.
-
-    45 M hbar^3 c^4 / (pi^2 (k_B T)^4 pi r^2)
-
-    Below roughly 1e-70 K (k_B T)^4 underflows and the true value
-    overflows a double; the channel then saturates to ``math.inf``
-    (negligible).
-    """
-    if T <= 0:
-        raise DomainError(f"temperature must be positive, got {T:g} K")
-    return float(_phonon(osc, params, constants, T))
-
-
-def tau_roton(osc: OscillatorSpec, params: QuasiparticleParams,
-              constants: PhysicalConstants, T: float) -> float:
-    """Roton-scattering decay time 6 pi^2 M / (hbar k0^4 e^(-Delta/kT) pi r^2).
-
-    The Boltzmann factor underflows below roughly 25 mK; the channel
-    then saturates to ``math.inf`` (negligible) instead of overflowing.
-    """
-    if T <= 0:
-        raise DomainError(f"temperature must be positive, got {T:g} K")
-    return float(_roton(osc, params, constants, T))
-
-
-def tau_impurity(osc: OscillatorSpec, media: HeliumMedia, T: float,
-                 n3: float) -> float | None:
-    """Knudsen-regime helium-3 drag decay time, or ``None`` when n3 = 0.
-
-    4 M / (4.1906 pi r^2 n3 m3* v_th), so tau scales as 1/(n3 sqrt(T)).
-    """
-    if T <= 0:
-        raise DomainError(f"temperature must be positive, got {T:g} K")
-    if n3 < 0:
-        raise DomainError(f"n3 must be non-negative, got {n3:g}")
-    if n3 == 0.0:
-        return None
-    v_th = thermal_velocity_he3(media.constants, media.quasiparticles, T)
-    return float(_impurity(osc, media, v_th, n3))
 
 
 # Running state of a composition: summed decay rate, fastest channel,
@@ -273,29 +181,6 @@ def _composite(mode: RegimeMode, acc: tuple) -> np.ndarray:
     else:
         raise ConfigError(f"unknown regime mode {mode!r}")
     return np.where(ok & (total > 0), total, np.nan)
-
-
-def tau_total(mode: RegimeMode = RegimeMode.RECIPROCAL_SUM, *,
-              tau_hydr: float | None = None,
-              tau_ph: float | None = None,
-              tau_rot: float | None = None,
-              tau_imp: float | None = None,
-              tau_vacuum: float | None = None) -> DampingBreakdown:
-    """Compose present channels into one decay time.
-
-    ``RECIPROCAL_SUM`` adds decay rates (Matthiessen-style);
-    ``DOMINANT_ONLY`` takes the fastest channel alone. Saturated
-    (infinite) channels contribute zero rate either way. The
-    composition rule is the one :func:`damping_table` applies.
-    """
-    channels = {"tau_hydr": tau_hydr, "tau_ph": tau_ph, "tau_rot": tau_rot,
-                "tau_imp": tau_imp, "tau_vacuum": tau_vacuum}
-    if all(v is None for v in channels.values()):
-        raise ConfigError("no damping channels present")
-    total = _composite(mode, _fold([v for v in channels.values()
-                                    if v is not None]))
-    return DampingBreakdown(regime_mode=mode, tau_total=float(total),
-                            **channels)
 
 
 def linewidth(tau: float) -> float:
@@ -387,21 +272,6 @@ class DampingTable:
         return (self.T, self.tau_hydr, self.tau_ph, self.tau_rot,
                 self.tau_imp, self.tau_vacuum, self.tau_total)
 
-    def rows(self) -> list[tuple[float, DampingBreakdown]]:
-        """One (T, breakdown) pair per temperature; absent is ``None``."""
-        out = []
-        for T, hydr, ph, rot, imp, vac, total in zip(
-                *(col.tolist() for col in self.columns())):
-            out.append((T, DampingBreakdown(
-                tau_ph=ph, tau_rot=rot, tau_total=total,
-                regime_mode=self.regime_mode, tau_hydr=_present(hydr),
-                tau_imp=_present(imp), tau_vacuum=_present(vac))))
-        return out
-
-
-def _present(value: float) -> float | None:
-    return None if math.isnan(value) else value
-
 
 def compose(medium: MediumChannels, osc: OscillatorSpec,
             media: HeliumMedia, n3: float,
@@ -452,32 +322,17 @@ def damping_table(osc: OscillatorSpec, media: HeliumMedia,
     return table
 
 
-def damping_curve(osc: OscillatorSpec, media: HeliumMedia,
-                  T_grid: Sequence[float], n3: float,
-                  mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
-                  tau_vacuum: float | None = DEFAULT_TAU_VACUUM,
-                  ) -> list[tuple[float, DampingBreakdown]]:
-    """:func:`damping_table` as one (T, breakdown) pair per temperature."""
-    return damping_table(osc, media, T_grid, n3, mode, tau_vacuum).rows()
-
-
 _CSV_COLUMNS = ("T_K", "tau_hydr_s", "tau_ph_s", "tau_rot_s", "tau_imp_s",
                 "tau_vac_s", "tau_total_s")
 
 
-def write_damping_csv(
-        curve: DampingTable | Sequence[tuple[float, DampingBreakdown]],
-        fh: io.TextIOBase, header_comment: str | None = None) -> None:
-    """Emit a :class:`DampingTable`, or the rows of
-    :func:`damping_curve`, as CSV; absent channels become empty fields."""
-    if isinstance(curve, DampingTable):
-        columns = curve.columns()
-    else:
-        columns = np.array([(T, bd.tau_hydr, bd.tau_ph, bd.tau_rot,
-                             bd.tau_imp, bd.tau_vacuum, bd.tau_total)
-                            for T, bd in curve], dtype=float).reshape(-1, 7).T
+def write_damping_csv(table: DampingTable, fh: io.TextIOBase,
+                      header_comment: str | None = None) -> None:
+    """Emit a :class:`DampingTable` as CSV; absent channels become empty
+    fields."""
     fields = [["" if text == "nan" else text
-               for text in map(repr, col.tolist())] for col in columns]
+               for text in map(repr, col.tolist())]
+              for col in table.columns()]
     if header_comment:
         fh.write(f"# {header_comment}\n")
     fh.write(",".join(_CSV_COLUMNS) + "\n")

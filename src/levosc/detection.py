@@ -621,51 +621,108 @@ def orthogonal_geometry(r_trans: float = 2.6e-2,
                              drive=drive, capacitance=capacitance)
 
 
-def _coil_from_json(obj: dict, role: str) -> CoilSpec:
-    try:
-        return CoilSpec(center=tuple(obj["center_m"]),
-                        axis=tuple(obj["axis"]),
-                        mean_radius=float(obj["mean_radius_m"]),
-                        turns=int(obj["turns"]),
-                        conductor_cross_section_total=float(
-                            obj["conductor_cross_section_m2"]),
-                        role=obj.get("role", role))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coil entry: {exc}") from exc
+# Keys of a geometry file: key -> (JSON type, default); _REQUIRED marks
+# a key without a default, and a default of None also admits null.
+_REQUIRED = object()
+_COIL_KEYS = {
+    "center_m": ("3 numbers", _REQUIRED), "axis": ("3 numbers", _REQUIRED),
+    "mean_radius_m": ("number", _REQUIRED), "turns": ("integer", _REQUIRED),
+    "conductor_cross_section_m2": ("number", _REQUIRED),
+    "role": ("string", None)}
+_DRIVE_KEYS = {"amplitude_A": ("number", _REQUIRED),
+               "frequency_Hz": ("number", None),
+               "angular_frequency_rad_s": ("number", None)}
+_MEDIUM_KEYS = {"relative_permittivity": ("number", 1.048),
+                "relative_permeability": ("number", 1.0),
+                "conductivity_S_per_m": ("number", 1e-13)}
+_GEOMETRY_KEYS = {
+    "transmitter": ("object", _REQUIRED), "receivers": ("list", _REQUIRED),
+    "drive": ("object", _REQUIRED), "medium": ("object", {}),
+    "capacitance_F": ("number", _REQUIRED),
+    "receiver_inductance_H": ("number", None)}
+
+
+def _is_json(kind: str, value) -> bool:
+    """Whether ``value`` has JSON type ``kind``: a bool is no number and
+    60.9 no integer."""
+    if kind == "number":
+        return type(value) in (int, float) and math.isfinite(value)
+    if kind == "integer":
+        return type(value) is int
+    if kind == "3 numbers":
+        return (isinstance(value, list) and len(value) == 3
+                and all(_is_json("number", v) for v in value))
+    return isinstance(value, {"string": str, "object": dict,
+                              "list": list}[kind])
+
+
+def _json_fields(obj, keys: dict, where: str) -> dict:
+    """The entries of the JSON object ``obj`` checked against ``keys``,
+    with defaults filled in; ValueError naming the key otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {unknown}")
+    out = {}
+    for key, (kind, default) in keys.items():
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            raise ValueError(f"{where}.{key} is missing")
+        if not (value is default is None or _is_json(kind, value)):
+            raise ValueError(f"{where}.{key}: expected {kind}, "
+                             f"got {value!r}")
+        out[key] = value
+    return out
+
+
+def _coil_from_json(obj, role: str, where: str) -> CoilSpec:
+    coil = _json_fields(obj, _COIL_KEYS, where)
+    return CoilSpec(center=tuple(coil["center_m"]), axis=tuple(coil["axis"]),
+                    mean_radius=float(coil["mean_radius_m"]),
+                    turns=coil["turns"],
+                    conductor_cross_section_total=float(
+                        coil["conductor_cross_section_m2"]),
+                    role=role if coil["role"] is None else coil["role"])
 
 
 def load_geometry(path: str | Path) -> DetectionGeometry:
     """Read a detection geometry from its JSON description.
 
     Keys carry explicit unit suffixes (``center_m``, ``mean_radius_m``,
-    ``capacitance_F``, drive ``amplitude_A`` + ``frequency_Hz``).
+    ``capacitance_F``, drive ``amplitude_A`` + ``frequency_Hz``). An
+    unknown key, a missing one or a value of the wrong JSON type is a
+    :class:`ConfigError` naming the key.
     """
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read geometry {path}: {exc}") from exc
     try:
-        transmitter = _coil_from_json(obj["transmitter"], "transmitter")
-        receivers = tuple(_coil_from_json(r, "receiver")
-                          for r in obj["receivers"])
-        drive_obj = obj["drive"]
-        if "angular_frequency_rad_s" in drive_obj:
-            omega = float(drive_obj["angular_frequency_rad_s"])
-        else:
-            omega = 2.0 * math.pi * float(drive_obj["frequency_Hz"])
-        drive = DriveSpec(amplitude=float(drive_obj["amplitude_A"]),
-                          angular_frequency=omega)
-        medium_obj = obj.get("medium", {})
-        medium = MediumSpec(
-            relative_permittivity=float(
-                medium_obj.get("relative_permittivity", 1.048)),
-            relative_permeability=float(
-                medium_obj.get("relative_permeability", 1.0)),
-            conductivity=float(medium_obj.get("conductivity_S_per_m", 1e-13)))
-        L_rx = obj.get("receiver_inductance_H")
+        geom = _json_fields(obj, _GEOMETRY_KEYS, "geometry")
+        transmitter = _coil_from_json(geom["transmitter"], "transmitter",
+                                      "geometry.transmitter")
+        receivers = tuple(
+            _coil_from_json(r, "receiver", f"geometry.receivers[{i}]")
+            for i, r in enumerate(geom["receivers"]))
+        drive = _json_fields(geom["drive"], _DRIVE_KEYS, "geometry.drive")
+        f, omega = drive["frequency_Hz"], drive["angular_frequency_rad_s"]
+        if (f is None) == (omega is None):
+            raise ValueError("drive needs exactly one of frequency_Hz and "
+                             "angular_frequency_rad_s")
+        medium = _json_fields(geom["medium"], _MEDIUM_KEYS, "geometry.medium")
+        L_rx = geom["receiver_inductance_H"]
         return DetectionGeometry(
-            transmitter=transmitter, receivers=receivers, drive=drive,
-            capacitance=float(obj["capacitance_F"]), medium=medium,
+            transmitter=transmitter, receivers=receivers,
+            drive=DriveSpec(amplitude=float(drive["amplitude_A"]),
+                            angular_frequency=float(
+                                2.0 * math.pi * f if omega is None
+                                else omega)),
+            capacitance=float(geom["capacitance_F"]),
+            medium=MediumSpec(
+                relative_permittivity=float(medium["relative_permittivity"]),
+                relative_permeability=float(medium["relative_permeability"]),
+                conductivity=float(medium["conductivity_S_per_m"])),
             receiver_inductance=None if L_rx is None else float(L_rx))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad geometry file {path}: {exc}") from exc

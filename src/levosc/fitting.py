@@ -35,7 +35,6 @@ __all__ = [
     "ConcentrationFit",
     "REGIME_WEIGHT_THRESHOLD",
     "REGIME_WEIGHT",
-    "model_tau",
     "model_residuals",
     "fit_he3_concentration",
     "predict_contamination",
@@ -61,12 +60,12 @@ class TauTemperatureSeries:
         if not self.rows:
             raise ValueError("series is empty")
         for T, tau, sigma in self.rows:
-            if T <= 0:
-                raise ValueError("temperatures must be positive")
-            if tau <= 0:
-                raise ValueError("decay times must be positive")
-            if sigma is not None and sigma < 0:
-                raise ValueError("sigma_tau must be non-negative")
+            if not 0 < T < math.inf:
+                raise ValueError("temperatures must be finite and positive")
+            if not 0 < tau < math.inf:
+                raise ValueError("decay times must be finite and positive")
+            if sigma is not None and not 0 <= sigma < math.inf:
+                raise ValueError("sigma_tau must be finite and non-negative")
 
     @property
     def temperatures(self) -> np.ndarray:
@@ -90,14 +89,6 @@ class ConcentrationFit:
     def __post_init__(self):
         if self.n3 <= 0:
             raise ValueError("n3 must be positive")
-
-
-def model_tau(osc: OscillatorSpec, media: HeliumMedia, T: float, n3: float,
-              mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
-              tau_vacuum: float | None = DEFAULT_TAU_VACUUM) -> float:
-    """Composite decay time at one temperature for a given n3."""
-    table = damping_table(osc, media, [T], n3, mode, tau_vacuum)
-    return float(table.tau_total[0])
 
 
 def _log_residuals(medium: MediumChannels, log_taus: np.ndarray,

@@ -10,6 +10,7 @@ viscosity table. All values are overridable through a plain-text
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -62,8 +63,8 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("k_B", "hbar", "m3", "m4"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -88,14 +89,9 @@ class QuasiparticleParams:
     m3_eff_ratio: float = 2.64
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("sound speed must be positive")
-        if self.k0 <= 0:
-            raise ValueError("roton wave number must be positive")
-        if self.delta_over_kB <= 0:
-            raise ValueError("roton gap must be positive")
-        if self.m3_eff_ratio <= 0:
-            raise ValueError("effective-mass ratio must be positive")
+        for name in ("c", "k0", "delta_over_kB", "m3_eff_ratio"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 # Normal-component viscosity of He II, 1.00-2.17 K (Donnelly-style
@@ -119,11 +115,13 @@ class ViscosityTable:
     def __post_init__(self):
         if len(self.entries) < 2:
             raise ValueError("viscosity table needs at least two entries")
+        if not all(0 < v < math.inf for entry in self.entries
+                   for v in entry):
+            raise ValueError("table temperatures and viscosities must be "
+                             "finite and strictly positive")
         temps = [t for t, _ in self.entries]
         if any(b <= a for a, b in zip(temps, temps[1:])):
             raise ValueError("table temperatures must be strictly increasing")
-        if any(eta <= 0 for _, eta in self.entries):
-            raise ValueError("table viscosities must be strictly positive")
 
     @property
     def valid_range(self) -> tuple[float, float]:
@@ -185,8 +183,8 @@ class HeliumMedia:
     he4_mass_density: float = DEFAULT_HE4_MASS_DENSITY
 
     def __post_init__(self):
-        if self.he4_mass_density <= 0:
-            raise ValueError("he4_mass_density must be positive")
+        if not 0 < self.he4_mass_density < math.inf:
+            raise ValueError("he4_mass_density must be finite and positive")
 
     @property
     def n4(self) -> float:
@@ -300,18 +298,18 @@ def media_from_overrides(overrides: Mapping[str, object]) -> HeliumMedia:
     qp = QuasiparticleParams()
     viscosity = DEFAULT_VISCOSITY_TABLE
     density = DEFAULT_HE4_MASS_DENSITY
-    for key, value in overrides.items():
-        if key in _CONSTANT_KEYS:
-            constants = replace(constants, **{key: float(value)})
-        elif key in _QP_KEYS:
-            qp = replace(qp, **{key: float(value)})
-        elif key == "he4_mass_density":
-            density = float(value)
-        elif key == "viscosity_csv":
-            viscosity = ViscosityTable.from_csv(str(value))
-        else:
-            raise ConfigError(f"unknown media property {key!r}")
     try:
+        for key, value in overrides.items():
+            if key in _CONSTANT_KEYS:
+                constants = replace(constants, **{key: float(value)})
+            elif key in _QP_KEYS:
+                qp = replace(qp, **{key: float(value)})
+            elif key == "he4_mass_density":
+                density = float(value)
+            elif key == "viscosity_csv":
+                viscosity = ViscosityTable.from_csv(str(value))
+            else:
+                raise ConfigError(f"unknown media property {key!r}")
         return HeliumMedia(constants=constants, quasiparticles=qp,
                            viscosity=viscosity, he4_mass_density=density)
     except ValueError as exc:

@@ -17,11 +17,9 @@ from levosc.damping import (
     DEFAULT_TAU_VACUUM,
     OscillatorSpec,
     RegimeMode,
-    damping_curve,
+    damping_table,
     drag_force,
     linewidth,
-    tau_impurity,
-    tau_phonon,
 )
 from levosc.detection import (
     CoilSpec,
@@ -59,9 +57,9 @@ def n4_of(media):
 def loglog_slope(osc, media, t_lo, t_hi, x3, mode):
     grid = np.geomspace(t_lo, t_hi, 12)
     n3 = x3 * n4_of(media)
-    rows = damping_curve(osc, media, grid.tolist(), n3, mode,
-                         DEFAULT_TAU_VACUUM)
-    lntau = np.log([bd.tau_total for _, bd in rows])
+    table = damping_table(osc, media, grid.tolist(), n3, mode,
+                          DEFAULT_TAU_VACUUM)
+    lntau = np.log(table.tau_total)
     return float(np.polyfit(np.log(grid), lntau, 1)[0])
 
 
@@ -92,12 +90,10 @@ def test_criterion_03_lc_consistency():
 def test_criterion_04_power_laws(osc, media):
     n3 = 1e20
     for T in (0.1, 0.2, 0.4):
-        r_ph = (tau_phonon(osc, media.quasiparticles, media.constants,
-                           2.0 * T)
-                / tau_phonon(osc, media.quasiparticles, media.constants, T))
+        table = damping_table(osc, media, [T, 2.0 * T, 4.0 * T], n3)
+        r_ph = table.tau_ph[1] / table.tau_ph[0]
         assert abs(r_ph - 1.0 / 16.0) < 1e-12 / 16.0
-        r_imp = (tau_impurity(osc, media, 4.0 * T, n3)
-                 / tau_impurity(osc, media, T, n3))
+        r_imp = table.tau_imp[2] / table.tau_imp[0]
         assert abs(r_imp - 0.5) < 1e-12 * 0.5
     print("criterion 04 PASS: tau_ph(2T)/tau_ph(T) = 1/16 and "
           "tau_imp(4T)/tau_imp(T) = 1/2 to 1e-12 at T in {0.1, 0.2, 0.4} K")
@@ -119,14 +115,17 @@ def test_criterion_05_regime_slopes(osc, media):
 def test_criterion_06_intrinsic_limit_bracket(osc, media):
     n4 = n4_of(media)
 
+    def tau_impurity(x3):
+        return damping_table(osc, media, [0.04], x3 * n4).tau_imp[0]
+
     def excess(x3):
-        return tau_impurity(osc, media, 0.04, x3 * n4) - DEFAULT_TAU_VACUUM
+        return tau_impurity(x3) - DEFAULT_TAU_VACUUM
 
     lo, hi = 5e-10, 5e-9
     assert excess(lo) > 0 > excess(hi)
     x3_star = brentq(excess, lo, hi, xtol=1e-22, rtol=1e-14)
     assert lo < x3_star < hi
-    tau_at_root = tau_impurity(osc, media, 0.04, x3_star * n4)
+    tau_at_root = tau_impurity(x3_star)
     assert abs(tau_at_root - DEFAULT_TAU_VACUUM) / DEFAULT_TAU_VACUUM < 1e-10
     print(f"criterion 06 PASS: tau_imp(40 mK, x3) = 4.1e5 s at "
           f"x3 = {x3_star:.3e}, inside [5e-10, 5e-9]")
@@ -163,11 +162,11 @@ def test_criterion_08_concentration_recovery(osc, media):
     started = time.monotonic()
     n3_true = X3_REFERENCE * n4_of(media)
     grid = np.geomspace(0.015, 0.5, 15).tolist()
-    rows = damping_curve(osc, media, grid, n3_true,
-                         RegimeMode.RECIPROCAL_SUM, DEFAULT_TAU_VACUUM)
+    table = damping_table(osc, media, grid, n3_true,
+                          RegimeMode.RECIPROCAL_SUM, DEFAULT_TAU_VACUUM)
     rng = np.random.default_rng(20260823)
-    noisy = [(T, bd.tau_total * math.exp(0.05 * rng.standard_normal()),
-              None) for T, bd in rows]
+    noisy = [(T, tau * math.exp(0.05 * rng.standard_normal()), None)
+             for T, tau in zip(table.T.tolist(), table.tau_total.tolist())]
     series = TauTemperatureSeries(rows=tuple(noisy))
     fit = fit_he3_concentration(series, osc, media)
     assert abs(fit.x3 - X3_REFERENCE) / X3_REFERENCE < 0.10

@@ -6,7 +6,6 @@ The 128 x 128 grid is used here to keep runtimes in seconds; the
 256 x 256 acceptance sweep lives in test_acceptance.py.
 """
 
-import io
 import math
 
 import numpy as np
@@ -18,7 +17,7 @@ from levosc import (GeometryError, GridSpec, SpherePose, axisymmetric_oracle,
                     coaxial_geometry, effective_inductance, mutual_inductance,
                     oracle_delta_L, orthogonal_geometry)
 from levosc.axisym import (_axial_coordinates, _build_axes, _field_operator,
-                           oracle_sweep, write_field_map_csv)
+                           oracle_sweep)
 from levosc.errors import SolverError
 
 
@@ -73,10 +72,6 @@ class TestNoSphereSolves:
         assert np.all(psi[-1, :] == 0.0)
         assert np.all(psi[:, 0] == 0.0)
         assert np.all(psi[:, -1] == 0.0)
-
-    def test_a_phi_finite(self, transmitter_solve):
-        a = transmitter_solve.a_phi()
-        assert np.all(np.isfinite(a))
 
 
 class TestSphereSolves:
@@ -193,17 +188,3 @@ class TestConjugateGradientSolve:
         assert without.residual < grid.tol
         assert dL < 0.0
         assert with_sphere.L_eff < without.L_eff
-
-
-class TestFieldMapOutput:
-    def test_csv_shape(self, geometry):
-        grid = GridSpec(n_rho=64, n_z=64)
-        res = axisymmetric_oracle(geometry, None, grid, driven="receiver")
-        buf = io.StringIO()
-        write_field_map_csv(res, buf, header_comment="map")
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# map"
-        assert lines[1] == "rho_m,z_m,A_phi"
-        assert len(lines) == 2 + 64 * 64
-        first = lines[2].split(",")
-        assert float(first[0]) == res.rho[0]

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from levosc.cli import CONFIG_TABLE, main
 from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
-                            damping_curve)
+                            damping_table)
+from levosc.detection import coaxial_geometry
 from levosc.media import HeliumState, default_media, he4_number_density
 
 
@@ -437,6 +438,70 @@ def test_detection_sweep_bad_geometry_file_exits_3(tmp_path):
     assert rc == 3
 
 
+def geometry_doc():
+    """The built-in coaxial geometry as a geometry file."""
+    g = coaxial_geometry()
+
+    def coil(c):
+        return {"center_m": list(c.center), "axis": list(c.axis),
+                "mean_radius_m": c.mean_radius, "turns": c.turns,
+                "conductor_cross_section_m2":
+                    c.conductor_cross_section_total}
+
+    return {"transmitter": coil(g.transmitter),
+            "receivers": [coil(r) for r in g.receivers],
+            "drive": {"amplitude_A": 0.035, "frequency_Hz": 1.6e6},
+            "capacitance_F": 470e-12, "receiver_inductance_H": 21e-6}
+
+
+def run_geometry(tmp_path, doc):
+    (tmp_path / "geom.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"detection": {"geometry": "geom.json"}})
+    out = tmp_path / "out"
+    return main(["detection-sweep", "--config", str(cfg),
+                 "--out", str(out)]), out
+
+
+def test_detection_sweep_geometry_file_equals_built_in(tmp_path):
+    rc, out = run_geometry(tmp_path, geometry_doc())
+    assert rc == 0
+    assert main(["detection-sweep", "--out", str(tmp_path / "ref")]) == 0
+    _, rows, _ = read_csv(out / "detection_sweep.csv")
+    _, ref, _ = read_csv(tmp_path / "ref" / "detection_sweep.csv")
+    assert rows == ref
+
+
+# each of these ran at exit 0, some on a silently changed geometry
+BAD_GEOMETRY = {
+    "fractional-turns": (lambda g: g["receivers"][0].update(turns=60.9),
+                         "geometry.receivers[0].turns"),
+    "bool-turns": (lambda g: g["receivers"][0].update(turns=True),
+                   "geometry.receivers[0].turns"),
+    "misspelt-key": (lambda g: g.update(
+        receiver_inductance=g.pop("receiver_inductance_H")),
+        "receiver_inductance"),
+    "string-number": (lambda g: g.update(capacitance_F="470e-12"),
+                      "geometry.capacitance_F"),
+    "coil-key": (lambda g: g["transmitter"].update(radius_m=0.02),
+                 "radius_m"),
+    "drive-key": (lambda g: g["drive"].update(phase_rad=0.0), "phase_rad"),
+    "medium-key": (lambda g: g.update(medium={"permittivity": 1.05}),
+                   "permittivity"),
+    "two-frequencies": (lambda g: g["drive"].update(
+        angular_frequency_rad_s=1e7), "angular_frequency_rad_s"),
+}
+
+
+@pytest.mark.parametrize("edit, name", BAD_GEOMETRY.values(),
+                         ids=BAD_GEOMETRY.keys())
+def test_detection_sweep_bad_geometry_value_exits_2(tmp_path, capsys, edit,
+                                                    name):
+    doc = geometry_doc()
+    edit(doc)
+    assert run_geometry(tmp_path, doc)[0] == 2
+    assert name in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- ringdown
 
 RINGDOWN_CFG = {"ringdown": {
@@ -616,16 +681,16 @@ def model_data_csv(tmp_path, x3, noise=0.0, seed=0):
                         he4_mass_density=med.he4_mass_density)
     n3 = x3 * he4_number_density(state, med.constants)
     grid = np.geomspace(0.015, 0.5, 15).tolist()
-    rows = damping_curve(osc, med, grid, n3, RegimeMode.RECIPROCAL_SUM,
-                         DEFAULT_TAU_VACUUM)
-    taus = np.array([bd.tau_total for _, bd in rows])
+    table = damping_table(osc, med, grid, n3, RegimeMode.RECIPROCAL_SUM,
+                          DEFAULT_TAU_VACUUM)
+    taus = table.tau_total
     if noise:
         rng = np.random.default_rng(seed)
         taus = taus * np.exp(noise * rng.standard_normal(len(taus)))
     path = tmp_path / "tau_data.csv"
     with open(path, "w") as fh:
         fh.write("T_K,tau_s\n")
-        for (T, _), tau in zip(rows, taus):
+        for T, tau in zip(table.T.tolist(), taus):
             fh.write(f"{T!r},{float(tau)!r}\n")
     return path
 
@@ -669,13 +734,13 @@ def test_fit_he3_contamination_prediction(tmp_path):
 
 def test_fit_he3_no_signature_exits_3(tmp_path, capsys):
     med_path = tmp_path / "flat.csv"
-    rows = damping_curve(
+    table = damping_table(
         OscillatorSpec(mass=6.33e-6, radius_warm=1.00e-3),
         default_media(), [1.0, 1.2, 1.4, 1.6, 1.8], 0.0)
     with open(med_path, "w") as fh:
         fh.write("T_K,tau_s\n")
-        for T, bd in rows:
-            fh.write(f"{T!r},{bd.tau_total!r}\n")
+        for T, tau in zip(table.T.tolist(), table.tau_total.tolist()):
+            fh.write(f"{T!r},{tau!r}\n")
     rc = main(["fit-he3", "--data", str(med_path),
                "--out", str(tmp_path / "out")])
     assert rc == 3
@@ -696,6 +761,39 @@ def test_fit_he3_missing_data_exits_3(tmp_path):
     rc = main(["fit-he3", "--data", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "out")])
     assert rc == 3
+
+
+# each of these ran at exit 0 with a channel dropped or blanked, or a
+# fit row kept at full weight or dropped
+NON_FINITE_INPUTS = [
+    ("media.properties", "m3_eff_ratio = nan\n", 2),
+    ("media.properties", "c = inf\n", 2),
+    ("eta.csv", "1.0,23e-6\n1.2,nan\n2.17,2.4e-6\n", 3),
+    ("tau_data.csv", "nan,4e5\n", 3),
+    ("tau_data.csv", "0.1,inf\n", 3),
+]
+
+
+@pytest.mark.parametrize("name, text, code", NON_FINITE_INPUTS,
+                         ids=["m3_eff_ratio-nan", "c-inf", "viscosity-nan",
+                              "T_K-nan", "tau_s-inf"])
+def test_non_finite_input_rejected(tmp_path, capsys, name, text, code):
+    out = ["--out", str(tmp_path / "out")]
+    if name == "tau_data.csv":
+        data = model_data_csv(tmp_path, 4.2e-8)
+        with open(data, "a") as fh:
+            fh.write(text)
+        rc = main(["fit-he3", "--data", str(data), *out])
+    else:
+        (tmp_path / name).write_text(text)
+        if name == "eta.csv":
+            (tmp_path / "media.properties").write_text(
+                "viscosity_csv = eta.csv\n")
+        cfg = write_config(tmp_path, {"media_overrides": "media.properties",
+                                      "damping": {"x3": 1e-8}})
+        rc = main(["damping-curve", "--config", str(cfg), *out])
+    assert rc == code
+    assert "finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- sensitivity

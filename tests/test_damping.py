@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levosc import (ConfigError, DampingBreakdown, DomainError, HeliumState,
-                    OscillatorSpec, RangeError, RegimeMode, damping_curve,
-                    drag_force, he4_number_density, linewidth,
-                    noise_density, sensitivity_report, tau_hydrodynamic,
-                    tau_impurity, tau_phonon, tau_roton, tau_total,
-                    viscosity_normal)
+from levosc import (ConfigError, DomainError, HeliumMedia, HeliumState,
+                    OscillatorSpec, RangeError, RegimeMode, ViscosityTable,
+                    damping_table, drag_force, he4_number_density, linewidth,
+                    noise_density, sensitivity_report, viscosity_normal)
 from levosc.damping import (DEFAULT_TAU_VACUUM, KNUDSEN_DRAG_COEFF,
-                            damping_metadata, damping_table,
+                            compose, damping_metadata, medium_channels,
                             write_damping_csv)
 
 
@@ -31,6 +29,24 @@ def reference_n3(media, x3=4.2e-8):
     state = HeliumState(temperature=1.0, he3_fraction=0.0,
                         he4_mass_density=media.he4_mass_density)
     return x3 * he4_number_density(state, media.constants)
+
+
+def channel(osc, media, name, T, n3=0.0, **kwargs):
+    """One channel column of :func:`damping_table` at the ascending
+    temperatures ``T``."""
+    return getattr(damping_table(osc, media, T, n3, **kwargs), name)
+
+
+def media_with_viscosity(eta):
+    """Default media whose viscosity table is ``eta`` at 1 K exactly."""
+    return HeliumMedia(viscosity=ViscosityTable(((1.0, eta),
+                                                 (2.0, 2.0 * eta))))
+
+
+def present(table, i):
+    """The channels present in row ``i`` of ``table``."""
+    return [float(col[i]) for col in table.columns()[1:6]
+            if not math.isnan(col[i])]
 
 
 class TestOscillatorSpec:
@@ -49,134 +65,146 @@ class TestOscillatorSpec:
 
 class TestChannelReferences:
     def test_hydrodynamic(self, osc):
-        assert rel(tau_hydrodynamic(osc, 1.4e-6), 487.04413331965) < 1e-12
+        tau = channel(osc, media_with_viscosity(1.4e-6), "tau_hydr", [1.0])
+        assert rel(tau[0], 487.04413331965) < 1e-12
 
     def test_hydrodynamic_at_table_floor(self, osc, media):
-        eta = viscosity_normal(media.viscosity, 1.0)
-        tau = tau_hydrodynamic(osc, eta)
-        assert rel(tau, 29.646164636848303) < 1e-12
+        tau = channel(osc, media, "tau_hydr", [1.0])
+        assert rel(tau[0], 29.646164636848303) < 1e-12
 
     def test_phonon(self, osc, media):
-        q, c = media.quasiparticles, media.constants
-        assert rel(tau_phonon(osc, q, c, 0.3), 121.06324364471) < 1e-11
-        assert rel(tau_phonon(osc, q, c, 0.15), 1937.0118983154) < 1e-11
+        tau = channel(osc, media, "tau_ph", [0.15, 0.3])
+        assert rel(tau[1], 121.06324364471) < 1e-11
+        assert rel(tau[0], 1937.0118983154) < 1e-11
 
     def test_roton(self, osc, media):
-        q, c = media.quasiparticles, media.constants
-        assert rel(tau_roton(osc, q, c, 0.7), 2.0044755115860) < 1e-11
-        assert rel(tau_roton(osc, q, c, 0.6), 15.719567058756) < 1e-11
+        tau = channel(osc, media, "tau_rot", [0.6, 0.7])
+        assert rel(tau[1], 2.0044755115860) < 1e-11
+        assert rel(tau[0], 15.719567058756) < 1e-11
 
     def test_roton_saturates_instead_of_overflowing(self, osc, media):
-        q, c = media.quasiparticles, media.constants
-        assert tau_roton(osc, q, c, 0.01) == math.inf
+        assert channel(osc, media, "tau_rot", [0.01])[0] == math.inf
 
     def test_phonon_saturates_where_kT4_underflows(self, osc, media):
-        q, c = media.quasiparticles, media.constants
-        assert tau_phonon(osc, q, c, 1e-90) == math.inf
         table = damping_table(osc, media, [1e-90, 1e-3], 0.0)
         assert table.tau_ph[0] == math.inf
         assert math.isfinite(table.tau_ph[1])
         assert rel(table.tau_total[0], DEFAULT_TAU_VACUUM) < 1e-12
 
     def test_impurity(self, osc, media):
-        tau = tau_impurity(osc, media, 0.04, reference_n3(media))
-        assert rel(tau, 17889.946273825) < 1e-11
+        tau = channel(osc, media, "tau_imp", [0.04], reference_n3(media))
+        assert rel(tau[0], 17889.946273825) < 1e-11
 
     def test_impurity_zero_density_absent(self, osc, media):
-        assert tau_impurity(osc, media, 0.04, 0.0) is None
+        assert math.isnan(channel(osc, media, "tau_imp", [0.04], 0.0)[0])
 
     def test_domain_errors(self, osc, media):
-        q, c = media.quasiparticles, media.constants
         with pytest.raises(DomainError):
-            tau_hydrodynamic(osc, 0.0)
+            medium_channels(osc, media, [-0.1])
         with pytest.raises(DomainError):
-            tau_phonon(osc, q, c, -0.1)
-        with pytest.raises(DomainError):
-            tau_roton(osc, q, c, 0.0)
-        with pytest.raises(DomainError):
-            tau_impurity(osc, media, 0.04, -1.0)
+            damping_table(osc, media, [0.04], -1.0)
+        with pytest.raises(ValueError):
+            media_with_viscosity(0.0)
 
 
 class TestRatioLaws:
     """Exact scaling exponents, checked as pure ratios."""
 
     def test_phonon_quartic(self, osc, media):
-        q, c = media.quasiparticles, media.constants
         for T in (0.1, 0.2, 0.4):
-            ratio = tau_phonon(osc, q, c, 2 * T) / tau_phonon(osc, q, c, T)
-            assert rel(ratio, 1.0 / 16.0) < 1e-12
+            tau = channel(osc, media, "tau_ph", [T, 2 * T])
+            assert rel(tau[1] / tau[0], 1.0 / 16.0) < 1e-12
 
     def test_impurity_half_power(self, osc, media):
         n3 = reference_n3(media)
         for T in (0.02, 0.04, 0.1):
-            ratio = tau_impurity(osc, media, 4 * T, n3) \
-                / tau_impurity(osc, media, T, n3)
-            assert rel(ratio, 0.5) < 1e-12
+            tau = channel(osc, media, "tau_imp", [T, 4 * T], n3)
+            assert rel(tau[1] / tau[0], 0.5) < 1e-12
 
     @given(st.floats(min_value=1e-7, max_value=1e-4))
     def test_hydrodynamic_eta_product_constant(self, eta):
         osc = OscillatorSpec(mass=6.33e-6, radius_warm=1e-3)
-        ref = tau_hydrodynamic(osc, 1e-6) * 1e-6
-        assert rel(tau_hydrodynamic(osc, eta) * eta, ref) < 1e-12
+
+        def tau_hydr(eta):
+            return channel(osc, media_with_viscosity(eta), "tau_hydr",
+                           [1.0])[0]
+
+        ref = tau_hydr(1e-6) * 1e-6
+        assert rel(tau_hydr(eta) * eta, ref) < 1e-12
 
     def test_phonon_T4_product_constant(self, osc, media):
-        q, c = media.quasiparticles, media.constants
-        ref = tau_phonon(osc, q, c, 0.1) * 0.1**4
-        for T in np.geomspace(0.01, 2.0, 25):
-            assert rel(tau_phonon(osc, q, c, float(T)) * T**4, ref) < 1e-12
+        ref = channel(osc, media, "tau_ph", [0.1])[0] * 0.1**4
+        grid = np.geomspace(0.01, 2.0, 25)
+        for T, tau in zip(grid, channel(osc, media, "tau_ph", grid)):
+            assert rel(tau * T**4, ref) < 1e-12
 
     def test_impurity_n3_sqrtT_product_constant(self, osc, media):
-        ref = tau_impurity(osc, media, 0.04, 1e20) * 1e20 * math.sqrt(0.04)
+        ref = channel(osc, media, "tau_imp", [0.04], 1e20)[0] \
+            * 1e20 * math.sqrt(0.04)
         for T, n3 in ((0.01, 3e19), (0.3, 7e21), (1.7, 1e23)):
-            val = tau_impurity(osc, media, T, n3) * n3 * math.sqrt(T)
+            val = channel(osc, media, "tau_imp", [T], n3)[0] \
+                * n3 * math.sqrt(T)
             assert rel(val, ref) < 1e-12
 
 
 class TestComposition:
-    def test_reciprocal_sum_below_min(self):
-        bd = tau_total(RegimeMode.RECIPROCAL_SUM, tau_ph=100.0, tau_rot=50.0,
-                       tau_imp=200.0, tau_vacuum=1e5)
-        floor = min(bd.present_channels().values())
-        assert bd.tau_total <= floor * (1.0 + 1e-12)
-        # independent harmonic composition
-        expect = 1.0 / (1 / 100 + 1 / 50 + 1 / 200 + 1e-5)
-        assert rel(bd.tau_total, expect) < 1e-14
+    """The composition laws, posed through physical inputs: every row of
+    the warm grid has all five channels present."""
 
-    def test_two_channel_harmonic(self):
-        bd = tau_total(RegimeMode.RECIPROCAL_SUM, tau_ph=1000.0,
-                       tau_rot=3000.0)
-        assert rel(bd.tau_total, 750.0) < 1e-14
+    WARM = np.linspace(1.0, 2.1, 12)
 
-    def test_dominant_only_is_min(self):
-        bd = tau_total(RegimeMode.DOMINANT_ONLY, tau_ph=100.0, tau_rot=50.0,
-                       tau_imp=200.0)
-        assert bd.tau_total == 50.0
+    def test_reciprocal_sum_below_min(self, osc, media):
+        table = damping_table(osc, media, self.WARM, reference_n3(media))
+        for i, total in enumerate(table.tau_total):
+            channels = present(table, i)
+            assert len(channels) == 5
+            assert total <= min(channels) * (1.0 + 1e-12)
+            # independent harmonic composition
+            expect = 1.0 / sum(1.0 / tau for tau in channels)
+            assert rel(total, expect) < 1e-14
 
-    def test_removing_channel_never_decreases_total(self):
-        full = {"tau_hydr": 300.0, "tau_ph": 100.0, "tau_rot": 50.0,
-                "tau_imp": 200.0, "tau_vacuum": 1e5}
+    def test_two_channel_harmonic(self, osc, media):
+        # below the viscosity table, with no helium-3 and no vacuum
+        # channel, only phonons and rotons remain
+        table = damping_table(osc, media, [0.3, 0.5, 0.7], 0.0,
+                              tau_vacuum=None)
+        for ph, rot, total in zip(table.tau_ph, table.tau_rot,
+                                  table.tau_total):
+            assert rel(total, ph * rot / (ph + rot)) < 1e-14
+
+    def test_dominant_only_is_min(self, osc, media):
+        grid = np.concatenate([[0.005, 0.1, 0.5], self.WARM])
+        table = damping_table(osc, media, grid, reference_n3(media),
+                              RegimeMode.DOMINANT_ONLY)
+        for i, total in enumerate(table.tau_total):
+            assert total == min(present(table, i))
+
+    def test_removing_channel_never_decreases_total(self, osc, media):
+        grid = np.geomspace(0.01, 2.1, 40)
+        n3 = reference_n3(media)
         for mode in RegimeMode:
-            base = tau_total(mode, **full).tau_total
-            for name in full:
-                reduced = {k: v for k, v in full.items() if k != name}
-                assert tau_total(mode, **reduced).tau_total >= base
+            base = damping_table(osc, media, grid, n3, mode).tau_total
+            no_vacuum = damping_table(osc, media, grid, n3, mode,
+                                      tau_vacuum=None).tau_total
+            no_impurity = damping_table(osc, media, grid, 0.0,
+                                        mode).tau_total
+            assert np.all(no_vacuum >= base)
+            assert np.all(no_impurity >= base)
 
-    def test_saturated_channels_contribute_nothing(self):
-        bd = tau_total(RegimeMode.RECIPROCAL_SUM, tau_ph=math.inf,
-                       tau_rot=math.inf, tau_vacuum=4.1e5)
-        assert rel(bd.tau_total, 4.1e5) < 1e-14
-        all_inf = tau_total(RegimeMode.RECIPROCAL_SUM, tau_ph=math.inf,
-                            tau_rot=math.inf)
-        assert all_inf.tau_total == math.inf
+    def test_saturated_channels_contribute_nothing(self, osc, media):
+        # phonons and rotons both saturate at 1e-90 K
+        table = damping_table(osc, media, [1e-90], 0.0, tau_vacuum=4.1e5)
+        assert table.tau_ph[0] == table.tau_rot[0] == math.inf
+        assert rel(table.tau_total[0], 4.1e5) < 1e-14
+        all_inf = damping_table(osc, media, [1e-90], 0.0, tau_vacuum=None)
+        assert all_inf.tau_total[0] == math.inf
 
-    def test_no_channels_rejected(self):
-        with pytest.raises(ConfigError):
-            tau_total(RegimeMode.RECIPROCAL_SUM)
-
-    def test_breakdown_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DampingBreakdown(tau_ph=100.0, tau_rot=100.0, tau_total=200.0,
-                             regime_mode=RegimeMode.RECIPROCAL_SUM)
+    def test_breakdown_invariant_enforced(self, osc, media):
+        # compose marks a row whose present channel is not positive;
+        # damping_table rejects such a grid (see TestArrayPath)
+        medium = medium_channels(osc, media, np.array([0.1, 0.2]))
+        table = compose(medium, osc, media, 0.0, tau_vacuum=-1.0)
+        assert np.isnan(table.tau_total).all()
 
     def test_mode_values(self):
         assert RegimeMode.RECIPROCAL_SUM.value == "ReciprocalSum"
@@ -229,54 +257,55 @@ class TestSensitivity:
 class TestDampingCurve:
     def test_row_count_and_order(self, osc, media):
         grid = np.geomspace(0.01, 2.1, 50).tolist()
-        rows = damping_curve(osc, media, grid, 0.0)
-        assert len(rows) == 50
-        assert [T for T, _ in rows] == grid
+        table = damping_table(osc, media, grid, 0.0)
+        assert all(len(col) == 50 for col in table.columns())
+        assert table.T.tolist() == grid
 
     def test_hydrodynamic_absent_below_floor(self, osc, media):
-        rows = damping_curve(osc, media, [0.5, 1.5], reference_n3(media))
-        assert rows[0][1].tau_hydr is None
-        assert rows[1][1].tau_hydr is not None
+        hydr = channel(osc, media, "tau_hydr", [0.5, 1.5], reference_n3(media))
+        assert math.isnan(hydr[0])
+        assert not math.isnan(hydr[1])
 
     def test_low_T_limit_is_vacuum(self, osc, media):
         # reciprocal sum keeps a sliver of phonon rate; dominant-only
         # lands on the vacuum value exactly
-        rows = damping_curve(osc, media, [0.005], 0.0,
-                             tau_vacuum=DEFAULT_TAU_VACUUM)
-        assert rel(rows[0][1].tau_total, 4.1e5) < 5e-3
-        rows = damping_curve(osc, media, [0.005], 0.0,
-                             RegimeMode.DOMINANT_ONLY,
-                             tau_vacuum=DEFAULT_TAU_VACUUM)
-        assert rows[0][1].tau_total == 4.1e5
+        total = channel(osc, media, "tau_total", [0.005],
+                        tau_vacuum=DEFAULT_TAU_VACUUM)
+        assert rel(total[0], 4.1e5) < 5e-3
+        total = channel(osc, media, "tau_total", [0.005],
+                        mode=RegimeMode.DOMINANT_ONLY,
+                        tau_vacuum=DEFAULT_TAU_VACUUM)
+        assert total[0] == 4.1e5
 
     def test_finite_positive_over_domain(self, osc, media):
         grid = np.geomspace(0.01, 2.1, 60).tolist()
         for x3 in (0.0, 1e-6):
             for mode in RegimeMode:
-                rows = damping_curve(osc, media, grid, reference_n3(media, x3)
-                                     if x3 else 0.0, mode)
-                for T, bd in rows:
-                    assert bd.tau_total > 0
-                    assert math.isfinite(bd.tau_total)
+                total = channel(osc, media, "tau_total", grid,
+                                reference_n3(media, x3) if x3 else 0.0,
+                                mode=mode)
+                assert np.all(total > 0)
+                assert np.all(np.isfinite(total))
 
     def test_grid_validation(self, osc, media):
         with pytest.raises(ConfigError):
-            damping_curve(osc, media, [], 0.0)
+            damping_table(osc, media, [], 0.0)
         with pytest.raises(ConfigError):
-            damping_curve(osc, media, [0.2, 0.1], 0.0)
+            damping_table(osc, media, [0.2, 0.1], 0.0)
         with pytest.raises(ConfigError):
-            damping_curve(osc, media, [-1.0, 0.1], 0.0)
+            damping_table(osc, media, [-1.0, 0.1], 0.0)
 
     def test_domain_error_names_offending_row(self, osc, media):
         with pytest.raises(DomainError) as err:
-            damping_curve(osc, media, [0.1, 0.2], -5.0)
+            damping_table(osc, media, [0.1, 0.2], -5.0)
         assert "row 0" in str(err.value)
         assert "0.1" in str(err.value)
 
     def test_csv_shape_and_roundtrip(self, osc, media):
-        rows = damping_curve(osc, media, [0.02, 0.5, 1.5], reference_n3(media))
+        table = damping_table(osc, media, [0.02, 0.5, 1.5],
+                              reference_n3(media))
         buf = io.StringIO()
-        write_damping_csv(rows, buf, header_comment="check")
+        write_damping_csv(table, buf, header_comment="check")
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# check"
         assert lines[1] == ("T_K,tau_hydr_s,tau_ph_s,tau_rot_s,tau_imp_s,"
@@ -287,7 +316,7 @@ class TestDampingCurve:
         assert first[1] == ""
         # repr round trip: parsing recovers bit-identical floats
         assert float(first[0]) == 0.02
-        assert float(first[6]) == rows[0][1].tau_total
+        assert float(first[6]) == table.tau_total[0]
 
     def test_metadata_records_gap(self, osc, media):
         meta = damping_metadata(osc, media, 0.0, RegimeMode.RECIPROCAL_SUM,
@@ -304,7 +333,7 @@ class TestIntrinsicLimitBracket:
         time equals the measured vacuum value; it must land at the
         parts-per-billion scale."""
         n3_ref = reference_n3(media)
-        tau_ref = tau_impurity(osc, media, 0.04, n3_ref)
+        tau_ref = channel(osc, media, "tau_imp", [0.04], n3_ref)[0]
         n3_star = n3_ref * tau_ref / DEFAULT_TAU_VACUUM
         state = HeliumState(temperature=1.0,
                             he4_mass_density=media.he4_mass_density)
@@ -312,7 +341,7 @@ class TestIntrinsicLimitBracket:
         assert rel(x3_star, 1.8326286426845414e-09) < 1e-12
         assert 5e-10 <= x3_star <= 5e-9
         # the inversion really solves the equation
-        assert rel(tau_impurity(osc, media, 0.04, n3_star),
+        assert rel(channel(osc, media, "tau_imp", [0.04], n3_star)[0],
                    DEFAULT_TAU_VACUUM) < 1e-12
 
 
@@ -373,26 +402,6 @@ class TestArrayPath:
             else:
                 want = 1.0 / math.fsum(1.0 / v for v in present)
             assert rel(total, want) < 1e-12
-
-    @given(st.floats(min_value=1e-3, max_value=2.5),
-           st.floats(min_value=1e16, max_value=1e25),
-           st.sampled_from(list(RegimeMode)))
-    @settings(max_examples=40, deadline=None)
-    def test_curve_rows_are_table_rows(self, osc, media, T, n3, mode):
-        table = damping_table(osc, media, [T], n3, mode)
-        (T_row, bd), = damping_curve(osc, media, [T], n3, mode)
-        assert T_row == T
-        assert bd.tau_total == table.tau_total[0]
-        assert bd.tau_ph == table.tau_ph[0]
-        assert (bd.tau_hydr is None) == bool(np.isnan(table.tau_hydr[0]))
-
-    def test_table_csv_equals_rows_csv(self, osc, media):
-        grid = np.geomspace(0.01, 2.1, 40)
-        table = damping_table(osc, media, grid, reference_n3(media))
-        from_table, from_rows = io.StringIO(), io.StringIO()
-        write_damping_csv(table, from_table)
-        write_damping_csv(table.rows(), from_rows)
-        assert from_table.getvalue() == from_rows.getvalue()
 
     def test_invariant_breach_rejected_for_the_grid(self, osc, media):
         with pytest.raises(ValueError, match="row 0"):

@@ -1,6 +1,6 @@
 """Concentration fitting against model-generated decay-time series.
 
-Forward data always come from damping_curve; the checks on the fit use
+Forward data always come from damping_table; the checks on the fit use
 closed-form scaling identities (tau_imp proportional to 1/n3) and plain
 ratio arithmetic as the independent route.
 """
@@ -15,11 +15,7 @@ from levosc.damping import (
     DEFAULT_TAU_VACUUM,
     OscillatorSpec,
     RegimeMode,
-    damping_curve,
-    tau_impurity,
-    tau_phonon,
-    tau_roton,
-    tau_total,
+    damping_table,
 )
 from levosc.errors import BracketError, ConfigError, DataError
 from levosc.fitting import (
@@ -31,7 +27,6 @@ from levosc.fitting import (
     fit_he3_concentration,
     load_tau_series_csv,
     model_residuals,
-    model_tau,
     predict_contamination,
     write_residuals_csv,
 )
@@ -48,14 +43,14 @@ def n4_of(media):
 
 def series_from_model(osc, media, T_grid, n3, tau_vacuum=DEFAULT_TAU_VACUUM,
                       noise=0.0, seed=0):
-    rows = damping_curve(osc, media, T_grid, n3,
-                         RegimeMode.RECIPROCAL_SUM, tau_vacuum)
-    taus = np.array([bd.tau_total for _, bd in rows])
+    table = damping_table(osc, media, T_grid, n3,
+                          RegimeMode.RECIPROCAL_SUM, tau_vacuum)
+    taus = table.tau_total
     if noise:
         rng = np.random.default_rng(seed)
         taus = taus * np.exp(noise * rng.standard_normal(len(taus)))
     return TauTemperatureSeries(rows=tuple(
-        (T, float(tau), None) for (T, _), tau in zip(rows, taus)))
+        (T, float(tau), None) for T, tau in zip(table.T.tolist(), taus)))
 
 
 IMPURITY_GRID = [0.015, 0.018, 0.022, 0.027, 0.033, 0.04]
@@ -75,6 +70,14 @@ def test_series_validation():
         TauTemperatureSeries(rows=((0.1, 1e5, -1.0),))
 
 
+@pytest.mark.parametrize("row", [(math.nan, 1e5, None), (math.inf, 1e5, None),
+                                 (0.1, math.nan, None), (0.1, math.inf, None),
+                                 (0.1, 1e5, math.nan), (0.1, 1e5, math.inf)])
+def test_series_rejects_non_finite(row):
+    with pytest.raises(ValueError, match="finite"):
+        TauTemperatureSeries(rows=(row,))
+
+
 def test_series_arrays():
     s = TauTemperatureSeries(rows=((0.1, 1e5, 100.0), (0.2, 2e4, None)))
     assert np.array_equal(s.temperatures, [0.1, 0.2])
@@ -90,24 +93,16 @@ def test_concentration_fit_validation():
 
 # ------------------------------------------------------------- model side
 
-def test_model_tau_matches_channel_composition(osc, media):
+def test_model_total_matches_channel_composition(osc, media):
     # independent route: assemble the composite from the channel
-    # functions directly instead of going through the curve helper
+    # columns directly instead of taking the table's composite
     for T, n3 in [(0.02, 9e20), (0.3, 1e21), (1.5, 5e20)]:
-        got = model_tau(osc, media, T, n3)
-        from levosc.media import viscosity_normal
-        try:
-            from levosc.damping import tau_hydrodynamic
-            hydr = tau_hydrodynamic(osc, viscosity_normal(media.viscosity, T))
-        except Exception:
-            hydr = None
-        want = tau_total(
-            RegimeMode.RECIPROCAL_SUM,
-            tau_hydr=hydr,
-            tau_ph=tau_phonon(osc, media.quasiparticles, media.constants, T),
-            tau_rot=tau_roton(osc, media.quasiparticles, media.constants, T),
-            tau_imp=tau_impurity(osc, media, T, n3),
-            tau_vacuum=DEFAULT_TAU_VACUUM).tau_total
+        table = damping_table(osc, media, [T], n3)
+        got = table.tau_total[0]
+        channels = [table.tau_hydr, table.tau_ph, table.tau_rot,
+                    table.tau_imp, table.tau_vacuum]
+        want = 1.0 / math.fsum(1.0 / tau[0] for tau in channels
+                               if not math.isnan(tau[0]))
         assert abs(got - want) < 1e-12 * want
 
 
@@ -131,9 +126,10 @@ def test_residuals_doubled_n3_is_minus_ln2(osc, media):
 def test_residuals_partition_by_regime(osc, media):
     n3 = X3_REFERENCE * n4_of(media)
     good = series_from_model(osc, media, IMPURITY_GRID, n3)
-    warm = damping_curve(osc, media, [0.7, 0.8, 0.9], n3)
+    warm = damping_table(osc, media, [0.7, 0.8, 0.9], n3)
     rows = tuple(good.rows) + tuple(
-        (T, 1.5 * bd.tau_total, None) for T, bd in warm)
+        (T, 1.5 * tau, None) for T, tau in zip(warm.T.tolist(),
+                                               warm.tau_total.tolist()))
     series = TauTemperatureSeries(rows=rows)
     r = model_residuals(series, osc, media, n3)
     assert np.all(np.abs(r[:6]) < 1e-10)
@@ -215,9 +211,10 @@ def test_warm_rows_downweighted(osc, media):
     # down-weighting they barely steer the fit, at full weight they do
     n3_true = X3_REFERENCE * n4_of(media)
     cold = series_from_model(osc, media, IMPURITY_GRID, n3_true)
-    warm = damping_curve(osc, media, [0.7, 0.8, 0.9, 1.1], n3_true)
+    warm = damping_table(osc, media, [0.7, 0.8, 0.9, 1.1], n3_true)
     rows = tuple(cold.rows) + tuple(
-        (T, 1.6 * bd.tau_total, None) for T, bd in warm)
+        (T, 1.6 * tau, None) for T, tau in zip(warm.T.tolist(),
+                                               warm.tau_total.tolist()))
     series = TauTemperatureSeries(rows=rows)
     soft = fit_he3_concentration(series, osc, media)
     hard = fit_he3_concentration(series, osc, media, regime_weight=1.0)
@@ -230,9 +227,10 @@ def test_warm_rows_downweighted(osc, media):
 def test_regime_threshold_configurable(osc, media):
     n3_true = X3_REFERENCE * n4_of(media)
     cold = series_from_model(osc, media, IMPURITY_GRID, n3_true)
-    mid = damping_curve(osc, media, [0.4, 0.5], n3_true)
+    mid = damping_table(osc, media, [0.4, 0.5], n3_true)
     rows = tuple(cold.rows) + tuple(
-        (T, 1.6 * bd.tau_total, None) for T, bd in mid)
+        (T, 1.6 * tau, None) for T, tau in zip(mid.T.tolist(),
+                                               mid.tau_total.tolist()))
     series = TauTemperatureSeries(rows=rows)
     default = fit_he3_concentration(series, osc, media)
     lowered = fit_he3_concentration(series, osc, media,

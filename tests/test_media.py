@@ -193,6 +193,19 @@ class TestDefaultsAndOverrides:
         with pytest.raises(ConfigError):
             media_from_overrides({"not_a_property": 1.0})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: PhysicalConstants(hbar=v),
+        lambda v: QuasiparticleParams(c=v),
+        lambda v: QuasiparticleParams(m3_eff_ratio=v),
+        lambda v: ViscosityTable(((1.0, 2e-5), (2.0, v))),
+        lambda v: ViscosityTable(((1.0, 2e-5), (v, 1e-6))),
+        lambda v: HeliumMedia(he4_mass_density=v),
+    ], ids=["hbar", "c", "m3_eff_ratio", "eta", "T", "he4_mass_density"])
+    def test_non_finite_values_rejected(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
+
     def test_media_immutable(self, media):
         with pytest.raises(Exception):
             media.he4_mass_density = 150.0
