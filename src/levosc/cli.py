@@ -236,7 +236,11 @@ def _resolve_inputs(args, cfg: dict) -> dict[str, Path]:
     ref = cfg["media_overrides"]
     if ref is not None and args.command in ("damping-curve", "fit-he3",
                                             "sensitivity"):
-        inputs["media_overrides"] = _config_dir(args) / ref
+        path = _config_dir(args) / ref
+        inputs["media_overrides"] = path
+        table = media.load_property_overrides(path).get("viscosity_csv")
+        if table is not None:
+            inputs["viscosity_csv"] = Path(table)
     ref = cfg["detection"]["geometry"]
     if ref is not None and args.command == "detection-sweep":
         inputs["geometry"] = _config_dir(args) / ref

@@ -78,14 +78,11 @@ class OscillatorSpec:
     resonant_frequency: float = 2.7
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        if self.radius_warm <= 0:
-            raise ValueError("radius_warm must be positive")
+        for name in ("mass", "radius_warm", "resonant_frequency"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.contraction_fraction < 0.1:
             raise ValueError("contraction_fraction must lie in [0, 0.1)")
-        if self.resonant_frequency <= 0:
-            raise ValueError("resonant_frequency must be positive")
 
     @property
     def radius(self) -> float:

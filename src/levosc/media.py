@@ -130,17 +130,23 @@ class ViscosityTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "ViscosityTable":
         """Load a replacement table from a two-column CSV (T_K, eta_Pa_s)."""
+        try:
+            with open(path, newline="") as fh:
+                records = list(csv.reader(fh))
+        except (OSError, ValueError, csv.Error) as exc:
+            # ValueError: not UTF-8, or a NUL in the path
+            raise DataError(f"cannot read viscosity CSV {path}: {exc}") \
+                from exc
         rows = []
-        with open(path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if not rec or rec[0].lstrip().startswith("#"):
+        for rec in records:
+            if not rec or rec[0].lstrip().startswith("#"):
+                continue
+            try:
+                rows.append((float(rec[0]), float(rec[1])))
+            except (ValueError, IndexError):
+                if not rows:  # tolerate a single header line
                     continue
-                try:
-                    rows.append((float(rec[0]), float(rec[1])))
-                except (ValueError, IndexError):
-                    if not rows:  # tolerate a single header line
-                        continue
-                    raise DataError(f"bad viscosity row in {path}: {rec!r}")
+                raise DataError(f"bad viscosity row in {path}: {rec!r}")
         if len(rows) < 2:
             raise DataError(f"viscosity CSV {path} has fewer than two rows")
         try:
@@ -163,12 +169,11 @@ class HeliumState:
     he4_mass_density: float = DEFAULT_HE4_MASS_DENSITY
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        for name in ("temperature", "he4_mass_density"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.he3_fraction < 1.0:
             raise ValueError("he3_fraction must lie in [0, 1)")
-        if self.he4_mass_density <= 0:
-            raise ValueError("he4_mass_density must be positive")
 
 
 @dataclass(frozen=True)
@@ -268,7 +273,12 @@ def load_property_overrides(path: str | Path) -> dict[str, object]:
     """
     overrides: dict[str, object] = {}
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or a NUL
+        raise DataError(f"cannot read media overrides {path}: {exc}") \
+            from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

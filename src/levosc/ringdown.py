@@ -65,14 +65,13 @@ class RingdownParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.amplitude0 <= 0:
-            raise ValueError("amplitude0 must be positive")
-        if self.f0 <= 0:
-            raise ValueError("f0 must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.noise_rms < 0:
-            raise ValueError("noise_rms must be non-negative")
+        for name in ("amplitude0", "f0", "tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not math.isfinite(self.phase0):
+            raise ValueError("phase0 must be finite")
+        if not 0 <= self.noise_rms < math.inf:
+            raise ValueError("noise_rms must be finite and non-negative")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -205,6 +204,10 @@ def synthesize_ringdown(params: RingdownParams,
     return blocks
 
 
+def _hann(n: int) -> np.ndarray:
+    return 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
+
+
 def block_amplitude(samples: np.ndarray, sample_rate: float,
                     f0_hint: float) -> AmplitudeRow:
     """Extract the oscillation amplitude of one block.
@@ -216,10 +219,16 @@ def block_amplitude(samples: np.ndarray, sample_rate: float,
     magnitude; below 3 the row is flagged as noise-dominated but kept.
     """
     x = np.asarray(samples, dtype=float)
+    return _windowed_amplitude(x, sample_rate, f0_hint, _hann(len(x)))
+
+
+def _windowed_amplitude(x: np.ndarray, sample_rate: float, f0_hint: float,
+                        w: np.ndarray) -> AmplitudeRow:
+    """:func:`block_amplitude` of ``x`` with its Hann window ``w``
+    already built."""
     n = len(x)
     if n * f0_hint / sample_rate < 20.0:
         raise DataError("block shorter than 20 periods of the hint frequency")
-    w = 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
     mag = np.abs(np.fft.rfft(x * w))
     hint_bin = f0_hint * n / sample_rate
     lo = max(1, round(hint_bin) - 2)
@@ -249,8 +258,12 @@ def block_amplitude(samples: np.ndarray, sample_rate: float,
 def amplitude_series(blocks: Sequence[Block],
                      f0_hint: float) -> AmplitudeSeries:
     rows = []
+    w = None    # one window for every block of the same length
     for block in blocks:
-        row = block_amplitude(block.samples, block.sample_rate, f0_hint)
+        if w is None or len(w) != len(block.samples):
+            w = _hann(len(block.samples))
+        row = _windowed_amplitude(block.samples, block.sample_rate, f0_hint,
+                                  w)
         rows.append(AmplitudeRow(time=block.start_time,
                                  frequency=row.frequency,
                                  amplitude=row.amplitude, snr=row.snr,

@@ -875,3 +875,27 @@ def test_manifest_missing_override_file_exits_3(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "ghost.properties" in capsys.readouterr().err
+
+
+def test_missing_viscosity_csv_exits_3(tmp_path, capsys):
+    (tmp_path / "media.properties").write_text("viscosity_csv = ghost.csv\n")
+    cfg = write_config(tmp_path, {"media_overrides": "media.properties"})
+    rc = main(["damping-curve", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "ghost.csv" in capsys.readouterr().err
+
+
+def test_manifest_digests_viscosity_csv(tmp_path):
+    import hashlib
+    table = tmp_path / "eta.csv"
+    table.write_text("T_K,eta_Pa_s\n1.0,2.3e-5\n2.0,1.4e-6\n")
+    (tmp_path / "media.properties").write_text("viscosity_csv = eta.csv\n")
+    cfg = write_config(tmp_path, {"media_overrides": "media.properties",
+                                  "damping": {"points": 4}})
+    out = tmp_path / "out"
+    assert main(["damping-curve", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    digests = manifest_of(out)["input_sha256"]
+    assert digests["viscosity_csv"] == \
+        hashlib.sha256(table.read_bytes()).hexdigest()

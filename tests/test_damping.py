@@ -62,6 +62,15 @@ class TestOscillatorSpec:
             OscillatorSpec(mass=1e-6, radius_warm=1e-3,
                            contraction_fraction=0.2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["mass", "radius_warm",
+                                       "contraction_fraction",
+                                       "resonant_frequency"])
+    def test_non_finite_values_rejected(self, field, value):
+        kwargs = {"mass": 6.33e-6, "radius_warm": 1e-3, field: value}
+        with pytest.raises(ValueError):
+            OscillatorSpec(**kwargs)
+
 
 class TestChannelReferences:
     def test_hydrodynamic(self, osc):

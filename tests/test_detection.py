@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ellipe, ellipk
 
 from levosc import (ConfigError, DomainError, GeometryError,
@@ -22,8 +22,8 @@ from levosc import (ConfigError, DomainError, GeometryError,
                     induced_voltage, load_geometry, mutual_inductance,
                     orthogonal_geometry, position_sweep, resonance_frequency,
                     self_inductance)
-from levosc.detection import (MU0, SweepResult, SweepRow, check_clearance,
-                              write_sweep_csv)
+from levosc.detection import (MU0, SweepResult, SweepRow, _ellipke,
+                              check_clearance, write_sweep_csv)
 
 
 def rel(a, b):
@@ -93,6 +93,30 @@ def random_rotation(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+class TestEllipticIntegrals:
+    @given(st.one_of(
+        st.floats(min_value=0.0, max_value=1.0 - 1e-16),
+        st.floats(min_value=0.0, max_value=1e-12),
+        st.floats(min_value=1.0 - 1e-12, max_value=1.0 - 1e-16)))
+    @example(0.0)
+    @example(5e-324)
+    @example(1e-300)
+    @example(0.5)
+    @example(1.0 - 1e-16)
+    @settings(max_examples=400, deadline=None)
+    def test_agm_matches_scipy(self, m):
+        K, E = _ellipke(m)
+        assert rel(float(K), ellipk(m)) <= 1e-14
+        assert rel(float(E), ellipe(m)) <= 1e-14
+
+    def test_elementwise_over_arrays(self):
+        m = np.linspace(0.0, 1.0, 101, endpoint=False).reshape(1, 101)
+        K, E = _ellipke(m)
+        assert K.shape == E.shape == m.shape
+        assert np.all(np.abs(K / ellipk(m) - 1.0) <= 1e-14)
+        assert np.all(np.abs(E / ellipe(m) - 1.0) <= 1e-14)
 
 
 class TestCoilField:

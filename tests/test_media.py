@@ -77,6 +77,11 @@ class TestViscosity:
         bad.write_text("1.0,2e-5\n1.5,oops\n")
         with pytest.raises(DataError):
             ViscosityTable.from_csv(bad)
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"1.0,2e-5\n\xff\xfe,1e-6\n")
+        for path in (binary, tmp_path / "ghost.csv"):
+            with pytest.raises(DataError, match="cannot read"):
+                ViscosityTable.from_csv(path)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +197,8 @@ class TestDefaultsAndOverrides:
             load_property_overrides(bad2)
         with pytest.raises(ConfigError):
             media_from_overrides({"not_a_property": 1.0})
+        with pytest.raises(DataError, match="ghost.txt"):
+            load_property_overrides(tmp_path / "ghost.txt")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("make", [
@@ -201,7 +208,10 @@ class TestDefaultsAndOverrides:
         lambda v: ViscosityTable(((1.0, 2e-5), (2.0, v))),
         lambda v: ViscosityTable(((1.0, 2e-5), (v, 1e-6))),
         lambda v: HeliumMedia(he4_mass_density=v),
-    ], ids=["hbar", "c", "m3_eff_ratio", "eta", "T", "he4_mass_density"])
+        lambda v: HeliumState(temperature=v),
+        lambda v: HeliumState(temperature=1.0, he4_mass_density=v),
+    ], ids=["hbar", "c", "m3_eff_ratio", "eta", "T", "he4_mass_density",
+            "state_T", "state_he4_mass_density"])
     def test_non_finite_values_rejected(self, make, value):
         with pytest.raises(ValueError, match="finite"):
             make(value)

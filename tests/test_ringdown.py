@@ -105,6 +105,15 @@ def test_params_validation():
         RingdownParams(amplitude0=1.0, f0=2.7, tau=1e5, seed=2**64)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["amplitude0", "f0", "tau", "phase0",
+                                   "noise_rms"])
+def test_params_non_finite_rejected(field, value):
+    kwargs = {"amplitude0": 1.0, "f0": 2.7, "tau": 1e5, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        RingdownParams(**kwargs)
+
+
 def test_block_validation():
     with pytest.raises(ValueError):
         Block(start_time=0.0, sample_rate=50.0, samples=np.array([1.0]))
@@ -251,6 +260,21 @@ def test_series_times_come_from_block_starts():
         REFERENCE_SCHEDULE)
     series = amplitude_series(blocks, 2.7)
     assert [r.time for r in series.rows] == REFERENCE_SCHEDULE.block_starts()
+
+
+def test_series_rows_equal_per_block_amplitudes():
+    # the series shares one window across blocks of the same length;
+    # block_amplitude builds its own, and mixed lengths rebuild it
+    rng = np.random.default_rng(5)
+    blocks = [Block(start_time=3600.0 * k, sample_rate=50.0,
+                    samples=tone(n, 50.0, 2.7, amp=0.9 ** k)
+                    + 0.01 * rng.normal(size=n))
+              for k, n in enumerate([1500, 1500, 1201, 1201, 1500])]
+    series = amplitude_series(blocks, 2.7)
+    for block, row in zip(blocks, series.rows):
+        ref = block_amplitude(block.samples, block.sample_rate, 2.7)
+        assert (row.frequency, row.amplitude, row.snr, row.flagged) == \
+            (ref.frequency, ref.amplitude, ref.snr, ref.flagged)
 
 
 def test_series_validation():
