@@ -12,18 +12,19 @@ cross-section. Discretization is finite-volume on a graded tensor
 mesh: uniform and fine over a core box containing coils and sphere,
 geometrically stretched toward the far boundary so that truncation
 error stays below the discretization error. The linear system is
-symmetric positive definite and is solved by conjugate gradients,
-preconditioned with the exact fast solver of the sphere-free operator
-(a Kronecker sum of two 1-D pencils, Buzbee, Golub & Nielson 1970); the
-sphere then enters as a small perturbation that takes a handful of
-iterations (Concus & Golub 1973).
+symmetric positive definite and is solved directly, with no iteration.
+Without the sphere the operator is a Kronecker sum of two 1-D pencils,
+whose eigenpairs give its exact inverse (Buzbee, Golub & Nielson 1970).
+The sphere changes that operator only at the few dozen nodes inside it
+and next to its surface, so each pose adds a small dense capacitance
+system on those nodes, solved against the sphere-free inverse (Buzbee,
+Dorr, George & Golub 1971).
 
 Only the sphere depends on the pose. The sphere-free operator of one
-mesh and driven coil (link lengths, source, and the eigenpairs of both
-pencils) is built once and shared, read-only, by every solve on that
-mesh: the two solves of ``oracle_delta_L`` and the base solve and all
-poses of ``oracle_sweep``. Each solve pins the sphere's nodes and
-shortens the links across its surface in link conductances of its own.
+mesh and driven coil (link lengths, source, the eigenpairs of both
+pencils and the sphere-free solution) is built once and shared,
+read-only, by every solve on that mesh: the two solves of
+``oracle_delta_L`` and the base solve and all poses of ``oracle_sweep``.
 
 Receiver flux is the turns-weighted integral of B_z over the mean
 cross-section, which for the flux function is simply
@@ -60,35 +61,34 @@ _FAR_Z_MARGIN = 8.5
 _CORE_FRAC_RHO = 0.72
 _CORE_FRAC_Z = 0.66
 
+# Entries of the largest array one capacitance solve builds (32 MiB):
+# room for the 0.985 mm sphere at 1024 x 1024, where m is about 1,500.
+_MAX_CAPACITANCE_ENTRIES = 2**22
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Resolution and convergence controls for one solve: ``tol`` bounds
-    the max-norm residual relative to the source, ``max_sweeps`` caps
-    the conjugate-gradient iterations."""
+    """Resolution and accuracy gate of one solve: ``tol`` bounds the
+    max-norm residual of the direct solve relative to the source."""
 
     n_rho: int = 256
     n_z: int = 256
     tol: float = 1e-8
-    max_sweeps: int = 40000
 
     def __post_init__(self):
         if self.n_rho < 64 or self.n_z < 64:
             raise ValueError("grid must be at least 64 x 64")
         if not 0 < self.tol < 1:
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.max_sweeps < 1:
-            raise ValueError("iteration cap must be positive")
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Converged solve: receiver flux per unit drive current, the
-    conjugate-gradient iteration count and final relative residual, plus
-    the full flux-function map for inspection."""
+    """Solve: receiver flux per unit drive current, the max-norm residual
+    relative to the source, and the full flux-function map for
+    inspection."""
 
     L_eff: float
-    iterations: int
     residual: float
     rho: np.ndarray
     z: np.ndarray
@@ -181,21 +181,21 @@ def _build_axes(coils, sphere_z, pose, grid: GridSpec):
     return rho, z
 
 
-def _segment_sphere_theta(p: np.ndarray, q: np.ndarray, zs: float,
-                          rs: float) -> float:
-    """Fraction of segment p->q (2-D, (rho, z)) at which it crosses the
-    sphere circle; clamped away from 0 to keep coefficients bounded."""
-    center = np.array([0.0, zs])
-    d = q - p
-    pc = p - center
-    a = float(d @ d)
-    b = 2.0 * float(pc @ d)
-    c = float(pc @ pc) - rs * rs
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    t = (-b - math.sqrt(disc)) / (2.0 * a)
-    if t <= 0.0:
-        t = (-b + math.sqrt(disc)) / (2.0 * a)
-    return min(max(t, 0.05), 1.0)
+def _segment_sphere_theta(p_rho: np.ndarray, p_z: np.ndarray,
+                          q_rho: np.ndarray, q_z: np.ndarray, zs: float,
+                          rs: float) -> np.ndarray:
+    """Fraction of each segment p->q in the (rho, z) plane at which it
+    crosses the sphere circle; clamped away from 0 to keep coefficients
+    bounded."""
+    d_rho, d_z = q_rho - p_rho, q_z - p_z
+    pc_z = p_z - zs
+    a = d_rho * d_rho + d_z * d_z
+    b = 2.0 * (p_rho * d_rho + pc_z * d_z)
+    c = p_rho * p_rho + pc_z * pc_z - rs * rs
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    t = (-b - root) / (2.0 * a)
+    t = np.where(t <= 0.0, (-b + root) / (2.0 * a), t)
+    return np.clip(t, 0.05, 1.0)
 
 
 def _pencil(k: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,10 +212,10 @@ def _pencil(k: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _FieldOperator:
     """Everything about one mesh and one driven coil that no sphere
-    changes: face coordinates, link lengths, the source, and the
-    eigenpairs of the two 1-D pencils whose Kronecker sum is the
-    sphere-free operator. Every array is a read-only view, so solves
-    that share the operator cannot alter it."""
+    changes: face coordinates, link lengths, the source, the eigenpairs
+    of the two 1-D pencils whose Kronecker sum is the sphere-free
+    operator, and the sphere-free solution ``psi0``. Every array is a
+    read-only view, so solves that share the operator cannot alter it."""
 
     receiver: CoilSpec
     rho: np.ndarray
@@ -232,6 +232,7 @@ class _FieldOperator:
     phi_r: np.ndarray
     phi_z: np.ndarray
     lam: np.ndarray
+    psi0: np.ndarray
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -304,118 +305,135 @@ def _field_operator(geometry: DetectionGeometry,
 
     # Without the sphere the interior operator is the Kronecker sum
     # K_rho (x) D_z + D_rho (x) K_z; its exact inverse, applied through
-    # the eigenvectors of the two 1-D pencils, preconditions the solve.
+    # the eigenvectors of the two 1-D pencils, gives the sphere-free
+    # solution psi0 and, through the capacitance matrix, every sphere.
     phi_r, lam_r = _pencil(1.0 / (rho_f[1:-1] * np.diff(rho)),
                            ln_fac[1:-1, 0])
     phi_z, lam_z = _pencil(1.0 / np.diff(z), dz_cell[0, 1:-1])
+    lam = lam_r[:, None] + lam_z[None, :]
+    psi0 = np.zeros((nr, nz))
+    psi0[1:-1, 1:-1] = phi_r @ ((phi_r.T @ source[1:-1, 1:-1] @ phi_z)
+                                / lam) @ phi_z.T
     return _FieldOperator(
         receiver=geometry.receivers[0], rho=rho, z=z, rho_f=rho_f,
         dz_cell=dz_cell, ln_fac=ln_fac, h_e=h_e, h_w=h_w, h_n=h_n, h_s=h_s,
         source=source, source_norm=source_norm, phi_r=phi_r, phi_z=phi_z,
-        lam=lam_r[:, None] + lam_z[None, :])
+        lam=lam, psi0=psi0)
+
+
+def _surface_links(op: _FieldOperator, conductances: tuple[np.ndarray, ...],
+                   inside: np.ndarray, free: np.ndarray, sphere_z: float,
+                   rs: float) -> np.ndarray:
+    """Extra diagonal conductance d >= 0 of every free node, from its
+    links that cross the sphere surface. A link that meets the surface
+    at the fraction t of its length conducts c / t instead of c, so the
+    boundary condition lands on the surface, not the nearest node."""
+    rho, z = op.rho, op.z
+    d = np.zeros(inside.shape)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))      # east, west, north, south
+    for c, (di, dj) in zip(conductances, steps):
+        # free nodes are interior, so the rolled-in edge is never used
+        i, j = np.nonzero(free & np.roll(inside, (-di, -dj), axis=(0, 1)))
+        t = _segment_sphere_theta(rho[i], z[j], rho[i + di], z[j + dj],
+                                  sphere_z, rs)
+        d[i, j] += c[i, j] / t - c[i, j]
+    return d
+
+
+def _capacitance_correction(op: _FieldOperator, i: np.ndarray,
+                            j: np.ndarray, extra: np.ndarray,
+                            rhs: np.ndarray) -> np.ndarray:
+    """G e on the interior nodes, for the sources e on the nodes (i, j)
+    that solve (G[P, P] + diag(extra)) e = rhs, where G is the inverse of
+    the sphere-free operator and P the nodes (i, j).
+
+    G[P, P] comes from the pencils' Kronecker structure, never as rows
+    of G: over the distinct z rows of P, W[a] = Z diag(1 / lam[a]) Z^T
+    for each rho eigenvector a, contracted with phi_r over the distinct
+    rho rows."""
+    rows, ip = np.unique(i, return_inverse=True)
+    cols, jp = np.unique(j, return_inverse=True)
+    n_i, n_j = len(rows), len(cols)
+    # entries of the largest of ZZ, W, RR and T below
+    largest = max(n_j * n_j * max(op.lam.shape),
+                  n_i * n_i * op.lam.shape[0], (n_i * n_j) ** 2)
+    if largest > _MAX_CAPACITANCE_ENTRIES:
+        raise SolverError(
+            f"sphere spans {n_i} x {n_j} grid nodes, too many for the "
+            f"capacitance solve; a coarser grid or a smaller sphere fits")
+    R = op.phi_r[rows - 1]
+    Z = op.phi_z[cols - 1]
+    ZZ = (Z[:, None, :] * Z[None, :, :]).reshape(n_j * n_j, -1)
+    RR = (R[:, None, :] * R[None, :, :]).reshape(n_i * n_i, -1)
+    W = (1.0 / op.lam) @ ZZ.T
+    T = (RR @ W).reshape(n_i, n_i, n_j, n_j)
+    C = T[ip[:, None], ip[None, :], jp[:, None], jp[None, :]]
+    C[np.diag_indices_from(C)] += extra
+    e = np.zeros((n_i, n_j))
+    e[ip, jp] = np.linalg.solve(C, rhs)
+    return op.phi_r @ ((R.T @ e @ Z) / op.lam) @ op.phi_z.T
 
 
 def _solve(op: _FieldOperator, pose: SpherePose | None,
            sphere_z: float | None, grid: GridSpec) -> OracleResult:
     """Receiver flux per unit drive current on the operator's mesh, with
     the superconducting sphere ``pose`` centred at axial position
-    ``sphere_z``, or with no sphere. The sphere pins the nodes inside it
-    and shortens the links that cross its surface, in the solve's own
-    conductances."""
-    rho, z, rho_f, dz_cell, ln_fac = op.rho, op.z, op.rho_f, op.dz_cell, \
-        op.ln_fac
-    h_e, h_w, h_n, h_s = op.h_e, op.h_w, op.h_n, op.h_s
+    ``sphere_z``, or with no sphere.
+
+    The sphere pins psi = 0 at the interior nodes inside it (the set S)
+    and shortens the links that cross its surface, which raises the
+    diagonal of the free nodes at their outer ends by d > 0 (the set N).
+    The solution is the sphere-free one, psi0 = G b, plus the field of
+    sources e on P = S u N (the capacitance-matrix method of Buzbee,
+    Dorr, George & Golub 1971): psi = psi0 + G e. The conditions
+    psi[S] = 0 and e[N] = -d psi[N] make the m x m system
+    (G[P, P] + diag(0 on S, 1 / d on N)) e = -psi0[P], solved directly.
+    The true residual of the result is checked against ``grid.tol``."""
+    rho, z = op.rho, op.z
     nr, nz = len(rho), len(z)
     c_e, c_w, c_n, c_s = op.conductances()
 
     fixed = np.zeros((nr, nz), dtype=bool)
     fixed[0, :] = fixed[-1, :] = True
     fixed[:, 0] = fixed[:, -1] = True
+    d = np.zeros((nr, nz))
+    psi = op.psi0.copy()
     if pose is not None:
         rs = pose.radius
         inside = rho[:, None]**2 + (z[None, :] - sphere_z)**2 <= rs * rs
         if not inside.any():
             raise GeometryError("sphere smaller than one grid cell")
+        pinned = inside & ~fixed
         fixed |= inside
-        near = np.zeros_like(inside)
-        near[:-1, :] |= inside[1:, :]
-        near[1:, :] |= inside[:-1, :]
-        near[:, :-1] |= inside[:, 1:]
-        near[:, 1:] |= inside[:, :-1]
-        # shorten face links that cross the sphere surface so the
-        # boundary condition lands on the surface, not the nearest node
-        for i, j in zip(*np.where(near & ~fixed)):
-            p = np.array([rho[i], z[j]])
-            if i + 1 < nr and inside[i + 1, j]:
-                t = _segment_sphere_theta(p, np.array([rho[i + 1], z[j]]),
-                                          sphere_z, rs)
-                c_e[i, j] = (1.0 / rho_f[i + 1]) * dz_cell[0, j] / (t * h_e[i])
-            if i >= 1 and inside[i - 1, j]:
-                t = _segment_sphere_theta(p, np.array([rho[i - 1], z[j]]),
-                                          sphere_z, rs)
-                c_w[i, j] = (1.0 / max(rho_f[i], 1e-300)) \
-                    * dz_cell[0, j] / (t * h_w[i])
-            if j + 1 < nz and inside[i, j + 1]:
-                t = _segment_sphere_theta(p, np.array([rho[i], z[j + 1]]),
-                                          sphere_z, rs)
-                c_n[i, j] = ln_fac[i, 0] / (t * h_n[j])
-            if j >= 1 and inside[i, j - 1]:
-                t = _segment_sphere_theta(p, np.array([rho[i], z[j - 1]]),
-                                          sphere_z, rs)
-                c_s[i, j] = ln_fac[i, 0] / (t * h_s[j])
+        d = _surface_links(op, (c_e, c_w, c_n, c_s), inside, ~fixed,
+                           sphere_z, rs)
+        i, j = np.nonzero(pinned | (d > 0.0))
+        d_p = d[i, j]
+        extra = np.divide(1.0, d_p, out=np.zeros_like(d_p), where=d_p > 0.0)
+        psi[1:-1, 1:-1] += _capacitance_correction(op, i, j, extra,
+                                                   -op.psi0[i, j])
+        psi[fixed] = 0.0
 
     for arr in (c_e, c_w, c_n, c_s):
         arr[fixed] = 0.0
-    c_c = c_e + c_w + c_n + c_s
-
-    def apply(p):
-        """Five-point operator; zero on fixed nodes, where p is zero."""
-        out = c_c * p
-        out[:-1, :] -= c_e[:-1, :] * p[1:, :]
-        out[1:, :] -= c_w[1:, :] * p[:-1, :]
-        out[:, :-1] -= c_n[:, :-1] * p[:, 1:]
-        out[:, 1:] -= c_s[:, 1:] * p[:, :-1]
-        return out
-
-    phi_r, phi_z, lam = op.phi_r, op.phi_z, op.lam
-
-    def precondition(r):
-        out = np.zeros_like(r)
-        out[1:-1, 1:-1] = phi_r @ ((phi_r.T @ r[1:-1, 1:-1] @ phi_z) / lam) \
-            @ phi_z.T
-        out[fixed] = 0.0
-        return out
-
-    def gate(r):
-        return float(np.max(np.abs(r))) / op.source_norm
-
-    # preconditioned conjugate gradients, started from the preconditioned
-    # source, which is already the solution when there is no sphere
+    c_c = c_e + c_w + c_n + c_s + d
+    # five-point operator; zero on fixed nodes, where psi is zero
+    a_psi = c_c * psi
+    a_psi[:-1, :] -= c_e[:-1, :] * psi[1:, :]
+    a_psi[1:, :] -= c_w[1:, :] * psi[:-1, :]
+    a_psi[:, :-1] -= c_n[:, :-1] * psi[:, 1:]
+    a_psi[:, 1:] -= c_s[:, 1:] * psi[:, :-1]
     b = np.where(fixed, 0.0, op.source)
-    psi = precondition(b)
-    r = b - apply(psi)
-    iterations = 0
-    p = rz_old = None
-    while gate(r) >= grid.tol and iterations < grid.max_sweeps:
-        zr = precondition(r)
-        rz = float(np.vdot(r, zr))
-        p = zr if p is None else zr + (rz / rz_old) * p
-        q = apply(p)
-        alpha = rz / float(np.vdot(p, q))
-        psi += alpha * p
-        r -= alpha * q
-        rz_old = rz
-        iterations += 1
-    residual = gate(b - apply(psi))
+    residual = float(np.max(np.abs(b - a_psi))) / op.source_norm
     if residual >= grid.tol:
         raise SolverError(
-            f"conjugate gradients did not converge in {iterations} "
-            f"iterations (residual {residual:.3e}, tolerance {grid.tol:.1e})")
+            f"field solve residual {residual:.3e} is not under the "
+            f"tolerance {grid.tol:.1e}")
 
     flux_psi = _bilinear(psi, rho, z, op.receiver.mean_radius, 0.0)
     L_eff = op.receiver.turns * 2.0 * math.pi * flux_psi
-    return OracleResult(L_eff=L_eff, iterations=iterations,
-                        residual=residual, rho=rho, z=z, psi=psi)
+    return OracleResult(L_eff=L_eff, residual=residual, rho=rho, z=z,
+                        psi=psi)
 
 
 def axisymmetric_oracle(geometry: DetectionGeometry,
@@ -431,9 +449,9 @@ def axisymmetric_oracle(geometry: DetectionGeometry,
     ``mesh`` lets paired solves (sphere in / sphere out) share one
     grid so their discretization bias cancels in differences.
 
-    Raises :class:`SolverError` if conjugate gradients do not bring the
-    maximum residual under ``tol`` times the source norm within
-    ``max_sweeps`` iterations.
+    Raises :class:`SolverError` if the maximum residual of the solve is
+    not under ``tol`` times the source norm, or if the sphere covers too
+    many grid nodes for its capacitance system.
     """
     if driven not in ("receiver", "transmitter"):
         raise ConfigError(f"driven must be receiver or transmitter, got {driven!r}")

@@ -7,8 +7,9 @@ output file references that hash, so a directory of results is
 traceable to the exact inputs that produced it.
 
 Every config input is declared once, in CONFIG_TABLE, and read by
-_read_config before any compute: unknown sections and keys and values
-of the wrong JSON type exit 2 naming ``section.key``.
+_read_config before any compute: unknown sections and keys, values
+of the wrong JSON type and sizes past SIZE_CAPS exit 2 naming
+``section.key``.
 
 Exit codes: 0 success, 2 usage or configuration problems (an input too
 large for the available memory among them), 3 physics, geometry, or
@@ -31,7 +32,7 @@ from . import ringdown as rd
 from .errors import ConfigError, DataError, LevoscError
 from .svgplot import Series, line_plot_svg
 
-__all__ = ["main", "build_parser", "CONFIG_TABLE"]
+__all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS"]
 
 _MODES = tuple(mode.value for mode in damping.RegimeMode)
 
@@ -76,6 +77,20 @@ CONFIG_TABLE = {
         "temperature_K": ("number", 0.005),
         "tau_s": ("number", damping.DEFAULT_TAU_VACUUM),
         "velocity_m_s": ("number", 1e-5)},
+}
+
+# The largest accepted value of each input that sizes the arrays of a
+# run, so that a larger one exits 2 before anything is allocated. Peak
+# memory at the cap, from tracemalloc on numpy 2: a damping row (the
+# channel columns and the CSV text) and a sweep pose (its pose and row
+# objects, field arrays and CSV text) take about 680 B, a prediction row
+# about 330 B, and one node of the field solver about 140 B (the two
+# dense pencil eigenbases, n^2 each, and some 15 grid-sized arrays).
+SIZE_CAPS = {
+    "damping.points": 10**5,            # about 70 MB
+    "detection.sweep_points": 10**5,    # about 70 MB
+    "fit.predict_points": 10**5,        # about 35 MB
+    "detection.oracle_grid": 1024,      # about 150 MB
 }
 
 
@@ -182,6 +197,9 @@ def _read_config(table: dict, given, where: str) -> dict:
                 kind = " or ".join(json.dumps(choice) for choice in kind)
             raise ConfigError(f"{name}: expected {kind}, got {value!r}") \
                 from None
+        if name in SIZE_CAPS and typed[key] > SIZE_CAPS[name]:
+            raise ConfigError(
+                f"{name}: at most {SIZE_CAPS[name]}, got {value!r}")
     return typed
 
 

@@ -92,14 +92,15 @@ class CoilSpec:
         a = _as_vec(self.axis)
         object.__setattr__(self, "center", tuple(float(x) for x in c))
         object.__setattr__(self, "axis", tuple(float(x) for x in a))
+        if not (np.isfinite(c).all() and np.isfinite(a).all()):
+            raise ValueError("coil center and axis must be finite")
         if abs(np.linalg.norm(a) - 1.0) > 1e-12:
             raise ValueError("coil axis must be a unit vector (|norm-1| <= 1e-12)")
-        if self.mean_radius <= 0:
-            raise ValueError("mean_radius must be positive")
+        for name in ("mean_radius", "conductor_cross_section_total"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not (isinstance(self.turns, int) and self.turns >= 1):
             raise ValueError("turns must be a positive integer")
-        if self.conductor_cross_section_total <= 0:
-            raise ValueError("conductor cross-section must be positive")
         if self.role not in ("transmitter", "receiver"):
             raise ValueError(f"unknown coil role {self.role!r}")
 
@@ -200,8 +201,10 @@ class SpherePose:
     def __post_init__(self):
         c = _as_vec(self.center)
         object.__setattr__(self, "center", tuple(float(x) for x in c))
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not np.isfinite(c).all():
+            raise ValueError("sphere center must be finite")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("sphere radius must be finite and positive")
 
     @property
     def center_v(self) -> np.ndarray:

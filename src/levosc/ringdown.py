@@ -129,8 +129,10 @@ class Block:
                            np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1 or len(self.samples) < 2:
             raise ValueError("block needs a 1-D array of >= 2 samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("sample_rate must be finite and positive")
+        if not math.isfinite(self.start_time):
+            raise ValueError("start_time must be finite")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levosc.cli import CONFIG_TABLE, main
+from levosc.cli import CONFIG_TABLE, SIZE_CAPS, _load_config, main
 from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
                             damping_table)
 from levosc.detection import coaxial_geometry
@@ -159,6 +159,19 @@ REJECTED_INPUTS = [
 def test_config_input_rejected_exits_2(tmp_path, capsys, command, cfg_obj,
                                        name):
     assert run_command(tmp_path, command, cfg_obj)[0] == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_CAPS))
+def test_size_cap_exits_2_past_it(tmp_path, capsys, name):
+    # only the config reader runs, so neither value allocates its arrays
+    section, key = name.split(".")
+    cap = SIZE_CAPS[name]
+    at_cap = write_config(tmp_path, {section: {key: cap}}, "at_cap.json")
+    assert _load_config(at_cap)[0][section][key] == cap
+    assert run_command(tmp_path, SECTION_COMMANDS[section][0],
+                       {section: {key: cap + 1}})[0] == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
 

@@ -546,6 +546,27 @@ class TestGeometryIO:
                      mean_radius=3e-3, turns=10,
                      conductor_cross_section_total=1e-6)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean_radius",
+                                       "conductor_cross_section_total",
+                                       "center", "axis"])
+    def test_coil_non_finite_rejected(self, field, value):
+        kwargs = {"center": (0.0, 0.0, 0.0), "axis": (0.0, 0.0, 1.0),
+                  "mean_radius": 3e-3, "turns": 10,
+                  "conductor_cross_section_total": 1e-6}
+        kwargs[field] = ((0.0, value, 0.0) if field in ("center", "axis")
+                         else value)
+        with pytest.raises(ValueError, match="finite"):
+            CoilSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["radius", "center"])
+    def test_sphere_non_finite_rejected(self, field, value):
+        kwargs = {"center": (0.0, 0.0, 9e-3), "radius": 0.985e-3}
+        kwargs[field] = (0.0, 0.0, value) if field == "center" else value
+        with pytest.raises(ValueError, match="finite"):
+            SpherePose(**kwargs)
+
     def test_two_receivers_must_be_orthogonal(self):
         rx1 = CoilSpec(center=(0, 0, 0.02), axis=(1, 0, 0), mean_radius=3e-3,
                        turns=60, conductor_cross_section_total=1.2e-6)

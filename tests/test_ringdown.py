@@ -122,6 +122,15 @@ def test_block_validation():
               samples=np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["sample_rate", "start_time"])
+def test_block_non_finite_rejected(field, value):
+    kwargs = {"start_time": 0.0, "sample_rate": 50.0,
+              "samples": np.array([1.0, 2.0]), field: value}
+    with pytest.raises(ValueError, match="finite"):
+        Block(**kwargs)
+
+
 # --------------------------------------------------------------- synthesis
 
 def test_synthesis_matches_formula_noiseless():
