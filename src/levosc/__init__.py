@@ -8,17 +8,15 @@ helium-3 concentration from measured decay times.
 """
 
 from .errors import (BracketError, ConfigError, DataError, DomainError,
-                     FitError, GeometryError, LevoscError, RangeError,
-                     SolverError)
-from .media import (HeliumMedia, HeliumState, PhysicalConstants,
-                    QuasiparticleParams, ViscosityTable, default_media,
-                    he3_number_density, he4_number_density,
-                    thermal_velocity_he3, viscosity_normal)
+                     FitError, GeometryError, LevoscError, SolverError)
+from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
+                    ViscosityTable, thermal_velocity_he3,
+                    viscosity_normal_grid)
 from .damping import (DampingTable, OscillatorSpec, RegimeMode,
                       SensitivityReport, damping_table, drag_force,
                       linewidth, noise_density, sensitivity_report)
 from .detection import (CoilSpec, DetectionGeometry, DriveSpec, MediumSpec,
-                        SpherePose, SweepResult, SweepRow,
+                        SpherePose, SweepResult,
                         capacitance_from_resonance, coaxial_geometry,
                         coil_field, effective_inductance, induced_dipole,
                         induced_voltage, load_geometry, mutual_inductance,
@@ -26,8 +24,8 @@ from .detection import (CoilSpec, DetectionGeometry, DriveSpec, MediumSpec,
                         resonance_frequency, self_inductance)
 from .axisym import (GridSpec, OracleResult, axisymmetric_oracle,
                      oracle_delta_L, oracle_sweep)
-from .ringdown import (AmplitudeRow, AmplitudeSeries, Block, BlockSchedule,
-                       DecayFit, RingdownParams, analyze_ringdown,
+from .ringdown import (AmplitudeSeries, Block, BlockSchedule, DecayFit,
+                       RingdownParams, analyze_ringdown, amplitude_series,
                        block_amplitude, fit_decay, synthesize_ringdown)
 from .fitting import (ConcentrationFit, TauTemperatureSeries,
                       fit_he3_concentration, model_residuals,
@@ -37,24 +35,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "LevoscError", "ConfigError", "DomainError", "RangeError",
-    "GeometryError", "SolverError", "DataError", "FitError", "BracketError",
+    "LevoscError", "ConfigError", "DomainError", "GeometryError",
+    "SolverError", "DataError", "FitError", "BracketError",
     "PhysicalConstants", "QuasiparticleParams", "ViscosityTable",
-    "HeliumState", "HeliumMedia", "default_media", "viscosity_normal",
-    "thermal_velocity_he3", "he4_number_density", "he3_number_density",
+    "HeliumMedia", "viscosity_normal_grid", "thermal_velocity_he3",
     "OscillatorSpec", "RegimeMode", "DampingTable", "SensitivityReport",
     "damping_table", "linewidth", "drag_force", "noise_density",
     "sensitivity_report",
     "CoilSpec", "DriveSpec", "MediumSpec", "DetectionGeometry", "SpherePose",
-    "SweepRow", "SweepResult", "coil_field", "self_inductance",
+    "SweepResult", "coil_field", "self_inductance",
     "mutual_inductance", "induced_dipole", "effective_inductance",
     "resonance_frequency", "capacitance_from_resonance", "induced_voltage",
     "position_sweep", "coaxial_geometry", "orthogonal_geometry",
     "load_geometry",
     "GridSpec", "OracleResult", "axisymmetric_oracle", "oracle_delta_L",
     "oracle_sweep",
-    "RingdownParams", "BlockSchedule", "Block", "AmplitudeRow",
-    "AmplitudeSeries", "DecayFit", "synthesize_ringdown", "block_amplitude",
+    "RingdownParams", "BlockSchedule", "Block", "AmplitudeSeries",
+    "DecayFit", "synthesize_ringdown", "block_amplitude", "amplitude_series",
     "analyze_ringdown", "fit_decay",
     "TauTemperatureSeries", "ConcentrationFit", "model_residuals",
     "fit_he3_concentration", "predict_contamination",

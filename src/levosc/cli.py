@@ -82,14 +82,15 @@ CONFIG_TABLE = {
 # The largest accepted value of each input that sizes the arrays of a
 # run, so that a larger one exits 2 before anything is allocated. Peak
 # memory at the cap, from tracemalloc on numpy 2: a damping row (the
-# channel columns and the CSV text) and a sweep pose (its pose and row
-# objects, field arrays and CSV text) take about 680 B, a prediction row
-# about 330 B, and one node of the field solver about 140 B (the two
-# dense pencil eigenbases, n^2 each, and some 15 grid-sized arrays).
+# channel columns and the CSV text) takes about 680 B, a sweep pose (its
+# pose object, columns, field arrays and CSV text) about 600 B, a
+# prediction row about 200 B, and one node of the field solver about
+# 140 B (the two dense pencil eigenbases, n^2 each, and some 15
+# grid-sized arrays).
 SIZE_CAPS = {
     "damping.points": 10**5,            # about 70 MB
-    "detection.sweep_points": 10**5,    # about 70 MB
-    "fit.predict_points": 10**5,        # about 35 MB
+    "detection.sweep_points": 10**5,    # about 60 MB
+    "fit.predict_points": 10**5,        # about 20 MB
     "detection.oracle_grid": 1024,      # about 150 MB
 }
 
@@ -106,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON run configuration")
     common.add_argument("--out", type=Path, default=Path("out"),
                         help="output directory (default ./out)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("damping-curve", parents=[common],
@@ -126,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("simulate", "analyze"))
     p.add_argument("--blocks", type=Path, default=None,
                    help="block directory (default OUT/blocks)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the configured random seed")
 
     p = sub.add_parser("fit-he3", parents=[common],
                        help="fit the helium-3 concentration to tau(T) data")
@@ -230,7 +231,7 @@ def _config_dir(args) -> Path:
 def _media_from_config(args, cfg: dict) -> media.HeliumMedia:
     ref = cfg["media_overrides"]
     if ref is None:
-        return media.default_media()
+        return media.HeliumMedia()
     overrides = media.load_property_overrides(_config_dir(args) / ref)
     return media.media_from_overrides(overrides)
 
@@ -393,10 +394,9 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
     outputs.append(out_csv.name)
     if args.svg:
         svg_path = args.out / "detection_sweep.svg"
-        pos = [r.position for r in result.rows]
         svg_path.write_text(line_plot_svg(
-            [Series(pos, [abs(r.delta_L) for r in result.rows],
-                    "|delta L|")],
+            [Series(result.position.tolist(),
+                    np.abs(result.delta_L).tolist(), "|delta L|")],
             "position (m)", "|delta L| (H)",
             title="inductance shift versus sphere position", log_y=True,
             comment=_csv_comment(core)))
@@ -520,7 +520,8 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
         with open(pred_path, "w") as fh:
             fh.write(f"# {_csv_comment(core)}\n")
             fh.write("T_K,tau_s,tau_contaminated_s,ratio\n")
-            for (T, tau1), (_, tau2) in zip(base, contam):
+            for T, tau1, tau2 in zip(base.T.tolist(), base.tau_total.tolist(),
+                                     contam.tau_total.tolist()):
                 fh.write(f"{T!r},{tau1!r},{tau2!r},{tau2 / tau1!r}\n")
         outputs.append(pred_path.name)
     return outputs
@@ -556,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg, blob = _load_config(args.config)
         inputs = _resolve_inputs(args, cfg)
         args._manifest = _manifest_core(args.command, blob, inputs,
-                                        args.seed)
+                                        getattr(args, "seed", None))
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -14,7 +14,9 @@ independently.
 Field and clearance helpers take (n, 3) blocks of points, so a
 position sweep evaluates each coil's field once over all pose centers
 and the pose-independent inductances once per sweep; the single-pose
-functions run the same helpers on a block of one.
+functions run the same helpers on a block of one. A sweep's result is
+columnar: :class:`SweepResult` holds one array per quantity, one entry
+per pose.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "MediumSpec",
     "DetectionGeometry",
     "SpherePose",
-    "SweepRow",
     "SweepResult",
     "coil_field",
     "self_inductance",
@@ -211,29 +212,30 @@ class SpherePose:
         return np.array(self.center)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    position: float
-    L_eff: float
-    delta_L: float
-    f: float
-    V: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    """Columns of a position sweep, one entry per pose; failed poses
+    hold NaN and their messages are in ``errors`` as (index, text)."""
+
+    position: np.ndarray
+    L_eff: np.ndarray
+    delta_L: np.ndarray
+    f: np.ndarray
+    V: np.ndarray
     errors: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        pos = [r.position for r in self.rows]
-        increasing = all(b > a for a, b in zip(pos, pos[1:]))
-        decreasing = all(b < a for a, b in zip(pos, pos[1:]))
-        if len(pos) > 1 and not (increasing or decreasing):
+        names = ("position", "L_eff", "delta_L", "f", "V")
+        for name in names:
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        if len({len(getattr(self, name)) for name in names}) != 1:
+            raise ValueError("sweep columns must have equal lengths")
+        step = np.diff(self.position)
+        if not (np.all(step > 0) or np.all(step < 0)):
             raise ValueError("sweep rows must be ordered by position")
-        for r in self.rows:
-            if not math.isnan(r.L_eff) and r.L_eff <= 0:
-                raise ValueError("L_eff must be positive")
+        if np.any(self.L_eff <= 0):
+            raise ValueError("L_eff must be positive")
 
 
 def _circle_distance(points: np.ndarray, coil: CoilSpec) -> np.ndarray:
@@ -558,12 +560,10 @@ def position_sweep(geometry: DetectionGeometry,
             coupling[ok] = M0 + _dipole_flux(B_t, B_r, radii[ok])
     V = np.abs(coupling) * I0 * omega
     failed = list(errors)
-    columns = [L_eff, delta_L, f, V]
-    for col in columns:
+    for col in (L_eff, delta_L, f, V):
         col[failed] = math.nan
-    rows = tuple(SweepRow(*values) for values in zip(
-        position.tolist(), *(col.tolist() for col in columns)))
-    return SweepResult(rows=rows, errors=tuple(sorted(errors.items())))
+    return SweepResult(position, L_eff, delta_L, f, V,
+                       errors=tuple(sorted(errors.items())))
 
 
 def write_sweep_csv(result: SweepResult, fh: io.TextIOBase,
@@ -577,7 +577,7 @@ def write_sweep_csv(result: SweepResult, fh: io.TextIOBase,
     """
     cols = ["position_m", "L_eff_H", "delta_L_H", "f_Hz", "V_amplitude_V"]
     if oracle_delta_L is not None:
-        if len(oracle_delta_L) != len(result.rows):
+        if len(oracle_delta_L) != len(result.position):
             raise ConfigError("need one oracle value per sweep row")
         cols += ["delta_L_oracle_H", "oracle_agreement"]
     if header_comment:
@@ -589,16 +589,18 @@ def write_sweep_csv(result: SweepResult, fh: io.TextIOBase,
     def fmt(x: float) -> str:
         return "" if math.isnan(x) else repr(x)
 
-    for i, row in enumerate(result.rows):
-        fields = [repr(row.position), fmt(row.L_eff), fmt(row.delta_L),
-                  fmt(row.f), fmt(row.V)]
+    columns = (result.position, result.L_eff, result.delta_L, result.f,
+               result.V)
+    for i, (pos, L_eff, delta_L, f, V) in enumerate(
+            zip(*(col.tolist() for col in columns))):
+        fields = [repr(pos), fmt(L_eff), fmt(delta_L), fmt(f), fmt(V)]
         if oracle_delta_L is not None:
             o = float(oracle_delta_L[i])
             fields.append(fmt(o))
-            if math.isnan(o) or math.isnan(row.delta_L) or o == 0.0:
+            if math.isnan(o) or math.isnan(delta_L) or o == 0.0:
                 fields.append("")
             else:
-                fields.append(repr(abs(row.delta_L - o) / abs(o)))
+                fields.append(repr(abs(delta_L - o) / abs(o)))
         fh.write(",".join(fields) + "\n")
 
 

@@ -18,16 +18,14 @@ class DomainError(LevoscError):
     """Input outside the validity domain of a model (exit code 3)."""
 
 
-class RangeError(DomainError):
-    """Query outside a tabulated validity interval."""
-
-
 class GeometryError(DomainError):
     """Coil or sphere arrangement that the model cannot represent."""
 
 
 class SolverError(DomainError):
-    """Iterative solver failed to satisfy its convergence contract."""
+    """Direct field solve refused or failed: a sphere too large for the
+    capacitance solve, a residual over the tolerance, or a flux point
+    outside the grid."""
 
 
 class DataError(DomainError):

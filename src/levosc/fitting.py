@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .damping import (DEFAULT_TAU_VACUUM, MediumChannels, OscillatorSpec,
-                      RegimeMode, compose, damping_table, medium_channels)
+from .damping import (DEFAULT_TAU_VACUUM, DampingTable, MediumChannels,
+                      OscillatorSpec, RegimeMode, compose, damping_table,
+                      medium_channels)
 from .errors import BracketError, ConfigError, DataError
 from .media import HeliumMedia
 
@@ -83,6 +84,7 @@ class ConcentrationFit:
     residual_rms: float
     n3_bracket: tuple[float, float]
     regime_mode: RegimeMode
+    search_tolerance: float
     tau_vacuum: float | None = None
     fitted_tau_vacuum: float | None = None
 
@@ -215,36 +217,31 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
                         / np.sum(weights[ok])))
     return ConcentrationFit(n3=n3, x3=n3 / media.n4, residual_rms=rms,
                             n3_bracket=(n3_lo, n3_hi), regime_mode=mode,
+                            search_tolerance=tol,
                             tau_vacuum=tau_vacuum,
                             fitted_tau_vacuum=fitted_vac)
 
 
-def predict_contamination(x3: "float | ConcentrationFit", added_x3: float,
+def predict_contamination(x3: float, added_x3: float,
                           osc: OscillatorSpec, media: HeliumMedia,
                           T_grid: Sequence[float],
                           mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
-                          ) -> tuple[list[tuple[float, float]],
-                                     list[tuple[float, float]]]:
-    """tau(T) curves before and after adding a known amount of helium-3.
+                          ) -> tuple[DampingTable, DampingTable]:
+    """Damping tables before and after adding a known amount of helium-3
+    to the baseline fraction ``x3``.
 
-    Accepts either the baseline fraction directly or a
-    :class:`ConcentrationFit` carrying it. The curves contain only the
-    medium channels (no vacuum channel): they isolate what the added
-    impurities do to the bath damping, and in the impurity-dominated
-    regime the tau ratio between the curves is exactly
-    x3 / (x3 + added_x3).
+    The tables contain only the medium channels (no vacuum channel):
+    they isolate what the added impurities do to the bath damping, and
+    in the impurity-dominated regime the ``tau_total`` ratio between
+    them is exactly x3 / (x3 + added_x3).
     """
-    if isinstance(x3, ConcentrationFit):
-        x3 = x3.x3
     if added_x3 < 0:
         raise ConfigError("added_x3 must be non-negative")
     n4 = media.n4
-    base = damping_table(osc, media, T_grid, x3 * n4, mode, tau_vacuum=None)
-    contaminated = damping_table(osc, media, T_grid, (x3 + added_x3) * n4,
-                                 mode, tau_vacuum=None)
-    T = base.T.tolist()
-    return (list(zip(T, base.tau_total.tolist())),
-            list(zip(T, contaminated.tau_total.tolist())))
+    return (damping_table(osc, media, T_grid, x3 * n4, mode,
+                          tau_vacuum=None),
+            damping_table(osc, media, T_grid, (x3 + added_x3) * n4, mode,
+                          tau_vacuum=None))
 
 
 def load_tau_series_csv(path: str | Path) -> TauTemperatureSeries:
@@ -252,22 +249,22 @@ def load_tau_series_csv(path: str | Path) -> TauTemperatureSeries:
     rows: list[tuple[float, float, float | None]] = []
     try:
         with open(path, newline="") as fh:
-            for rec in csv.reader(fh):
-                if not rec or rec[0].lstrip().startswith("#"):
-                    continue
-                try:
-                    T = float(rec[0])
-                except ValueError:
-                    if not rows:
-                        continue  # header line
-                    raise
-                tau = float(rec[1])
-                sigma = None
-                if len(rec) > 2 and rec[2].strip():
-                    sigma = float(rec[2])
-                rows.append((T, tau, sigma))
-    except (OSError, ValueError, IndexError) as exc:
+            records = [(lineno, rec) for lineno, rec in
+                       enumerate(csv.reader(fh), start=1)
+                       if rec and not rec[0].lstrip().startswith("#")]
+    except (OSError, ValueError, csv.Error) as exc:
         raise DataError(f"cannot read tau series {path}: {exc}") from exc
+    for i, (lineno, rec) in enumerate(records):
+        T = None
+        try:
+            T = float(rec[0])
+            sigma = float(rec[2]) if len(rec) > 2 and rec[2].strip() \
+                else None
+            rows.append((T, float(rec[1]), sigma))
+        except (ValueError, IndexError):
+            if i > 0 or T is not None:  # only the first line is a header
+                raise DataError(f"{path}:{lineno}: bad tau series row "
+                                f"{rec!r}") from None
     if not rows:
         raise DataError(f"tau series {path} has no data rows")
     try:
@@ -287,8 +284,7 @@ def write_residuals_csv(series: TauTemperatureSeries,
         fh.write(f"{T!r},{tau!r},{field}\n")
 
 
-def concentration_fit_dict(fit: ConcentrationFit,
-                           tol: float = 1e-6) -> dict[str, object]:
+def concentration_fit_dict(fit: ConcentrationFit) -> dict[str, object]:
     """JSON-ready record with full fit provenance."""
     return {
         "n3_per_m3": fit.n3,
@@ -298,7 +294,7 @@ def concentration_fit_dict(fit: ConcentrationFit,
         "regime_mode": fit.regime_mode.value,
         "tau_vacuum_s": fit.tau_vacuum,
         "fitted_tau_vacuum_s": fit.fitted_tau_vacuum,
-        "search_tolerance": tol,
+        "search_tolerance": fit.search_tolerance,
         "regime_weight_threshold_K": REGIME_WEIGHT_THRESHOLD,
         "regime_weight": REGIME_WEIGHT,
         "notes": ("surface bound states can deplete the bulk helium-3 "

@@ -3,8 +3,11 @@ helium-4 with dilute helium-3 impurities, at saturated vapour pressure.
 
 Everything here is SI. The property set is deliberately small: atomic
 constants, quasiparticle-gas parameters, and a normal-component
-viscosity table. All values are overridable through a plain-text
-``key = value`` file, and the viscosity table through a two-column CSV.
+viscosity table, bundled in :class:`HeliumMedia`, which also gives the
+helium-4 number density ``n4``. The property functions take arrays of
+temperatures. All values are overridable through a plain-text
+``key = value`` file, and the viscosity table through a two-column CSV
+with at most one header line.
 """
 
 from __future__ import annotations
@@ -13,26 +16,21 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError, RangeError
+from .errors import ConfigError, DataError, DomainError
 
 __all__ = [
     "PhysicalConstants",
     "QuasiparticleParams",
     "ViscosityTable",
-    "HeliumState",
     "HeliumMedia",
     "DEFAULT_VISCOSITY_TABLE",
     "DEFAULT_HE4_MASS_DENSITY",
-    "viscosity_normal",
     "viscosity_normal_grid",
     "thermal_velocity_he3",
-    "he4_number_density",
-    "he3_number_density",
-    "default_media",
     "load_property_overrides",
     "media_from_overrides",
 ]
@@ -106,7 +104,7 @@ _VISC_ETA_PAS = (23.0e-6, 9.0e-6, 4.6e-6, 2.85e-6, 2.05e-6, 1.63e-6, 1.40e-6,
 class ViscosityTable:
     """Tabulated normal-component viscosity with a hard validity range.
 
-    Queries outside ``valid_range`` are rejected, never extrapolated:
+    Queries outside ``valid_range`` give NaN, never an extrapolation:
     the hydrodynamic description itself stops being meaningful there.
     """
 
@@ -132,21 +130,23 @@ class ViscosityTable:
         """Load a replacement table from a two-column CSV (T_K, eta_Pa_s)."""
         try:
             with open(path, newline="") as fh:
-                records = list(csv.reader(fh))
+                records = [(lineno, rec) for lineno, rec in
+                           enumerate(csv.reader(fh), start=1)
+                           if rec and not rec[0].lstrip().startswith("#")]
         except (OSError, ValueError, csv.Error) as exc:
             # ValueError: not UTF-8, or a NUL in the path
             raise DataError(f"cannot read viscosity CSV {path}: {exc}") \
                 from exc
         rows = []
-        for rec in records:
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
+        for i, (lineno, rec) in enumerate(records):
+            T = None
             try:
-                rows.append((float(rec[0]), float(rec[1])))
+                T = float(rec[0])
+                rows.append((T, float(rec[1])))
             except (ValueError, IndexError):
-                if not rows:  # tolerate a single header line
-                    continue
-                raise DataError(f"bad viscosity row in {path}: {rec!r}")
+                if i > 0 or T is not None:  # only the first line is a header
+                    raise DataError(f"{path}:{lineno}: bad viscosity row "
+                                    f"{rec!r}") from None
         if len(rows) < 2:
             raise DataError(f"viscosity CSV {path} has fewer than two rows")
         try:
@@ -157,23 +157,6 @@ class ViscosityTable:
 
 DEFAULT_VISCOSITY_TABLE = ViscosityTable(
     entries=tuple(zip(_VISC_T_K, _VISC_ETA_PAS)))
-
-
-@dataclass(frozen=True)
-class HeliumState:
-    """Thermodynamic state of the bath: temperature, helium-3 fraction
-    x3 = n3/n4, and helium-4 mass density."""
-
-    temperature: float
-    he3_fraction: float = 0.0
-    he4_mass_density: float = DEFAULT_HE4_MASS_DENSITY
-
-    def __post_init__(self):
-        for name in ("temperature", "he4_mass_density"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 <= self.he3_fraction < 1.0:
-            raise ValueError("he3_fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -220,22 +203,6 @@ def viscosity_normal_grid(table: ViscosityTable, T) -> np.ndarray:
     return np.where((T >= lo) & (T <= hi), eta, np.nan)
 
 
-def viscosity_normal(table: ViscosityTable, T: float) -> float:
-    """Normal-component viscosity at temperature ``T``; see
-    :func:`viscosity_normal_grid`.
-
-    Raises
-    ------
-    RangeError
-        If ``T`` falls outside the table's validity interval.
-    """
-    lo, hi = table.valid_range
-    if not lo <= T <= hi:
-        raise RangeError(
-            f"viscosity valid only for {lo:g} K <= T <= {hi:g} K, got {T:g} K")
-    return float(viscosity_normal_grid(table, T))
-
-
 def thermal_velocity_he3(constants: PhysicalConstants,
                          params: QuasiparticleParams, T):
     """Thermal velocity sqrt(2 k_B T / m3*) of a helium-3 quasiparticle,
@@ -246,22 +213,6 @@ def thermal_velocity_he3(constants: PhysicalConstants,
     m3_eff = params.m3_eff_ratio * constants.m3
     return np.sqrt(2.0 * constants.k_B * np.asarray(T, dtype=float)
                    / m3_eff)
-
-
-def he4_number_density(state: HeliumState,
-                       constants: PhysicalConstants) -> float:
-    """Helium-4 number density n4 = rho4 / m4, 1/m^3."""
-    return state.he4_mass_density / constants.m4
-
-
-def he3_number_density(state: HeliumState,
-                       constants: PhysicalConstants) -> float:
-    """Helium-3 number density n3 = x3 * n4, 1/m^3."""
-    return state.he3_fraction * he4_number_density(state, constants)
-
-
-def default_media() -> HeliumMedia:
-    return HeliumMedia()
 
 
 def load_property_overrides(path: str | Path) -> dict[str, object]:

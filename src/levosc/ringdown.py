@@ -1,7 +1,10 @@
 """Free-decay signal synthesis and the block spectral measurement
 pipeline: Hann-windowed Fourier amplitude extraction per block, then a
 weighted log-linear fit of the amplitude envelope giving the ring-down
-time, its uncertainty, and the implied resonance linewidth.
+time, its uncertainty, and the implied resonance linewidth. The
+per-block measurements leave as columns: :class:`AmplitudeSeries` holds
+one array per quantity, and a row is flagged when its SNR is below
+``SNR_FLAG_THRESHOLD``.
 
 Synthesis noise comes from a counter-based (Philox) generator split per
 block, so a given seed produces bit-identical signals on any platform
@@ -25,7 +28,6 @@ __all__ = [
     "RingdownParams",
     "BlockSchedule",
     "Block",
-    "AmplitudeRow",
     "AmplitudeSeries",
     "DecayFit",
     "synthesize_ringdown",
@@ -135,28 +137,32 @@ class Block:
             raise ValueError("start_time must be finite")
 
 
-@dataclass(frozen=True)
-class AmplitudeRow:
-    time: float
-    frequency: float
-    amplitude: float
-    snr: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeSeries:
-    rows: tuple[AmplitudeRow, ...]
+    """Per-block measurements as columns, one entry per block: start
+    time, peak frequency, amplitude and the peak's SNR."""
+
+    time: np.ndarray
+    frequency: np.ndarray
+    amplitude: np.ndarray
+    snr: np.ndarray
 
     def __post_init__(self):
-        times = [r.time for r in self.rows]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        names = ("time", "frequency", "amplitude", "snr")
+        for name in names:
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        if len({len(getattr(self, name)) for name in names}) != 1:
+            raise ValueError("series columns must have equal lengths")
+        if np.any(np.diff(self.time) <= 0):
             raise ValueError("row times must be strictly increasing")
-        if any(r.amplitude < 0 for r in self.rows):
+        if np.any(self.amplitude < 0):
             raise ValueError("amplitudes must be non-negative")
 
-    def usable(self) -> list[AmplitudeRow]:
-        return [r for r in self.rows if not r.flagged]
+    @property
+    def flagged(self) -> np.ndarray:
+        """Rows whose SNR is below the flag threshold: noise-dominated."""
+        return self.snr < SNR_FLAG_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -211,8 +217,14 @@ def _hann(n: int) -> np.ndarray:
 
 
 def block_amplitude(samples: np.ndarray, sample_rate: float,
-                    f0_hint: float) -> AmplitudeRow:
-    """Extract the oscillation amplitude of one block.
+                    f0_hint: float) -> AmplitudeSeries:
+    """:func:`amplitude_series` of one block of ``samples`` at time 0."""
+    return amplitude_series([Block(0.0, sample_rate, samples)], f0_hint)
+
+
+def amplitude_series(blocks: Sequence[Block],
+                     f0_hint: float) -> AmplitudeSeries:
+    """Extract the oscillation amplitude of each block.
 
     Hann-windowed real FFT; the peak is searched within two bins of the
     hint, refined by parabolic interpolation of the log magnitude, and
@@ -220,57 +232,38 @@ def block_amplitude(samples: np.ndarray, sample_rate: float,
     amplitude A reads back as A. SNR is peak over median off-peak
     magnitude; below 3 the row is flagged as noise-dominated but kept.
     """
-    x = np.asarray(samples, dtype=float)
-    return _windowed_amplitude(x, sample_rate, f0_hint, _hann(len(x)))
-
-
-def _windowed_amplitude(x: np.ndarray, sample_rate: float, f0_hint: float,
-                        w: np.ndarray) -> AmplitudeRow:
-    """:func:`block_amplitude` of ``x`` with its Hann window ``w``
-    already built."""
-    n = len(x)
-    if n * f0_hint / sample_rate < 20.0:
-        raise DataError("block shorter than 20 periods of the hint frequency")
-    mag = np.abs(np.fft.rfft(x * w))
-    hint_bin = f0_hint * n / sample_rate
-    lo = max(1, round(hint_bin) - 2)
-    hi = min(len(mag) - 2, round(hint_bin) + 2)
-    if lo > hi:
-        raise DataError("hint frequency outside the resolvable band")
-    k = lo + int(np.argmax(mag[lo:hi + 1]))
-    # parabolic refinement on log magnitude (exact for a gaussian-ish
-    # peak, excellent for a Hann main lobe)
-    with np.errstate(divide="ignore"):
-        alpha, beta, gamma = np.log(mag[k - 1:k + 2])
-    denom = alpha - 2.0 * beta + gamma
-    delta = 0.0 if denom == 0.0 else 0.5 * (alpha - gamma) / denom
-    delta = float(np.clip(delta, -0.5, 0.5))
-    peak_log = beta - 0.25 * (alpha - gamma) * delta
-    peak = math.exp(peak_log)
-    frequency = (k + delta) * sample_rate / n
-    off = np.concatenate([mag[1:max(k - 3, 1)], mag[k + 4:]])
-    floor = float(np.median(off)) if len(off) else 0.0
-    snr = math.inf if floor == 0.0 else peak / floor
-    amplitude = peak * 2.0 / float(np.sum(w))
-    return AmplitudeRow(time=math.nan, frequency=frequency,
-                        amplitude=amplitude, snr=snr,
-                        flagged=snr < SNR_FLAG_THRESHOLD)
-
-
-def amplitude_series(blocks: Sequence[Block],
-                     f0_hint: float) -> AmplitudeSeries:
-    rows = []
+    frequency, amplitude, snr = [], [], []
     w = None    # one window for every block of the same length
     for block in blocks:
-        if w is None or len(w) != len(block.samples):
-            w = _hann(len(block.samples))
-        row = _windowed_amplitude(block.samples, block.sample_rate, f0_hint,
-                                  w)
-        rows.append(AmplitudeRow(time=block.start_time,
-                                 frequency=row.frequency,
-                                 amplitude=row.amplitude, snr=row.snr,
-                                 flagged=row.flagged))
-    return AmplitudeSeries(rows=tuple(rows))
+        x = block.samples
+        n = len(x)
+        if w is None or len(w) != n:
+            w = _hann(n)
+        if n * f0_hint / block.sample_rate < 20.0:
+            raise DataError(
+                "block shorter than 20 periods of the hint frequency")
+        mag = np.abs(np.fft.rfft(x * w))
+        hint_bin = f0_hint * n / block.sample_rate
+        lo = max(1, round(hint_bin) - 2)
+        hi = min(len(mag) - 2, round(hint_bin) + 2)
+        if lo > hi:
+            raise DataError("hint frequency outside the resolvable band")
+        k = lo + int(np.argmax(mag[lo:hi + 1]))
+        # parabolic refinement on log magnitude (exact for a gaussian-ish
+        # peak, excellent for a Hann main lobe)
+        with np.errstate(divide="ignore"):
+            alpha, beta, gamma = np.log(mag[k - 1:k + 2])
+        denom = alpha - 2.0 * beta + gamma
+        delta = 0.0 if denom == 0.0 else 0.5 * (alpha - gamma) / denom
+        delta = float(np.clip(delta, -0.5, 0.5))
+        peak = math.exp(beta - 0.25 * (alpha - gamma) * delta)
+        off = np.concatenate([mag[1:max(k - 3, 1)], mag[k + 4:]])
+        floor = float(np.median(off)) if len(off) else 0.0
+        frequency.append((k + delta) * block.sample_rate / n)
+        amplitude.append(peak * 2.0 / float(np.sum(w)))
+        snr.append(math.inf if floor == 0.0 else peak / floor)
+    return AmplitudeSeries([b.start_time for b in blocks], frequency,
+                           amplitude, snr)
 
 
 def fit_decay(series: AmplitudeSeries) -> DecayFit:
@@ -281,12 +274,13 @@ def fit_decay(series: AmplitudeSeries) -> DecayFit:
     scatter, so it tracks the actual noise level rather than the
     nominal weights.
     """
-    rows = series.usable()
-    if len(rows) < 5:
-        raise DataError(f"need >= 5 usable rows, have {len(rows)}")
-    t = np.array([r.time for r in rows])
-    y = np.log(np.array([r.amplitude for r in rows]))
-    wt = np.array([min(r.snr, 1e12)**2 for r in rows])
+    usable = ~series.flagged
+    t = series.time[usable]
+    if len(t) < 5:
+        raise DataError(f"need >= 5 usable rows, have {len(t)}")
+    y = np.log(series.amplitude[usable])
+    # Python floats, so the squares round as they always have
+    wt = np.array([min(s, 1e12)**2 for s in series.snr[usable].tolist()])
     W = wt.sum()
     t_bar = (wt * t).sum() / W
     y_bar = (wt * y).sum() / W
@@ -304,7 +298,7 @@ def fit_decay(series: AmplitudeSeries) -> DecayFit:
             f"estimated tau {tau:.3g} s")
     resid = y - (intercept + slope * t)
     chi2 = float((wt * resid**2).sum())
-    dof = len(rows) - 2
+    dof = len(t) - 2
     var_slope = (chi2 / dof) / s_tt
     sigma_tau = math.sqrt(var_slope) * tau * tau
     A0 = math.exp(intercept)
@@ -367,6 +361,11 @@ def read_block_csv(path: str | Path) -> Block:
         raise DataError(f"cannot read block CSV {path}: {exc}") from exc
     if len(times) < 2:
         raise DataError(f"{path}: fewer than two samples")
+    # write_block_csv's times carry rounding of about 1e-8 of the step
+    mean_step = (times[-1] - times[0]) / (len(times) - 1)
+    if not (mean_step > 0 and np.all(
+            np.abs(np.diff(times) - mean_step) <= 1e-6 * mean_step)):
+        raise DataError(f"{path}: time column does not rise by an even step")
     fs = (len(times) - 1) / (times[-1] - times[0])
     return Block(start_time=times[0], sample_rate=fs,
                  samples=np.array(values))
@@ -408,10 +407,11 @@ def write_series_csv(series: AmplitudeSeries, fh: io.TextIOBase,
     if header_comment:
         fh.write(f"# {header_comment}\n")
     fh.write("t_s,f_Hz,amplitude,snr,flagged\n")
-    for r in series.rows:
-        snr = "inf" if math.isinf(r.snr) else repr(r.snr)
-        fh.write(f"{r.time!r},{r.frequency!r},{r.amplitude!r},{snr},"
-                 f"{int(r.flagged)}\n")
+    for t, f, a, snr, flagged in zip(
+            series.time.tolist(), series.frequency.tolist(),
+            series.amplitude.tolist(), series.snr.tolist(),
+            series.flagged.tolist()):
+        fh.write(f"{t!r},{f!r},{a!r},{snr!r},{int(flagged)}\n")
 
 
 def decay_fit_dict(fit: DecayFit) -> dict[str, float]:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from levosc import OscillatorSpec, default_media
+from levosc import HeliumMedia, OscillatorSpec
 
 
 @pytest.fixture(scope="session")
 def media():
-    return default_media()
+    return HeliumMedia()
 
 
 @pytest.fixture(scope="session")

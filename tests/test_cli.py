@@ -20,7 +20,7 @@ from levosc.cli import CONFIG_TABLE, SIZE_CAPS, _load_config, main
 from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
                             damping_table)
 from levosc.detection import coaxial_geometry
-from levosc.media import HeliumState, default_media, he4_number_density
+from levosc.media import HeliumMedia
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -176,8 +176,11 @@ def test_size_cap_exits_2_past_it(tmp_path, capsys, name):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("argv", [["damping-curve", "--oracle"],
-                                  ["detection-sweep", "--threads", "2"]])
+@pytest.mark.parametrize("argv", [
+    ["damping-curve", "--oracle"], ["detection-sweep", "--threads", "2"],
+    ["damping-curve", "--seed", "3"], ["detection-sweep", "--seed", "3"],
+    ["fit-he3", "--data", "tau.csv", "--seed", "3"],
+    ["sensitivity", "--seed", "3"]])
 def test_options_nothing_reads_are_usage_errors(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "out")])
@@ -585,6 +588,23 @@ def test_ringdown_csv_format_round_trip(tmp_path):
     assert abs(fit["tau_s"] - 1.0e5) / 1.0e5 < 1e-6
 
 
+def test_ringdown_csv_block_with_repeated_time_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"ringdown": dict(RINGDOWN_CFG["ringdown"],
+                                                   format="csv")})
+    out = tmp_path / "out"
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    path = out / "blocks" / "block_000003.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[5] = lines[4]   # one sample time twice
+    path.write_text("".join(lines))
+    assert main(["ringdown", "analyze", "--config", str(cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "block_000003.csv" in err and "time column" in err
+
+
 def test_ringdown_separate_blocks_dir(tmp_path):
     cfg = write_config(tmp_path, RINGDOWN_CFG)
     bdir = tmp_path / "elsewhere"
@@ -688,11 +708,9 @@ def test_ringdown_bad_config_exits_2(tmp_path):
 # -------------------------------------------------------------- fit-he3
 
 def model_data_csv(tmp_path, x3, noise=0.0, seed=0):
-    med = default_media()
+    med = HeliumMedia()
     osc = OscillatorSpec(mass=6.33e-6, radius_warm=1.00e-3)
-    state = HeliumState(temperature=1.0, he3_fraction=0.0,
-                        he4_mass_density=med.he4_mass_density)
-    n3 = x3 * he4_number_density(state, med.constants)
+    n3 = x3 * med.n4
     grid = np.geomspace(0.015, 0.5, 15).tolist()
     table = damping_table(osc, med, grid, n3, RegimeMode.RECIPROCAL_SUM,
                           DEFAULT_TAU_VACUUM)
@@ -745,11 +763,21 @@ def test_fit_he3_contamination_prediction(tmp_path):
         assert float(r[3]) == float(r[2]) / float(r[1])
 
 
+def test_fit_he3_bad_first_data_row_exits_3(tmp_path, capsys):
+    data = model_data_csv(tmp_path, 4.2e-8)
+    lines = data.read_text().splitlines(keepends=True)
+    lines[1] = "0.02x,1.2e5\n"    # the line after the header
+    data.write_text("".join(lines))
+    assert main(["fit-he3", "--data", str(data),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert "tau_data.csv:2: " in capsys.readouterr().err
+
+
 def test_fit_he3_no_signature_exits_3(tmp_path, capsys):
     med_path = tmp_path / "flat.csv"
     table = damping_table(
         OscillatorSpec(mass=6.33e-6, radius_warm=1.00e-3),
-        default_media(), [1.0, 1.2, 1.4, 1.6, 1.8], 0.0)
+        HeliumMedia(), [1.0, 1.2, 1.4, 1.6, 1.8], 0.0)
     with open(med_path, "w") as fh:
         fh.write("T_K,tau_s\n")
         for T, tau in zip(table.T.tolist(), table.tau_total.tolist()):

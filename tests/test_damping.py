@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levosc import (ConfigError, DomainError, HeliumMedia, HeliumState,
-                    OscillatorSpec, RangeError, RegimeMode, ViscosityTable,
-                    damping_table, drag_force, he4_number_density, linewidth,
-                    noise_density, sensitivity_report, viscosity_normal)
+from levosc import (ConfigError, DomainError, HeliumMedia, OscillatorSpec,
+                    RegimeMode, ViscosityTable, damping_table, drag_force,
+                    linewidth, noise_density, sensitivity_report,
+                    viscosity_normal_grid)
 from levosc.damping import (DEFAULT_TAU_VACUUM, KNUDSEN_DRAG_COEFF,
                             compose, damping_metadata, medium_channels,
                             write_damping_csv)
@@ -26,9 +26,7 @@ def rel(a, b):
 
 
 def reference_n3(media, x3=4.2e-8):
-    state = HeliumState(temperature=1.0, he3_fraction=0.0,
-                        he4_mass_density=media.he4_mass_density)
-    return x3 * he4_number_density(state, media.constants)
+    return x3 * media.n4
 
 
 def channel(osc, media, name, T, n3=0.0, **kwargs):
@@ -344,9 +342,7 @@ class TestIntrinsicLimitBracket:
         n3_ref = reference_n3(media)
         tau_ref = channel(osc, media, "tau_imp", [0.04], n3_ref)[0]
         n3_star = n3_ref * tau_ref / DEFAULT_TAU_VACUUM
-        state = HeliumState(temperature=1.0,
-                            he4_mass_density=media.he4_mass_density)
-        x3_star = n3_star / he4_number_density(state, media.constants)
+        x3_star = n3_star / media.n4
         assert rel(x3_star, 1.8326286426845414e-09) < 1e-12
         assert 5e-10 <= x3_star <= 5e-9
         # the inversion really solves the equation
@@ -357,11 +353,9 @@ class TestIntrinsicLimitBracket:
 def _reference_channels(osc, media, T, n3, tau_vacuum):
     """The closed forms in plain float arithmetic, None where absent."""
     q, c = media.quasiparticles, media.constants
-    try:
-        hydr = osc.mass / (3.0 * math.pi * viscosity_normal(media.viscosity, T)
-                           * osc.radius)
-    except RangeError:
-        hydr = None
+    eta = float(viscosity_normal_grid(media.viscosity, T))
+    hydr = None if math.isnan(eta) else \
+        osc.mass / (3.0 * math.pi * eta * osc.radius)
     kT = c.k_B * T
     ph = (45.0 * osc.mass * c.hbar**3 * q.c**4
           / (math.pi**2 * kT**4 * math.pi * osc.radius**2))

@@ -22,7 +22,7 @@ from levosc import (ConfigError, DomainError, GeometryError,
                     induced_voltage, load_geometry, mutual_inductance,
                     orthogonal_geometry, position_sweep, resonance_frequency,
                     self_inductance)
-from levosc.detection import (MU0, SweepResult, SweepRow, _ellipke,
+from levosc.detection import (MU0, SweepResult, _ellipke,
                               check_clearance, write_sweep_csv)
 
 
@@ -363,18 +363,15 @@ class TestPositionSweep:
         g = coaxial_geometry()
         res = position_sweep(g, self.poses(np.linspace(0.019, 0.002, 18)))
         assert not res.errors
-        f = [r.f for r in res.rows]
-        V = [r.V for r in res.rows]
-        dL = [abs(r.delta_L) for r in res.rows]
-        assert all(b > a for a, b in zip(f, f[1:]))
-        assert all(b < a for a, b in zip(V, V[1:]))
-        assert all(b > a for a, b in zip(dL, dL[1:]))
+        assert np.all(np.diff(res.f) > 0)
+        assert np.all(np.diff(res.V) < 0)
+        assert np.all(np.diff(np.abs(res.delta_L)) > 0)
 
     def test_sweep_positions_signed_along_receiver_axis(self):
         g = coaxial_geometry()
         res = position_sweep(g, self.poses([0.004, 0.009]))
-        assert res.rows[0].position == pytest.approx(0.004)
-        assert res.rows[1].position == pytest.approx(0.009)
+        assert res.position[0] == pytest.approx(0.004)
+        assert res.position[1] == pytest.approx(0.009)
 
     def test_failed_rows_become_nan_and_are_reported(self):
         g = coaxial_geometry()
@@ -382,13 +379,13 @@ class TestPositionSweep:
         path = self.poses([0.012, 0.009, 0.003])
         path.append(SpherePose(center=(2.2e-3, 0.0, 0.2e-3), radius=0.985e-3))
         res = position_sweep(g, path)
-        assert len(res.rows) == 4
+        assert len(res.position) == 4
         assert len(res.errors) == 1
         idx, msg = res.errors[0]
         assert idx == 3
         assert "winding" in msg
-        assert math.isnan(res.rows[3].L_eff)
-        assert not math.isnan(res.rows[2].L_eff)
+        assert math.isnan(res.L_eff[3])
+        assert not math.isnan(res.L_eff[2])
 
     @staticmethod
     def overlapping_transmitter_geometry():
@@ -432,25 +429,25 @@ class TestPositionSweep:
         res = position_sweep(g, poses, driven=driven)
         errors = dict(res.errors)
         assert len(errors) == len(res.errors)
-        for i, (pose, row) in enumerate(zip(poses, res.rows)):
-            assert row.position == pose.center[2]
+        for i, pose in enumerate(poses):
+            assert res.position[i] == pose.center[2]
             try:
                 L_eff, delta_L = effective_inductance(g, pose)
                 f = resonance_frequency(L_eff, g.capacitance)
                 V = induced_voltage(g, pose, driven=driven)
             except DomainError as exc:
                 assert errors[i] == str(exc)
-                assert all(math.isnan(v) for v in
-                           (row.L_eff, row.delta_L, row.f, row.V))
+                assert all(math.isnan(col[i]) for col in
+                           (res.L_eff, res.delta_L, res.f, res.V))
                 continue
             assert i not in errors
-            assert rel(row.L_eff, L_eff) < 1e-12
-            assert rel(row.delta_L, delta_L) < 1e-12
-            assert rel(row.f, f) < 1e-12
+            assert rel(res.L_eff[i], L_eff) < 1e-12
+            assert rel(res.delta_L[i], delta_L) < 1e-12
+            assert rel(res.f[i], f) < 1e-12
             if V == 0.0:
-                assert row.V == 0.0
+                assert res.V[i] == 0.0
             else:
-                assert rel(row.V, V) < 1e-12
+                assert rel(res.V[i], V) < 1e-12
 
     def test_overlapping_coils_fail_every_row(self):
         g = self.overlapping_transmitter_geometry()
@@ -466,19 +463,28 @@ class TestPositionSweep:
             position_sweep(coaxial_geometry(), [])
 
     def test_unordered_rows_rejected(self):
-        row = SweepRow(position=0.01, L_eff=2.1e-5, delta_L=-1e-10,
-                       f=1.6e6, V=0.3)
-        row2 = SweepRow(position=0.02, L_eff=2.1e-5, delta_L=-1e-10,
-                        f=1.6e6, V=0.3)
-        with pytest.raises(ValueError):
-            SweepResult(rows=(row, row2, row))
+        def result(position, L_eff=2.1e-5, length=None):
+            n = len(position) if length is None else length
+            return SweepResult(position, np.full(n, L_eff),
+                               np.full(n, -1e-10), np.full(n, 1.6e6),
+                               np.full(n, 0.3))
+        with pytest.raises(ValueError, match="ordered"):
+            result([0.01, 0.02, 0.01])
+        with pytest.raises(ValueError, match="ordered"):
+            result([0.01, 0.01])
+        with pytest.raises(ValueError, match="positive"):
+            result([0.01, 0.02], L_eff=0.0)
+        with pytest.raises(ValueError, match="equal lengths"):
+            result([0.01, 0.02], length=3)
+        ok = result([0.03, 0.02, 0.01], L_eff=math.nan)
+        assert ok.position.tolist() == [0.03, 0.02, 0.01]
 
     def test_csv_output(self):
         g = coaxial_geometry()
         res = position_sweep(g, self.poses([0.012, 0.009, 0.006]))
         buf = io.StringIO()
         write_sweep_csv(res, buf, header_comment="hdr",
-                        oracle_delta_L=[r.delta_L * 1.05 for r in res.rows])
+                        oracle_delta_L=res.delta_L * 1.05)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# hdr"
         assert lines[1].split(",")[:5] == ["position_m", "L_eff_H",
@@ -487,7 +493,7 @@ class TestPositionSweep:
         assert lines[1].split(",")[5:] == ["delta_L_oracle_H",
                                            "oracle_agreement"]
         first = lines[2].split(",")
-        assert float(first[0]) == res.rows[0].position
+        assert float(first[0]) == res.position[0]
         assert abs(float(first[6]) - 0.05 / 1.05) < 1e-12
         with pytest.raises(ConfigError):
             write_sweep_csv(res, io.StringIO(), oracle_delta_L=[1.0])

@@ -30,15 +30,12 @@ from levosc.fitting import (
     predict_contamination,
     write_residuals_csv,
 )
-from levosc.media import HeliumState, he4_number_density
 
 X3_REFERENCE = 4.2e-8
 
 
 def n4_of(media):
-    state = HeliumState(temperature=1.0, he3_fraction=0.0,
-                        he4_mass_density=media.he4_mass_density)
-    return he4_number_density(state, media.constants)
+    return media.n4
 
 
 def series_from_model(osc, media, T_grid, n3, tau_vacuum=DEFAULT_TAU_VACUUM,
@@ -88,7 +85,8 @@ def test_concentration_fit_validation():
     with pytest.raises(ValueError):
         ConcentrationFit(n3=0.0, x3=0.0, residual_rms=0.0,
                          n3_bracket=(1e18, 1e23),
-                         regime_mode=RegimeMode.RECIPROCAL_SUM)
+                         regime_mode=RegimeMode.RECIPROCAL_SUM,
+                         search_tolerance=1e-6)
 
 
 # ------------------------------------------------------------- model side
@@ -279,37 +277,28 @@ def test_contamination_identity_ratio(osc, media):
     base, cont = predict_contamination(X3_REFERENCE, added, osc, media,
                                        [0.002, 0.003])
     want = X3_REFERENCE / (X3_REFERENCE + added)
-    for (T, tau_b), (T2, tau_c) in zip(base, cont):
-        assert T == T2
+    assert np.array_equal(base.T, cont.T)
+    for tau_b, tau_c in zip(base.tau_total, cont.tau_total):
         assert abs(tau_c / tau_b - want) < 1e-5
 
 
 def test_contamination_reference_ratio(osc, media):
     base, cont = predict_contamination(X3_REFERENCE, 1e-7, osc, media, [0.015])
-    ratio = cont[0][1] / base[0][1]
+    ratio = cont.tau_total[0] / base.tau_total[0]
     assert abs(ratio - 0.296) < 1e-3
-
-
-def test_contamination_accepts_fit_object(osc, media):
-    n3_true = X3_REFERENCE * n4_of(media)
-    series = series_from_model(osc, media, WIDE_GRID, n3_true)
-    fit = fit_he3_concentration(series, osc, media)
-    grid = [0.015, 0.05]
-    via_fit = predict_contamination(fit, 1e-7, osc, media, grid)
-    via_x3 = predict_contamination(fit.x3, 1e-7, osc, media, grid)
-    assert via_fit == via_x3
 
 
 def test_contamination_zero_added_identical(osc, media):
     base, cont = predict_contamination(X3_REFERENCE, 0.0, osc, media,
                                        [0.01, 0.1, 0.3])
-    assert base == cont
+    for a, b in zip(base.columns(), cont.columns()):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_contamination_swamped_limit(osc, media):
     added = 1e-4
     base, cont = predict_contamination(X3_REFERENCE, added, osc, media, [0.002])
-    ratio = cont[0][1] / base[0][1]
+    ratio = cont.tau_total[0] / base.tau_total[0]
     assert abs(ratio - X3_REFERENCE / added) / (X3_REFERENCE / added) < 1e-2
 
 
@@ -351,6 +340,18 @@ def test_load_series_errors(tmp_path):
     badval.write_text("-0.02,1e5\n")
     with pytest.raises(DataError, match="badval.csv"):
         load_tau_series_csv(badval)
+    # one header line at most: a later line that does not parse is an
+    # error naming it, not a second header
+    for name, text, line in [
+            ("bad_first_row.csv", "T_K,tau_s\n0.02x,1.2e5\n0.05,6.1e4\n"
+             "0.30,2.1e1\n", 2),
+            ("two_headers.csv", "# c\nT_K,tau_s\nT,tau\n0.05,6.1e4\n", 3),
+            ("bad_tau_first.csv", "0.02,oops\n0.05,6.1e4\n", 1),
+            ("short_row.csv", "T_K,tau_s\n0.02,1.2e5\n0.05\n", 3)]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"{name}:{line}: "):
+            load_tau_series_csv(path)
 
 
 def test_residuals_csv(osc, media):
@@ -381,3 +382,12 @@ def test_fit_dict_contents(osc, media):
     assert d["n3_bracket_per_m3"] == [1e18, 1e23]
     assert abs(d["x3"] - d["n3_per_m3"] / n4_of(media)) < 1e-12 * d["x3"]
     assert "surface" in d["notes"]
+    assert d["search_tolerance"] == 1e-6
+
+
+def test_fit_dict_records_the_tolerance_that_ran(osc, media):
+    series = series_from_model(osc, media, WIDE_GRID,
+                               X3_REFERENCE * n4_of(media))
+    fit = fit_he3_concentration(series, osc, media, tol=1e-3)
+    assert fit.search_tolerance == 1e-3
+    assert concentration_fit_dict(fit)["search_tolerance"] == 1e-3

@@ -11,16 +11,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from levosc import (ConfigError, DataError, DomainError, HeliumMedia,
-                    HeliumState, PhysicalConstants, QuasiparticleParams,
-                    RangeError, ViscosityTable, default_media,
-                    he3_number_density, he4_number_density,
-                    thermal_velocity_he3, viscosity_normal)
-from levosc.media import (DEFAULT_HE4_MASS_DENSITY, DEFAULT_VISCOSITY_TABLE,
-                          load_property_overrides, media_from_overrides)
+                    PhysicalConstants, QuasiparticleParams, ViscosityTable,
+                    thermal_velocity_he3)
+from levosc.media import (DEFAULT_VISCOSITY_TABLE, load_property_overrides,
+                          media_from_overrides, viscosity_normal_grid)
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def viscosity_normal(table, T):
+    """The array path at one temperature."""
+    return float(viscosity_normal_grid(table, T))
 
 
 class TestViscosity:
@@ -40,10 +43,10 @@ class TestViscosity:
             assert rel(viscosity_normal(media.viscosity, T), expect) < 1e-14
 
     def test_out_of_range_rejected_with_interval(self, media):
+        # NaN, never an extrapolation, just outside the interval's ends
+        assert media.viscosity.valid_range == (1.00, 2.17)
         for T in (0.999, 0.5, 2.171, 5.0):
-            with pytest.raises(RangeError) as err:
-                viscosity_normal(media.viscosity, T)
-            assert "1 K" in str(err.value) and "2.17 K" in str(err.value)
+            assert math.isnan(viscosity_normal(media.viscosity, T))
 
     def test_monotone_within_segments_continuous_at_nodes(self, media):
         entries = DEFAULT_VISCOSITY_TABLE.entries
@@ -77,6 +80,18 @@ class TestViscosity:
         bad.write_text("1.0,2e-5\n1.5,oops\n")
         with pytest.raises(DataError):
             ViscosityTable.from_csv(bad)
+        # one header line at most: a bad first data row is no header,
+        # so it cannot silently raise the table's floor
+        for name, text, line in [
+                ("second_header.csv", "T_K,eta\nT,eta\n1.0,2e-5\n2.0,1e-6\n",
+                 2),
+                ("bad_first_row.csv", "T_K,eta\n0.5x,9e-5\n1.0,2e-5\n"
+                 "2.0,1e-6\n", 2),
+                ("bad_eta_first.csv", "0.5,oops\n1.0,2e-5\n2.0,1e-6\n", 1)]:
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(DataError, match=f"{name}:{line}: "):
+                ViscosityTable.from_csv(path)
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"1.0,2e-5\n\xff\xfe,1e-6\n")
         for path in (binary, tmp_path / "ghost.csv"):
@@ -104,7 +119,7 @@ class TestThermalVelocity:
 
     @given(st.floats(min_value=1e-4, max_value=10.0))
     def test_v_squared_over_T_constant(self, T):
-        med = default_media()
+        med = HeliumMedia()
         v = thermal_velocity_he3(med.constants, med.quasiparticles, T)
         v1 = thermal_velocity_he3(med.constants, med.quasiparticles, 1.0)
         assert rel(v * v / T, v1 * v1) < 1e-12
@@ -118,40 +133,22 @@ class TestThermalVelocity:
 
 class TestNumberDensities:
     def test_he4_reference(self, media):
-        state = HeliumState(temperature=1.0)
-        n4 = he4_number_density(state, media.constants)
-        assert rel(n4, 2.1831114438521342e+28) < 1e-14
-
-    def test_media_n4_is_he4_number_density(self):
-        for density in (DEFAULT_HE4_MASS_DENSITY, 125.0):
-            med = HeliumMedia(he4_mass_density=density)
-            state = HeliumState(temperature=1.0, he4_mass_density=density)
-            assert med.n4 == he4_number_density(state, med.constants)
+        assert rel(media.n4, 2.1831114438521342e+28) < 1e-14
+        assert HeliumMedia(he4_mass_density=125.0).n4 \
+            == 125.0 / media.constants.m4
 
     def test_he3_density_at_reference_fraction(self, media):
-        state = HeliumState(temperature=1.0, he3_fraction=4.2e-8)
-        n3 = he3_number_density(state, media.constants)
+        n3 = 4.2e-8 * media.n4
         assert rel(n3, 9.169068064178964e+20) < 1e-13
 
-    @given(st.floats(min_value=0.0, max_value=1e-6),
-           st.floats(min_value=0.001, max_value=2.0))
-    def test_fraction_identity(self, x3, T):
-        med = default_media()
-        state = HeliumState(temperature=T, he3_fraction=x3)
-        n4 = he4_number_density(state, med.constants)
-        n3 = he3_number_density(state, med.constants)
+    @given(st.floats(min_value=0.0, max_value=1e-6))
+    def test_fraction_identity(self, x3):
+        n4 = HeliumMedia().n4
+        n3 = x3 * n4
         if x3 == 0.0:
             assert n3 == 0.0
         else:
             assert rel(n3 / n4, x3) < 1e-12
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            HeliumState(temperature=0.0)
-        with pytest.raises(ValueError):
-            HeliumState(temperature=1.0, he3_fraction=-1e-9)
-        with pytest.raises(ValueError):
-            HeliumState(temperature=1.0, he3_fraction=1.0)
 
 
 class TestDefaultsAndOverrides:
@@ -208,10 +205,7 @@ class TestDefaultsAndOverrides:
         lambda v: ViscosityTable(((1.0, 2e-5), (2.0, v))),
         lambda v: ViscosityTable(((1.0, 2e-5), (v, 1e-6))),
         lambda v: HeliumMedia(he4_mass_density=v),
-        lambda v: HeliumState(temperature=v),
-        lambda v: HeliumState(temperature=1.0, he4_mass_density=v),
-    ], ids=["hbar", "c", "m3_eff_ratio", "eta", "T", "he4_mass_density",
-            "state_T", "state_he4_mass_density"])
+    ], ids=["hbar", "c", "m3_eff_ratio", "eta", "T", "he4_mass_density"])
     def test_non_finite_values_rejected(self, make, value):
         with pytest.raises(ValueError, match="finite"):
             make(value)

@@ -19,7 +19,6 @@ from levosc.ringdown import (
     BIN_MAGIC,
     BIN_VERSION,
     MAX_SCHEDULE_SAMPLES,
-    AmplitudeRow,
     AmplitudeSeries,
     Block,
     BlockSchedule,
@@ -253,14 +252,12 @@ def test_noise_dominated_rows_flagged():
                        noise_rms=0.02, seed=11)
     blocks = synthesize_ringdown(p, REFERENCE_SCHEDULE)
     series = amplitude_series(blocks, 2.7)
-    flags = [r.flagged for r in series.rows]
+    flags = series.flagged.tolist()
     assert len(flags) == 120
     assert not any(flags[:30])        # strong early signal
     assert sum(flags) > 20            # late blocks buried in noise
-    usable = series.usable()
-    assert len(usable) == 120 - sum(flags)
-    assert all(not r.flagged for r in usable)
-    assert all(r.snr >= 3.0 for r in usable)
+    assert np.all(series.snr[~series.flagged] >= 3.0)
+    assert np.all(series.snr[series.flagged] < 3.0)
 
 
 def test_series_times_come_from_block_starts():
@@ -268,7 +265,7 @@ def test_series_times_come_from_block_starts():
         RingdownParams(amplitude0=1.0, f0=2.7, tau=410400.0),
         REFERENCE_SCHEDULE)
     series = amplitude_series(blocks, 2.7)
-    assert [r.time for r in series.rows] == REFERENCE_SCHEDULE.block_starts()
+    assert series.time.tolist() == REFERENCE_SCHEDULE.block_starts()
 
 
 def test_series_rows_equal_per_block_amplitudes():
@@ -280,23 +277,21 @@ def test_series_rows_equal_per_block_amplitudes():
                     + 0.01 * rng.normal(size=n))
               for k, n in enumerate([1500, 1500, 1201, 1201, 1500])]
     series = amplitude_series(blocks, 2.7)
-    for block, row in zip(blocks, series.rows):
+    for i, block in enumerate(blocks):
         ref = block_amplitude(block.samples, block.sample_rate, 2.7)
-        assert (row.frequency, row.amplitude, row.snr, row.flagged) == \
-            (ref.frequency, ref.amplitude, ref.snr, ref.flagged)
+        assert (series.frequency[i], series.amplitude[i], series.snr[i],
+                series.flagged[i]) == \
+            (ref.frequency[0], ref.amplitude[0], ref.snr[0], ref.flagged[0])
 
 
 def test_series_validation():
-    r = AmplitudeRow(time=0.0, frequency=2.7, amplitude=1.0, snr=10.0,
-                     flagged=False)
-    r2 = AmplitudeRow(time=0.0, frequency=2.7, amplitude=1.0, snr=10.0,
-                      flagged=False)
+    f, snr = [2.7, 2.7], [10.0, 10.0]
     with pytest.raises(ValueError):
-        AmplitudeSeries(rows=(r, r2))
-    bad = AmplitudeRow(time=1.0, frequency=2.7, amplitude=-1.0, snr=10.0,
-                       flagged=False)
+        AmplitudeSeries([0.0, 0.0], f, [1.0, 1.0], snr)
     with pytest.raises(ValueError):
-        AmplitudeSeries(rows=(r, bad))
+        AmplitudeSeries([0.0, 1.0], f, [1.0, -1.0], snr)
+    with pytest.raises(ValueError, match="equal lengths"):
+        AmplitudeSeries([0.0, 1.0], f, [1.0], snr)
 
 
 # -------------------------------------------------------------- decay fit
@@ -329,7 +324,7 @@ def test_fitted_a0_matches_windowed_envelope_mean():
     expected = float(np.sum(w * np.exp(-s / 410400.0)) / np.sum(w))
     assert abs(fit.tau - 410400.0) / 410400.0 < 1e-9
     assert abs(fit.A0 - expected) / expected < 1e-6
-    assert all(abs(r.frequency - 2.7) < 1e-6 for r in _.rows)
+    assert np.all(np.abs(_.frequency - 2.7) < 1e-6)
 
 
 def test_noisy_recovery_within_a_percent():
@@ -346,12 +341,9 @@ def test_noisy_recovery_within_a_percent():
 
 def exact_series(tau, a0=1.0, n=10, dt=None, snr=1e6):
     dt = dt or 0.05 * tau
-    rows = tuple(
-        AmplitudeRow(time=k * dt, frequency=2.7,
-                     amplitude=a0 * math.exp(-k * dt / tau), snr=snr,
-                     flagged=False)
-        for k in range(n))
-    return AmplitudeSeries(rows=rows)
+    return AmplitudeSeries([k * dt for k in range(n)], [2.7] * n,
+                           [a0 * math.exp(-k * dt / tau) for k in range(n)],
+                           [snr] * n)
 
 
 def test_fit_exact_series():
@@ -364,10 +356,8 @@ def test_fit_exact_series():
 
 def test_fit_amplitude_rescale_leaves_tau():
     base = exact_series(3e4, a0=1.0)
-    scaled = AmplitudeSeries(rows=tuple(
-        AmplitudeRow(time=r.time, frequency=r.frequency,
-                     amplitude=137.0 * r.amplitude, snr=r.snr,
-                     flagged=r.flagged) for r in base.rows))
+    scaled = AmplitudeSeries(base.time, base.frequency,
+                             137.0 * base.amplitude, base.snr)
     f1 = fit_decay(base)
     f2 = fit_decay(scaled)
     assert abs(f2.tau - f1.tau) / f1.tau < 1e-12
@@ -384,18 +374,16 @@ def test_fit_recovers_any_exact_decay(tau, a0):
 
 
 def test_fit_downweights_low_snr_row():
-    rows = list(exact_series(1e4, n=9).rows)
+    base = exact_series(1e4, n=9)
     k = 4
-    corrupt_hi = AmplitudeRow(time=rows[k].time, frequency=2.7,
-                              amplitude=2.0 * rows[k].amplitude,
-                              snr=1e6, flagged=False)
-    corrupt_lo = AmplitudeRow(time=rows[k].time, frequency=2.7,
-                              amplitude=2.0 * rows[k].amplitude,
-                              snr=3.5, flagged=False)
-    hi = fit_decay(AmplitudeSeries(rows=tuple(
-        rows[:k] + [corrupt_hi] + rows[k + 1:])))
-    lo = fit_decay(AmplitudeSeries(rows=tuple(
-        rows[:k] + [corrupt_lo] + rows[k + 1:])))
+    amplitude = base.amplitude.copy()
+    amplitude[k] *= 2.0
+    snr_lo = base.snr.copy()
+    snr_lo[k] = 3.5
+    hi = fit_decay(AmplitudeSeries(base.time, base.frequency, amplitude,
+                                   base.snr))
+    lo = fit_decay(AmplitudeSeries(base.time, base.frequency, amplitude,
+                                   snr_lo))
     err_hi = abs(hi.tau - 1e4)
     err_lo = abs(lo.tau - 1e4)
     assert err_lo < 0.01 * err_hi
@@ -403,21 +391,19 @@ def test_fit_downweights_low_snr_row():
 
 
 def test_fit_needs_five_usable_rows():
-    rows = list(exact_series(1e4, n=5).rows)
-    rows[2] = AmplitudeRow(time=rows[2].time, frequency=2.7,
-                           amplitude=rows[2].amplitude, snr=1.0,
-                           flagged=True)
+    base = exact_series(1e4, n=5)
+    snr = base.snr.copy()
+    snr[2] = 1.0
     with pytest.raises(DataError, match="usable"):
-        fit_decay(AmplitudeSeries(rows=tuple(rows)))
+        fit_decay(AmplitudeSeries(base.time, base.frequency, base.amplitude,
+                                  snr))
 
 
 def test_fit_rejects_growth():
-    rows = tuple(
-        AmplitudeRow(time=1000.0 * k, frequency=2.7,
-                     amplitude=math.exp(k / 5.0), snr=1e6, flagged=False)
-        for k in range(8))
+    series = AmplitudeSeries([1000.0 * k for k in range(8)], [2.7] * 8,
+                             [math.exp(k / 5.0) for k in range(8)], [1e6] * 8)
     with pytest.raises(FitError, match="decay"):
-        fit_decay(AmplitudeSeries(rows=rows))
+        fit_decay(series)
 
 
 def test_fit_rejects_short_span():
@@ -523,6 +509,29 @@ def test_csv_block_errors(tmp_path):
         read_block_csv(short)
 
 
+def test_csv_block_time_column_must_step_evenly(tmp_path):
+    for name, times in [("repeat.csv", "0.0 0.02 0.02 0.04"),
+                        ("gap.csv", "0.0 0.02 0.5 0.52"),
+                        ("still.csv", "5.0 5.0")]:
+        path = tmp_path / name
+        path.write_text("time_s,displacement\n" + "".join(
+            f"{t},1.0\n" for t in times.split()))
+        with pytest.raises(DataError, match=f"{name}: time column"):
+            read_block_csv(path)
+    # the last block of the default schedule: its times, near 4.3e5 s,
+    # carry rounding of about 1e-8 of the 0.02 s step
+    n = REFERENCE_SCHEDULE.samples_per_block
+    block = Block(start_time=REFERENCE_SCHEDULE.block_starts()[-1],
+                  sample_rate=50.0, samples=tone(n, 50.0, 2.7))
+    path = tmp_path / "last.csv"
+    with open(path, "w") as fh:
+        write_block_csv(block, fh)
+    back = read_block_csv(path)
+    assert back.start_time == 428400.0
+    assert abs(back.sample_rate - 50.0) < 1e-9 * 50.0
+    assert np.array_equal(back.samples, block.samples)
+
+
 def test_bin_block_round_trip(tmp_path):
     p = RingdownParams(amplitude0=1.0, f0=2.7, tau=410400.0,
                        noise_rms=1.5, seed=3)
@@ -581,15 +590,10 @@ def test_bin_block_malformed(tmp_path):
 
 
 def test_series_csv_format():
-    rows = (
-        AmplitudeRow(time=0.0, frequency=2.7, amplitude=1.0,
-                     snr=math.inf, flagged=False),
-        AmplitudeRow(time=3600.0, frequency=2.69, amplitude=0.5,
-                     snr=2.5, flagged=True),
-    )
+    series = AmplitudeSeries([0.0, 3600.0], [2.7, 2.69], [1.0, 0.5],
+                             [math.inf, 2.5])
     buf = io.StringIO()
-    write_series_csv(AmplitudeSeries(rows=rows), buf,
-                     header_comment="manifest beef")
+    write_series_csv(series, buf, header_comment="manifest beef")
     lines = buf.getvalue().splitlines()
     assert lines[0] == "# manifest beef"
     assert lines[1] == "t_s,f_Hz,amplitude,snr,flagged"
