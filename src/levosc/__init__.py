@@ -15,7 +15,7 @@ from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
 from .damping import (DampingTable, OscillatorSpec, RegimeMode,
                       SensitivityReport, damping_table, drag_force,
                       linewidth, noise_density, sensitivity_report)
-from .detection import (CoilSpec, DetectionGeometry, DriveSpec, MediumSpec,
+from .detection import (CoilSpec, DetectionGeometry, DriveSpec,
                         SpherePose, SweepResult,
                         capacitance_from_resonance, coaxial_geometry,
                         coil_field, effective_inductance, induced_dipole,
@@ -42,7 +42,7 @@ __all__ = [
     "OscillatorSpec", "RegimeMode", "DampingTable", "SensitivityReport",
     "damping_table", "linewidth", "drag_force", "noise_density",
     "sensitivity_report",
-    "CoilSpec", "DriveSpec", "MediumSpec", "DetectionGeometry", "SpherePose",
+    "CoilSpec", "DriveSpec", "DetectionGeometry", "SpherePose",
     "SweepResult", "coil_field", "self_inductance",
     "mutual_inductance", "induced_dipole", "effective_inductance",
     "resonance_frequency", "capacitance_from_resonance", "induced_voltage",

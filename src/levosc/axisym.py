@@ -399,6 +399,8 @@ def _solve(op: _FieldOperator, pose: SpherePose | None,
     d = np.zeros((nr, nz))
     psi = op.psi0.copy()
     if pose is not None:
+        if not z[0] <= sphere_z <= z[-1]:
+            raise GeometryError("sphere outside the solver mesh")
         rs = pose.radius
         inside = rho[:, None]**2 + (z[None, :] - sphere_z)**2 <= rs * rs
         if not inside.any():

@@ -7,9 +7,9 @@ output file references that hash, so a directory of results is
 traceable to the exact inputs that produced it.
 
 Every config input is declared once, in CONFIG_TABLE, and read by
-_read_config before any compute: unknown sections and keys, values
-of the wrong JSON type and sizes past SIZE_CAPS exit 2 naming
-``section.key``.
+:func:`levosc.formats.read_keys` before any compute: unknown sections
+and keys, values of the wrong JSON type and sizes past SIZE_CAPS exit 2
+naming ``section.key``.
 
 Exit codes: 0 success, 2 usage or configuration problems (an input too
 large for the available memory among them), 3 physics, geometry, or
@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__, axisym, damping, detection, fitting, media
 from . import ringdown as rd
 from .errors import ConfigError, DataError, LevoscError
+from .formats import read_keys, write_csv
 from .svgplot import Series, line_plot_svg
 
 __all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS"]
@@ -149,59 +150,13 @@ def _load_config(path: Path | None) -> tuple[dict, bytes]:
         cfg = json.loads(blob)
     except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _read_config(CONFIG_TABLE, cfg, "config"), blob
-
-
-def _typed(kind, value):
-    """``value`` as the Python value of JSON type ``kind``; ValueError if
-    it has another type: a bool is no number, 2.5 no integer and "false"
-    no boolean."""
-    if isinstance(kind, tuple):
-        if value in kind:
-            return value
-    elif value is None:
-        if kind.endswith(" or null"):
-            return None
-    elif kind == "two numbers":
-        if isinstance(value, list) and len(value) == 2:
-            return tuple(_typed("number", v) for v in value)
-    elif kind.startswith("number"):
-        # float() raises OverflowError past the float range
-        if type(value) in (int, float) and np.isfinite(float(value)):
-            return float(value)
-    elif type(value) is {"integer": int, "boolean": bool,
-                         "string or null": str}[kind]:
-        return value
-    raise ValueError(kind)
-
-
-def _read_config(table: dict, given, where: str) -> dict:
-    """``given`` checked against ``table``, recursing into sections."""
-    if not isinstance(given, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(given) - set(table)
-    if unknown:
-        what = "sections" if where == "config" else "keys"
-        raise ConfigError(f"unknown {what} in {where}: {sorted(unknown)}")
-    typed = {}
-    for key, spec in table.items():
-        name = key if where == "config" else f"{where}.{key}"
-        if isinstance(spec, dict):
-            typed[key] = _read_config(spec, given.get(key, {}), name)
-            continue
-        kind, default = spec
-        value = given.get(key, default)
-        try:
-            typed[key] = _typed(kind, value)
-        except (ValueError, OverflowError):
-            if not isinstance(kind, str):
-                kind = " or ".join(json.dumps(choice) for choice in kind)
-            raise ConfigError(f"{name}: expected {kind}, got {value!r}") \
-                from None
-        if name in SIZE_CAPS and typed[key] > SIZE_CAPS[name]:
+    cfg = read_keys(CONFIG_TABLE, cfg)
+    for name, cap in SIZE_CAPS.items():
+        section, key = name.split(".")
+        if cfg[section][key] > cap:
             raise ConfigError(
-                f"{name}: at most {SIZE_CAPS[name]}, got {value!r}")
-    return typed
+                f"{name}: at most {cap}, got {cfg[section][key]!r}")
+    return cfg, blob
 
 
 def _require_positive(cfg: dict, section: str, *keys: str) -> None:
@@ -518,11 +473,10 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
                                                      med, grid, mode)
         pred_path = args.out / "contamination_prediction.csv"
         with open(pred_path, "w") as fh:
-            fh.write(f"# {_csv_comment(core)}\n")
-            fh.write("T_K,tau_s,tau_contaminated_s,ratio\n")
-            for T, tau1, tau2 in zip(base.T.tolist(), base.tau_total.tolist(),
-                                     contam.tau_total.tolist()):
-                fh.write(f"{T!r},{tau1!r},{tau2!r},{tau2 / tau1!r}\n")
+            write_csv(fh, [_csv_comment(core)],
+                      ["T_K", "tau_s", "tau_contaminated_s", "ratio"],
+                      [base.T, base.tau_total, contam.tau_total,
+                       contam.tau_total / base.tau_total])
         outputs.append(pred_path.name)
     return outputs
 
@@ -530,8 +484,10 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
 def _cmd_sensitivity(args, cfg: dict) -> list[str]:
     sec = cfg["sensitivity"]
     osc = _osc_from_config(cfg)
+    med = _media_from_config(args, cfg)
     report = damping.sensitivity_report(osc, sec["temperature_K"],
-                                        sec["tau_s"], sec["velocity_m_s"])
+                                        sec["tau_s"], sec["velocity_m_s"],
+                                        med.constants)
     core = args._manifest
     path = args.out / "sensitivity.json"
     _json_out(path, {"S_F_N2_per_Hz": report.S_F, "F_D_N": report.F_D,

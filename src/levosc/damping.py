@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .formats import write_csv
 from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
                     thermal_velocity_he3, viscosity_normal_grid)
 
@@ -114,7 +115,9 @@ class SensitivityReport:
 
 def _hydrodynamic(osc: OscillatorSpec, eta_n):
     """Stokes-drag decay time M / (3 pi eta_n r)."""
-    return osc.mass / (3.0 * math.pi * eta_n * osc.radius)
+    # an extreme mass or radius overflows the time: saturate to inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(osc.mass, 3.0 * math.pi * eta_n * osc.radius)
 
 
 def _phonon(osc: OscillatorSpec, params: QuasiparticleParams,
@@ -141,9 +144,11 @@ def _roton(osc: OscillatorSpec, params: QuasiparticleParams,
 def _impurity(osc: OscillatorSpec, media: HeliumMedia, v_th, n3: float):
     """Knudsen helium-3 drag decay time 4 M / (4.1906 pi r^2 n3 m3* v_th)."""
     m3_eff = media.quasiparticles.m3_eff_ratio * media.constants.m3
-    return (4.0 * osc.mass
-            / (KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
-               * n3 * m3_eff * v_th))
+    # an extreme mass or radius overflows the time: saturate to inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.divide(4.0 * osc.mass,
+                         KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
+                         * n3 * m3_eff * v_th)
 
 
 # Running state of a composition: summed decay rate, fastest channel,
@@ -155,7 +160,9 @@ def _fold(channels: Sequence, acc: tuple = _EMPTY_FOLD) -> tuple:
     """Fold channel decay times (floats or arrays; NaN absent, inf
     saturated) into the running state ``acc`` of a composition."""
     rate, fastest, ok = acc
-    with np.errstate(divide="ignore"):
+    # a rate past the float range is inf; the composite is then 0,
+    # which _composite rejects
+    with np.errstate(divide="ignore", over="ignore"):
         for tau in channels:
             absent = np.isnan(tau)
             rate = rate + np.where(absent, 0.0, 1.0 / tau)
@@ -196,21 +203,26 @@ def drag_force(osc: OscillatorSpec, tau: float, velocity: float) -> float:
     return 2.0 * osc.mass * velocity / tau
 
 
-def noise_density(osc: OscillatorSpec, T: float, tau: float) -> float:
-    """Thermal force-noise spectral density 8 k_B M T / tau."""
+def noise_density(osc: OscillatorSpec, T: float, tau: float,
+                  constants: PhysicalConstants = PhysicalConstants(),
+                  ) -> float:
+    """Thermal force-noise spectral density 8 k_B M T / tau, with k_B
+    from ``constants``."""
     if T < 0:
         raise DomainError(f"temperature must be non-negative, got {T:g} K")
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau:g}")
-    k_B = PhysicalConstants().k_B
-    return 8.0 * k_B * osc.mass * T / tau
+    return 8.0 * constants.k_B * osc.mass * T / tau
 
 
 def sensitivity_report(osc: OscillatorSpec, T: float, tau: float,
-                       velocity: float) -> SensitivityReport:
-    """Bundle noise floor, drag force, T/tau, and linewidth."""
+                       velocity: float,
+                       constants: PhysicalConstants = PhysicalConstants(),
+                       ) -> SensitivityReport:
+    """Bundle noise floor, drag force, T/tau, and linewidth; the noise
+    floor takes k_B from ``constants``."""
     return SensitivityReport(
-        S_F=noise_density(osc, T, tau),
+        S_F=noise_density(osc, T, tau, constants),
         F_D=drag_force(osc, tau, velocity),
         T_over_tau=T / tau,
         linewidth=linewidth(tau))
@@ -327,13 +339,7 @@ def write_damping_csv(table: DampingTable, fh: io.TextIOBase,
                       header_comment: str | None = None) -> None:
     """Emit a :class:`DampingTable` as CSV; absent channels become empty
     fields."""
-    fields = [["" if text == "nan" else text
-               for text in map(repr, col.tolist())]
-              for col in table.columns()]
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    fh.write(",".join(_CSV_COLUMNS) + "\n")
-    fh.writelines(",".join(record) + "\n" for record in zip(*fields))
+    write_csv(fh, [header_comment], _CSV_COLUMNS, table.columns())
 
 
 def damping_metadata(osc: OscillatorSpec, media: HeliumMedia, n3: float,

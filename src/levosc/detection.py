@@ -24,19 +24,19 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
+from .formats import REQUIRED, read_keys, write_csv
 
 __all__ = [
     "MU0",
     "CoilSpec",
     "DriveSpec",
-    "MediumSpec",
     "DetectionGeometry",
     "SpherePose",
     "SweepResult",
@@ -53,6 +53,7 @@ __all__ = [
     "coaxial_geometry",
     "orthogonal_geometry",
     "load_geometry",
+    "GEOMETRY_TABLE",
     "check_clearance",
 ]
 
@@ -134,28 +135,6 @@ class DriveSpec:
 
 
 @dataclass(frozen=True)
-class MediumSpec:
-    """Electromagnetic properties of the bath around the coils.
-
-    The conductivity is so small that eddy effects are negligible even
-    at MHz drive; the record exists to document why the quasi-static
-    field treatment is valid, not to feed a loss model.
-    """
-
-    relative_permittivity: float = 1.048
-    relative_permeability: float = 1.0
-    conductivity: float = 1e-13
-
-    def __post_init__(self):
-        if self.relative_permittivity < 1.0:
-            raise ValueError("relative permittivity must be >= 1")
-        if self.relative_permeability <= 0:
-            raise ValueError("relative permeability must be positive")
-        if self.conductivity < 0:
-            raise ValueError("conductivity must be non-negative")
-
-
-@dataclass(frozen=True)
 class DetectionGeometry:
     """Transmitter, one or two receivers, drive, and the LC circuit.
 
@@ -169,7 +148,6 @@ class DetectionGeometry:
     receivers: tuple[CoilSpec, ...]
     drive: DriveSpec
     capacitance: float
-    medium: MediumSpec = field(default_factory=MediumSpec)
     receiver_inductance: float | None = None
 
     def __post_init__(self):
@@ -238,13 +216,22 @@ class SweepResult:
             raise ValueError("L_eff must be positive")
 
 
+def _coil_frame(points: np.ndarray, coil: CoilSpec):
+    """Axial coordinate z, radial vector and its length rho of each row
+    of an (n, 3) block of points in the coil's frame; a length past the
+    float range reads inf."""
+    rel = points - coil.center_v
+    z = rel @ coil.axis_v
+    radial = rel - np.outer(z, coil.axis_v)
+    with np.errstate(over="ignore"):
+        rho = np.linalg.norm(radial, axis=1)
+    return z, radial, rho
+
+
 def _circle_distance(points: np.ndarray, coil: CoilSpec) -> np.ndarray:
     """Distance from each row of an (n, 3) block of points to the coil's
     mean winding circle."""
-    axis = coil.axis_v
-    rel = points - coil.center_v
-    z = rel @ axis
-    rho = np.linalg.norm(rel - np.outer(z, axis), axis=1)
+    z, _, rho = _coil_frame(points, coil)
     return np.hypot(rho - coil.mean_radius, z)
 
 
@@ -311,20 +298,25 @@ def _ellipke(m):
 def _loop_field_rz(a: float, rho, z):
     """Field of a 1-turn unit-current loop of radius ``a`` in its own
     frame; returns (B_rho, B_z) for array-like cylindrical coordinates.
+
+    Far from the loop the squares overflow: on the axis the field then
+    reads 0, its limit, and off the axis it may read NaN, which callers
+    report.
     """
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
     near_axis = rho < 1e-12 * a
     rho_safe = np.where(near_axis, 1.0, rho)
-    beta_sq = (a + rho_safe)**2 + z**2
-    alpha_sq = (a - rho_safe)**2 + z**2
-    m = 4.0 * a * rho_safe / beta_sq
-    K, E = _ellipke(m)
-    denom = 2.0 * math.pi * np.sqrt(beta_sq)
-    B_z = MU0 / denom * (K + E * (a**2 - rho_safe**2 - z**2) / alpha_sq)
-    B_rho = (MU0 * z / (denom * rho_safe)
-             * (E * (a**2 + rho_safe**2 + z**2) / alpha_sq - K))
-    axial = MU0 * a**2 / (2.0 * (a**2 + z**2)**1.5)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        beta_sq = (a + rho_safe)**2 + z**2
+        alpha_sq = (a - rho_safe)**2 + z**2
+        m = 4.0 * a * rho_safe / beta_sq
+        K, E = _ellipke(m)
+        denom = 2.0 * math.pi * np.sqrt(beta_sq)
+        B_z = MU0 / denom * (K + E * (a**2 - rho_safe**2 - z**2) / alpha_sq)
+        B_rho = (MU0 * z / (denom * rho_safe)
+                 * (E * (a**2 + rho_safe**2 + z**2) / alpha_sq - K))
+        axial = MU0 * a**2 / (2.0 * (a**2 + z**2)**1.5)
     B_z = np.where(near_axis, axial, B_z)
     B_rho = np.where(near_axis, 0.0, B_rho)
     return B_rho, B_z
@@ -333,11 +325,7 @@ def _loop_field_rz(a: float, rho, z):
 def _coil_field_points(coil: CoilSpec, current: float,
                        points: np.ndarray) -> np.ndarray:
     """Vectorized field of the coil at an (n, 3) block of points."""
-    axis = coil.axis_v
-    rel = points - coil.center_v
-    z = rel @ axis
-    radial = rel - np.outer(z, axis)
-    rho = np.linalg.norm(radial, axis=1)
+    z, radial, rho = _coil_frame(points, coil)
     filament_dist = np.hypot(rho - coil.mean_radius, z)
     if np.any(filament_dist < 1e-9):
         raise DomainError("field requested on the coil filament")
@@ -345,7 +333,7 @@ def _coil_field_points(coil: CoilSpec, current: float,
     with np.errstate(invalid="ignore", divide="ignore"):
         rho_hat = np.where(rho[:, None] > 0, radial / np.where(
             rho[:, None] > 0, rho[:, None], 1.0), 0.0)
-    B = B_rho[:, None] * rho_hat + B_z[:, None] * axis[None, :]
+    B = B_rho[:, None] * rho_hat + B_z[:, None] * coil.axis_v[None, :]
     return coil.turns * current * B
 
 
@@ -559,6 +547,9 @@ def position_sweep(geometry: DetectionGeometry,
             B_t = _coil_field_points(geometry.transmitter, 1.0, centers[ok])
             coupling[ok] = M0 + _dipole_flux(B_t, B_r, radii[ok])
     V = np.abs(coupling) * I0 * omega
+    # far off a coil's axis its field overflows to NaN
+    for i in np.flatnonzero(np.isnan(delta_L + coupling)).tolist():
+        errors.setdefault(i, "coil field not finite at the sphere center")
     failed = list(errors)
     for col in (L_eff, delta_L, f, V):
         col[failed] = math.nan
@@ -575,33 +566,20 @@ def write_sweep_csv(result: SweepResult, fh: io.TextIOBase,
     two extra columns report the independent field-solver result and
     its relative agreement with the dipole-model ``delta_L``.
     """
-    cols = ["position_m", "L_eff_H", "delta_L_H", "f_Hz", "V_amplitude_V"]
+    header = ["position_m", "L_eff_H", "delta_L_H", "f_Hz", "V_amplitude_V"]
+    columns = [result.position, result.L_eff, result.delta_L, result.f,
+               result.V]
     if oracle_delta_L is not None:
         if len(oracle_delta_L) != len(result.position):
             raise ConfigError("need one oracle value per sweep row")
-        cols += ["delta_L_oracle_H", "oracle_agreement"]
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    for idx, msg in result.errors:
-        fh.write(f"# row {idx} error: {msg}\n")
-    fh.write(",".join(cols) + "\n")
-
-    def fmt(x: float) -> str:
-        return "" if math.isnan(x) else repr(x)
-
-    columns = (result.position, result.L_eff, result.delta_L, result.f,
-               result.V)
-    for i, (pos, L_eff, delta_L, f, V) in enumerate(
-            zip(*(col.tolist() for col in columns))):
-        fields = [repr(pos), fmt(L_eff), fmt(delta_L), fmt(f), fmt(V)]
-        if oracle_delta_L is not None:
-            o = float(oracle_delta_L[i])
-            fields.append(fmt(o))
-            if math.isnan(o) or math.isnan(delta_L) or o == 0.0:
-                fields.append("")
-            else:
-                fields.append(repr(abs(delta_L - o) / abs(o)))
-        fh.write(",".join(fields) + "\n")
+        oracle = np.asarray(oracle_delta_L, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            agreement = np.abs(result.delta_L - oracle) / np.abs(oracle)
+        header += ["delta_L_oracle_H", "oracle_agreement"]
+        columns += [oracle, np.where(oracle == 0.0, math.nan, agreement)]
+    comments = [header_comment] + [f"row {idx} error: {msg}"
+                                   for idx, msg in result.errors]
+    write_csv(fh, comments, header, columns)
 
 
 def coaxial_geometry(d_z: float = 2.27e-2,
@@ -653,68 +631,27 @@ def orthogonal_geometry(r_trans: float = 2.6e-2,
                              drive=drive, capacitance=capacitance)
 
 
-# Keys of a geometry file: key -> (JSON type, default); _REQUIRED marks
-# a key without a default, and a default of None also admits null.
-_REQUIRED = object()
-_COIL_KEYS = {
-    "center_m": ("3 numbers", _REQUIRED), "axis": ("3 numbers", _REQUIRED),
-    "mean_radius_m": ("number", _REQUIRED), "turns": ("integer", _REQUIRED),
-    "conductor_cross_section_m2": ("number", _REQUIRED),
-    "role": ("string", None)}
-_DRIVE_KEYS = {"amplitude_A": ("number", _REQUIRED),
-               "frequency_Hz": ("number", None),
-               "angular_frequency_rad_s": ("number", None)}
-_MEDIUM_KEYS = {"relative_permittivity": ("number", 1.048),
-                "relative_permeability": ("number", 1.0),
-                "conductivity_S_per_m": ("number", 1e-13)}
-_GEOMETRY_KEYS = {
-    "transmitter": ("object", _REQUIRED), "receivers": ("list", _REQUIRED),
-    "drive": ("object", _REQUIRED), "medium": ("object", {}),
-    "capacitance_F": ("number", _REQUIRED),
-    "receiver_inductance_H": ("number", None)}
+# Keys of a geometry file, in the layout of levosc.formats.read_keys.
+COIL_TABLE = {
+    "center_m": ("three numbers", REQUIRED),
+    "axis": ("three numbers", REQUIRED),
+    "mean_radius_m": ("number", REQUIRED), "turns": ("integer", REQUIRED),
+    "conductor_cross_section_m2": ("number", REQUIRED),
+    "role": ("string or null", None)}
+GEOMETRY_TABLE = {
+    "transmitter": COIL_TABLE, "receivers": [COIL_TABLE],
+    "drive": {"amplitude_A": ("number", REQUIRED),
+              "frequency_Hz": ("number or null", None),
+              "angular_frequency_rad_s": ("number or null", None)},
+    "capacitance_F": ("number", REQUIRED),
+    "receiver_inductance_H": ("number or null", None)}
 
 
-def _is_json(kind: str, value) -> bool:
-    """Whether ``value`` has JSON type ``kind``: a bool is no number and
-    60.9 no integer."""
-    if kind == "number":
-        return type(value) in (int, float) and math.isfinite(value)
-    if kind == "integer":
-        return type(value) is int
-    if kind == "3 numbers":
-        return (isinstance(value, list) and len(value) == 3
-                and all(_is_json("number", v) for v in value))
-    return isinstance(value, {"string": str, "object": dict,
-                              "list": list}[kind])
-
-
-def _json_fields(obj, keys: dict, where: str) -> dict:
-    """The entries of the JSON object ``obj`` checked against ``keys``,
-    with defaults filled in; ValueError naming the key otherwise."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {unknown}")
-    out = {}
-    for key, (kind, default) in keys.items():
-        value = obj.get(key, default)
-        if value is _REQUIRED:
-            raise ValueError(f"{where}.{key} is missing")
-        if not (value is default is None or _is_json(kind, value)):
-            raise ValueError(f"{where}.{key}: expected {kind}, "
-                             f"got {value!r}")
-        out[key] = value
-    return out
-
-
-def _coil_from_json(obj, role: str, where: str) -> CoilSpec:
-    coil = _json_fields(obj, _COIL_KEYS, where)
-    return CoilSpec(center=tuple(coil["center_m"]), axis=tuple(coil["axis"]),
-                    mean_radius=float(coil["mean_radius_m"]),
-                    turns=coil["turns"],
-                    conductor_cross_section_total=float(
-                        coil["conductor_cross_section_m2"]),
+def _coil(coil: dict, role: str) -> CoilSpec:
+    return CoilSpec(center=coil["center_m"], axis=coil["axis"],
+                    mean_radius=coil["mean_radius_m"], turns=coil["turns"],
+                    conductor_cross_section_total=coil[
+                        "conductor_cross_section_m2"],
                     role=role if coil["role"] is None else coil["role"])
 
 
@@ -722,39 +659,30 @@ def load_geometry(path: str | Path) -> DetectionGeometry:
     """Read a detection geometry from its JSON description.
 
     Keys carry explicit unit suffixes (``center_m``, ``mean_radius_m``,
-    ``capacitance_F``, drive ``amplitude_A`` + ``frequency_Hz``). An
-    unknown key, a missing one or a value of the wrong JSON type is a
-    :class:`ConfigError` naming the key.
+    ``capacitance_F``, drive ``amplitude_A`` + ``frequency_Hz``). The
+    file is checked against ``GEOMETRY_TABLE`` by
+    :func:`levosc.formats.read_keys`: an unknown key, a missing one or a
+    value of the wrong JSON type is a :class:`ConfigError` naming the
+    key.
     """
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read geometry {path}: {exc}") from exc
     try:
-        geom = _json_fields(obj, _GEOMETRY_KEYS, "geometry")
-        transmitter = _coil_from_json(geom["transmitter"], "transmitter",
-                                      "geometry.transmitter")
-        receivers = tuple(
-            _coil_from_json(r, "receiver", f"geometry.receivers[{i}]")
-            for i, r in enumerate(geom["receivers"]))
-        drive = _json_fields(geom["drive"], _DRIVE_KEYS, "geometry.drive")
+        geom = read_keys(GEOMETRY_TABLE, obj, "geometry")
+        drive = geom["drive"]
         f, omega = drive["frequency_Hz"], drive["angular_frequency_rad_s"]
         if (f is None) == (omega is None):
             raise ValueError("drive needs exactly one of frequency_Hz and "
                              "angular_frequency_rad_s")
-        medium = _json_fields(geom["medium"], _MEDIUM_KEYS, "geometry.medium")
-        L_rx = geom["receiver_inductance_H"]
         return DetectionGeometry(
-            transmitter=transmitter, receivers=receivers,
-            drive=DriveSpec(amplitude=float(drive["amplitude_A"]),
-                            angular_frequency=float(
-                                2.0 * math.pi * f if omega is None
-                                else omega)),
-            capacitance=float(geom["capacitance_F"]),
-            medium=MediumSpec(
-                relative_permittivity=float(medium["relative_permittivity"]),
-                relative_permeability=float(medium["relative_permeability"]),
-                conductivity=float(medium["conductivity_S_per_m"])),
-            receiver_inductance=None if L_rx is None else float(L_rx))
-    except ValueError as exc:
+            transmitter=_coil(geom["transmitter"], "transmitter"),
+            receivers=tuple(_coil(r, "receiver") for r in geom["receivers"]),
+            drive=DriveSpec(amplitude=drive["amplitude_A"],
+                            angular_frequency=(2.0 * math.pi * f
+                                               if omega is None else omega)),
+            capacitance=geom["capacitance_F"],
+            receiver_inductance=geom["receiver_inductance_H"])
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"bad geometry file {path}: {exc}") from exc

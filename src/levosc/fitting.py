@@ -16,7 +16,6 @@ the composite once per objective evaluation (see
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .damping import (DEFAULT_TAU_VACUUM, DampingTable, MediumChannels,
                       OscillatorSpec, RegimeMode, compose, damping_table,
                       medium_channels)
 from .errors import BracketError, ConfigError, DataError
+from .formats import read_numeric_csv, write_csv
 from .media import HeliumMedia
 
 __all__ = [
@@ -87,6 +87,8 @@ class ConcentrationFit:
     search_tolerance: float
     tau_vacuum: float | None = None
     fitted_tau_vacuum: float | None = None
+    regime_threshold: float = REGIME_WEIGHT_THRESHOLD
+    regime_weight: float = REGIME_WEIGHT
 
     def __post_init__(self):
         if self.n3 <= 0:
@@ -117,12 +119,6 @@ def model_residuals(series: TauTemperatureSeries, osc: OscillatorSpec,
     medium = medium_channels(osc, media, series.temperatures)
     return _log_residuals(medium, np.log(series.taus), osc, media, n3, mode,
                           tau_vacuum)
-
-
-def _regime_weights(series: TauTemperatureSeries,
-                    threshold: float, weight: float) -> np.ndarray:
-    T = series.temperatures
-    return np.where(T > threshold, weight, 1.0)
 
 
 def _golden_minimize(fn: Callable[[float], float], lo: float, hi: float,
@@ -172,7 +168,8 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
         raise ConfigError("bracket must satisfy 0 < low < high")
     if math.log10(n3_hi / n3_lo) < 4.0:
         raise ConfigError("bracket must span at least four decades of n3")
-    weights = _regime_weights(series, regime_threshold, regime_weight)
+    weights = np.where(series.temperatures > regime_threshold,
+                       regime_weight, 1.0)
     medium = medium_channels(osc, media, series.temperatures)
     log_taus = np.log(series.taus)
 
@@ -219,7 +216,9 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
                             n3_bracket=(n3_lo, n3_hi), regime_mode=mode,
                             search_tolerance=tol,
                             tau_vacuum=tau_vacuum,
-                            fitted_tau_vacuum=fitted_vac)
+                            fitted_tau_vacuum=fitted_vac,
+                            regime_threshold=regime_threshold,
+                            regime_weight=regime_weight)
 
 
 def predict_contamination(x3: float, added_x3: float,
@@ -246,27 +245,7 @@ def predict_contamination(x3: float, added_x3: float,
 
 def load_tau_series_csv(path: str | Path) -> TauTemperatureSeries:
     """Read (T_K, tau_s[, sigma_tau_s]) rows, header optional."""
-    rows: list[tuple[float, float, float | None]] = []
-    try:
-        with open(path, newline="") as fh:
-            records = [(lineno, rec) for lineno, rec in
-                       enumerate(csv.reader(fh), start=1)
-                       if rec and not rec[0].lstrip().startswith("#")]
-    except (OSError, ValueError, csv.Error) as exc:
-        raise DataError(f"cannot read tau series {path}: {exc}") from exc
-    for i, (lineno, rec) in enumerate(records):
-        T = None
-        try:
-            T = float(rec[0])
-            sigma = float(rec[2]) if len(rec) > 2 and rec[2].strip() \
-                else None
-            rows.append((T, float(rec[1]), sigma))
-        except (ValueError, IndexError):
-            if i > 0 or T is not None:  # only the first line is a header
-                raise DataError(f"{path}:{lineno}: bad tau series row "
-                                f"{rec!r}") from None
-    if not rows:
-        raise DataError(f"tau series {path} has no data rows")
+    rows = read_numeric_csv(path, "tau series", 2, optional=1)
     try:
         return TauTemperatureSeries(rows=tuple(rows))
     except ValueError as exc:
@@ -276,12 +255,8 @@ def load_tau_series_csv(path: str | Path) -> TauTemperatureSeries:
 def write_residuals_csv(series: TauTemperatureSeries,
                         residuals: np.ndarray, fh: io.TextIOBase,
                         header_comment: str | None = None) -> None:
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    fh.write("T_K,tau_s,log_residual\n")
-    for (T, tau, _), r in zip(series.rows, residuals):
-        field = "" if math.isnan(r) else repr(float(r))
-        fh.write(f"{T!r},{tau!r},{field}\n")
+    write_csv(fh, [header_comment], ["T_K", "tau_s", "log_residual"],
+              [series.temperatures, series.taus, residuals])
 
 
 def concentration_fit_dict(fit: ConcentrationFit) -> dict[str, object]:
@@ -295,8 +270,8 @@ def concentration_fit_dict(fit: ConcentrationFit) -> dict[str, object]:
         "tau_vacuum_s": fit.tau_vacuum,
         "fitted_tau_vacuum_s": fit.fitted_tau_vacuum,
         "search_tolerance": fit.search_tolerance,
-        "regime_weight_threshold_K": REGIME_WEIGHT_THRESHOLD,
-        "regime_weight": REGIME_WEIGHT,
+        "regime_weight_threshold_K": fit.regime_threshold,
+        "regime_weight": fit.regime_weight,
         "notes": ("surface bound states can deplete the bulk helium-3 "
                   "concentration near a free surface; this is not "
                   "modeled, so x3 reflects the bulk actually coupled "

@@ -12,7 +12,6 @@ with at most one header line.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
+from .formats import read_numeric_csv
 
 __all__ = [
     "PhysicalConstants",
@@ -128,31 +128,11 @@ class ViscosityTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "ViscosityTable":
         """Load a replacement table from a two-column CSV (T_K, eta_Pa_s)."""
-        try:
-            with open(path, newline="") as fh:
-                records = [(lineno, rec) for lineno, rec in
-                           enumerate(csv.reader(fh), start=1)
-                           if rec and not rec[0].lstrip().startswith("#")]
-        except (OSError, ValueError, csv.Error) as exc:
-            # ValueError: not UTF-8, or a NUL in the path
-            raise DataError(f"cannot read viscosity CSV {path}: {exc}") \
-                from exc
-        rows = []
-        for i, (lineno, rec) in enumerate(records):
-            T = None
-            try:
-                T = float(rec[0])
-                rows.append((T, float(rec[1])))
-            except (ValueError, IndexError):
-                if i > 0 or T is not None:  # only the first line is a header
-                    raise DataError(f"{path}:{lineno}: bad viscosity row "
-                                    f"{rec!r}") from None
-        if len(rows) < 2:
-            raise DataError(f"viscosity CSV {path} has fewer than two rows")
+        rows = read_numeric_csv(path, "viscosity table", 2)
         try:
             return cls(entries=tuple(rows))
         except ValueError as exc:
-            raise DataError(f"viscosity CSV {path}: {exc}") from exc
+            raise DataError(f"viscosity table {path}: {exc}") from exc
 
 
 DEFAULT_VISCOSITY_TABLE = ViscosityTable(
@@ -211,8 +191,9 @@ def thermal_velocity_he3(constants: PhysicalConstants,
         raise DomainError(
             f"temperature must be positive, got {np.min(T):g} K")
     m3_eff = params.m3_eff_ratio * constants.m3
-    return np.sqrt(2.0 * constants.k_B * np.asarray(T, dtype=float)
-                   / m3_eff)
+    with np.errstate(over="ignore"):    # past the float range: inf
+        return np.sqrt(2.0 * constants.k_B * np.asarray(T, dtype=float)
+                       / m3_eff)
 
 
 def load_property_overrides(path: str | Path) -> dict[str, object]:

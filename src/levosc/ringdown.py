@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, FitError
+from .formats import write_csv
 
 __all__ = [
     "RingdownParams",
@@ -242,17 +243,22 @@ def amplitude_series(blocks: Sequence[Block],
         if n * f0_hint / block.sample_rate < 20.0:
             raise DataError(
                 "block shorter than 20 periods of the hint frequency")
-        mag = np.abs(np.fft.rfft(x * w))
+        # a huge signal overflows the transform; the peak check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = np.abs(np.fft.rfft(x * w))
         hint_bin = f0_hint * n / block.sample_rate
         lo = max(1, round(hint_bin) - 2)
         hi = min(len(mag) - 2, round(hint_bin) + 2)
         if lo > hi:
             raise DataError("hint frequency outside the resolvable band")
         k = lo + int(np.argmax(mag[lo:hi + 1]))
+        around = mag[k - 1:k + 2]
+        if not np.all((around > 0.0) & (around < math.inf)):
+            raise DataError(f"block at t = {block.start_time:g} s: spectral "
+                            "peak is zero or not finite")
         # parabolic refinement on log magnitude (exact for a gaussian-ish
         # peak, excellent for a Hann main lobe)
-        with np.errstate(divide="ignore"):
-            alpha, beta, gamma = np.log(mag[k - 1:k + 2])
+        alpha, beta, gamma = np.log(around)
         denom = alpha - 2.0 * beta + gamma
         delta = 0.0 if denom == 0.0 else 0.5 * (alpha - gamma) / denom
         delta = float(np.clip(delta, -0.5, 0.5))
@@ -332,13 +338,10 @@ def analyze_ringdown(blocks: Sequence[Block], schedule: BlockSchedule,
 
 def write_block_csv(block: Block, fh: io.TextIOBase,
                     header_comment: str | None = None) -> None:
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    fh.write("time_s,displacement\n")
-    t0 = block.start_time
-    fs = block.sample_rate
-    for i, x in enumerate(block.samples.tolist()):
-        fh.write(f"{t0 + i / fs!r},{x!r}\n")
+    times = block.start_time + np.arange(len(block.samples)) \
+        / block.sample_rate
+    write_csv(fh, [header_comment], ["time_s", "displacement"],
+              [times, block.samples])
 
 
 def read_block_csv(path: str | Path) -> Block:
@@ -404,14 +407,10 @@ def read_block_bin(path: str | Path, start_time: float = 0.0) -> Block:
 
 def write_series_csv(series: AmplitudeSeries, fh: io.TextIOBase,
                      header_comment: str | None = None) -> None:
-    if header_comment:
-        fh.write(f"# {header_comment}\n")
-    fh.write("t_s,f_Hz,amplitude,snr,flagged\n")
-    for t, f, a, snr, flagged in zip(
-            series.time.tolist(), series.frequency.tolist(),
-            series.amplitude.tolist(), series.snr.tolist(),
-            series.flagged.tolist()):
-        fh.write(f"{t!r},{f!r},{a!r},{snr!r},{int(flagged)}\n")
+    write_csv(fh, [header_comment],
+              ["t_s", "f_Hz", "amplitude", "snr", "flagged"],
+              [series.time, series.frequency, series.amplitude, series.snr,
+               series.flagged.astype(int)])
 
 
 def decay_fit_dict(fit: DecayFit) -> dict[str, float]:

@@ -7,6 +7,9 @@ temp dirs and are parsed back with plain csv/json.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -447,6 +450,25 @@ def test_detection_sweep_empty_exits_2(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_detection_sweep_far_start_exits_0_without_warnings(tmp_path,
+                                                            capsys):
+    # the loop-field squares overflow at 1e160 m; on the axis the field
+    # reads its limit, 0, and the oracle mesh does not reach the sphere
+    cfg = write_config(tmp_path, {"detection": {"sweep_start_m": 1e160}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "levosc.cli", "detection-sweep", "--config",
+         str(cfg), "--out", str(tmp_path / "out")], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    _, rows, comments = read_csv(tmp_path / "out" / "detection_sweep.csv")
+    assert rows[0][:3] == ["1e+160", "2.1e-05", "0.0"]
+    assert len(comments) == 1
+    assert main(["detection-sweep", "--oracle", "--config", str(cfg),
+                 "--out", str(tmp_path / "oracle")]) == 3
+    assert "sphere outside the solver mesh" in capsys.readouterr().err
+
+
 def test_detection_sweep_bad_geometry_file_exits_3(tmp_path):
     cfg = write_config(tmp_path, {"detection": {"geometry": "nope.json"}})
     rc = main(["detection-sweep", "--config", str(cfg),
@@ -502,7 +524,7 @@ BAD_GEOMETRY = {
                  "radius_m"),
     "drive-key": (lambda g: g["drive"].update(phase_rad=0.0), "phase_rad"),
     "medium-key": (lambda g: g.update(medium={"permittivity": 1.05}),
-                   "permittivity"),
+                   "medium"),
     "two-frequencies": (lambda g: g["drive"].update(
         angular_frequency_rad_s=1e7), "angular_frequency_rad_s"),
 }
@@ -849,6 +871,18 @@ def test_sensitivity_defaults(tmp_path):
     assert abs(rep["linewidth_Hz"] - 1.0 / (math.pi * 4.1e5)) < 1e-18
     m = manifest_of(out)
     assert rep["manifest_hash"] == m["manifest_hash"]
+
+
+def test_sensitivity_uses_media_overrides(tmp_path):
+    (tmp_path / "media.properties").write_text("k_B = 2.0e-23\n")
+    cfg = write_config(tmp_path, {"media_overrides": "media.properties"})
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert main(["sensitivity", "--out", str(tmp_path / "ref")]) == 0
+    S_F, ref = (json.loads((d / "sensitivity.json").read_text())
+                ["S_F_N2_per_Hz"] for d in (out, tmp_path / "ref"))
+    assert abs(S_F / ref - 2.0e-23 / 1.380649e-23) < 1e-12
 
 
 def test_sensitivity_drag_force_window(tmp_path):

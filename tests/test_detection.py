@@ -9,6 +9,7 @@ mutual-inductance expression, and on-axis closed forms evaluated with
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ellipe, ellipk
 
 from levosc import (ConfigError, DomainError, GeometryError,
-                    CoilSpec, DetectionGeometry, DriveSpec, MediumSpec,
+                    CoilSpec, DetectionGeometry, DriveSpec,
                     SpherePose, capacitance_from_resonance, coaxial_geometry,
                     coil_field, effective_inductance, induced_dipole,
                     induced_voltage, load_geometry, mutual_inductance,
@@ -82,7 +83,6 @@ def rotated_geometry(geometry, R):
         transmitter=rot_coil(geometry.transmitter),
         receivers=tuple(rot_coil(r) for r in geometry.receivers),
         drive=geometry.drive, capacitance=geometry.capacitance,
-        medium=geometry.medium,
         receiver_inductance=geometry.receiver_inductance)
 
 
@@ -387,6 +387,24 @@ class TestPositionSweep:
         assert math.isnan(res.L_eff[3])
         assert not math.isnan(res.L_eff[2])
 
+    def test_non_finite_field_rows_are_reported(self):
+        # along the x-axis receiver of the orthogonal pair, 1e160 m out
+        # is on the receiver axis (field 0) but far off the transmitter
+        # axis, where the loop-field squares overflow to NaN
+        g = orthogonal_geometry()
+        d_z = g.receivers[0].center[2]
+        poses = [SpherePose(center=(x, 0.0, d_z), radius=0.985e-3)
+                 for x in (1e160, 0.01)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = position_sweep(g, poses)
+            by_receiver = position_sweep(g, poses, driven="receiver")
+        assert res.errors == ((0, "coil field not finite at the sphere "
+                                  "center"),)
+        assert math.isnan(res.V[0]) and math.isfinite(res.V[1])
+        res = by_receiver
+        assert not res.errors and res.delta_L[0] == 0.0
+
     @staticmethod
     def overlapping_transmitter_geometry():
         g = coaxial_geometry()
@@ -589,9 +607,3 @@ class TestGeometryIO:
         with pytest.raises(ValueError):
             DetectionGeometry(transmitter=tx, receivers=(rx1, rx2),
                               drive=drive, capacitance=470e-12)
-
-    def test_medium_defaults(self):
-        med = MediumSpec()
-        assert med.relative_permittivity == 1.048
-        assert med.relative_permeability == 1.0
-        assert med.conductivity == 1e-13

@@ -391,3 +391,12 @@ def test_fit_dict_records_the_tolerance_that_ran(osc, media):
     fit = fit_he3_concentration(series, osc, media, tol=1e-3)
     assert fit.search_tolerance == 1e-3
     assert concentration_fit_dict(fit)["search_tolerance"] == 1e-3
+
+
+def test_fit_dict_records_the_regime_weighting_that_ran(osc, media):
+    series = series_from_model(osc, media, WIDE_GRID,
+                               X3_REFERENCE * n4_of(media))
+    fit = fit_he3_concentration(series, osc, media, regime_threshold=0.3,
+                                regime_weight=0.2)
+    d = concentration_fit_dict(fit)
+    assert (d["regime_weight_threshold_K"], d["regime_weight"]) == (0.3, 0.2)
