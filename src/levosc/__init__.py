@@ -18,12 +18,10 @@ from .damping import (DampingTable, OscillatorSpec, RegimeMode,
 from .detection import (CoilSpec, DetectionGeometry, DriveSpec,
                         SpherePose, SweepResult,
                         capacitance_from_resonance, coaxial_geometry,
-                        coil_field, effective_inductance, induced_dipole,
-                        induced_voltage, load_geometry, mutual_inductance,
-                        orthogonal_geometry, position_sweep,
-                        resonance_frequency, self_inductance)
-from .axisym import (GridSpec, OracleResult, axisymmetric_oracle,
-                     oracle_delta_L, oracle_sweep)
+                        coil_field, induced_dipole, load_geometry,
+                        mutual_inductance, orthogonal_geometry,
+                        position_sweep, resonance_frequency, self_inductance)
+from .axisym import GridSpec, OracleResult, axisymmetric_oracle, oracle_sweep
 from .ringdown import (AmplitudeSeries, Block, BlockSchedule, DecayFit,
                        RingdownParams, analyze_ringdown, amplitude_series,
                        block_amplitude, fit_decay, synthesize_ringdown)
@@ -44,12 +42,10 @@ __all__ = [
     "sensitivity_report",
     "CoilSpec", "DriveSpec", "DetectionGeometry", "SpherePose",
     "SweepResult", "coil_field", "self_inductance",
-    "mutual_inductance", "induced_dipole", "effective_inductance",
-    "resonance_frequency", "capacitance_from_resonance", "induced_voltage",
-    "position_sweep", "coaxial_geometry", "orthogonal_geometry",
-    "load_geometry",
-    "GridSpec", "OracleResult", "axisymmetric_oracle", "oracle_delta_L",
-    "oracle_sweep",
+    "mutual_inductance", "induced_dipole", "resonance_frequency",
+    "capacitance_from_resonance", "position_sweep", "coaxial_geometry",
+    "orthogonal_geometry", "load_geometry",
+    "GridSpec", "OracleResult", "axisymmetric_oracle", "oracle_sweep",
     "RingdownParams", "BlockSchedule", "Block", "AmplitudeSeries",
     "DecayFit", "synthesize_ringdown", "block_amplitude", "amplitude_series",
     "analyze_ringdown", "fit_decay",

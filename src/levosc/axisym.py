@@ -23,8 +23,9 @@ Dorr, George & Golub 1971).
 Only the sphere depends on the pose. The sphere-free operator of one
 mesh and driven coil (link lengths, source, the eigenpairs of both
 pencils and the sphere-free solution) is built once and shared,
-read-only, by every solve on that mesh: the two solves of
-``oracle_delta_L`` and the base solve and all poses of ``oracle_sweep``.
+read-only, by the base solve and every pose of ``oracle_sweep``, which
+is the one path to a sphere-induced inductance change; a question about
+one pose is a sweep of one pose.
 
 Receiver flux is the turns-weighted integral of B_z over the mean
 cross-section, which for the flux function is simply
@@ -45,7 +46,6 @@ __all__ = [
     "GridSpec",
     "OracleResult",
     "axisymmetric_oracle",
-    "oracle_delta_L",
     "oracle_sweep",
 ]
 
@@ -441,15 +441,11 @@ def _solve(op: _FieldOperator, pose: SpherePose | None,
 def axisymmetric_oracle(geometry: DetectionGeometry,
                         pose: SpherePose | None = None,
                         grid: GridSpec = GridSpec(),
-                        driven: str = "receiver",
-                        mesh: tuple[np.ndarray, np.ndarray] | None = None,
-                        ) -> OracleResult:
+                        driven: str = "receiver") -> OracleResult:
     """Solve the field problem and return receiver flux per unit drive
     current (an inductance: self-flux when the receiver drives, mutual
-    coupling when the transmitter does).
-
-    ``mesh`` lets paired solves (sphere in / sphere out) share one
-    grid so their discretization bias cancels in differences.
+    coupling when the transmitter does). The mesh is built around the
+    coils and the sphere.
 
     Raises :class:`SolverError` if the maximum residual of the solve is
     not under ``tol`` times the source norm, or if the sphere covers too
@@ -458,8 +454,7 @@ def axisymmetric_oracle(geometry: DetectionGeometry,
     if driven not in ("receiver", "transmitter"):
         raise ConfigError(f"driven must be receiver or transmitter, got {driven!r}")
     coils, sphere_z = _axial_coordinates(geometry, pose)
-    if mesh is None:
-        mesh = _build_axes(coils, sphere_z, pose, grid)
+    mesh = _build_axes(coils, sphere_z, pose, grid)
     op = _field_operator(geometry, coils, *mesh, driven)
     return _solve(op, pose, sphere_z, grid)
 
@@ -476,19 +471,6 @@ def _bilinear(psi: np.ndarray, rho: np.ndarray, z: np.ndarray,
                  + psi[i + 1, j] * t_r * (1 - t_z)
                  + psi[i, j + 1] * (1 - t_r) * t_z
                  + psi[i + 1, j + 1] * t_r * t_z)
-
-
-def oracle_delta_L(geometry: DetectionGeometry, pose: SpherePose,
-                   grid: GridSpec = GridSpec()) -> tuple[float, OracleResult,
-                                                         OracleResult]:
-    """Sphere-induced receiver inductance change from two solves on the
-    identical mesh, so the discretization bias largely cancels."""
-    coils, sphere_z = _axial_coordinates(geometry, pose)
-    mesh = _build_axes(coils, sphere_z, pose, grid)
-    op = _field_operator(geometry, coils, *mesh, "receiver")
-    with_sphere = _solve(op, pose, sphere_z, grid)
-    without = _solve(op, None, None, grid)
-    return with_sphere.L_eff - without.L_eff, with_sphere, without
 
 
 def oracle_sweep(geometry: DetectionGeometry, poses: list[SpherePose],

@@ -113,6 +113,16 @@ class SensitivityReport:
                 raise ValueError(f"{name} must be non-negative")
 
 
+def _radius_sq(osc: OscillatorSpec, channel: str) -> float:
+    """Square of the cold radius for the cross-section of ``channel``;
+    a square past the float range leaves the channel no decay time."""
+    r_sq = osc.radius * osc.radius
+    if r_sq == math.inf:
+        raise DomainError(f"{channel} channel: the square of the sphere "
+                          f"radius {osc.radius:g} m is past the float range")
+    return r_sq
+
+
 def _hydrodynamic(osc: OscillatorSpec, eta_n):
     """Stokes-drag decay time M / (3 pi eta_n r)."""
     # an extreme mass or radius overflows the time: saturate to inf
@@ -127,7 +137,8 @@ def _phonon(osc: OscillatorSpec, params: QuasiparticleParams,
     # (k_B T)^4 underflows to zero below about 1e-70 K: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(45.0 * osc.mass * constants.hbar**3 * params.c**4,
-                         math.pi**2 * kT**4 * math.pi * osc.radius**2)
+                         math.pi**2 * kT**4 * math.pi
+                         * _radius_sq(osc, "phonon"))
 
 
 def _roton(osc: OscillatorSpec, params: QuasiparticleParams,
@@ -138,7 +149,7 @@ def _roton(osc: OscillatorSpec, params: QuasiparticleParams,
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(6.0 * math.pi**2 * osc.mass,
                          constants.hbar * params.k0**4 * boltzmann
-                         * math.pi * osc.radius**2)
+                         * math.pi * _radius_sq(osc, "roton"))
 
 
 def _impurity(osc: OscillatorSpec, media: HeliumMedia, v_th, n3: float):
@@ -147,8 +158,8 @@ def _impurity(osc: OscillatorSpec, media: HeliumMedia, v_th, n3: float):
     # an extreme mass or radius overflows the time: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(4.0 * osc.mass,
-                         KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
-                         * n3 * m3_eff * v_th)
+                         KNUDSEN_DRAG_COEFF * math.pi
+                         * _radius_sq(osc, "impurity") * n3 * m3_eff * v_th)
 
 
 # Running state of a composition: summed decay rate, fastest channel,

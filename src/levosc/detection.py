@@ -1,6 +1,6 @@
 """Inductive position detection: coil fields, flux exclusion by the
-superconducting sphere, effective inductance, LC resonance, and induced
-voltage versus sphere position.
+superconducting sphere, and the effective inductance, LC resonance and
+induced voltage of a position sweep.
 
 The field model is analytic: each coil is an ideal multi-turn circular
 filament whose magnetostatic field is evaluated through complete
@@ -11,12 +11,12 @@ interest, which is what makes dipole order sufficient; the
 finite-difference solver in :mod:`levosc.axisym` quantifies the error
 independently.
 
-Field and clearance helpers take (n, 3) blocks of points, so a
-position sweep evaluates each coil's field once over all pose centers
-and the pose-independent inductances once per sweep; the single-pose
-functions run the same helpers on a block of one. A sweep's result is
-columnar: :class:`SweepResult` holds one array per quantity, one entry
-per pose.
+Fields, dipole moments and clearances are evaluated over (n, 3) blocks, so
+a position sweep evaluates each coil's field once over all pose centers
+and the pose-independent inductances once per sweep. The sweep is the
+only path from a pose to an inductance or a voltage: a question about
+one pose is a sweep of one pose. Its result is columnar:
+:class:`SweepResult` holds one array per quantity, one entry per pose.
 """
 
 from __future__ import annotations
@@ -44,17 +44,14 @@ __all__ = [
     "self_inductance",
     "mutual_inductance",
     "induced_dipole",
-    "effective_inductance",
     "resonance_frequency",
     "capacitance_from_resonance",
-    "induced_voltage",
     "position_sweep",
     "write_sweep_csv",
     "coaxial_geometry",
     "orthogonal_geometry",
     "load_geometry",
     "GEOMETRY_TABLE",
-    "check_clearance",
 ]
 
 MU0 = 4e-7 * math.pi
@@ -250,14 +247,6 @@ def _clearance_failures(geometry: DetectionGeometry, centers: np.ndarray,
     return failures
 
 
-def check_clearance(geometry: DetectionGeometry, pose: SpherePose) -> None:
-    """Reject poses that put the sphere within 0.1 mm of any winding."""
-    failures = _clearance_failures(geometry, pose.center_v[None, :],
-                                   np.array([pose.radius]))
-    if failures:
-        raise GeometryError(failures[0])
-
-
 def _orthobasis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # pick the cartesian direction least aligned with the axis
     seed = np.zeros(3)
@@ -322,9 +311,18 @@ def _loop_field_rz(a: float, rho, z):
     return B_rho, B_z
 
 
-def _coil_field_points(coil: CoilSpec, current: float,
-                       points: np.ndarray) -> np.ndarray:
-    """Vectorized field of the coil at an (n, 3) block of points."""
+def coil_field(coil: CoilSpec, current: float, points) -> np.ndarray:
+    """Magnetostatic field of the coil at an (n, 3) block of points,
+    tesla, one row per point.
+
+    Exact single-filament loop field (complete elliptic integrals),
+    multiplied by the turn count. Points closer than 1 nm to the
+    filament are rejected as singular.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) block of points, got shape "
+                         f"{points.shape}")
     z, radial, rho = _coil_frame(points, coil)
     filament_dist = np.hypot(rho - coil.mean_radius, z)
     if np.any(filament_dist < 1e-9):
@@ -335,17 +333,6 @@ def _coil_field_points(coil: CoilSpec, current: float,
             rho[:, None] > 0, rho[:, None], 1.0), 0.0)
     B = B_rho[:, None] * rho_hat + B_z[:, None] * coil.axis_v[None, :]
     return coil.turns * current * B
-
-
-def coil_field(coil: CoilSpec, current: float, point) -> np.ndarray:
-    """Magnetostatic field of the coil at one point, tesla.
-
-    Exact single-filament loop field (complete elliptic integrals),
-    multiplied by the turn count. Points closer than 1 nm to the
-    filament are rejected as singular.
-    """
-    pts = _as_vec(point)[None, :]
-    return _coil_field_points(coil, current, pts)[0]
 
 
 def self_inductance(coil: CoilSpec) -> float:
@@ -388,18 +375,20 @@ def mutual_inductance(coil_a: CoilSpec, coil_b: CoilSpec,
     pts = (coil_b.center_v[None, None, :]
            + r[:, None, None] * (np.cos(phi)[None, :, None] * u
                                  + np.sin(phi)[None, :, None] * v))
-    B = _coil_field_points(coil_a, 1.0, pts.reshape(-1, 3))
+    B = coil_field(coil_a, 1.0, pts.reshape(-1, 3))
     Bn = (B @ coil_b.axis_v).reshape(len(r), n_angular)
     flux = float(np.sum(w_r[:, None] * r[:, None] * Bn) * w_phi)
     return coil_b.turns * flux
 
 
-def induced_dipole(B_local, sphere_radius: float) -> np.ndarray:
-    """Moment of a perfectly diamagnetic sphere in a locally uniform
-    field: m = -(2 pi r^3 / mu0) B."""
-    if sphere_radius <= 0:
+def induced_dipole(B, radius) -> np.ndarray:
+    """Moments of perfectly diamagnetic spheres in locally uniform
+    fields, m = -(2 pi r^3 / mu0) B, for an (n, 3) block of fields and a
+    scalar or (n,) radius."""
+    radius = np.asarray(radius, dtype=float)
+    if not np.all(radius > 0):
         raise DomainError("sphere radius must be positive")
-    return -(2.0 * math.pi * sphere_radius**3 / MU0) * _as_vec(B_local)
+    return -(2.0 * math.pi * radius**3 / MU0)[..., None] * B
 
 
 def _unperturbed_inductance(geometry: DetectionGeometry,
@@ -413,25 +402,7 @@ def _dipole_flux(B_source: np.ndarray, B_pickup: np.ndarray,
                  radii: np.ndarray) -> np.ndarray:
     """Flux m . B_pickup per pose of the sphere dipole induced by the
     unit-current field ``B_source``; fields are (n, 3) blocks."""
-    moment = -(2.0 * math.pi * radii**3 / MU0)[:, None] * B_source
-    return np.einsum("ij,ij->i", moment, B_pickup)
-
-
-def effective_inductance(geometry: DetectionGeometry, pose: SpherePose,
-                         which_receiver: int = 0) -> tuple[float, float]:
-    """Receiver inductance with the sphere present.
-
-    Returns ``(L_eff, delta_L)`` where ``delta_L`` is the sphere
-    dipole's flux through the receiver per unit receiver current. By
-    reciprocity that equals m(B_unit) . B_unit, so it is always
-    negative: flux exclusion can only reduce the self-flux.
-    """
-    check_clearance(geometry, pose)
-    receiver = geometry.receivers[which_receiver]
-    L0 = _unperturbed_inductance(geometry, receiver)
-    B_unit = _coil_field_points(receiver, 1.0, pose.center_v[None, :])
-    delta_L = float(_dipole_flux(B_unit, B_unit, np.array([pose.radius]))[0])
-    return L0 + delta_L, delta_L
+    return np.einsum("ij,ij->i", induced_dipole(B_source, radii), B_pickup)
 
 
 def resonance_frequency(L_eff: float, C: float) -> float:
@@ -448,46 +419,10 @@ def capacitance_from_resonance(f0: float, L: float) -> float:
     return 1.0 / ((2.0 * math.pi * f0)**2 * L)
 
 
-def _mutual_with_sphere(geometry: DetectionGeometry, pose: SpherePose | None,
-                        which_receiver: int) -> float:
-    receiver = geometry.receivers[which_receiver]
-    M0 = mutual_inductance(geometry.transmitter, receiver)
-    if pose is None:
-        return M0
-    center = pose.center_v[None, :]
-    B_t = _coil_field_points(geometry.transmitter, 1.0, center)
-    B_r = _coil_field_points(receiver, 1.0, center)
-    return M0 + float(_dipole_flux(B_t, B_r, np.array([pose.radius]))[0])
-
-
 def _check_driven(driven: str) -> None:
     if driven not in ("transmitter", "receiver"):
         raise ConfigError(
             f"driven must be transmitter or receiver, got {driven!r}")
-
-
-def induced_voltage(geometry: DetectionGeometry, pose: SpherePose | None,
-                    which_receiver: int = 0,
-                    driven: str = "transmitter") -> float:
-    """Receiver voltage amplitude under the quasi-static approximation.
-
-    With the transmitter driven, the amplitude is |M_eff| I0 omega
-    where M_eff is the sphere-perturbed transmitter-receiver coupling;
-    with the receiver itself driven it is |L_eff| I0 omega.
-    """
-    _check_driven(driven)
-    if pose is not None:
-        check_clearance(geometry, pose)
-    I0 = geometry.drive.amplitude
-    omega = geometry.drive.angular_frequency
-    if driven == "transmitter":
-        coupling = _mutual_with_sphere(geometry, pose, which_receiver)
-    elif pose is None:
-        coupling = _unperturbed_inductance(
-            geometry, geometry.receivers[which_receiver])
-    else:
-        coupling, _ = effective_inductance(geometry, pose, which_receiver)
-    return abs(coupling) * I0 * omega
 
 
 def position_sweep(geometry: DetectionGeometry,
@@ -500,11 +435,19 @@ def position_sweep(geometry: DetectionGeometry,
     from the receiver center along the receiver axis. All poses are
     evaluated at once: the unperturbed receiver inductance and the
     transmitter-receiver mutual inductance once per sweep, each coil's
-    field once over all pose centers. Rows that fail a geometry or
-    domain check are kept as NaN rows and the error text is collected,
-    exactly as :func:`effective_inductance`, :func:`resonance_frequency`
-    and :func:`induced_voltage` would raise it for that pose; the sweep
-    always completes.
+    field once over all pose centers. Each row depends on its own pose
+    alone, so a sweep of one pose answers a question about that pose.
+
+    ``delta_L`` is the sphere dipole's flux through the receiver per
+    unit receiver current; by reciprocity it is m(B_r) . B_r < 0, since
+    flux exclusion can only reduce the self-flux. The voltage amplitude
+    is quasi-static: |M_eff| I0 omega with the transmitter driven, where
+    M_eff is the sphere-perturbed transmitter-receiver coupling, and
+    |L_eff| I0 omega with the receiver driven.
+    Rows that fail a geometry or domain check (a sphere within 0.1 mm of
+    a winding, overlapping coils, a non-positive L_eff, a field that is
+    not finite) are kept as NaN rows and the error text is collected;
+    the sweep always completes.
     """
     if not poses:
         raise ConfigError("sweep needs at least one pose")
@@ -526,7 +469,7 @@ def position_sweep(geometry: DetectionGeometry,
         L0 = math.nan
         fail_rest(str(exc))
     ok = [i for i in range(n) if i not in errors]
-    B_r = _coil_field_points(receiver, 1.0, centers[ok])
+    B_r = coil_field(receiver, 1.0, centers[ok])
     delta_L = np.full(n, math.nan)
     delta_L[ok] = _dipole_flux(B_r, B_r, radii[ok])
     L_eff = L0 + delta_L
@@ -544,7 +487,7 @@ def position_sweep(geometry: DetectionGeometry,
         except DomainError as exc:
             fail_rest(str(exc))
         else:
-            B_t = _coil_field_points(geometry.transmitter, 1.0, centers[ok])
+            B_t = coil_field(geometry.transmitter, 1.0, centers[ok])
             coupling[ok] = M0 + _dipole_flux(B_t, B_r, radii[ok])
     V = np.abs(coupling) * I0 * omega
     # far off a coil's axis its field overflows to NaN
@@ -667,7 +610,7 @@ def load_geometry(path: str | Path) -> DetectionGeometry:
     """
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
         raise ConfigError(f"cannot read geometry {path}: {exc}") from exc
     try:
         geom = read_keys(GEOMETRY_TABLE, obj, "geometry")

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levosc import (GeometryError, GridSpec, SpherePose, axisymmetric_oracle,
-                    coaxial_geometry, effective_inductance, mutual_inductance,
-                    oracle_delta_L, orthogonal_geometry)
+                    coaxial_geometry, mutual_inductance, orthogonal_geometry,
+                    position_sweep)
 from levosc.axisym import (_axial_coordinates, _build_axes, _field_operator,
                            _surface_links, oracle_sweep)
 from levosc.errors import SolverError
@@ -89,16 +89,20 @@ class TestNoSphereSolves:
 class TestSphereSolves:
     def test_delta_L_against_dipole_model(self, geometry):
         pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        dL, with_sphere, without = oracle_delta_L(geometry, pose, GRID)
-        _, dL_model = effective_inductance(geometry, pose)
+        dL = oracle_sweep(geometry, [pose], GRID)[0]
+        dL_model = position_sweep(geometry, [pose]).delta_L[0]
         assert dL < 0.0
         assert rel(dL, dL_model) < 0.08
-        # the two solves really differ only by the sphere
+        # the two solves share a mesh and really differ only by the sphere
+        with_sphere = axisymmetric_oracle(geometry, pose, GRID)
+        without = axisymmetric_oracle(geometry, None, GRID)
+        assert np.array_equal(with_sphere.z, without.z)
         assert with_sphere.L_eff < without.L_eff
 
     def test_sphere_interior_flux_suppressed(self, geometry):
         pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        _, with_sphere, without = oracle_delta_L(geometry, pose, GRID)
+        with_sphere = axisymmetric_oracle(geometry, pose, GRID)
+        without = axisymmetric_oracle(geometry, None, GRID)
         rho_idx = np.searchsorted(with_sphere.rho, 0.4e-3)
         z_idx = np.searchsorted(with_sphere.z, 9e-3)
         inside = abs(with_sphere.psi[rho_idx, z_idx])
@@ -131,7 +135,7 @@ class TestConjugateGradientSolve:
     def test_delta_L_pinned_to_relaxation_value(self, geometry):
         # value the red-black relaxation solver converged to on this mesh
         pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        dL, _, _ = oracle_delta_L(geometry, pose, GRID)
+        dL = oracle_sweep(geometry, [pose], GRID)[0]
         assert rel(dL, -7.8826182e-10) < 1e-6
 
     @pytest.mark.parametrize("n", sorted(CG_DELTA_L))
@@ -201,11 +205,14 @@ class TestConjugateGradientSolve:
         grid = GridSpec(n_rho=64, n_z=64)
         poses = [SpherePose(center=(0.0, 0.0, d), radius=0.985e-3)
                  for d in (0.017, 0.011, 0.006)]
-        coils, _ = _axial_coordinates(geometry, None)
-        mesh = _build_axes(coils, None, None, grid)
-        base = axisymmetric_oracle(geometry, None, grid, mesh=mesh)
-        expected = [axisymmetric_oracle(geometry, pose, grid, mesh=mesh).L_eff
-                    - base.L_eff for pose in poses]
+        base = axisymmetric_oracle(geometry, None, grid)
+        solves = [axisymmetric_oracle(geometry, pose, grid) for pose in poses]
+        # each sphere lies inside the coils' core box, so the mesh built
+        # around it is the sphere-free mesh the sweep shares
+        for solve in solves:
+            assert np.array_equal(solve.rho, base.rho)
+            assert np.array_equal(solve.z, base.z)
+        expected = [solve.L_eff - base.L_eff for solve in solves]
         assert oracle_sweep(geometry, poses, grid).tolist() == expected
 
     def test_sweep_poses_do_not_share_state(self, geometry):
@@ -258,7 +265,9 @@ class TestConjugateGradientSolve:
     def test_sphere_solve_properties(self, geometry, n, d):
         grid = GridSpec(n_rho=n, n_z=n)
         pose = SpherePose(center=(0.0, 0.0, d), radius=0.985e-3)
-        dL, with_sphere, without = oracle_delta_L(geometry, pose, grid)
+        dL = oracle_sweep(geometry, [pose], grid)[0]
+        with_sphere = axisymmetric_oracle(geometry, pose, grid)
+        without = axisymmetric_oracle(geometry, None, grid)
         assert with_sphere.residual < grid.tol
         assert with_sphere.residual < 1e-11
         assert without.residual < grid.tol

@@ -345,6 +345,20 @@ def test_damping_curve_physics_error_exits_3(tmp_path, capsys):
     assert "row 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x3", [0.0, 1e-7])
+def test_radius_squared_past_float_range_exits_3(tmp_path, capsys, x3):
+    # the cross-section of a 1e200 m sphere overflows: the run names the
+    # channel, not an errno, and numpy prints no warning
+    cfg = write_config(tmp_path, {"oscillator": {"radius_warm_m": 1e200},
+                                  "damping": {"x3": x3}})
+    rc = main(["damping-curve", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "phonon channel" in err and "past the float range" in err
+    assert "Numerical result" not in err and "Warning" not in err
+
+
 def test_damping_curve_phonon_saturates_at_tiny_T(tmp_path):
     # (k_B T)^4 underflows at 1e-90 K: the channel saturates to inf
     cfg = write_config(tmp_path, {"damping": {
@@ -474,6 +488,17 @@ def test_detection_sweep_bad_geometry_file_exits_3(tmp_path):
     rc = main(["detection-sweep", "--config", str(cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 3
+
+
+def test_detection_sweep_non_utf8_geometry_exits_2(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8
+    (tmp_path / "geom.json").write_bytes(b"\xff\xfe{}")
+    cfg = write_config(tmp_path, {"detection": {"geometry": "geom.json"}})
+    rc = main(["detection-sweep", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot read geometry" in err and "geom.json" in err
 
 
 def geometry_doc():

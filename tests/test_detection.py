@@ -19,12 +19,10 @@ from scipy.special import ellipe, ellipk
 from levosc import (ConfigError, DomainError, GeometryError,
                     CoilSpec, DetectionGeometry, DriveSpec,
                     SpherePose, capacitance_from_resonance, coaxial_geometry,
-                    coil_field, effective_inductance, induced_dipole,
-                    induced_voltage, load_geometry, mutual_inductance,
-                    orthogonal_geometry, position_sweep, resonance_frequency,
-                    self_inductance)
-from levosc.detection import (MU0, SweepResult, _ellipke,
-                              check_clearance, write_sweep_csv)
+                    coil_field, induced_dipole, load_geometry,
+                    mutual_inductance, orthogonal_geometry, position_sweep,
+                    resonance_frequency, self_inductance)
+from levosc.detection import MU0, SweepResult, _ellipke, write_sweep_csv
 
 
 def rel(a, b):
@@ -124,7 +122,7 @@ class TestCoilField:
         coil = CoilSpec(center=(0, 0, 0), axis=(0, 0, 1), mean_radius=3e-3,
                         turns=60, conductor_cross_section_total=1.2e-6)
         for z in (1e-3, 5e-3, 2e-2):
-            B = coil_field(coil, 1.0, (0.0, 0.0, z))
+            B = coil_field(coil, 1.0, [(0.0, 0.0, z)])[0]
             expect = MU0 * 60 * (3e-3)**2 / (2 * ((3e-3)**2 + z**2)**1.5)
             assert abs(B[0]) < 1e-18 and abs(B[1]) < 1e-18
             assert rel(B[2], expect) < 1e-12
@@ -137,16 +135,16 @@ class TestCoilField:
                         conductor_cross_section_total=1e-6)
         points = [(0.0, 0.0, 0.0), (0.02, -0.01, 0.01), (0.01, -0.03, 0.02)]
         for p in points:
-            B = coil_field(coil, 0.7, p)
+            B = coil_field(coil, 0.7, [p])[0]
             B_ref = biot_savart(coil, 0.7, p)
             assert np.linalg.norm(B - B_ref) / np.linalg.norm(B_ref) < 1e-6
 
     def test_near_axis_branch_continuous(self):
         coil = CoilSpec(center=(0, 0, 0), axis=(0, 0, 1), mean_radius=3e-3,
                         turns=10, conductor_cross_section_total=1e-6)
-        on = coil_field(coil, 1.0, (0.0, 0.0, 5e-3))
-        near = coil_field(coil, 1.0, (1e-16, 0.0, 5e-3))
-        off = coil_field(coil, 1.0, (1e-9, 0.0, 5e-3))
+        on, near, off = coil_field(coil, 1.0, [(0.0, 0.0, 5e-3),
+                                               (1e-16, 0.0, 5e-3),
+                                               (1e-9, 0.0, 5e-3)])
         assert np.allclose(on, near, rtol=1e-12, atol=1e-15)
         assert rel(off[2], on[2]) < 1e-6
         # the radial component grows linearly from zero off the axis
@@ -156,14 +154,32 @@ class TestCoilField:
         coil = CoilSpec(center=(0, 0, 0), axis=(0, 0, 1), mean_radius=3e-3,
                         turns=10, conductor_cross_section_total=1e-6)
         with pytest.raises(DomainError):
-            coil_field(coil, 1.0, (3e-3, 0.0, 0.0))
+            coil_field(coil, 1.0, [(0.0, 0.0, 1e-3), (3e-3, 0.0, 0.0)])
 
     def test_linear_in_current(self):
         coil = CoilSpec(center=(0, 0, 0), axis=(0, 0, 1), mean_radius=3e-3,
                         turns=10, conductor_cross_section_total=1e-6)
-        p = (0.002, 0.001, 0.004)
+        p = [(0.002, 0.001, 0.004)]
         assert np.allclose(coil_field(coil, 2.5, p),
                            2.5 * coil_field(coil, 1.0, p), rtol=1e-14)
+
+    def test_block_rows_match_single_points(self):
+        coil = CoilSpec(center=(0.001, 0, 0), axis=(0, 0, 1),
+                        mean_radius=3e-3, turns=10,
+                        conductor_cross_section_total=1e-6)
+        points = [(0.002, 0.001, 0.004), (0.0, 0.0, -0.01), (0.01, 0.0, 0.0)]
+        block = coil_field(coil, 1.0, points)
+        assert block.shape == (3, 3)
+        for row, p in zip(block, points):
+            assert np.array_equal(row, coil_field(coil, 1.0, [p])[0])
+
+    @pytest.mark.parametrize("points", [(0.0, 0.0, 1e-3),
+                                        [[0.0, 1e-3]]])
+    def test_points_must_be_a_block(self, points):
+        coil = CoilSpec(center=(0, 0, 0), axis=(0, 0, 1), mean_radius=3e-3,
+                        turns=10, conductor_cross_section_total=1e-6)
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            coil_field(coil, 1.0, points)
 
 
 class TestInductances:
@@ -274,12 +290,44 @@ class TestInducedDipole:
         m2 = induced_dipole(B, 2e-3)
         assert rel(m2[2], 8.0 * m1[2]) < 1e-12
 
+    def test_block_with_one_radius_per_row(self):
+        B = np.array([[1e-4, -2e-4, 5e-5], [0.0, 0.0, 1e-4]])
+        radii = np.array([1e-3, 2e-3])
+        m = induced_dipole(B, radii)
+        assert m.shape == (2, 3)
+        for row, b, r in zip(m, B, radii):
+            assert np.array_equal(row, induced_dipole(b, r))
+        assert np.array_equal(induced_dipole(B, 1e-3),
+                              induced_dipole(B, np.full(2, 1e-3)))
+
+    def test_non_positive_radius_rejected(self):
+        B = np.array([[0.0, 0.0, 1e-4], [0.0, 0.0, 1e-4]])
+        with pytest.raises(DomainError):
+            induced_dipole(B, np.array([1e-3, 0.0]))
+
+
+def on_axis_field(coil: CoilSpec, z: float) -> float:
+    """Closed-form B_z per unit current on the loop axis, a distance z
+    from the coil plane: mu0 N a^2 / (2 (a^2 + z^2)^(3/2))."""
+    a = coil.mean_radius
+    return MU0 * coil.turns * a**2 / (2.0 * (a**2 + z**2)**1.5)
+
+
+def one_pose(g, pose, **kwargs):
+    """Sweep of a single pose."""
+    return position_sweep(g, [pose], **kwargs)
+
 
 class TestEffectiveInductance:
     def test_on_axis_against_closed_form(self):
         g = coaxial_geometry()
         pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        L_eff, dL = effective_inductance(g, pose)
+        res = one_pose(g, pose)
+        L_eff, dL = res.L_eff[0], res.delta_L[0]
+        # the sphere's dipole flux per unit receiver current, from the
+        # axial closed form: -2 pi R^3 B^2 / mu0
+        B = on_axis_field(g.receivers[0], 9e-3)
+        assert rel(dL, -2.0 * math.pi * pose.radius**3 * B**2 / MU0) < 1e-12
         assert rel(dL, -7.545680700876975e-10) < 1e-12
         assert L_eff == pytest.approx(21e-6 + dL, rel=1e-14)
 
@@ -287,70 +335,92 @@ class TestEffectiveInductance:
         g = coaxial_geometry()
         g_geo = coaxial_geometry(receiver_inductance=None)
         pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        L_meas, dL1 = effective_inductance(g, pose)
-        L_geom, dL2 = effective_inductance(g_geo, pose)
+        meas, geom = one_pose(g, pose), one_pose(g_geo, pose)
+        dL1, dL2 = meas.delta_L[0], geom.delta_L[0]
         assert dL1 == dL2
-        assert rel(L_geom - dL2, self_inductance(g.receivers[0])) < 1e-12
+        assert rel(geom.L_eff[0] - dL2,
+                   self_inductance(g.receivers[0])) < 1e-12
 
     def test_flux_exclusion_negative_everywhere(self):
         g = coaxial_geometry()
-        for z in np.linspace(0.002, 0.019, 25):
-            pose = SpherePose(center=(0.0, 0.0, float(z)), radius=0.985e-3)
-            _, dL = effective_inductance(g, pose)
-            assert dL < 0.0
+        poses = [SpherePose(center=(0.0, 0.0, float(z)), radius=0.985e-3)
+                 for z in np.linspace(0.002, 0.019, 25)]
+        res = position_sweep(g, poses)
+        assert not res.errors
+        assert np.all(res.delta_L < 0.0)
 
     def test_clearance_guard(self):
         g = coaxial_geometry()
         # sphere surface 0.825 mm from the receiver winding circle
         pose = SpherePose(center=(2.2e-3, 0.0, 0.2e-3), radius=0.985e-3)
-        with pytest.raises(GeometryError):
-            effective_inductance(g, pose)
+        res = one_pose(g, pose)
+        assert [i for i, _ in res.errors] == [0]
+        assert "of a receiver winding" in res.errors[0][1]
+        assert math.isnan(res.L_eff[0])
         # passing clearance, touching nothing
-        check_clearance(g, SpherePose(center=(0.0, 0.0, 9e-3),
-                                      radius=0.985e-3))
+        assert not one_pose(g, SpherePose(center=(0.0, 0.0, 9e-3),
+                                          radius=0.985e-3)).errors
 
 
 class TestInducedVoltage:
     def test_rotation_invariance(self, rng):
         g = coaxial_geometry()
         pose = SpherePose(center=(0.0012, -0.0007, 8e-3), radius=0.985e-3)
-        V0 = induced_voltage(g, pose)
+        V0 = one_pose(g, pose).V[0]
         for _ in range(3):
             R = random_rotation(rng)
             g_rot = rotated_geometry(g, R)
             pose_rot = SpherePose(center=tuple(R @ pose.center_v),
                                   radius=pose.radius)
-            assert rel(induced_voltage(g_rot, pose_rot), V0) < 1e-9
+            assert rel(one_pose(g_rot, pose_rot).V[0], V0) < 1e-9
 
     def test_orthogonal_geometry_symmetry_nulls(self):
         g = orthogonal_geometry()
         on_axis = SpherePose(center=(0.0, 0.0, 0.0), radius=0.985e-3)
-        assert induced_voltage(g, on_axis, 0) == 0.0
+        assert one_pose(g, on_axis, which_receiver=0).V[0] == 0.0
         off_x = SpherePose(center=(0.003, 0.0, 0.0), radius=0.985e-3)
-        assert induced_voltage(g, off_x, 0) > 0.0
+        assert one_pose(g, off_x, which_receiver=0).V[0] > 0.0
         # the y-axis receiver stays blind to x displacement
-        assert induced_voltage(g, off_x, 1) == pytest.approx(0.0, abs=1e-18)
+        assert one_pose(g, off_x, which_receiver=1).V[0] == pytest.approx(
+            0.0, abs=1e-18)
 
     def test_orthogonal_voltage_decays_on_recession(self):
+        # every pose sits at the same position along the x-axis receiver,
+        # so each is a sweep of its own
         g = orthogonal_geometry()
-        Vs = []
-        for z in np.linspace(0.0, -0.02, 9):
-            pose = SpherePose(center=(0.003, 0.0, float(z)), radius=0.985e-3)
-            Vs.append(induced_voltage(g, pose, 0))
+        Vs = [one_pose(g, SpherePose(center=(0.003, 0.0, float(z)),
+                                     radius=0.985e-3)).V[0]
+              for z in np.linspace(0.0, -0.02, 9)]
         assert all(b < a for a, b in zip(Vs, Vs[1:]))
 
     def test_receiver_driven_uses_L_eff(self):
         g = coaxial_geometry()
         pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        V = induced_voltage(g, pose, driven="receiver")
-        L_eff, _ = effective_inductance(g, pose)
+        V = one_pose(g, pose, driven="receiver").V[0]
+        B = on_axis_field(g.receivers[0], 9e-3)
+        L_eff = 21e-6 - 2.0 * math.pi * pose.radius**3 * B**2 / MU0
         expect = L_eff * g.drive.amplitude * g.drive.angular_frequency
         assert rel(V, expect) < 1e-14
 
+    def test_transmitter_driven_against_closed_forms(self):
+        # M0 from Maxwell's coaxial formula, the sphere's share from the
+        # axial fields of both coils: -2 pi R^3 B_t B_r / mu0
+        g = coaxial_geometry()
+        tx, rx = g.transmitter, g.receivers[0]
+        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
+        V = one_pose(g, pose).V[0]
+        B_t = on_axis_field(tx, tx.center[2] - 9e-3)
+        B_r = on_axis_field(rx, 9e-3)
+        M_eff = (coaxial_closed_form(tx, rx)
+                 - 2.0 * math.pi * pose.radius**3 * B_t * B_r / MU0)
+        expect = M_eff * g.drive.amplitude * g.drive.angular_frequency
+        assert rel(V, expect) < 1e-9
+
     def test_bad_driven_rejected(self):
         g = coaxial_geometry()
+        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
         with pytest.raises(ConfigError):
-            induced_voltage(g, None, driven="sideways")
+            one_pose(g, pose, driven="sideways")
 
 
 class TestPositionSweep:
@@ -425,7 +495,8 @@ class TestPositionSweep:
         return DetectionGeometry(transmitter=g.transmitter, receivers=(rx,),
                                  drive=g.drive, capacitance=g.capacitance)
 
-    @given(st.sampled_from(["coaxial", "geometric", "overlap", "fat"]),
+    @given(st.sampled_from(["coaxial", "geometric", "overlap", "fat",
+                            "orthogonal-y"]),
            st.lists(st.floats(min_value=-0.006, max_value=0.02),
                     min_size=1, max_size=8, unique=True),
            st.booleans(),
@@ -434,38 +505,36 @@ class TestPositionSweep:
            st.floats(min_value=0.3e-3, max_value=1.5e-3),
            st.sampled_from(["transmitter", "receiver"]))
     @settings(max_examples=60, deadline=None)
-    def test_sweep_matches_per_pose_functions(self, kind, zs, on_axis, phi,
-                                              rho, radius, driven):
+    def test_rows_match_one_pose_sweeps(self, kind, ss, on_axis, phi, rho,
+                                        radius, driven):
+        # row i of a sweep depends on pose i alone: it equals the sweep
+        # of that one pose, values and error text alike
+        which = 1 if kind == "orthogonal-y" else 0
         g = {"coaxial": coaxial_geometry,
              "geometric": lambda: coaxial_geometry(receiver_inductance=None),
              "overlap": self.overlapping_transmitter_geometry,
-             "fat": self.fat_receiver_geometry}[kind]()
-        x, y = (0.0, 0.0) if on_axis else (rho * math.cos(phi),
-                                           rho * math.sin(phi))
-        poses = [SpherePose(center=(x, y, z), radius=radius)
-                 for z in sorted(zs)]
-        res = position_sweep(g, poses, driven=driven)
+             "fat": self.fat_receiver_geometry,
+             "orthogonal-y": orthogonal_geometry}[kind]()
+        receiver = g.receivers[which]
+        # u and v span the plane normal to the (cartesian) receiver axis
+        u = np.roll(receiver.axis_v, 1)
+        v = np.cross(receiver.axis_v, u)
+        offset = (np.zeros(3) if on_axis
+                  else rho * (math.cos(phi) * u + math.sin(phi) * v))
+        poses = [SpherePose(center=tuple(receiver.center_v + offset
+                                         + s * receiver.axis_v),
+                            radius=radius) for s in sorted(ss)]
+        res = position_sweep(g, poses, which_receiver=which, driven=driven)
         errors = dict(res.errors)
         assert len(errors) == len(res.errors)
         for i, pose in enumerate(poses):
-            assert res.position[i] == pose.center[2]
-            try:
-                L_eff, delta_L = effective_inductance(g, pose)
-                f = resonance_frequency(L_eff, g.capacitance)
-                V = induced_voltage(g, pose, driven=driven)
-            except DomainError as exc:
-                assert errors[i] == str(exc)
-                assert all(math.isnan(col[i]) for col in
-                           (res.L_eff, res.delta_L, res.f, res.V))
-                continue
-            assert i not in errors
-            assert rel(res.L_eff[i], L_eff) < 1e-12
-            assert rel(res.delta_L[i], delta_L) < 1e-12
-            assert rel(res.f[i], f) < 1e-12
-            if V == 0.0:
-                assert res.V[i] == 0.0
-            else:
-                assert rel(res.V[i], V) < 1e-12
+            alone = position_sweep(g, [pose], which_receiver=which,
+                                   driven=driven)
+            assert errors.get(i) == dict(alone.errors).get(0)
+            for name in ("position", "L_eff", "delta_L", "f", "V"):
+                got, ref = getattr(res, name)[i], getattr(alone, name)[0]
+                assert (got == ref or (math.isnan(got) and math.isnan(ref))
+                        or rel(got, ref) <= 1e-15), name
 
     def test_overlapping_coils_fail_every_row(self):
         g = self.overlapping_transmitter_geometry()
