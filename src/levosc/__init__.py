@@ -24,7 +24,7 @@ from .detection import (CoilSpec, DetectionGeometry, DriveSpec,
 from .axisym import GridSpec, OracleResult, axisymmetric_oracle, oracle_sweep
 from .ringdown import (AmplitudeSeries, Block, BlockSchedule, DecayFit,
                        RingdownParams, analyze_ringdown, amplitude_series,
-                       block_amplitude, fit_decay, synthesize_ringdown)
+                       fit_decay, synthesize_ringdown)
 from .fitting import (ConcentrationFit, TauTemperatureSeries,
                       fit_he3_concentration, model_residuals,
                       predict_contamination)
@@ -47,7 +47,7 @@ __all__ = [
     "orthogonal_geometry", "load_geometry",
     "GridSpec", "OracleResult", "axisymmetric_oracle", "oracle_sweep",
     "RingdownParams", "BlockSchedule", "Block", "AmplitudeSeries",
-    "DecayFit", "synthesize_ringdown", "block_amplitude", "amplitude_series",
+    "DecayFit", "synthesize_ringdown", "amplitude_series",
     "analyze_ringdown", "fit_decay",
     "TauTemperatureSeries", "ConcentrationFit", "model_residuals",
     "fit_he3_concentration", "predict_contamination",

@@ -11,6 +11,9 @@ Every config input is declared once, in CONFIG_TABLE, and read by
 and keys, values of the wrong JSON type and sizes past SIZE_CAPS exit 2
 naming ``section.key``.
 
+Only this module opens input files, each once (:func:`_load_config`,
+:func:`_read_inputs`): the manifest digests the bytes that are parsed.
+
 Exit codes: 0 success, 2 usage or configuration problems (an input too
 large for the available memory among them), 3 physics, geometry, or
 data problems.
@@ -30,7 +33,7 @@ import numpy as np
 from . import __version__, axisym, damping, detection, fitting, media
 from . import ringdown as rd
 from .errors import ConfigError, DataError, LevoscError
-from .formats import read_keys, write_csv
+from .formats import read_json, read_keys, write_csv
 from .svgplot import Series, line_plot_svg
 
 __all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS"]
@@ -147,16 +150,21 @@ def _load_config(path: Path | None) -> tuple[dict, bytes]:
     """The checked config with every default filled in, and its bytes."""
     try:
         blob = b"{}" if path is None else path.read_bytes()
-        cfg = json.loads(blob)
-    except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = read_keys(CONFIG_TABLE, cfg)
+    return _parse_config(blob, path), blob
+
+
+def _parse_config(blob: bytes, source: Path | None) -> dict:
+    """The config in ``blob`` checked against CONFIG_TABLE and SIZE_CAPS,
+    with every default filled in."""
+    cfg = read_keys(CONFIG_TABLE, read_json(blob, "config", source))
     for name, cap in SIZE_CAPS.items():
         section, key = name.split(".")
         if cfg[section][key] > cap:
             raise ConfigError(
                 f"{name}: at most {cap}, got {cfg[section][key]!r}")
-    return cfg, blob
+    return cfg
 
 
 def _require_positive(cfg: dict, section: str, *keys: str) -> None:
@@ -179,66 +187,84 @@ def _osc_from_config(cfg: dict) -> damping.OscillatorSpec:
         raise ConfigError(f"oscillator config: {exc}") from exc
 
 
-def _config_dir(args) -> Path:
-    return args.config.parent if args.config is not None else Path(".")
-
-
-def _media_from_config(args, cfg: dict) -> media.HeliumMedia:
-    ref = cfg["media_overrides"]
-    if ref is None:
-        return media.HeliumMedia()
-    overrides = media.load_property_overrides(_config_dir(args) / ref)
-    return media.media_from_overrides(overrides)
-
-
-def _geometry_from_config(args, cfg: dict) -> detection.DetectionGeometry:
-    ref = cfg["detection"]["geometry"]
-    if ref is None:
-        return detection.coaxial_geometry()
-    return detection.load_geometry(_config_dir(args) / ref)
-
-
 def _blocks_dir(args) -> Path:
     return args.blocks if args.blocks is not None else args.out / "blocks"
 
 
-def _resolve_inputs(args, cfg: dict) -> dict[str, Path]:
-    """Every file this invocation will read, for the manifest digest."""
-    inputs: dict[str, Path] = {}
-    if args.config is not None:
-        inputs["config"] = args.config
-    ref = cfg["media_overrides"]
-    if ref is not None and args.command in ("damping-curve", "fit-he3",
-                                            "sensitivity"):
-        path = _config_dir(args) / ref
-        inputs["media_overrides"] = path
-        table = media.load_property_overrides(path).get("viscosity_csv")
-        if table is not None:
-            inputs["viscosity_csv"] = Path(table)
-    ref = cfg["detection"]["geometry"]
-    if ref is not None and args.command == "detection-sweep":
-        inputs["geometry"] = _config_dir(args) / ref
-    if args.command == "fit-he3":
-        inputs["data"] = args.data
-    if args.command == "ringdown" and args.action == "analyze":
-        block_dir = _blocks_dir(args)
-        for path in sorted(block_dir.glob("block_*.rngd")) \
-                + sorted(block_dir.glob("block_*.csv")):
-            inputs[f"block:{path.name}"] = path
-    return inputs
+def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
+    """``block_NNNNNN.<suffix>`` files by block index, in index order."""
+    files = {}
+    for path in blocks_dir.glob(f"block_*.{suffix}"):
+        digits = path.name[len("block_"):-len(suffix) - 1]
+        if not (digits.isdecimal()
+                and path.name == f"block_{int(digits):06d}.{suffix}"):
+            raise ConfigError(f"block file {path.name!r} is not named "
+                              f"block_NNNNNN.{suffix} by its block index")
+        files[int(digits)] = path
+    return dict(sorted(files.items()))
 
 
-def _manifest_core(command: str, config_blob: bytes,
-                   inputs: dict[str, Path], seed: int | None) -> dict:
-    digests = {}
-    for name, path in sorted(inputs.items()):
+def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
+    """The parsed inputs of this command (``media``, ``geometry``,
+    ``series`` or ``blocks`` by index) and the sha256 of each file's
+    bytes by manifest name. Each file is read once, and a file that
+    cannot be read is a :class:`DataError` naming it."""
+    digests: dict[str, str] = {}
+
+    def parse(name: str, path: Path, parser, *extra):
         try:
-            digests[name] = _sha256(Path(path).read_bytes())
+            data = path.read_bytes()
         except (OSError, ValueError) as exc:   # ValueError: a NUL in a path
-            raise DataError(f"cannot digest input {path}: {exc}") from exc
-    core = {"tool_version": __version__, "command": command,
-            "config_sha256": _sha256(config_blob),
-            "input_sha256": digests, "seed": seed}
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        digests[name] = _sha256(data)
+        return parser(data, path, *extra)
+
+    config_dir = args.config.parent if args.config is not None else Path(".")
+    inputs = {}
+    if args.command in ("damping-curve", "fit-he3", "sensitivity"):
+        overrides, viscosity = {}, media.DEFAULT_VISCOSITY_TABLE
+        if cfg["media_overrides"] is not None:
+            path = config_dir / cfg["media_overrides"]
+            overrides = parse("media_overrides", path,
+                              media.load_property_overrides)
+            if overrides["viscosity_csv"] is not None:
+                viscosity = parse("viscosity_csv", path.parent
+                                  / overrides["viscosity_csv"],
+                                  media.ViscosityTable.from_csv)
+        inputs["media"] = media.media_from_overrides(overrides, viscosity)
+    if args.command == "detection-sweep":
+        ref = cfg["detection"]["geometry"]
+        inputs["geometry"] = detection.coaxial_geometry() if ref is None \
+            else parse("geometry", config_dir / ref, detection.load_geometry)
+    if args.command == "fit-he3":
+        inputs["series"] = parse("data", args.data,
+                                 fitting.load_tau_series_csv)
+    if args.command == "ringdown" and args.action == "analyze":
+        blocks_dir = _blocks_dir(args)
+        bins = _block_files(blocks_dir, "rngd")
+        csvs = _block_files(blocks_dir, "csv")
+        if bins and csvs:
+            raise ConfigError(f"{blocks_dir} holds both .rngd and .csv "
+                              "blocks; analyze one format at a time")
+        if not (bins or csvs):
+            raise DataError(f"no block files found in {blocks_dir}")
+        # a binary frame carries no start time; the block index gives it
+        interval = cfg["ringdown"]["block_interval_s"]
+        inputs["blocks"] = {
+            k: parse(f"block:{path.name}", path, rd.read_block_bin,
+                     k * interval)
+            if bins else parse(f"block:{path.name}", path, rd.read_block_csv)
+            for k, path in (bins or csvs).items()}
+    return inputs, digests
+
+
+def _manifest_core(args, config_blob: bytes, digests: dict[str, str]) -> dict:
+    config_sha256 = _sha256(config_blob)
+    if args.config is not None:
+        digests = dict(digests, config=config_sha256)
+    core = {"tool_version": __version__, "command": args.command,
+            "config_sha256": config_sha256, "input_sha256": digests,
+            "seed": getattr(args, "seed", None)}
     blob = json.dumps(core, sort_keys=True).encode()
     core["manifest_hash"] = _sha256(blob)[:16]
     return core
@@ -246,34 +272,43 @@ def _manifest_core(command: str, config_blob: bytes,
 
 def _write_manifest(out_dir: Path, core: dict, status: str,
                     outputs: list[str], wall_clock: float) -> None:
-    record = dict(core)
-    record["status"] = status
-    record["outputs"] = sorted(outputs)
-    record["wall_clock_s"] = wall_clock
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    record = dict(core, status=status, outputs=sorted(outputs),
+                  wall_clock_s=wall_clock)
+    (out_dir / "manifest.json").write_text(
+        json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def _json_out(path: Path, obj: dict, core: dict) -> None:
-    obj = dict(obj)
-    obj["manifest_hash"] = core["manifest_hash"]
+def _json_out(args, name: str, obj: dict) -> str:
+    """Write ``obj`` with the run hash as ``name`` in --out; ``name``."""
+    core = args._manifest
+    obj = dict(obj, manifest_hash=core["manifest_hash"])
     # records that already state an effective seed keep it; the manifest
     # seed is only the command-line override (None means "from config")
     obj.setdefault("seed", core["seed"])
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    (args.out / name).write_text(json.dumps(obj, sort_keys=True, indent=2)
+                                 + "\n")
+    return name
 
 
-def _csv_comment(core: dict) -> str:
+def _csv_comment(args) -> str:
+    core = args._manifest
     return f"manifest {core['manifest_hash']} seed {core['seed']}"
 
 
-def _cmd_damping_curve(args, cfg: dict) -> list[str]:
+def _csv_out(args, name: str, writer, *data, **options) -> str:
+    """Write ``data`` by ``writer`` as ``name`` in --out; ``name``."""
+    with open(args.out / name, "w") as fh:
+        writer(*data, fh, header_comment=_csv_comment(args), **options)
+    return name
+
+
+def _cmd_damping_curve(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["damping"]
     _require_positive(cfg, "damping", "points", "T_min_K", "tau_vacuum_s")
     if not sec["T_min_K"] < sec["T_max_K"]:
         raise ConfigError("need damping.T_min_K < damping.T_max_K")
     osc = _osc_from_config(cfg)
-    med = _media_from_config(args, cfg)
+    med = inputs["media"]
     space = np.geomspace if sec["grid"] == "log" else np.linspace
     grid = space(sec["T_min_K"], sec["T_max_K"], sec["points"])
     x3, tau_vac = sec["x3"], sec["tau_vacuum_s"]
@@ -281,21 +316,14 @@ def _cmd_damping_curve(args, cfg: dict) -> list[str]:
     n3 = x3 * med.n4
     table = damping.damping_table(osc, med, grid, n3, mode, tau_vac)
 
-    core = args._manifest
-    outputs = []
-    out_csv = args.out / "damping_curve.csv"
-    with open(out_csv, "w") as fh:
-        damping.write_damping_csv(table, fh,
-                                  header_comment=_csv_comment(core))
-    outputs.append(out_csv.name)
+    outputs = [_csv_out(args, "damping_curve.csv", damping.write_damping_csv,
+                        table)]
     meta = damping.damping_metadata(osc, med, n3, mode, tau_vac)
     meta["x3"] = x3
-    meta_path = args.out / "damping_metadata.json"
-    _json_out(meta_path, meta, core)
-    outputs.append(meta_path.name)
+    outputs.append(_json_out(args, "damping_metadata.json", meta))
     if args.svg:
         svg_path = args.out / "damping_curve.svg"
-        svg_path.write_text(_damping_svg(table, _csv_comment(core)))
+        svg_path.write_text(_damping_svg(table, _csv_comment(args)))
         outputs.append(svg_path.name)
     return outputs
 
@@ -318,7 +346,7 @@ def _damping_svg(table: damping.DampingTable, comment: str) -> str:
                          log_x=True, log_y=True, comment=comment)
 
 
-def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
+def _cmd_detection_sweep(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["detection"]
     _require_positive(cfg, "detection", "sweep_points", "sphere_radius_m")
     if args.oracle:
@@ -327,7 +355,7 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
                                    n_z=sec["oracle_grid"])
         except ValueError as exc:
             raise ConfigError(f"detection.oracle_grid: {exc}") from exc
-    geom = _geometry_from_config(args, cfg)
+    geom = inputs["geometry"]
     receiver = geom.receivers[0]
     positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
                             sec["sweep_points"])
@@ -339,14 +367,8 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
     oracle_col = (axisym.oracle_sweep(geom, poses, grid)
                   if args.oracle else None)
 
-    core = args._manifest
-    outputs = []
-    out_csv = args.out / "detection_sweep.csv"
-    with open(out_csv, "w") as fh:
-        detection.write_sweep_csv(result, fh,
-                                  header_comment=_csv_comment(core),
-                                  oracle_delta_L=oracle_col)
-    outputs.append(out_csv.name)
+    outputs = [_csv_out(args, "detection_sweep.csv", detection.write_sweep_csv,
+                        result, oracle_delta_L=oracle_col)]
     if args.svg:
         svg_path = args.out / "detection_sweep.svg"
         svg_path.write_text(line_plot_svg(
@@ -354,25 +376,12 @@ def _cmd_detection_sweep(args, cfg: dict) -> list[str]:
                     np.abs(result.delta_L).tolist(), "|delta L|")],
             "position (m)", "|delta L| (H)",
             title="inductance shift versus sphere position", log_y=True,
-            comment=_csv_comment(core)))
+            comment=_csv_comment(args)))
         outputs.append(svg_path.name)
     return outputs
 
 
-def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
-    """``block_NNNNNN.<suffix>`` files by block index, in index order."""
-    files = {}
-    for path in blocks_dir.glob(f"block_*.{suffix}"):
-        digits = path.name[len("block_"):-len(suffix) - 1]
-        if not (digits.isdecimal()
-                and path.name == f"block_{int(digits):06d}.{suffix}"):
-            raise ConfigError(f"block file {path.name!r} is not named "
-                              f"block_NNNNNN.{suffix} by its block index")
-        files[int(digits)] = path
-    return dict(sorted(files.items()))
-
-
-def _cmd_ringdown(args, cfg: dict) -> list[str]:
+def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["ringdown"]
     try:
         params = rd.RingdownParams(
@@ -386,10 +395,9 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
             block_interval=sec["block_interval_s"])
     except ValueError as exc:
         raise ConfigError(f"ringdown config: {exc}") from exc
-    blocks_dir = _blocks_dir(args)
-    core = args._manifest
     outputs = []
     if args.action == "simulate":
+        blocks_dir = _blocks_dir(args)
         blocks_dir.mkdir(parents=True, exist_ok=True)
         blocks = rd.synthesize_ringdown(params, schedule)
         for k, block in enumerate(blocks):
@@ -400,70 +408,44 @@ def _cmd_ringdown(args, cfg: dict) -> list[str]:
                 path = blocks_dir / f"block_{k:06d}.csv"
                 with open(path, "w") as fh:
                     rd.write_block_csv(block, fh,
-                                       header_comment=_csv_comment(core))
+                                       header_comment=_csv_comment(args))
             outputs.append(str(path))
         truth = dict(sec, seed=params.seed, n_blocks=len(blocks))
-        truth_path = args.out / "ringdown_truth.json"
-        _json_out(truth_path, truth, core)
-        outputs.append(truth_path.name)
+        outputs.append(_json_out(args, "ringdown_truth.json", truth))
         return outputs
 
-    bins = _block_files(blocks_dir, "rngd")
-    csvs = _block_files(blocks_dir, "csv")
-    if bins and csvs:
-        raise ConfigError(f"{blocks_dir} holds both .rngd and .csv blocks; "
-                          "analyze one format at a time")
-    files = bins or csvs
-    if not files:
-        raise DataError(f"no block files found in {blocks_dir}")
-    if bins:
-        # a binary frame carries no start time; the block index gives it
-        blocks = [rd.read_block_bin(path,
-                                    start_time=k * schedule.block_interval)
-                  for k, path in files.items()]
-    else:
-        blocks = [rd.read_block_csv(path) for path in files.values()]
-    series, fit = rd.analyze_ringdown(blocks, schedule, params.f0)
-    series_path = args.out / "amplitude_series.csv"
-    with open(series_path, "w") as fh:
-        rd.write_series_csv(series, fh, header_comment=_csv_comment(core))
-    outputs.append(series_path.name)
+    blocks = inputs["blocks"]
+    series, fit = rd.analyze_ringdown(list(blocks.values()), schedule,
+                                      params.f0)
+    outputs.append(_csv_out(args, "amplitude_series.csv",
+                            rd.write_series_csv, series))
     record = rd.decay_fit_dict(fit)
     record["missing_block_indices"] = sorted(
-        set(range(schedule.n_blocks)) - set(files))
-    fit_path = args.out / "decay_fit.json"
-    _json_out(fit_path, record, core)
-    outputs.append(fit_path.name)
+        set(range(schedule.n_blocks)) - set(blocks))
+    outputs.append(_json_out(args, "decay_fit.json", record))
     return outputs
 
 
-def _cmd_fit_he3(args, cfg: dict) -> list[str]:
+def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["fit"]
     _require_positive(cfg, "fit", "tau_vacuum_s", "predict_T_min_K",
                       "predict_T_max_K", "predict_points")
     osc = _osc_from_config(cfg)
-    med = _media_from_config(args, cfg)
-    series = fitting.load_tau_series_csv(args.data)
+    med, series = inputs["media"], inputs["series"]
     mode = damping.RegimeMode(sec["mode"])
     tau_vac = sec["tau_vacuum_s"]
     fit = fitting.fit_he3_concentration(
         series, osc, med, bracket=sec["bracket_per_m3"], mode=mode,
         tau_vacuum=tau_vac, fit_vacuum=sec["fit_vacuum"])
 
-    core = args._manifest
-    outputs = []
-    fit_path = args.out / "he3_fit.json"
-    _json_out(fit_path, fitting.concentration_fit_dict(fit), core)
-    outputs.append(fit_path.name)
+    outputs = [_json_out(args, "he3_fit.json",
+                         fitting.concentration_fit_dict(fit))]
     vac_used = fit.fitted_tau_vacuum \
         if fit.fitted_tau_vacuum is not None else tau_vac
     residuals = fitting.model_residuals(series, osc, med, fit.n3, mode,
                                         vac_used)
-    res_path = args.out / "he3_residuals.csv"
-    with open(res_path, "w") as fh:
-        fitting.write_residuals_csv(series, residuals, fh,
-                                    header_comment=_csv_comment(core))
-    outputs.append(res_path.name)
+    outputs.append(_csv_out(args, "he3_residuals.csv",
+                            fitting.write_residuals_csv, series, residuals))
 
     added = sec["added_x3"]
     if added > 0.0:
@@ -473,7 +455,7 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
                                                      med, grid, mode)
         pred_path = args.out / "contamination_prediction.csv"
         with open(pred_path, "w") as fh:
-            write_csv(fh, [_csv_comment(core)],
+            write_csv(fh, [_csv_comment(args)],
                       ["T_K", "tau_s", "tau_contaminated_s", "ratio"],
                       [base.T, base.tau_total, contam.tau_total,
                        contam.tau_total / base.tau_total])
@@ -481,19 +463,17 @@ def _cmd_fit_he3(args, cfg: dict) -> list[str]:
     return outputs
 
 
-def _cmd_sensitivity(args, cfg: dict) -> list[str]:
+def _cmd_sensitivity(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["sensitivity"]
     osc = _osc_from_config(cfg)
-    med = _media_from_config(args, cfg)
+    med = inputs["media"]
     report = damping.sensitivity_report(osc, sec["temperature_K"],
                                         sec["tau_s"], sec["velocity_m_s"],
                                         med.constants)
-    core = args._manifest
-    path = args.out / "sensitivity.json"
-    _json_out(path, {"S_F_N2_per_Hz": report.S_F, "F_D_N": report.F_D,
-                     "T_over_tau_K_per_s": report.T_over_tau,
-                     "linewidth_Hz": report.linewidth, **sec}, core)
-    return [path.name]
+    return [_json_out(args, "sensitivity.json", {
+        "S_F_N2_per_Hz": report.S_F, "F_D_N": report.F_D,
+        "T_over_tau_K_per_s": report.T_over_tau,
+        "linewidth_Hz": report.linewidth, **sec})]
 
 
 _DISPATCH = {
@@ -511,15 +491,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         cfg, blob = _load_config(args.config)
-        inputs = _resolve_inputs(args, cfg)
-        args._manifest = _manifest_core(args.command, blob, inputs,
-                                        getattr(args, "seed", None))
+        inputs, digests = _read_inputs(args, cfg)
+        args._manifest = _manifest_core(args, blob, digests)
         try:
             args.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
                 f"cannot create output directory {args.out}: {exc}") from exc
-        outputs = _DISPATCH[args.command](args, cfg)
+        outputs = _DISPATCH[args.command](args, cfg, inputs)
         _write_manifest(args.out, args._manifest, "ok", outputs,
                         time.monotonic() - started)
         return 0

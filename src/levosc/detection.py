@@ -22,7 +22,6 @@ one pose is a sweep of one pose. Its result is columnar:
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, GeometryError
-from .formats import REQUIRED, read_keys, write_csv
+from .formats import REQUIRED, read_json, read_keys, write_csv
 
 __all__ = [
     "MU0",
@@ -598,20 +597,17 @@ def _coil(coil: dict, role: str) -> CoilSpec:
                     role=role if coil["role"] is None else coil["role"])
 
 
-def load_geometry(path: str | Path) -> DetectionGeometry:
-    """Read a detection geometry from its JSON description.
+def load_geometry(data: bytes, source: str | Path) -> DetectionGeometry:
+    """A detection geometry from the bytes of its JSON description.
 
     Keys carry explicit unit suffixes (``center_m``, ``mean_radius_m``,
     ``capacitance_F``, drive ``amplitude_A`` + ``frequency_Hz``). The
-    file is checked against ``GEOMETRY_TABLE`` by
-    :func:`levosc.formats.read_keys`: an unknown key, a missing one or a
-    value of the wrong JSON type is a :class:`ConfigError` naming the
-    key.
+    bytes are read by :func:`levosc.formats.read_json` and checked
+    against ``GEOMETRY_TABLE`` by :func:`levosc.formats.read_keys`: bad
+    JSON, a repeated key, an unknown key, a missing one or a value of
+    the wrong JSON type is a :class:`ConfigError` naming the key.
     """
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
-        raise ConfigError(f"cannot read geometry {path}: {exc}") from exc
+    obj = read_json(data, "geometry", source)
     try:
         geom = read_keys(GEOMETRY_TABLE, obj, "geometry")
         drive = geom["drive"]
@@ -628,4 +624,4 @@ def load_geometry(path: str | Path) -> DetectionGeometry:
             capacitance=geom["capacitance_F"],
             receiver_inductance=geom["receiver_inductance_H"])
     except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"bad geometry file {path}: {exc}") from exc
+        raise ConfigError(f"bad geometry file {source}: {exc}") from exc

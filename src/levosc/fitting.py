@@ -243,13 +243,14 @@ def predict_contamination(x3: float, added_x3: float,
                           tau_vacuum=None))
 
 
-def load_tau_series_csv(path: str | Path) -> TauTemperatureSeries:
-    """Read (T_K, tau_s[, sigma_tau_s]) rows, header optional."""
-    rows = read_numeric_csv(path, "tau series", 2, optional=1)
+def load_tau_series_csv(data: bytes, source: str | Path
+                        ) -> TauTemperatureSeries:
+    """The (T_K, tau_s[, sigma_tau_s]) rows of a CSV, header optional."""
+    rows = read_numeric_csv(data, source, "tau series", 2, optional=1)
     try:
         return TauTemperatureSeries(rows=tuple(rows))
     except ValueError as exc:
-        raise DataError(f"tau series {path}: {exc}") from exc
+        raise DataError(f"tau series {source}: {exc}") from exc
 
 
 def write_residuals_csv(series: TauTemperatureSeries,

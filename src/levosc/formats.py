@@ -1,6 +1,8 @@
 """The file formats levosc reads and writes, each decided once: JSON
-key tables (:func:`read_keys`), numeric CSV in (:func:`read_numeric_csv`)
-and CSV out (:func:`write_csv`).
+(:func:`read_json`) and ``key = value`` lines (:func:`read_key_lines`)
+checked against key tables (:func:`read_keys`), numeric CSV in
+(:func:`read_numeric_csv`) and CSV out (:func:`write_csv`). The readers
+parse bytes; ``source`` names the file in messages only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-__all__ = ["REQUIRED", "read_keys", "read_numeric_csv", "write_csv"]
+__all__ = ["REQUIRED", "read_json", "read_keys", "read_key_lines",
+           "read_numeric_csv", "write_csv"]
 
 # The default of a key that has none: leaving it out is an error.
 REQUIRED = object()
@@ -44,6 +47,25 @@ def _typed(kind, value):
                          "string or null": str}[kind]:
         return value
     raise ValueError(kind)
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object; a repeated key is an error, not the last one kept."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(data: bytes, what: str, source: str | Path):
+    """The JSON value in ``data``; bad JSON or text, or a repeated key, is
+    a :class:`ConfigError` naming ``what`` and ``source``."""
+    try:
+        return json.loads(data, object_pairs_hook=_object)
+    except (ValueError, RecursionError) as exc:   # or nested too deep
+        raise ConfigError(f"cannot read {what} {source}: {exc}") from exc
 
 
 def read_keys(table: dict, given, where: str = "") -> dict:
@@ -89,6 +111,41 @@ def read_keys(table: dict, given, where: str = "") -> dict:
     return typed
 
 
+def read_key_lines(table: dict, data: bytes, source: str | Path) -> dict:
+    """The ``key = value`` lines of ``data`` checked against ``table``
+    (laid out as for :func:`read_keys`), every default filled in; a
+    ``number`` value must be a finite float, others stay text. ``#``
+    comments are skipped. A line without ``=``, an unknown or repeated
+    key or a bad number is a :class:`ConfigError` naming ``source:line``;
+    bytes that are not UTF-8, a :class:`DataError`."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {source}: {exc}") from exc
+    given = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{source}:{lineno}"
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not equals:
+            raise ConfigError(f"{where}: expected 'key = value'")
+        if key not in table:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if key in given:
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        kind = table[key][0]
+        try:
+            given[key] = _typed(kind, float(value)) \
+                if kind.startswith("number") else value
+        except ValueError:
+            raise ConfigError(f"{where}: {key}: expected a finite number, "
+                              f"got {value!r}") from None
+    return {key: given.get(key, default)
+            for key, (_, default) in table.items()}
+
+
 def _is_number(text: str) -> bool:
     try:
         float(text)
@@ -97,26 +154,26 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def read_numeric_csv(path: str | Path, what: str, required: int,
-                     optional: int = 0) -> list[tuple[float | None, ...]]:
+def read_numeric_csv(data: bytes, source: str | Path, what: str,
+                     required: int, optional: int = 0
+                     ) -> list[tuple[float | None, ...]]:
     """The rows of a numeric CSV, each a tuple of its first ``required``
     fields as floats and its next ``optional`` ones as floats or, when
     blank or absent, None; later fields are ignored.
 
     Lines starting with ``#`` are skipped. The first other line is a
     header when its first field is not a number; any other line that
-    does not parse is a :class:`DataError` naming ``path:line``, as are
-    a file that cannot be read and one without data rows. ``what`` names
-    the file's content in the messages.
+    does not parse is a :class:`DataError` naming ``source:line``, as
+    are bytes that are not UTF-8 text and a file without data rows.
+    ``what`` names the file's content in the messages.
     """
     try:
-        with open(path, newline="") as fh:
-            records = [(lineno, rec) for lineno, rec in
-                       enumerate(csv.reader(fh), start=1)
-                       if rec and not rec[0].lstrip().startswith("#")]
-    except (OSError, ValueError, csv.Error) as exc:
-        # ValueError: not UTF-8, or a NUL in the path
-        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+        records = [(lineno, rec) for lineno, rec in enumerate(
+                       csv.reader(io.StringIO(data.decode(), newline="")),
+                       start=1)
+                   if rec and not rec[0].lstrip().startswith("#")]
+    except (ValueError, csv.Error) as exc:    # ValueError: not UTF-8
+        raise DataError(f"cannot read {what} {source}: {exc}") from exc
     if records and not _is_number(records[0][1][0]):
         records = records[1:]     # the one header line
     rows = []
@@ -126,11 +183,11 @@ def read_numeric_csv(path: str | Path, what: str, required: int,
             row += [float(rec[k]) if k < len(rec) and rec[k].strip()
                     else None for k in range(required, required + optional)]
         except (ValueError, IndexError):
-            raise DataError(f"{path}:{lineno}: bad {what} row {rec!r}") \
+            raise DataError(f"{source}:{lineno}: bad {what} row {rec!r}") \
                 from None
         rows.append(tuple(row))
     if not rows:
-        raise DataError(f"{what} {path} has no data rows")
+        raise DataError(f"{what} {source} has no data rows")
     return rows
 
 

@@ -6,21 +6,22 @@ constants, quasiparticle-gas parameters, and a normal-component
 viscosity table, bundled in :class:`HeliumMedia`, which also gives the
 helium-4 number density ``n4``. The property functions take arrays of
 temperatures. All values are overridable through a plain-text
-``key = value`` file, and the viscosity table through a two-column CSV
-with at most one header line.
+``key = value`` file (``OVERRIDE_TABLE``), and the viscosity table
+through a two-column CSV with at most one header line. The readers parse
+bytes; the caller opens the files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError
-from .formats import read_numeric_csv
+from .formats import read_key_lines, read_keys, read_numeric_csv
 
 __all__ = [
     "PhysicalConstants",
@@ -31,6 +32,7 @@ __all__ = [
     "DEFAULT_HE4_MASS_DENSITY",
     "viscosity_normal_grid",
     "thermal_velocity_he3",
+    "OVERRIDE_TABLE",
     "load_property_overrides",
     "media_from_overrides",
 ]
@@ -126,13 +128,13 @@ class ViscosityTable:
         return self.entries[0][0], self.entries[-1][0]
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "ViscosityTable":
-        """Load a replacement table from a two-column CSV (T_K, eta_Pa_s)."""
-        rows = read_numeric_csv(path, "viscosity table", 2)
+    def from_csv(cls, data: bytes, source: str | Path) -> "ViscosityTable":
+        """A table from the bytes of a two-column CSV (T_K, eta_Pa_s)."""
+        rows = read_numeric_csv(data, source, "viscosity table", 2)
         try:
             return cls(entries=tuple(rows))
         except ValueError as exc:
-            raise DataError(f"viscosity table {path}: {exc}") from exc
+            raise DataError(f"viscosity table {source}: {exc}") from exc
 
 
 DEFAULT_VISCOSITY_TABLE = ViscosityTable(
@@ -196,63 +198,34 @@ def thermal_velocity_he3(constants: PhysicalConstants,
                        / m3_eff)
 
 
-def load_property_overrides(path: str | Path) -> dict[str, object]:
-    """Parse a plain-text ``key = value`` override file.
+# Every key of a media override file, as levosc.formats.read_keys lays
+# out a table; viscosity_csv names a table relative to the override file.
+OVERRIDE_TABLE = {
+    **{f.name: ("number", f.default)
+       for cls in (PhysicalConstants, QuasiparticleParams)
+       for f in fields(cls)},
+    "he4_mass_density": ("number", DEFAULT_HE4_MASS_DENSITY),
+    "viscosity_csv": ("string or null", None)}
 
-    Values parse as floats except ``viscosity_csv``, which names a
-    replacement table file (resolved relative to the override file).
-    Blank lines and ``#`` comments are skipped.
-    """
-    overrides: dict[str, object] = {}
-    path = Path(path)
+
+def load_property_overrides(data: bytes, source: str | Path) -> dict:
+    """Every key of ``OVERRIDE_TABLE`` from the bytes of an override
+    file, defaults filled in; ``viscosity_csv`` stays as written."""
+    return read_key_lines(OVERRIDE_TABLE, data, source)
+
+
+def media_from_overrides(overrides: Mapping[str, object],
+                         viscosity: ViscosityTable) -> HeliumMedia:
+    """A :class:`HeliumMedia` from defaults plus the entries of
+    ``overrides``, checked against ``OVERRIDE_TABLE``. ``viscosity`` is
+    the table read from the file that ``viscosity_csv`` names, or
+    ``DEFAULT_VISCOSITY_TABLE`` when it names none."""
+    values = read_keys(OVERRIDE_TABLE, dict(overrides), "media overrides")
     try:
-        text = path.read_text()
-    except (OSError, ValueError) as exc:   # ValueError: not UTF-8, or a NUL
-        raise DataError(f"cannot read media overrides {path}: {exc}") \
-            from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "viscosity_csv":
-            overrides[key] = str((path.parent / value).resolve())
-            continue
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: value for {key!r} is not a number")
-    return overrides
-
-
-_CONSTANT_KEYS = {"k_B", "hbar", "m3", "m4"}
-_QP_KEYS = {"c", "k0", "delta_over_kB", "m3_eff_ratio"}
-
-
-def media_from_overrides(overrides: Mapping[str, object]) -> HeliumMedia:
-    """Build a :class:`HeliumMedia` from defaults plus override entries."""
-    constants = PhysicalConstants()
-    qp = QuasiparticleParams()
-    viscosity = DEFAULT_VISCOSITY_TABLE
-    density = DEFAULT_HE4_MASS_DENSITY
-    try:
-        for key, value in overrides.items():
-            if key in _CONSTANT_KEYS:
-                constants = replace(constants, **{key: float(value)})
-            elif key in _QP_KEYS:
-                qp = replace(qp, **{key: float(value)})
-            elif key == "he4_mass_density":
-                density = float(value)
-            elif key == "viscosity_csv":
-                viscosity = ViscosityTable.from_csv(str(value))
-            else:
-                raise ConfigError(f"unknown media property {key!r}")
+        constants, qp = (cls(**{f.name: values[f.name] for f in fields(cls)})
+                         for cls in (PhysicalConstants, QuasiparticleParams))
         return HeliumMedia(constants=constants, quasiparticles=qp,
-                           viscosity=viscosity, he4_mass_density=density)
+                           viscosity=viscosity,
+                           he4_mass_density=values["he4_mass_density"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, FitError
-from .formats import write_csv
+from .formats import read_numeric_csv, write_csv
 
 __all__ = [
     "RingdownParams",
@@ -32,7 +32,6 @@ __all__ = [
     "AmplitudeSeries",
     "DecayFit",
     "synthesize_ringdown",
-    "block_amplitude",
     "amplitude_series",
     "fit_decay",
     "analyze_ringdown",
@@ -48,6 +47,7 @@ __all__ = [
 
 BIN_MAGIC = b"RNGD"
 BIN_VERSION = 1
+_BIN_HEADER = struct.Struct("<4sId")    # magic, version, sample rate
 
 SNR_FLAG_THRESHOLD = 3.0
 
@@ -131,7 +131,7 @@ class Block:
         object.__setattr__(self, "samples",
                            np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1 or len(self.samples) < 2:
-            raise ValueError("block needs a 1-D array of >= 2 samples")
+            raise ValueError("fewer than two samples, or not a 1-D array")
         if not 0 < self.sample_rate < math.inf:
             raise ValueError("sample_rate must be finite and positive")
         if not math.isfinite(self.start_time):
@@ -215,12 +215,6 @@ def synthesize_ringdown(params: RingdownParams,
 
 def _hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
-
-
-def block_amplitude(samples: np.ndarray, sample_rate: float,
-                    f0_hint: float) -> AmplitudeSeries:
-    """:func:`amplitude_series` of one block of ``samples`` at time 0."""
-    return amplitude_series([Block(0.0, sample_rate, samples)], f0_hint)
 
 
 def amplitude_series(blocks: Sequence[Block],
@@ -344,65 +338,61 @@ def write_block_csv(block: Block, fh: io.TextIOBase,
               [times, block.samples])
 
 
-def read_block_csv(path: str | Path) -> Block:
-    times = []
-    values = []
+def _block(source: str | Path, start_time: float, sample_rate: float,
+           samples: np.ndarray) -> Block:
+    """A block read from ``source``; a value it refuses names the file."""
     try:
-        with open(path) as fh:
-            header = fh.readline()
-            while header.startswith("#"):
-                header = fh.readline()
-            if "time_s" not in header:
-                raise DataError(f"{path}: missing time_s header")
-            for line in fh:
-                if not line.strip():
-                    continue
-                a, _, b = line.partition(",")
-                times.append(float(a))
-                values.append(float(b))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read block CSV {path}: {exc}") from exc
+        return Block(start_time=start_time, sample_rate=sample_rate,
+                     samples=samples)
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from exc
+
+
+def read_block_csv(data: bytes, source: str | Path) -> Block:
+    """The block in the bytes of a CSV that :func:`write_block_csv`
+    wrote; its time column gives the start time and sample rate."""
+    header = next((line for line in io.BytesIO(data)
+                   if not line.startswith(b"#")), b"")
+    if b"time_s" not in header:
+        raise DataError(f"{source}: missing time_s header")
+    times, values = zip(*read_numeric_csv(data, source, "block", 2))
     if len(times) < 2:
-        raise DataError(f"{path}: fewer than two samples")
+        raise DataError(f"{source}: fewer than two samples")
     # write_block_csv's times carry rounding of about 1e-8 of the step
     mean_step = (times[-1] - times[0]) / (len(times) - 1)
-    if not (mean_step > 0 and np.all(
-            np.abs(np.diff(times) - mean_step) <= 1e-6 * mean_step)):
-        raise DataError(f"{path}: time column does not rise by an even step")
+    with np.errstate(over="ignore", invalid="ignore"):   # inf: no even step
+        even = mean_step > 0 and np.all(
+            np.abs(np.diff(times) - mean_step) <= 1e-6 * mean_step)
+    if not even:
+        raise DataError(f"{source}: time column does not rise by an even "
+                        "step")
     fs = (len(times) - 1) / (times[-1] - times[0])
-    return Block(start_time=times[0], sample_rate=fs,
-                 samples=np.array(values))
+    return _block(source, times[0], fs, np.array(values))
 
 
 def write_block_bin(block: Block, path: str | Path) -> None:
     """Binary frame: 16-byte header (magic, version, sample rate) then
     little-endian float64 samples. Block start time travels outside the
     frame (file naming or a run manifest)."""
-    header = BIN_MAGIC + struct.pack("<I", BIN_VERSION) \
-        + struct.pack("<d", block.sample_rate)
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, block.sample_rate))
         fh.write(block.samples.astype("<f8").tobytes())
 
 
-def read_block_bin(path: str | Path, start_time: float = 0.0) -> Block:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read block {path}: {exc}") from exc
-    if len(raw) < 16 or raw[:4] != BIN_MAGIC:
-        raise DataError(f"{path}: not a ring-down block file")
-    (version,) = struct.unpack("<I", raw[4:8])
+def read_block_bin(raw: bytes, source: str | Path,
+                   start_time: float = 0.0) -> Block:
+    """The block in the bytes of a :func:`write_block_bin` frame; its
+    samples are a view of ``raw``, not a copy."""
+    size = _BIN_HEADER.size
+    if len(raw) < size or raw[:4] != BIN_MAGIC:
+        raise DataError(f"{source}: not a ring-down block file")
+    _, version, fs = _BIN_HEADER.unpack_from(raw)
     if version != BIN_VERSION:
-        raise DataError(f"{path}: unsupported block version {version}")
-    (fs,) = struct.unpack("<d", raw[8:16])
-    body = raw[16:]
-    if len(body) % 8:
-        raise DataError(f"{path}: truncated sample payload")
-    samples = np.frombuffer(body, dtype="<f8")
-    if len(samples) < 2:
-        raise DataError(f"{path}: fewer than two samples")
-    return Block(start_time=start_time, sample_rate=fs, samples=samples)
+        raise DataError(f"{source}: unsupported block version {version}")
+    if (len(raw) - size) % 8:
+        raise DataError(f"{source}: truncated sample payload")
+    return _block(source, start_time, fs,
+                  np.frombuffer(raw, dtype="<f8", offset=size))
 
 
 def write_series_csv(series: AmplitudeSeries, fh: io.TextIOBase,

@@ -5,6 +5,8 @@ temp dirs and are parsed back with plain csv/json.
 """
 
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +30,9 @@ from levosc.media import HeliumMedia
 
 
 def write_config(tmp_path, obj, name="config.json"):
+    """``obj`` as a JSON config file; a string is written as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return path
 
 
@@ -154,6 +158,9 @@ REJECTED_INPUTS = [
      "fit.predict_points"),
     ("detection-sweep", {"detection": {"geometry": 5}},
      "detection.geometry"),
+    ("damping-curve", '{"damping": {"points": 5, "points": 7}}',
+     "duplicate key 'points'"),
+    ("sensitivity", "[" * 10**5, "recursion depth"),
 ]
 
 
@@ -518,7 +525,10 @@ def geometry_doc():
 
 
 def run_geometry(tmp_path, doc):
-    (tmp_path / "geom.json").write_text(json.dumps(doc))
+    """Run detection-sweep on geometry ``doc``; a string is the file's
+    text as it is."""
+    (tmp_path / "geom.json").write_text(
+        doc if isinstance(doc, str) else json.dumps(doc))
     cfg = write_config(tmp_path, {"detection": {"geometry": "geom.json"}})
     out = tmp_path / "out"
     return main(["detection-sweep", "--config", str(cfg),
@@ -552,6 +562,9 @@ BAD_GEOMETRY = {
                    "medium"),
     "two-frequencies": (lambda g: g["drive"].update(
         angular_frequency_rad_s=1e7), "angular_frequency_rad_s"),
+    "repeated-key": (lambda g: json.dumps(g)[:-1]
+                     + ', "capacitance_F": 1e-9}',
+                     "duplicate key 'capacitance_F'"),
 }
 
 
@@ -560,8 +573,8 @@ BAD_GEOMETRY = {
 def test_detection_sweep_bad_geometry_value_exits_2(tmp_path, capsys, edit,
                                                     name):
     doc = geometry_doc()
-    edit(doc)
-    assert run_geometry(tmp_path, doc)[0] == 2
+    text = edit(doc)    # an edit that returns text gives the whole file
+    assert run_geometry(tmp_path, doc if text is None else text)[0] == 2
     assert name in capsys.readouterr().err
 
 
@@ -999,3 +1012,76 @@ def test_manifest_digests_viscosity_csv(tmp_path):
     digests = manifest_of(out)["input_sha256"]
     assert digests["viscosity_csv"] == \
         hashlib.sha256(table.read_bytes()).hexdigest()
+
+
+def test_each_input_file_is_read_once(tmp_path, monkeypatch):
+    # the viscosity table resolves against the override file's directory
+    (tmp_path / "media").mkdir()
+    (tmp_path / "media" / "eta.csv").write_text(
+        "T_K,eta_Pa_s\n1.0,2.3e-5\n2.0,1.4e-6\n")
+    props = tmp_path / "media" / "media.properties"
+    props.write_text("c = 240.0\nviscosity_csv = eta.csv\n")
+    geom = tmp_path / "geom.json"
+    geom.write_text(json.dumps(geometry_doc()))
+    data = model_data_csv(tmp_path, 4.2e-8)
+    cfg = write_config(tmp_path, {
+        "media_overrides": "media/media.properties",
+        "detection": {"geometry": "geom.json"},
+        "damping": {"points": 4}, **RINGDOWN_CFG})
+    csv_cfg = write_config(tmp_path, {"ringdown": dict(
+        RINGDOWN_CFG["ringdown"], format="csv")}, name="csv.json")
+    out = tmp_path / "out"
+    for config, blocks in ((cfg, "bin"), (csv_cfg, "csv")):
+        assert main(["ringdown", "simulate", "--config", str(config),
+                     "--out", str(out), "--blocks", str(out / blocks)]) == 0
+
+    media_inputs = [cfg, props, tmp_path / "media" / "eta.csv"]
+    runs = [
+        (["damping-curve", "--config", str(cfg)], media_inputs),
+        (["sensitivity", "--config", str(cfg)], media_inputs),
+        (["fit-he3", "--config", str(cfg), "--data", str(data)],
+         [*media_inputs, data]),
+        (["detection-sweep", "--config", str(cfg)], [cfg, geom]),
+    ] + [(["ringdown", "analyze", "--config", str(config),
+           "--blocks", str(out / blocks)],
+          [config, *(out / blocks).glob("block_*")])
+         for config, blocks in ((cfg, "bin"), (csv_cfg, "csv"))]
+    real_open = io.open
+    for argv, inputs in runs:
+        reads = Counter()
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads[Path(file)] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr("builtins.open", counting_open)
+            patch.setattr("io.open", counting_open)
+            assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+        assert reads == Counter(inputs), argv[0]
+
+
+def test_manifest_digests_the_bytes_that_were_parsed(tmp_path, monkeypatch):
+    data = model_data_csv(tmp_path, 4.2e-8)
+    original = data.read_bytes()
+    (tmp_path / "other").mkdir()
+    other = model_data_csv(tmp_path / "other", 1e-7).read_bytes()
+    ref = tmp_path / "ref_out"
+    assert main(["fit-he3", "--data", str(data), "--out", str(ref)]) == 0
+    real_read_bytes = Path.read_bytes
+
+    def read_then_replace(path):
+        blob = real_read_bytes(path)
+        if path == data:     # the CLI has read it: swap in other data
+            data.write_bytes(other)
+        return blob
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+    out = tmp_path / "out"
+    assert main(["fit-he3", "--data", str(data), "--out", str(out)]) == 0
+    assert data.read_bytes() != original
+    assert manifest_of(out)["input_sha256"]["data"] == \
+        hashlib.sha256(original).hexdigest()
+    for name in ("he3_fit.json", "he3_residuals.csv"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()

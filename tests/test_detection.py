@@ -612,7 +612,7 @@ class TestGeometryIO:
         }
         path = tmp_path / "geom.json"
         path.write_text(json.dumps(doc))
-        loaded = load_geometry(path)
+        loaded = load_geometry(path.read_bytes(), path)
         assert loaded.transmitter == g.transmitter
         assert loaded.receivers == g.receivers
         assert loaded.capacitance == g.capacitance
@@ -621,17 +621,14 @@ class TestGeometryIO:
             2 * math.pi * 1.6e6, rel=1e-14)
 
     def test_bad_files(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        with pytest.raises(ConfigError):
-            load_geometry(missing)
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
-            load_geometry(bad)
+            load_geometry(bad.read_bytes(), bad)
         partial = tmp_path / "partial.json"
         partial.write_text(json.dumps({"transmitter": {}}))
         with pytest.raises(ConfigError):
-            load_geometry(partial)
+            load_geometry(partial.read_bytes(), partial)
 
     def test_axis_must_be_unit(self):
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ class TestViscosity:
         path = tmp_path / "eta.csv"
         path.write_text("# replacement table\nT_K,eta_Pa_s\n"
                         "1.0,2.0e-5\n1.5,1.5e-6\n2.1,1.7e-6\n")
-        table = ViscosityTable.from_csv(path)
+        table = ViscosityTable.from_csv(path.read_bytes(), path)
         assert table.valid_range == (1.0, 2.1)
         assert viscosity_normal(table, 1.5) == 1.5e-6
 
@@ -75,11 +75,11 @@ class TestViscosity:
         short = tmp_path / "short.csv"
         short.write_text("1.0,2e-5\n")
         with pytest.raises(DataError):
-            ViscosityTable.from_csv(short)
+            ViscosityTable.from_csv(short.read_bytes(), short)
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2e-5\n1.5,oops\n")
         with pytest.raises(DataError):
-            ViscosityTable.from_csv(bad)
+            ViscosityTable.from_csv(bad.read_bytes(), bad)
         # one header line at most: a bad first data row is no header,
         # so it cannot silently raise the table's floor
         for name, text, line in [
@@ -91,12 +91,11 @@ class TestViscosity:
             path = tmp_path / name
             path.write_text(text)
             with pytest.raises(DataError, match=f"{name}:{line}: "):
-                ViscosityTable.from_csv(path)
+                ViscosityTable.from_csv(path.read_bytes(), path)
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"1.0,2e-5\n\xff\xfe,1e-6\n")
-        for path in (binary, tmp_path / "ghost.csv"):
-            with pytest.raises(DataError, match="cannot read"):
-                ViscosityTable.from_csv(path)
+        with pytest.raises(DataError, match="cannot read"):
+            ViscosityTable.from_csv(binary.read_bytes(), binary)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -168,8 +167,8 @@ class TestDefaultsAndOverrides:
                         "he4_mass_density = 145.3  # kg/m^3\n"
                         "\n"
                         "m3_eff_ratio = 2.5\n")
-        overrides = load_property_overrides(path)
-        med = media_from_overrides(overrides)
+        overrides = load_property_overrides(path.read_bytes(), path)
+        med = media_from_overrides(overrides, DEFAULT_VISCOSITY_TABLE)
         assert med.quasiparticles.c == 240.0
         assert med.quasiparticles.m3_eff_ratio == 2.5
         assert med.he4_mass_density == 145.3
@@ -177,25 +176,35 @@ class TestDefaultsAndOverrides:
         assert med.constants.k_B == 1.380649e-23
 
     def test_override_viscosity_csv_resolved_relative(self, tmp_path):
+        # the reader keeps the name as written; the CLI resolves it
+        # against the override file's directory and reads the table
         (tmp_path / "eta.csv").write_text("1.1,9e-6\n1.9,1.3e-6\n")
         path = tmp_path / "props.txt"
         path.write_text("viscosity_csv = eta.csv\n")
-        med = media_from_overrides(load_property_overrides(path))
+        overrides = load_property_overrides(path.read_bytes(), path)
+        assert overrides["viscosity_csv"] == "eta.csv"
+        table = path.parent / overrides["viscosity_csv"]
+        med = media_from_overrides(
+            overrides, ViscosityTable.from_csv(table.read_bytes(), table))
         assert med.viscosity.valid_range == (1.1, 1.9)
 
     def test_override_errors(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("no equals sign here\n")
         with pytest.raises(ConfigError):
-            load_property_overrides(bad)
+            load_property_overrides(bad.read_bytes(), bad)
         bad2 = tmp_path / "bad2.txt"
         bad2.write_text("c = fast\n")
         with pytest.raises(ConfigError):
-            load_property_overrides(bad2)
+            load_property_overrides(bad2.read_bytes(), bad2)
         with pytest.raises(ConfigError):
-            media_from_overrides({"not_a_property": 1.0})
-        with pytest.raises(DataError, match="ghost.txt"):
-            load_property_overrides(tmp_path / "ghost.txt")
+            media_from_overrides({"not_a_property": 1.0},
+                                 DEFAULT_VISCOSITY_TABLE)
+        # a repeated key is an error, not the last value silently winning
+        bad3 = tmp_path / "bad3.txt"
+        bad3.write_text("c = 240\nc = 250\n")
+        with pytest.raises(ConfigError, match="bad3.txt:2: .*'c'"):
+            load_property_overrides(bad3.read_bytes(), bad3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("make", [

@@ -26,7 +26,6 @@ from levosc.ringdown import (
     RingdownParams,
     analyze_ringdown,
     amplitude_series,
-    block_amplitude,
     decay_fit_dict,
     fit_decay,
     read_block_bin,
@@ -181,7 +180,8 @@ def test_synthesis_rejects_low_sample_rate():
 def test_on_bin_amplitude_exact():
     fs, n = 50.0, 4000
     f0 = 200 * fs / n
-    row = block_amplitude(tone(n, fs, f0, amp=0.7, phase=0.4), fs, f0)
+    row = amplitude_series(
+        [Block(0.0, fs, tone(n, fs, f0, amp=0.7, phase=0.4))], f0)
     assert abs(row.amplitude - 0.7) / 0.7 < 1e-12
     assert abs(row.frequency - f0) < 1e-6 * fs / n
     assert not row.flagged
@@ -191,7 +191,8 @@ def test_on_bin_amplitude_exact():
 def test_quarter_bin_amplitude():
     fs, n = 50.0, 4000
     f0 = 200.25 * fs / n
-    row = block_amplitude(tone(n, fs, f0, amp=0.7, phase=0.4), fs, f0)
+    row = amplitude_series(
+        [Block(0.0, fs, tone(n, fs, f0, amp=0.7, phase=0.4))], f0)
     assert abs(row.amplitude - 0.7) / 0.7 < 2e-2
     assert abs(row.frequency - f0) * n / fs < 0.05
 
@@ -199,7 +200,7 @@ def test_quarter_bin_amplitude():
 def test_half_bin_amplitude_worst_case():
     fs, n = 50.0, 4000
     f0 = 200.5 * fs / n
-    row = block_amplitude(tone(n, fs, f0, amp=0.7), fs, f0)
+    row = amplitude_series([Block(0.0, fs, tone(n, fs, f0, amp=0.7))], f0)
     # log-parabolic peak interpolation undershoots between bins
     assert abs(row.amplitude - 0.7) / 0.7 < 5e-2
     assert abs(row.frequency - f0) * n / fs < 0.05
@@ -208,8 +209,10 @@ def test_half_bin_amplitude_worst_case():
 def test_amplitude_linearity():
     fs, n = 50.0, 4000
     f0 = 200 * fs / n
-    a1 = block_amplitude(tone(n, fs, f0, amp=1.0), fs, f0).amplitude
-    a3 = block_amplitude(tone(n, fs, f0, amp=3.0), fs, f0).amplitude
+    a1 = amplitude_series([Block(0.0, fs, tone(n, fs, f0, amp=1.0))],
+                          f0).amplitude
+    a3 = amplitude_series([Block(0.0, fs, tone(n, fs, f0, amp=3.0))],
+                          f0).amplitude
     assert abs(a3 - 3.0 * a1) < 1e-12 * a3
 
 
@@ -218,8 +221,8 @@ def test_hint_selects_local_peak_not_global():
     f1 = 180 * fs / n
     f2 = 220.3 * fs / n
     x = tone(n, fs, f1, amp=0.3) + tone(n, fs, f2, amp=1.0, phase=1.1)
-    r1 = block_amplitude(x, fs, f1)
-    r2 = block_amplitude(x, fs, f2)
+    r1 = amplitude_series([Block(0.0, fs, x)], f1)
+    r2 = amplitude_series([Block(0.0, fs, x)], f2)
     assert abs(r1.amplitude - 0.3) / 0.3 < 1e-3
     assert abs(r1.frequency - f1) * n / fs < 0.01
     assert abs(r2.amplitude - 1.0) < 5e-2
@@ -229,22 +232,22 @@ def test_dc_offset_does_not_shift_amplitude():
     fs, n = 50.0, 4000
     f0 = 180 * fs / n
     x = tone(n, fs, f0, amp=0.3)
-    base = block_amplitude(x, fs, f0).amplitude
-    shifted = block_amplitude(x + 10.0, fs, f0).amplitude
+    base = amplitude_series([Block(0.0, fs, x)], f0).amplitude
+    shifted = amplitude_series([Block(0.0, fs, x + 10.0)], f0).amplitude
     assert abs(shifted - base) / base < 1e-3
 
 
 def test_block_shorter_than_20_periods_rejected():
     fs, n = 50.0, 1000
     with pytest.raises(DataError, match="20 periods"):
-        block_amplitude(tone(n, fs, 0.9), fs, 0.9)
+        amplitude_series([Block(0.0, fs, tone(n, fs, 0.9))], 0.9)
 
 
 def test_hint_outside_band_rejected():
     fs, n = 50.0, 200
     x = tone(n, fs, 10.0)
     with pytest.raises(DataError, match="resolvable band"):
-        block_amplitude(x, fs, 30.0)
+        amplitude_series([Block(0.0, fs, x)], 30.0)
 
 
 def test_noise_dominated_rows_flagged():
@@ -270,7 +273,7 @@ def test_series_times_come_from_block_starts():
 
 def test_series_rows_equal_per_block_amplitudes():
     # the series shares one window across blocks of the same length;
-    # block_amplitude builds its own, and mixed lengths rebuild it
+    # a one-block series builds its own, and mixed lengths rebuild it
     rng = np.random.default_rng(5)
     blocks = [Block(start_time=3600.0 * k, sample_rate=50.0,
                     samples=tone(n, 50.0, 2.7, amp=0.9 ** k)
@@ -278,7 +281,8 @@ def test_series_rows_equal_per_block_amplitudes():
               for k, n in enumerate([1500, 1500, 1201, 1201, 1500])]
     series = amplitude_series(blocks, 2.7)
     for i, block in enumerate(blocks):
-        ref = block_amplitude(block.samples, block.sample_rate, 2.7)
+        ref = amplitude_series([Block(0.0, block.sample_rate,
+                                      block.samples)], 2.7)
         assert (series.frequency[i], series.amplitude[i], series.snr[i],
                 series.flagged[i]) == \
             (ref.frequency[0], ref.amplitude[0], ref.snr[0], ref.flagged[0])
@@ -474,7 +478,7 @@ def test_csv_block_round_trip(tmp_path):
         write_block_csv(block, fh, header_comment="manifest cafe some run")
     text = path.read_text()
     assert text.startswith("# manifest cafe some run\ntime_s,displacement\n")
-    back = read_block_csv(path)
+    back = read_block_csv(path.read_bytes(), path)
     assert np.array_equal(back.samples, block.samples)
     assert back.start_time == block.start_time
     assert abs(back.sample_rate - 50.0) < 1e-9
@@ -486,27 +490,24 @@ def test_csv_block_round_trip_no_comment(tmp_path):
     path = tmp_path / "b.csv"
     with open(path, "w") as fh:
         write_block_csv(block, fh)
-    back = read_block_csv(path)
+    back = read_block_csv(path.read_bytes(), path)
     assert np.array_equal(back.samples, block.samples)
     assert back.start_time == 7.5
 
 
 def test_csv_block_errors(tmp_path):
-    missing = tmp_path / "nope.csv"
-    with pytest.raises(DataError, match="nope.csv"):
-        read_block_csv(missing)
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n")
     with pytest.raises(DataError, match="time_s"):
-        read_block_csv(bad)
+        read_block_csv(bad.read_bytes(), bad)
     junk = tmp_path / "junk.csv"
     junk.write_text("time_s,displacement\n0.0,hello\n0.02,1.0\n")
     with pytest.raises(DataError, match="junk.csv"):
-        read_block_csv(junk)
+        read_block_csv(junk.read_bytes(), junk)
     short = tmp_path / "short.csv"
     short.write_text("time_s,displacement\n0.0,1.0\n")
     with pytest.raises(DataError, match="fewer than two"):
-        read_block_csv(short)
+        read_block_csv(short.read_bytes(), short)
 
 
 def test_csv_block_time_column_must_step_evenly(tmp_path):
@@ -517,7 +518,7 @@ def test_csv_block_time_column_must_step_evenly(tmp_path):
         path.write_text("time_s,displacement\n" + "".join(
             f"{t},1.0\n" for t in times.split()))
         with pytest.raises(DataError, match=f"{name}: time column"):
-            read_block_csv(path)
+            read_block_csv(path.read_bytes(), path)
     # the last block of the default schedule: its times, near 4.3e5 s,
     # carry rounding of about 1e-8 of the 0.02 s step
     n = REFERENCE_SCHEDULE.samples_per_block
@@ -526,7 +527,7 @@ def test_csv_block_time_column_must_step_evenly(tmp_path):
     path = tmp_path / "last.csv"
     with open(path, "w") as fh:
         write_block_csv(block, fh)
-    back = read_block_csv(path)
+    back = read_block_csv(path.read_bytes(), path)
     assert back.start_time == 428400.0
     assert abs(back.sample_rate - 50.0) < 1e-9 * 50.0
     assert np.array_equal(back.samples, block.samples)
@@ -540,7 +541,8 @@ def test_bin_block_round_trip(tmp_path):
     block = synthesize_ringdown(p, s)[0]
     path = tmp_path / "b.rngd"
     write_block_bin(block, path)
-    back = read_block_bin(path, start_time=block.start_time)
+    back = read_block_bin(path.read_bytes(), path,
+                          start_time=block.start_time)
     assert np.array_equal(back.samples, block.samples)
     assert back.sample_rate == 50.0
     assert back.start_time == block.start_time
@@ -560,33 +562,37 @@ def test_bin_block_malformed(tmp_path):
     wrong_magic = tmp_path / "magic.rngd"
     wrong_magic.write_bytes(b"XXXX" + bytes(raw[4:]))
     with pytest.raises(DataError, match="magic.rngd"):
-        read_block_bin(wrong_magic)
+        read_block_bin(wrong_magic.read_bytes(), wrong_magic)
 
     stub = tmp_path / "stub.rngd"
     stub.write_bytes(bytes(raw[:10]))
     with pytest.raises(DataError, match="stub.rngd"):
-        read_block_bin(stub)
+        read_block_bin(stub.read_bytes(), stub)
 
     vers = bytearray(raw)
     vers[4:8] = struct.pack("<I", 99)
     bad_version = tmp_path / "vers.rngd"
     bad_version.write_bytes(bytes(vers))
     with pytest.raises(DataError, match="version 99"):
-        read_block_bin(bad_version)
+        read_block_bin(bad_version.read_bytes(), bad_version)
 
     trunc = tmp_path / "trunc.rngd"
     trunc.write_bytes(bytes(raw[:-3]))
     with pytest.raises(DataError, match="truncated"):
-        read_block_bin(trunc)
+        read_block_bin(trunc.read_bytes(), trunc)
 
     tiny = tmp_path / "tiny.rngd"
     tiny.write_bytes(bytes(raw[:24]))
     with pytest.raises(DataError, match="fewer than two"):
-        read_block_bin(tiny)
+        read_block_bin(tiny.read_bytes(), tiny)
 
-    gone = tmp_path / "gone.rngd"
-    with pytest.raises(DataError, match="gone.rngd"):
-        read_block_bin(gone)
+    # a header value the block refuses names the file
+    for rate in (math.nan, -50.0):
+        bad_rate = tmp_path / "rate.rngd"
+        bad_rate.write_bytes(bytes(raw[:8]) + struct.pack("<d", rate)
+                             + bytes(raw[16:]))
+        with pytest.raises(DataError, match="rate.rngd: sample_rate"):
+            read_block_bin(bad_rate.read_bytes(), bad_rate)
 
 
 def test_series_csv_format():
