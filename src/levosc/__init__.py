@@ -15,13 +15,12 @@ from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
 from .damping import (DampingTable, OscillatorSpec, RegimeMode,
                       SensitivityReport, damping_table, drag_force,
                       linewidth, noise_density, sensitivity_report)
-from .detection import (CoilSpec, DetectionGeometry, DriveSpec,
-                        SpherePose, SweepResult,
+from .detection import (CoilSpec, DetectionGeometry, DriveSpec, SweepResult,
                         capacitance_from_resonance, coaxial_geometry,
                         coil_field, induced_dipole, load_geometry,
                         mutual_inductance, orthogonal_geometry,
                         position_sweep, resonance_frequency, self_inductance)
-from .axisym import GridSpec, OracleResult, axisymmetric_oracle, oracle_sweep
+from .axisym import OracleResult, axisymmetric_oracle, oracle_sweep
 from .ringdown import (AmplitudeSeries, Block, BlockSchedule, DecayFit,
                        RingdownParams, analyze_ringdown, amplitude_series,
                        fit_decay, synthesize_ringdown)
@@ -40,12 +39,11 @@ __all__ = [
     "OscillatorSpec", "RegimeMode", "DampingTable", "SensitivityReport",
     "damping_table", "linewidth", "drag_force", "noise_density",
     "sensitivity_report",
-    "CoilSpec", "DriveSpec", "DetectionGeometry", "SpherePose",
-    "SweepResult", "coil_field", "self_inductance",
-    "mutual_inductance", "induced_dipole", "resonance_frequency",
-    "capacitance_from_resonance", "position_sweep", "coaxial_geometry",
-    "orthogonal_geometry", "load_geometry",
-    "GridSpec", "OracleResult", "axisymmetric_oracle", "oracle_sweep",
+    "CoilSpec", "DriveSpec", "DetectionGeometry", "SweepResult",
+    "coil_field", "self_inductance", "mutual_inductance", "induced_dipole",
+    "resonance_frequency", "capacitance_from_resonance", "position_sweep",
+    "coaxial_geometry", "orthogonal_geometry", "load_geometry",
+    "OracleResult", "axisymmetric_oracle", "oracle_sweep",
     "RingdownParams", "BlockSchedule", "Block", "AmplitudeSeries",
     "DecayFit", "synthesize_ringdown", "amplitude_series",
     "analyze_ringdown", "fit_decay",

@@ -39,17 +39,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import MU0, CoilSpec, DetectionGeometry, SpherePose
+from .detection import (MU0, CoilSpec, DetectionGeometry, _check_driven,
+                        _sphere_poses)
 from .errors import ConfigError, GeometryError, SolverError
 
 __all__ = [
-    "GridSpec",
     "OracleResult",
     "axisymmetric_oracle",
     "oracle_sweep",
 ]
 
 _AXIS_TOL = 1e-9
+
+# The fewest nodes along each axis of the n x n mesh, and the largest
+# accepted max-norm residual of a solve, relative to the source.
+MIN_GRID = 64
+RESIDUAL_TOL = 1e-8
 
 # Domain-construction factors, in units of the largest coil radius.
 # Chosen so that at 256 x 256 the far-boundary truncation error of the
@@ -67,22 +72,6 @@ _MAX_CAPACITANCE_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Resolution and accuracy gate of one solve: ``tol`` bounds the
-    max-norm residual of the direct solve relative to the source."""
-
-    n_rho: int = 256
-    n_z: int = 256
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.n_rho < 64 or self.n_z < 64:
-            raise ValueError("grid must be at least 64 x 64")
-        if not 0 < self.tol < 1:
-            raise ValueError("tolerance must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Solve: receiver flux per unit drive current, the max-norm residual
     relative to the source, and the full flux-function map for
@@ -96,10 +85,11 @@ class OracleResult:
 
 
 def _axial_coordinates(geometry: DetectionGeometry,
-                       pose: SpherePose | None,
-                       ) -> tuple[list[tuple[CoilSpec, float]], float | None]:
-    """Map the coaxial arrangement onto a shared (rho, z) frame with the
-    receiver at z = 0; rejects anything not coaxial or off-axis."""
+                       centers: np.ndarray | None = None,
+                       ) -> tuple[list[tuple[CoilSpec, float]], np.ndarray]:
+    """Map the coaxial arrangement, and each row of an (n, 3) block of
+    sphere centers, onto a shared (rho, z) frame with the receiver at
+    z = 0; rejects anything not coaxial or off-axis."""
     receiver = geometry.receivers[0]
     if len(geometry.receivers) != 1:
         raise GeometryError("field solve supports a single receiver")
@@ -115,10 +105,12 @@ def _axial_coordinates(geometry: DetectionGeometry,
             raise GeometryError("coil centers not on a common axis")
         coils.append((coil, z))
     sphere_z = None
-    if pose is not None:
-        rel = pose.center_v - origin
-        sphere_z = float(np.dot(rel, n_hat))
-        if np.linalg.norm(rel - sphere_z * n_hat) > _AXIS_TOL:
+    if centers is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = centers - origin
+            sphere_z = rel @ n_hat
+            off = np.linalg.norm(rel - np.outer(sphere_z, n_hat), axis=1)
+        if not np.all(off <= _AXIS_TOL):
             raise GeometryError("sphere must sit on the coil axis")
     return coils, sphere_z
 
@@ -162,22 +154,25 @@ def _graded_axis(x0: float, core_lo: float, core_hi: float, x1: float,
     return np.concatenate([below, core, above])
 
 
-def _build_axes(coils, sphere_z, pose, grid: GridSpec):
+def _build_axes(coils, n: int, sphere_z: float | None = None,
+                radius: float | None = None):
+    if n < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID} x {MIN_GRID}")
     r_max = max(c.mean_radius for c, _ in coils)
     z_feats = []
     for coil, zc in coils:
         half = 0.5 * math.sqrt(coil.conductor_cross_section_total)
         z_feats += [zc - half, zc + half]
     if sphere_z is not None:
-        z_feats += [sphere_z - pose.radius, sphere_z + pose.radius]
+        z_feats += [sphere_z - radius, sphere_z + radius]
     z_lo, z_hi = min(z_feats), max(z_feats)
     rho = _graded_axis(0.0, 0.0, _CORE_RHO_FACTOR * r_max,
-                       _FAR_RHO_FACTOR * r_max, grid.n_rho, _CORE_FRAC_RHO)
+                       _FAR_RHO_FACTOR * r_max, n, _CORE_FRAC_RHO)
     z = _graded_axis(z_lo - (_CORE_Z_MARGIN + _FAR_Z_MARGIN) * r_max,
                      z_lo - _CORE_Z_MARGIN * r_max,
                      z_hi + _CORE_Z_MARGIN * r_max,
                      z_hi + (_CORE_Z_MARGIN + _FAR_Z_MARGIN) * r_max,
-                     grid.n_z, _CORE_FRAC_Z)
+                     n, _CORE_FRAC_Z)
     return rho, z
 
 
@@ -212,21 +207,17 @@ def _pencil(k: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _FieldOperator:
     """Everything about one mesh and one driven coil that no sphere
-    changes: face coordinates, link lengths, the source, the eigenpairs
-    of the two 1-D pencils whose Kronecker sum is the sphere-free
-    operator, and the sphere-free solution ``psi0``. Every array is a
-    read-only view, so solves that share the operator cannot alter it."""
+    changes: node coordinates, 1-D link data (cell heights ``dz``, the
+    integral ``ln_fac`` of 1/rho across each cell), the source, the
+    eigenpairs of the two 1-D pencils whose Kronecker sum is the
+    sphere-free operator, and the sphere-free solution ``psi0``, all in
+    read-only views, so solves that share the operator cannot alter it."""
 
     receiver: CoilSpec
     rho: np.ndarray
     z: np.ndarray
-    rho_f: np.ndarray
-    dz_cell: np.ndarray
+    dz: np.ndarray
     ln_fac: np.ndarray
-    h_e: np.ndarray
-    h_w: np.ndarray
-    h_n: np.ndarray
-    h_s: np.ndarray
     source: np.ndarray
     source_norm: float
     phi_r: np.ndarray
@@ -241,18 +232,20 @@ class _FieldOperator:
                 view.flags.writeable = False
                 object.__setattr__(self, name, view)
 
-    def conductances(self) -> tuple[np.ndarray, ...]:
-        """Fresh arrays of the sphere-free east, west, north and south
-        link conductances of every node, for one solve to alter. Built
-        per solve, not held: four grid-sized arrays beside each solve's
-        own would raise the peak memory of a sweep."""
-        c_e = (1.0 / np.maximum(self.rho_f[1:], 1e-300))[:, None] \
-            * self.dz_cell / self.h_e[:, None]
-        c_w = (1.0 / np.maximum(self.rho_f[:-1], 1e-300))[:, None] \
-            * self.dz_cell / self.h_w[:, None]
-        c_n = self.ln_fac / self.h_n[None, :]
-        c_s = self.ln_fac / self.h_s[None, :]
-        return c_e, c_w, c_n, c_s
+
+def _link_conductance(op: _FieldOperator, i, j, di: int, dj: int):
+    """Conductance of the links from the nodes (i, j), broadcasting index
+    arrays, to their neighbours (i + di, j + dj): (1 / rho_f) dz / h
+    across rho, rho_f the face between the nodes, and ln_fac / h across
+    z. The one definition of the operator's links: the residual check
+    and the sphere's surface links both take their conductances here."""
+    if di:
+        lo = i + min(di, 0)
+        rho_f = 0.5 * (op.rho[lo + 1] + op.rho[lo])
+        return ((1.0 / np.maximum(rho_f, 1e-300)) * op.dz[j]
+                / (op.rho[lo + 1] - op.rho[lo]))
+    lo = j + min(dj, 0)
+    return op.ln_fac[i] / (op.z[lo + 1] - op.z[lo])
 
 
 def _field_operator(geometry: DetectionGeometry,
@@ -267,24 +260,11 @@ def _field_operator(geometry: DetectionGeometry,
     z_f = np.empty(nz + 1)
     z_f[1:-1] = 0.5 * (z[1:] + z[:-1])
     z_f[0], z_f[-1] = z[0], z[-1]
-    dz_cell = (z_f[1:] - z_f[:-1])[None, :]
+    dz = z_f[1:] - z_f[:-1]
     with np.errstate(divide="ignore"):
         # integral of 1/rho across each cell; the axis cell is Dirichlet
         # so its infinite entry is never used
-        ln_fac = np.log(rho_f[1:] / np.maximum(rho_f[:-1], 1e-300))[:, None]
-
-    h_e = np.empty(nr)
-    h_e[:-1] = rho[1:] - rho[:-1]
-    h_e[-1] = np.inf
-    h_w = np.empty(nr)
-    h_w[1:] = rho[1:] - rho[:-1]
-    h_w[0] = np.inf
-    h_n = np.empty(nz)
-    h_n[:-1] = z[1:] - z[:-1]
-    h_n[-1] = np.inf
-    h_s = np.empty(nz)
-    h_s[1:] = z[1:] - z[:-1]
-    h_s[0] = np.inf
+        ln_fac = np.log(rho_f[1:] / np.maximum(rho_f[:-1], 1e-300))
 
     # source: mu0 * integral of J over each cell, from the driven coil
     source = np.zeros((nr, nz))
@@ -307,37 +287,50 @@ def _field_operator(geometry: DetectionGeometry,
     # K_rho (x) D_z + D_rho (x) K_z; its exact inverse, applied through
     # the eigenvectors of the two 1-D pencils, gives the sphere-free
     # solution psi0 and, through the capacitance matrix, every sphere.
-    phi_r, lam_r = _pencil(1.0 / (rho_f[1:-1] * np.diff(rho)),
-                           ln_fac[1:-1, 0])
-    phi_z, lam_z = _pencil(1.0 / np.diff(z), dz_cell[0, 1:-1])
+    phi_r, lam_r = _pencil(1.0 / (rho_f[1:-1] * np.diff(rho)), ln_fac[1:-1])
+    phi_z, lam_z = _pencil(1.0 / np.diff(z), dz[1:-1])
     lam = lam_r[:, None] + lam_z[None, :]
     psi0 = np.zeros((nr, nz))
     psi0[1:-1, 1:-1] = phi_r @ ((phi_r.T @ source[1:-1, 1:-1] @ phi_z)
                                 / lam) @ phi_z.T
     return _FieldOperator(
-        receiver=geometry.receivers[0], rho=rho, z=z, rho_f=rho_f,
-        dz_cell=dz_cell, ln_fac=ln_fac, h_e=h_e, h_w=h_w, h_n=h_n, h_s=h_s,
+        receiver=geometry.receivers[0], rho=rho, z=z, dz=dz, ln_fac=ln_fac,
         source=source, source_norm=source_norm, phi_r=phi_r, phi_z=phi_z,
         lam=lam, psi0=psi0)
 
 
-def _surface_links(op: _FieldOperator, conductances: tuple[np.ndarray, ...],
-                   inside: np.ndarray, free: np.ndarray, sphere_z: float,
-                   rs: float) -> np.ndarray:
+def _surface_links(op: _FieldOperator, inside: np.ndarray, free: np.ndarray,
+                   sphere_z: float, rs: float) -> np.ndarray:
     """Extra diagonal conductance d >= 0 of every free node, from its
     links that cross the sphere surface. A link that meets the surface
     at the fraction t of its length conducts c / t instead of c, so the
     boundary condition lands on the surface, not the nearest node."""
     rho, z = op.rho, op.z
     d = np.zeros(inside.shape)
-    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))      # east, west, north, south
-    for c, (di, dj) in zip(conductances, steps):
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
         # free nodes are interior, so the rolled-in edge is never used
         i, j = np.nonzero(free & np.roll(inside, (-di, -dj), axis=(0, 1)))
         t = _segment_sphere_theta(rho[i], z[j], rho[i + di], z[j + dj],
                                   sphere_z, rs)
-        d[i, j] += c[i, j] / t - c[i, j]
+        c = _link_conductance(op, i, j, di, dj)
+        d[i, j] += c / t - c
     return d
+
+
+def _residual(op: _FieldOperator, psi: np.ndarray, d: np.ndarray,
+              fixed: np.ndarray) -> float:
+    """Max-norm of the source less the net link flux out of each free
+    node, relative to the source; ``d`` is the extra diagonal."""
+    i, j = np.ogrid[:psi.shape[0], :psi.shape[1]]
+    flux_rho = _link_conductance(op, i[:-1], j, 1, 0) * np.diff(psi, axis=0)
+    flux_z = _link_conductance(op, i, j[:, :-1], 0, 1) * np.diff(psi, axis=1)
+    a_psi = d * psi
+    a_psi[:-1, :] -= flux_rho
+    a_psi[1:, :] += flux_rho
+    a_psi[:, :-1] -= flux_z
+    a_psi[:, 1:] += flux_z
+    r = np.where(fixed, 0.0, op.source - a_psi)
+    return float(np.max(np.abs(r))) / op.source_norm
 
 
 def _capacitance_correction(op: _FieldOperator, i: np.ndarray,
@@ -374,10 +367,10 @@ def _capacitance_correction(op: _FieldOperator, i: np.ndarray,
     return op.phi_r @ ((R.T @ e @ Z) / op.lam) @ op.phi_z.T
 
 
-def _solve(op: _FieldOperator, pose: SpherePose | None,
-           sphere_z: float | None, grid: GridSpec) -> OracleResult:
+def _solve(op: _FieldOperator, sphere_z: float | None = None,
+           rs: float | None = None) -> OracleResult:
     """Receiver flux per unit drive current on the operator's mesh, with
-    the superconducting sphere ``pose`` centred at axial position
+    a superconducting sphere of radius ``rs`` centred at axial position
     ``sphere_z``, or with no sphere.
 
     The sphere pins psi = 0 at the interior nodes inside it (the set S)
@@ -388,27 +381,23 @@ def _solve(op: _FieldOperator, pose: SpherePose | None,
     Dorr, George & Golub 1971): psi = psi0 + G e. The conditions
     psi[S] = 0 and e[N] = -d psi[N] make the m x m system
     (G[P, P] + diag(0 on S, 1 / d on N)) e = -psi0[P], solved directly.
-    The true residual of the result is checked against ``grid.tol``."""
+    The true residual of the result is checked against RESIDUAL_TOL."""
     rho, z = op.rho, op.z
     nr, nz = len(rho), len(z)
-    c_e, c_w, c_n, c_s = op.conductances()
-
     fixed = np.zeros((nr, nz), dtype=bool)
     fixed[0, :] = fixed[-1, :] = True
     fixed[:, 0] = fixed[:, -1] = True
     d = np.zeros((nr, nz))
     psi = op.psi0.copy()
-    if pose is not None:
+    if sphere_z is not None:
         if not z[0] <= sphere_z <= z[-1]:
             raise GeometryError("sphere outside the solver mesh")
-        rs = pose.radius
         inside = rho[:, None]**2 + (z[None, :] - sphere_z)**2 <= rs * rs
         if not inside.any():
             raise GeometryError("sphere smaller than one grid cell")
         pinned = inside & ~fixed
         fixed |= inside
-        d = _surface_links(op, (c_e, c_w, c_n, c_s), inside, ~fixed,
-                           sphere_z, rs)
+        d = _surface_links(op, inside, ~fixed, sphere_z, rs)
         i, j = np.nonzero(pinned | (d > 0.0))
         d_p = d[i, j]
         extra = np.divide(1.0, d_p, out=np.zeros_like(d_p), where=d_p > 0.0)
@@ -416,21 +405,11 @@ def _solve(op: _FieldOperator, pose: SpherePose | None,
                                                    -op.psi0[i, j])
         psi[fixed] = 0.0
 
-    for arr in (c_e, c_w, c_n, c_s):
-        arr[fixed] = 0.0
-    c_c = c_e + c_w + c_n + c_s + d
-    # five-point operator; zero on fixed nodes, where psi is zero
-    a_psi = c_c * psi
-    a_psi[:-1, :] -= c_e[:-1, :] * psi[1:, :]
-    a_psi[1:, :] -= c_w[1:, :] * psi[:-1, :]
-    a_psi[:, :-1] -= c_n[:, :-1] * psi[:, 1:]
-    a_psi[:, 1:] -= c_s[:, 1:] * psi[:, :-1]
-    b = np.where(fixed, 0.0, op.source)
-    residual = float(np.max(np.abs(b - a_psi))) / op.source_norm
-    if residual >= grid.tol:
+    residual = _residual(op, psi, d, fixed)
+    if residual >= RESIDUAL_TOL:
         raise SolverError(
             f"field solve residual {residual:.3e} is not under the "
-            f"tolerance {grid.tol:.1e}")
+            f"tolerance {RESIDUAL_TOL:.1e}")
 
     flux_psi = _bilinear(psi, rho, z, op.receiver.mean_radius, 0.0)
     L_eff = op.receiver.turns * 2.0 * math.pi * flux_psi
@@ -438,25 +417,28 @@ def _solve(op: _FieldOperator, pose: SpherePose | None,
                         psi=psi)
 
 
-def axisymmetric_oracle(geometry: DetectionGeometry,
-                        pose: SpherePose | None = None,
-                        grid: GridSpec = GridSpec(),
+def axisymmetric_oracle(geometry: DetectionGeometry, center=None,
+                        radius: float | None = None, n: int = 256,
                         driven: str = "receiver") -> OracleResult:
-    """Solve the field problem and return receiver flux per unit drive
-    current (an inductance: self-flux when the receiver drives, mutual
-    coupling when the transmitter does). The mesh is built around the
-    coils and the sphere.
+    """Solve the field problem on an n x n mesh and return receiver flux
+    per unit drive current (an inductance: self-flux when the receiver
+    drives, mutual coupling when the transmitter does), with a sphere of
+    ``radius`` at the 3-vector ``center``, or with none when ``center``
+    is None. The mesh is built around the coils and the sphere.
 
     Raises :class:`SolverError` if the maximum residual of the solve is
-    not under ``tol`` times the source norm, or if the sphere covers too
-    many grid nodes for its capacitance system.
+    not under RESIDUAL_TOL times the source norm, or if the sphere
+    covers too many grid nodes for its capacitance system.
     """
-    if driven not in ("receiver", "transmitter"):
-        raise ConfigError(f"driven must be receiver or transmitter, got {driven!r}")
-    coils, sphere_z = _axial_coordinates(geometry, pose)
-    mesh = _build_axes(coils, sphere_z, pose, grid)
-    op = _field_operator(geometry, coils, *mesh, driven)
-    return _solve(op, pose, sphere_z, grid)
+    _check_driven(driven)
+    centers = radii = None
+    if center is not None:
+        centers, radii = _sphere_poses([center], radius)
+    coils, sphere_z = _axial_coordinates(geometry, centers)
+    sphere = () if center is None else (sphere_z[0], radii[0])
+    op = _field_operator(geometry, coils, *_build_axes(coils, n, *sphere),
+                         driven)
+    return _solve(op, *sphere)
 
 
 def _bilinear(psi: np.ndarray, rho: np.ndarray, z: np.ndarray,
@@ -473,19 +455,18 @@ def _bilinear(psi: np.ndarray, rho: np.ndarray, z: np.ndarray,
                  + psi[i + 1, j + 1] * t_r * t_z)
 
 
-def oracle_sweep(geometry: DetectionGeometry, poses: list[SpherePose],
-                 grid: GridSpec = GridSpec()) -> np.ndarray:
-    """Sphere-induced receiver inductance change at each pose.
+def oracle_sweep(geometry: DetectionGeometry, centers, radius,
+                 n: int = 256) -> np.ndarray:
+    """Sphere-induced receiver inductance change on an n x n mesh at each
+    pose: one row of the block ``centers`` of sphere centers, with one
+    radius or one per center.
 
     Every solve shares one mesh built without the sphere, and with it
     one sphere-free operator, so a single base solve and a single pair
     of pencil eigendecompositions serve all poses."""
-    coils, _ = _axial_coordinates(geometry, None)
-    mesh = _build_axes(coils, None, None, grid)
-    op = _field_operator(geometry, coils, *mesh, "receiver")
-    base = _solve(op, None, None, grid)
-    delta = []
-    for pose in poses:
-        _, sphere_z = _axial_coordinates(geometry, pose)
-        delta.append(_solve(op, pose, sphere_z, grid).L_eff - base.L_eff)
-    return np.array(delta)
+    centers, radii = _sphere_poses(centers, radius)
+    coils, sphere_z = _axial_coordinates(geometry, centers)
+    op = _field_operator(geometry, coils, *_build_axes(coils, n), "receiver")
+    base = _solve(op)
+    return np.array([_solve(op, zs, rs).L_eff - base.L_eff
+                     for zs, rs in zip(sphere_z.tolist(), radii.tolist())])

@@ -87,13 +87,12 @@ CONFIG_TABLE = {
 # run, so that a larger one exits 2 before anything is allocated. Peak
 # memory at the cap, from tracemalloc on numpy 2: a damping row (the
 # channel columns and the CSV text) takes about 680 B, a sweep pose (its
-# pose object, columns, field arrays and CSV text) about 600 B, a
-# prediction row about 200 B, and one node of the field solver about
-# 140 B (the two dense pencil eigenbases, n^2 each, and some 15
-# grid-sized arrays).
+# columns, field arrays and CSV text) about 490 B, a prediction row
+# about 200 B, and one node of the field solver about 140 B (the two
+# dense pencil eigenbases, n^2 each, and some 15 grid-sized arrays).
 SIZE_CAPS = {
     "damping.points": 10**5,            # about 70 MB
-    "detection.sweep_points": 10**5,    # about 60 MB
+    "detection.sweep_points": 10**5,    # about 50 MB
     "fit.predict_points": 10**5,        # about 20 MB
     "detection.oracle_grid": 1024,      # about 150 MB
 }
@@ -349,22 +348,22 @@ def _damping_svg(table: damping.DampingTable, comment: str) -> str:
 def _cmd_detection_sweep(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["detection"]
     _require_positive(cfg, "detection", "sweep_points", "sphere_radius_m")
-    if args.oracle:
-        try:
-            grid = axisym.GridSpec(n_rho=sec["oracle_grid"],
-                                   n_z=sec["oracle_grid"])
-        except ValueError as exc:
-            raise ConfigError(f"detection.oracle_grid: {exc}") from exc
+    n = sec["oracle_grid"]
+    if args.oracle and n < axisym.MIN_GRID:
+        raise ConfigError(f"detection.oracle_grid: grid must be at least "
+                          f"{axisym.MIN_GRID} x {axisym.MIN_GRID}")
     geom = inputs["geometry"]
     receiver = geom.receivers[0]
-    positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
-                            sec["sweep_points"])
-    poses = [detection.SpherePose(
-        center=tuple(receiver.center_v + d * receiver.axis_v),
-        radius=sec["sphere_radius_m"]) for d in positions]
-    result = detection.position_sweep(geom, poses, driven=sec["driven"])
+    radius = sec["sphere_radius_m"]
+    # an overflowing span gives centers that are not finite: rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
+                                sec["sweep_points"])
+        centers = receiver.center_v + np.outer(positions, receiver.axis_v)
+    result = detection.position_sweep(geom, centers, radius,
+                                      driven=sec["driven"])
 
-    oracle_col = (axisym.oracle_sweep(geom, poses, grid)
+    oracle_col = (axisym.oracle_sweep(geom, centers, radius, n)
                   if args.oracle else None)
 
     outputs = [_csv_out(args, "detection_sweep.csv", detection.write_sweep_csv,

@@ -37,7 +37,6 @@ __all__ = [
     "CoilSpec",
     "DriveSpec",
     "DetectionGeometry",
-    "SpherePose",
     "SweepResult",
     "coil_field",
     "self_inductance",
@@ -166,24 +165,24 @@ class DetectionGeometry:
             raise ValueError("receiver_inductance must be positive if given")
 
 
-@dataclass(frozen=True)
-class SpherePose:
-    """Superconducting sphere position and radius."""
-
-    center: _Vec3
-    radius: float
-
-    def __post_init__(self):
-        c = _as_vec(self.center)
-        object.__setattr__(self, "center", tuple(float(x) for x in c))
-        if not np.isfinite(c).all():
-            raise ValueError("sphere center must be finite")
-        if not 0 < self.radius < math.inf:
-            raise ValueError("sphere radius must be finite and positive")
-
-    @property
-    def center_v(self) -> np.ndarray:
-        return np.array(self.center)
+def _sphere_poses(centers, radius) -> tuple[np.ndarray, np.ndarray]:
+    """The checked poses of a sweep: an (n, 3) block of finite sphere
+    centers, at least one, and the finite positive radius of each, from
+    one radius or one per center."""
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radius, dtype=float)
+    if centers.size == 0:
+        raise ConfigError("sweep needs at least one pose")
+    if not (centers.ndim == 2 and centers.shape[1] == 3
+            and radii.shape in ((), centers.shape[:1])):
+        raise ValueError(f"expected an (n, 3) block of sphere centers and "
+                         f"one radius or one per center, got shapes "
+                         f"{centers.shape} and {radii.shape}")
+    if not np.isfinite(centers).all():
+        raise ValueError("sphere center must be finite")
+    if not np.all((radii > 0) & (radii < math.inf)):
+        raise ValueError("sphere radius must be finite and positive")
+    return centers, np.broadcast_to(radii, (len(centers),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,18 +353,18 @@ def _min_circle_separation(coil_a: CoilSpec, coil_b: CoilSpec,
     return float(np.min(_circle_distance(ring, coil_b)))
 
 
-def mutual_inductance(coil_a: CoilSpec, coil_b: CoilSpec,
-                      n_radial: int = 32, n_angular: int = 64) -> float:
+def mutual_inductance(coil_a: CoilSpec, coil_b: CoilSpec) -> float:
     """Mutual inductance: flux of a's unit-current field through b's
     mean cross-section, times b's turns.
 
-    Quadrature is Gauss-Legendre in radius and periodic trapezoid in
-    angle over the mean disk of ``coil_b``; both converge fast because
-    the integrand is smooth for disjoint coils.
+    Quadrature is 32-node Gauss-Legendre in radius and 64-node periodic
+    trapezoid in angle over the mean disk of ``coil_b``; both converge
+    fast because the integrand is smooth for disjoint coils.
     """
     if _min_circle_separation(coil_a, coil_b) < MIN_COIL_CLEARANCE:
         raise GeometryError("coils overlap or nearly touch")
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    n_angular = 64
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     r = 0.5 * coil_b.mean_radius * (nodes + 1.0)
     w_r = 0.5 * coil_b.mean_radius * weights
     phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
@@ -424,11 +423,11 @@ def _check_driven(driven: str) -> None:
             f"driven must be transmitter or receiver, got {driven!r}")
 
 
-def position_sweep(geometry: DetectionGeometry,
-                   poses: Sequence[SpherePose],
+def position_sweep(geometry: DetectionGeometry, centers, radius,
                    which_receiver: int = 0,
                    driven: str = "transmitter") -> SweepResult:
-    """Evaluate L_eff, resonance, and voltage along a pose path.
+    """Evaluate L_eff, resonance, and voltage along a path of sphere
+    poses: an (n, 3) block of centers and one radius or one per center.
 
     The recorded position is the signed distance of the sphere center
     from the receiver center along the receiver axis. All poses are
@@ -448,13 +447,10 @@ def position_sweep(geometry: DetectionGeometry,
     not finite) are kept as NaN rows and the error text is collected;
     the sweep always completes.
     """
-    if not poses:
-        raise ConfigError("sweep needs at least one pose")
+    centers, radii = _sphere_poses(centers, radius)
     _check_driven(driven)
     receiver = geometry.receivers[which_receiver]
-    centers = np.array([pose.center for pose in poses])
-    radii = np.array([pose.radius for pose in poses])
-    n = len(poses)
+    n = len(centers)
     position = (centers - receiver.center_v) @ receiver.axis_v
     errors = _clearance_failures(geometry, centers, radii)
 

@@ -49,21 +49,33 @@ def _typed(kind, value):
     raise ValueError(kind)
 
 
-def _object(pairs: list) -> dict:
-    """A JSON object; a repeated key is an error, not the last one kept."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
+class _Object(dict):
+    """A JSON object from its key-value pairs that remembers its first
+    repeated key, for :func:`read_keys` to report by its path."""
+
+    repeated = None
+
+    def __init__(self, pairs: list):
+        super().__init__()
+        for key, value in pairs:
+            if key in self and self.repeated is None:
+                self.repeated = key
+            self[key] = value
+
+
+def _number(text: str) -> float:
+    """float(text), except that an underscore is a ValueError."""
+    if "_" in text:
+        raise ValueError(text)
+    return float(text)
 
 
 def read_json(data: bytes, what: str, source: str | Path):
-    """The JSON value in ``data``; bad JSON or text, or a repeated key, is
-    a :class:`ConfigError` naming ``what`` and ``source``."""
+    """The JSON value in ``data``; bad JSON or text is a
+    :class:`ConfigError` naming ``what`` and ``source``. A repeated key is
+    left for :func:`read_keys` to reject."""
     try:
-        return json.loads(data, object_pairs_hook=_object)
+        return json.loads(data, object_pairs_hook=_Object)
     except (ValueError, RecursionError) as exc:   # or nested too deep
         raise ConfigError(f"cannot read {what} {source}: {exc}") from exc
 
@@ -74,12 +86,16 @@ def read_keys(table: dict, given, where: str = "") -> dict:
 
     ``table`` maps each key to (JSON type, default); a nested table is
     an object, a list of one table a list of such objects, and a default
-    of ``REQUIRED`` makes the key required. An unknown key, a missing
-    one or a value of the wrong JSON type is a :class:`ConfigError`
-    naming the key by its path below ``where`` (the top level has
-    none)."""
+    of ``REQUIRED`` makes the key required. A repeated key, an unknown
+    one, a missing one or a value of the wrong JSON type is a
+    :class:`ConfigError` naming the key by its path below ``where`` (the
+    top level has none)."""
     if not isinstance(given, dict):
         raise ConfigError(f"{where or 'the top level'} must be a JSON object")
+    repeated = getattr(given, "repeated", None)
+    if repeated is not None:
+        name = f"{where}.{repeated}" if where else repeated
+        raise ConfigError(f"duplicate key {name!r}")
     unknown = sorted(set(given) - set(table))
     if unknown:
         raise ConfigError(f"unknown keys in {where or 'the top level'}: "
@@ -137,7 +153,7 @@ def read_key_lines(table: dict, data: bytes, source: str | Path) -> dict:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         kind = table[key][0]
         try:
-            given[key] = _typed(kind, float(value)) \
+            given[key] = _typed(kind, _number(value)) \
                 if kind.startswith("number") else value
         except ValueError:
             raise ConfigError(f"{where}: {key}: expected a finite number, "
@@ -147,6 +163,8 @@ def read_key_lines(table: dict, data: bytes, source: str | Path) -> dict:
 
 
 def _is_number(text: str) -> bool:
+    # float() syntax, underscores included: a mistyped first data row is
+    # rejected as a row, not skipped as the header
     try:
         float(text)
     except ValueError:
@@ -179,8 +197,8 @@ def read_numeric_csv(data: bytes, source: str | Path, what: str,
     rows = []
     for lineno, rec in records:
         try:
-            row = [float(rec[k]) for k in range(required)]
-            row += [float(rec[k]) if k < len(rec) and rec[k].strip()
+            row = [_number(rec[k]) for k in range(required)]
+            row += [_number(rec[k]) if k < len(rec) and rec[k].strip()
                     else None for k in range(required, required + optional)]
         except (ValueError, IndexError):
             raise DataError(f"{source}:{lineno}: bad {what} row {rec!r}") \

@@ -23,7 +23,6 @@ from levosc.damping import (
 )
 from levosc.detection import (
     CoilSpec,
-    SpherePose,
     capacitance_from_resonance,
     coaxial_geometry,
     mutual_inductance,
@@ -183,15 +182,12 @@ def test_criterion_08_concentration_recovery(osc, media):
 def test_criterion_09_oracle_vs_dipole():
     started = time.monotonic()
     geom = coaxial_geometry()
-    grid = axisym.GridSpec(n_rho=256, n_z=256)
     receiver = geom.receivers[0]
     positions = np.linspace(0.005, 0.019, 8)
-    poses = [SpherePose(center=tuple(receiver.center_v
-                                     + d * receiver.axis_v),
-                        radius=0.985e-3) for d in positions]
+    centers = receiver.center_v + np.outer(positions, receiver.axis_v)
     worst = 0.0
-    dl_model = position_sweep(geom, poses).delta_L.tolist()
-    dl_oracle = axisym.oracle_sweep(geom, poses, grid).tolist()
+    dl_model = position_sweep(geom, centers, 0.985e-3).delta_L.tolist()
+    dl_oracle = axisym.oracle_sweep(geom, centers, 0.985e-3, 256).tolist()
     for model, oracle in zip(dl_model, dl_oracle):
         rel = abs(model - oracle) / abs(oracle)
         worst = max(worst, rel)

@@ -159,7 +159,7 @@ REJECTED_INPUTS = [
     ("detection-sweep", {"detection": {"geometry": 5}},
      "detection.geometry"),
     ("damping-curve", '{"damping": {"points": 5, "points": 7}}',
-     "duplicate key 'points'"),
+     "duplicate key 'damping.points'"),
     ("sensitivity", "[" * 10**5, "recursion depth"),
 ]
 
@@ -490,6 +490,21 @@ def test_detection_sweep_far_start_exits_0_without_warnings(tmp_path,
     assert "sphere outside the solver mesh" in capsys.readouterr().err
 
 
+def test_detection_sweep_overflowing_span_exits_3_in_one_line(tmp_path):
+    # the span overflows the float range, so the centers are not finite;
+    # that is the one message, without numpy warnings before it
+    cfg = write_config(tmp_path, {"detection": {
+        "sweep_start_m": 1e308, "sweep_stop_m": -1e308}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "levosc.cli", "detection-sweep", "--oracle",
+         "--config", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (
+        3, "levosc: sphere center must be finite\n")
+
+
 def test_detection_sweep_bad_geometry_file_exits_3(tmp_path):
     cfg = write_config(tmp_path, {"detection": {"geometry": "nope.json"}})
     rc = main(["detection-sweep", "--config", str(cfg),
@@ -564,7 +579,10 @@ BAD_GEOMETRY = {
         angular_frequency_rad_s=1e7), "angular_frequency_rad_s"),
     "repeated-key": (lambda g: json.dumps(g)[:-1]
                      + ', "capacitance_F": 1e-9}',
-                     "duplicate key 'capacitance_F'"),
+                     "duplicate key 'geometry.capacitance_F'"),
+    "repeated-coil-key": (lambda g: json.dumps(g).replace(
+        '"turns": 60', '"turns": 60, "turns": 61'),
+        "duplicate key 'geometry.receivers[0].turns'"),
 }
 
 
@@ -865,20 +883,24 @@ def test_fit_he3_missing_data_exits_3(tmp_path):
 
 
 # each of these ran at exit 0 with a channel dropped or blanked, or a
-# fit row kept at full weight or dropped
+# fit row kept at full weight or dropped; float() reads "2_40" as 240
 NON_FINITE_INPUTS = [
-    ("media.properties", "m3_eff_ratio = nan\n", 2),
-    ("media.properties", "c = inf\n", 2),
-    ("eta.csv", "1.0,23e-6\n1.2,nan\n2.17,2.4e-6\n", 3),
-    ("tau_data.csv", "nan,4e5\n", 3),
-    ("tau_data.csv", "0.1,inf\n", 3),
+    ("media.properties", "m3_eff_ratio = nan\n", 2, "finite"),
+    ("media.properties", "c = inf\n", 2, "finite"),
+    ("eta.csv", "1.0,23e-6\n1.2,nan\n2.17,2.4e-6\n", 3, "finite"),
+    ("tau_data.csv", "nan,4e5\n", 3, "finite"),
+    ("tau_data.csv", "0.1,inf\n", 3, "finite"),
+    ("media.properties", "c = 2_40\n", 2, "media.properties:1: "),
+    ("tau_data.csv", "0.0_15,1.2e5\n", 3, "tau_data.csv:17: "),
 ]
 
 
-@pytest.mark.parametrize("name, text, code", NON_FINITE_INPUTS,
+@pytest.mark.parametrize("name, text, code, message", NON_FINITE_INPUTS,
                          ids=["m3_eff_ratio-nan", "c-inf", "viscosity-nan",
-                              "T_K-nan", "tau_s-inf"])
-def test_non_finite_input_rejected(tmp_path, capsys, name, text, code):
+                              "T_K-nan", "tau_s-inf", "c-underscore",
+                              "T_K-underscore"])
+def test_non_finite_input_rejected(tmp_path, capsys, name, text, code,
+                                   message):
     out = ["--out", str(tmp_path / "out")]
     if name == "tau_data.csv":
         data = model_data_csv(tmp_path, 4.2e-8)
@@ -894,7 +916,7 @@ def test_non_finite_input_rejected(tmp_path, capsys, name, text, code):
                                       "damping": {"x3": 1e-8}})
         rc = main(["damping-curve", "--config", str(cfg), *out])
     assert rc == code
-    assert "finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- sensitivity

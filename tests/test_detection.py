@@ -18,9 +18,10 @@ from scipy.special import ellipe, ellipk
 
 from levosc import (ConfigError, DomainError, GeometryError,
                     CoilSpec, DetectionGeometry, DriveSpec,
-                    SpherePose, capacitance_from_resonance, coaxial_geometry,
+                    capacitance_from_resonance, coaxial_geometry,
                     coil_field, induced_dipole, load_geometry,
-                    mutual_inductance, orthogonal_geometry, position_sweep,
+                    mutual_inductance, oracle_sweep, orthogonal_geometry,
+                    position_sweep,
                     resonance_frequency, self_inductance)
 from levosc.detection import MU0, SweepResult, _ellipke, write_sweep_csv
 
@@ -313,29 +314,31 @@ def on_axis_field(coil: CoilSpec, z: float) -> float:
     return MU0 * coil.turns * a**2 / (2.0 * (a**2 + z**2)**1.5)
 
 
-def one_pose(g, pose, **kwargs):
+RADIUS = 0.985e-3
+
+
+def one_pose(g, center, radius=RADIUS, **kwargs):
     """Sweep of a single pose."""
-    return position_sweep(g, [pose], **kwargs)
+    return position_sweep(g, [center], radius, **kwargs)
 
 
 class TestEffectiveInductance:
     def test_on_axis_against_closed_form(self):
         g = coaxial_geometry()
-        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        res = one_pose(g, pose)
+        res = one_pose(g, (0.0, 0.0, 9e-3))
         L_eff, dL = res.L_eff[0], res.delta_L[0]
         # the sphere's dipole flux per unit receiver current, from the
         # axial closed form: -2 pi R^3 B^2 / mu0
         B = on_axis_field(g.receivers[0], 9e-3)
-        assert rel(dL, -2.0 * math.pi * pose.radius**3 * B**2 / MU0) < 1e-12
+        assert rel(dL, -2.0 * math.pi * RADIUS**3 * B**2 / MU0) < 1e-12
         assert rel(dL, -7.545680700876975e-10) < 1e-12
         assert L_eff == pytest.approx(21e-6 + dL, rel=1e-14)
 
     def test_measured_inductance_override(self):
         g = coaxial_geometry()
         g_geo = coaxial_geometry(receiver_inductance=None)
-        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        meas, geom = one_pose(g, pose), one_pose(g_geo, pose)
+        center = (0.0, 0.0, 9e-3)
+        meas, geom = one_pose(g, center), one_pose(g_geo, center)
         dL1, dL2 = meas.delta_L[0], geom.delta_L[0]
         assert dL1 == dL2
         assert rel(geom.L_eff[0] - dL2,
@@ -343,42 +346,37 @@ class TestEffectiveInductance:
 
     def test_flux_exclusion_negative_everywhere(self):
         g = coaxial_geometry()
-        poses = [SpherePose(center=(0.0, 0.0, float(z)), radius=0.985e-3)
-                 for z in np.linspace(0.002, 0.019, 25)]
-        res = position_sweep(g, poses)
+        centers = np.outer(np.linspace(0.002, 0.019, 25), (0.0, 0.0, 1.0))
+        res = position_sweep(g, centers, RADIUS)
         assert not res.errors
         assert np.all(res.delta_L < 0.0)
 
     def test_clearance_guard(self):
         g = coaxial_geometry()
         # sphere surface 0.825 mm from the receiver winding circle
-        pose = SpherePose(center=(2.2e-3, 0.0, 0.2e-3), radius=0.985e-3)
-        res = one_pose(g, pose)
+        res = one_pose(g, (2.2e-3, 0.0, 0.2e-3))
         assert [i for i, _ in res.errors] == [0]
         assert "of a receiver winding" in res.errors[0][1]
         assert math.isnan(res.L_eff[0])
         # passing clearance, touching nothing
-        assert not one_pose(g, SpherePose(center=(0.0, 0.0, 9e-3),
-                                          radius=0.985e-3)).errors
+        assert not one_pose(g, (0.0, 0.0, 9e-3)).errors
 
 
 class TestInducedVoltage:
     def test_rotation_invariance(self, rng):
         g = coaxial_geometry()
-        pose = SpherePose(center=(0.0012, -0.0007, 8e-3), radius=0.985e-3)
-        V0 = one_pose(g, pose).V[0]
+        center = np.array([0.0012, -0.0007, 8e-3])
+        V0 = one_pose(g, center).V[0]
         for _ in range(3):
             R = random_rotation(rng)
             g_rot = rotated_geometry(g, R)
-            pose_rot = SpherePose(center=tuple(R @ pose.center_v),
-                                  radius=pose.radius)
-            assert rel(one_pose(g_rot, pose_rot).V[0], V0) < 1e-9
+            assert rel(one_pose(g_rot, R @ center).V[0], V0) < 1e-9
 
     def test_orthogonal_geometry_symmetry_nulls(self):
         g = orthogonal_geometry()
-        on_axis = SpherePose(center=(0.0, 0.0, 0.0), radius=0.985e-3)
+        on_axis = (0.0, 0.0, 0.0)
         assert one_pose(g, on_axis, which_receiver=0).V[0] == 0.0
-        off_x = SpherePose(center=(0.003, 0.0, 0.0), radius=0.985e-3)
+        off_x = (0.003, 0.0, 0.0)
         assert one_pose(g, off_x, which_receiver=0).V[0] > 0.0
         # the y-axis receiver stays blind to x displacement
         assert one_pose(g, off_x, which_receiver=1).V[0] == pytest.approx(
@@ -388,17 +386,15 @@ class TestInducedVoltage:
         # every pose sits at the same position along the x-axis receiver,
         # so each is a sweep of its own
         g = orthogonal_geometry()
-        Vs = [one_pose(g, SpherePose(center=(0.003, 0.0, float(z)),
-                                     radius=0.985e-3)).V[0]
+        Vs = [one_pose(g, (0.003, 0.0, z)).V[0]
               for z in np.linspace(0.0, -0.02, 9)]
         assert all(b < a for a, b in zip(Vs, Vs[1:]))
 
     def test_receiver_driven_uses_L_eff(self):
         g = coaxial_geometry()
-        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        V = one_pose(g, pose, driven="receiver").V[0]
+        V = one_pose(g, (0.0, 0.0, 9e-3), driven="receiver").V[0]
         B = on_axis_field(g.receivers[0], 9e-3)
-        L_eff = 21e-6 - 2.0 * math.pi * pose.radius**3 * B**2 / MU0
+        L_eff = 21e-6 - 2.0 * math.pi * RADIUS**3 * B**2 / MU0
         expect = L_eff * g.drive.amplitude * g.drive.angular_frequency
         assert rel(V, expect) < 1e-14
 
@@ -407,31 +403,29 @@ class TestInducedVoltage:
         # axial fields of both coils: -2 pi R^3 B_t B_r / mu0
         g = coaxial_geometry()
         tx, rx = g.transmitter, g.receivers[0]
-        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
-        V = one_pose(g, pose).V[0]
+        V = one_pose(g, (0.0, 0.0, 9e-3)).V[0]
         B_t = on_axis_field(tx, tx.center[2] - 9e-3)
         B_r = on_axis_field(rx, 9e-3)
         M_eff = (coaxial_closed_form(tx, rx)
-                 - 2.0 * math.pi * pose.radius**3 * B_t * B_r / MU0)
+                 - 2.0 * math.pi * RADIUS**3 * B_t * B_r / MU0)
         expect = M_eff * g.drive.amplitude * g.drive.angular_frequency
         assert rel(V, expect) < 1e-9
 
     def test_bad_driven_rejected(self):
         g = coaxial_geometry()
-        pose = SpherePose(center=(0.0, 0.0, 9e-3), radius=0.985e-3)
         with pytest.raises(ConfigError):
-            one_pose(g, pose, driven="sideways")
+            one_pose(g, (0.0, 0.0, 9e-3), driven="sideways")
 
 
 class TestPositionSweep:
     @staticmethod
-    def poses(zs):
-        return [SpherePose(center=(0.0, 0.0, float(z)), radius=0.985e-3)
-                for z in zs]
+    def centers(zs):
+        return np.outer(zs, (0.0, 0.0, 1.0))
 
     def test_coaxial_sweep_monotone_columns(self):
         g = coaxial_geometry()
-        res = position_sweep(g, self.poses(np.linspace(0.019, 0.002, 18)))
+        res = position_sweep(g, self.centers(np.linspace(0.019, 0.002, 18)),
+                             RADIUS)
         assert not res.errors
         assert np.all(np.diff(res.f) > 0)
         assert np.all(np.diff(res.V) < 0)
@@ -439,16 +433,15 @@ class TestPositionSweep:
 
     def test_sweep_positions_signed_along_receiver_axis(self):
         g = coaxial_geometry()
-        res = position_sweep(g, self.poses([0.004, 0.009]))
+        res = position_sweep(g, self.centers([0.004, 0.009]), RADIUS)
         assert res.position[0] == pytest.approx(0.004)
         assert res.position[1] == pytest.approx(0.009)
 
     def test_failed_rows_become_nan_and_are_reported(self):
         g = coaxial_geometry()
         # last pose sits off-axis right next to the receiver winding
-        path = self.poses([0.012, 0.009, 0.003])
-        path.append(SpherePose(center=(2.2e-3, 0.0, 0.2e-3), radius=0.985e-3))
-        res = position_sweep(g, path)
+        path = [*self.centers([0.012, 0.009, 0.003]), (2.2e-3, 0.0, 0.2e-3)]
+        res = position_sweep(g, path, RADIUS)
         assert len(res.position) == 4
         assert len(res.errors) == 1
         idx, msg = res.errors[0]
@@ -463,12 +456,12 @@ class TestPositionSweep:
         # axis, where the loop-field squares overflow to NaN
         g = orthogonal_geometry()
         d_z = g.receivers[0].center[2]
-        poses = [SpherePose(center=(x, 0.0, d_z), radius=0.985e-3)
-                 for x in (1e160, 0.01)]
+        centers = [(x, 0.0, d_z) for x in (1e160, 0.01)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = position_sweep(g, poses)
-            by_receiver = position_sweep(g, poses, driven="receiver")
+            res = position_sweep(g, centers, RADIUS)
+            by_receiver = position_sweep(g, centers, RADIUS,
+                                         driven="receiver")
         assert res.errors == ((0, "coil field not finite at the sphere "
                                   "center"),)
         assert math.isnan(res.V[0]) and math.isfinite(res.V[1])
@@ -521,14 +514,14 @@ class TestPositionSweep:
         v = np.cross(receiver.axis_v, u)
         offset = (np.zeros(3) if on_axis
                   else rho * (math.cos(phi) * u + math.sin(phi) * v))
-        poses = [SpherePose(center=tuple(receiver.center_v + offset
-                                         + s * receiver.axis_v),
-                            radius=radius) for s in sorted(ss)]
-        res = position_sweep(g, poses, which_receiver=which, driven=driven)
+        centers = (receiver.center_v + offset
+                   + np.outer(sorted(ss), receiver.axis_v))
+        res = position_sweep(g, centers, radius, which_receiver=which,
+                             driven=driven)
         errors = dict(res.errors)
         assert len(errors) == len(res.errors)
-        for i, pose in enumerate(poses):
-            alone = position_sweep(g, [pose], which_receiver=which,
+        for i, center in enumerate(centers):
+            alone = position_sweep(g, [center], radius, which_receiver=which,
                                    driven=driven)
             assert errors.get(i) == dict(alone.errors).get(0)
             for name in ("position", "L_eff", "delta_L", "f", "V"):
@@ -538,16 +531,51 @@ class TestPositionSweep:
 
     def test_overlapping_coils_fail_every_row(self):
         g = self.overlapping_transmitter_geometry()
-        res = position_sweep(g, self.poses([0.012, 0.009]))
+        res = position_sweep(g, self.centers([0.012, 0.009]), RADIUS)
         assert [i for i, _ in res.errors] == [0, 1]
         assert all("overlap" in msg for _, msg in res.errors)
-        res = position_sweep(g, self.poses([0.012, 0.009]),
+        res = position_sweep(g, self.centers([0.012, 0.009]), RADIUS,
                              driven="receiver")
         assert not res.errors
 
+    @pytest.mark.parametrize("sweep", ["model", "oracle"])
+    @pytest.mark.parametrize("centers, radius, match", [
+        ([0.0, 0.0, 9e-3], RADIUS, "block of sphere centers"),
+        ([(0.0, 9e-3)], RADIUS, "block of sphere centers"),
+        ([(0.0, 0.0, 9e-3), (0.0, 0.0, math.nan)], RADIUS,
+         "center must be finite"),
+        ([(0.0, 0.0, 9e-3)], 0.0, "radius must be finite and positive"),
+        ([(0.0, 0.0, 9e-3)], math.inf, "radius must be finite and positive"),
+        ([(0.0, 0.0, 9e-3)] * 2, [RADIUS, 0.0],
+         "radius must be finite and positive"),
+        ([(0.0, 0.0, 9e-3)] * 2, [RADIUS] * 3, "one per center"),
+    ], ids=["one-vector", "two-columns", "nan-center", "zero-radius",
+            "inf-radius", "zero-row-radius", "radius-count"])
+    def test_bad_pose_inputs_rejected(self, sweep, centers, radius, match):
+        g = coaxial_geometry()
+        with pytest.raises(ValueError, match=match):
+            if sweep == "model":
+                position_sweep(g, centers, radius)
+            else:
+                oracle_sweep(g, centers, radius, 64)
+
+    def test_radius_per_row(self):
+        # one radius per center gives each row the sweep of its own pose
+        g = coaxial_geometry()
+        radii = [0.5e-3, 1e-3, 1.5e-3]
+        centers = self.centers([0.012, 0.009, 0.006])
+        res = position_sweep(g, centers, radii)
+        oracle = oracle_sweep(g, centers, radii, 64)
+        for i, radius in enumerate(radii):
+            alone = position_sweep(g, centers[i:i + 1], radius)
+            assert res.delta_L[i] == alone.delta_L[0]
+            assert res.V[i] == alone.V[0]
+            assert oracle[i] == oracle_sweep(g, centers[i:i + 1], radius,
+                                             64)[0]
+
     def test_empty_poses_rejected(self):
         with pytest.raises(ConfigError):
-            position_sweep(coaxial_geometry(), [])
+            position_sweep(coaxial_geometry(), np.empty((0, 3)), RADIUS)
 
     def test_unordered_rows_rejected(self):
         def result(position, L_eff=2.1e-5, length=None):
@@ -568,7 +596,7 @@ class TestPositionSweep:
 
     def test_csv_output(self):
         g = coaxial_geometry()
-        res = position_sweep(g, self.poses([0.012, 0.009, 0.006]))
+        res = position_sweep(g, self.centers([0.012, 0.009, 0.006]), RADIUS)
         buf = io.StringIO()
         write_sweep_csv(res, buf, header_comment="hdr",
                         oracle_delta_L=res.delta_L * 1.05)
@@ -652,10 +680,14 @@ class TestGeometryIO:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["radius", "center"])
     def test_sphere_non_finite_rejected(self, field, value):
-        kwargs = {"center": (0.0, 0.0, 9e-3), "radius": 0.985e-3}
-        kwargs[field] = (0.0, 0.0, value) if field == "center" else value
+        kwargs = {"centers": [(0.0, 0.0, 9e-3), (0.0, 0.0, 8e-3)],
+                  "radius": RADIUS}
+        if field == "center":
+            kwargs["centers"][1] = (0.0, 0.0, value)
+        else:
+            kwargs["radius"] = [RADIUS, value]
         with pytest.raises(ValueError, match="finite"):
-            SpherePose(**kwargs)
+            position_sweep(coaxial_geometry(), **kwargs)
 
     def test_two_receivers_must_be_orthogonal(self):
         rx1 = CoilSpec(center=(0, 0, 0.02), axis=(1, 0, 0), mean_radius=3e-3,
