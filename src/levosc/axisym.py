@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (MU0, CoilSpec, DetectionGeometry, _check_driven,
-                        _sphere_poses)
+                        _clearance_failures, _sphere_poses)
 from .errors import ConfigError, GeometryError, SolverError
 
 __all__ = [
@@ -463,10 +463,17 @@ def oracle_sweep(geometry: DetectionGeometry, centers, radius,
 
     Every solve shares one mesh built without the sphere, and with it
     one sphere-free operator, so a single base solve and a single pair
-    of pencil eigendecompositions serve all poses."""
+    of pencil eigendecompositions serve all poses. A pose that
+    :func:`levosc.detection.position_sweep` refuses for a sphere within
+    0.1 mm of a winding is NaN and not solved: the solver pins psi = 0
+    over the coil current the sphere covers, so its answer there has no
+    physical meaning."""
     centers, radii = _sphere_poses(centers, radius)
     coils, sphere_z = _axial_coordinates(geometry, centers)
+    refused = _clearance_failures(geometry, centers, radii)
     op = _field_operator(geometry, coils, *_build_axes(coils, n), "receiver")
     base = _solve(op)
-    return np.array([_solve(op, zs, rs).L_eff - base.L_eff
-                     for zs, rs in zip(sphere_z.tolist(), radii.tolist())])
+    return np.array([math.nan if i in refused
+                     else _solve(op, zs, rs).L_eff - base.L_eff
+                     for i, (zs, rs) in enumerate(zip(sphere_z.tolist(),
+                                                      radii.tolist()))])

@@ -175,6 +175,13 @@ def _require_positive(cfg: dict, section: str, *keys: str) -> None:
                 f"{section}.{key} must be positive, got {value!r}")
 
 
+def _require_superfluid(cfg: dict, section: str, key: str) -> None:
+    """A highest temperature that stays below the superfluid transition."""
+    reason = media.above_lambda(cfg[section][key])
+    if reason is not None:
+        raise ConfigError(f"{section}.{key}: {reason}")
+
+
 def _osc_from_config(cfg: dict) -> damping.OscillatorSpec:
     sec = cfg["oscillator"]
     try:
@@ -304,6 +311,7 @@ def _csv_out(args, name: str, writer, *data, **options) -> str:
 def _cmd_damping_curve(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["damping"]
     _require_positive(cfg, "damping", "points", "T_min_K", "tau_vacuum_s")
+    _require_superfluid(cfg, "damping", "T_max_K")
     if not sec["T_min_K"] < sec["T_max_K"]:
         raise ConfigError("need damping.T_min_K < damping.T_max_K")
     osc = _osc_from_config(cfg)
@@ -429,6 +437,7 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["fit"]
     _require_positive(cfg, "fit", "tau_vacuum_s", "predict_T_min_K",
                       "predict_T_max_K", "predict_points")
+    _require_superfluid(cfg, "fit", "predict_T_max_K")
     osc = _osc_from_config(cfg)
     med, series = inputs["media"], inputs["series"]
     mode = damping.RegimeMode(sec["mode"])

@@ -1,12 +1,12 @@
 """Helium-3 concentration estimation from measured decay times.
 
-The damping model is monotone in n3 wherever impurity drag matters, so
-the sum of squared log residuals is unimodal in ln(n3) and a 1-D
-golden-section search is enough; no Jacobian machinery. Residuals live
-in log space because tau spans many decades. Rows above the regime
-threshold (default 0.6 K) are down-weighted: the hydrodynamic-ballistic
-cross-over has no trustworthy model, so those points should steer the
-fit only weakly.
+In ``RECIPROCAL_SUM`` the decay rate 1/tau = Gamma_medium + n3 g +
+1/tau_vac is linear in the unknowns, so a Levenberg-Marquardt fit
+(Levenberg 1944, Marquardt 1963) with the analytic Jacobian takes a few
+dozen evaluations. Residuals live in log space because tau spans many
+decades. Rows above the regime threshold (default 0.6 K) are
+down-weighted: the hydrodynamic-ballistic cross-over has no trustworthy
+model, so those points should steer the fit only weakly.
 
 The model is evaluated over the whole series at once: the channels that
 do not depend on n3 once per fit, the impurity and vacuum channels and
@@ -24,12 +24,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .damping import (DEFAULT_TAU_VACUUM, DampingTable, MediumChannels,
+from .damping import (DEFAULT_TAU_VACUUM, DampingTable,
                       OscillatorSpec, RegimeMode, compose, damping_table,
                       medium_channels)
 from .errors import BracketError, ConfigError, DataError
 from .formats import read_numeric_csv, write_csv
-from .media import HeliumMedia
+from .media import HeliumMedia, above_lambda
 
 __all__ = [
     "TauTemperatureSeries",
@@ -95,10 +95,7 @@ class ConcentrationFit:
             raise ValueError("n3 must be positive")
 
 
-def _log_residuals(medium: MediumChannels, log_taus: np.ndarray,
-                   osc: OscillatorSpec, media: HeliumMedia, n3: float,
-                   mode: RegimeMode, tau_vacuum: float | None) -> np.ndarray:
-    total = compose(medium, osc, media, n3, mode, tau_vacuum).tau_total
+def _log_residuals(total: np.ndarray, log_taus: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.log(total) - log_taus
     r[~np.isfinite(r)] = np.nan
@@ -117,8 +114,8 @@ def model_residuals(series: TauTemperatureSeries, osc: OscillatorSpec,
     downstream sums skip NaN rows.
     """
     medium = medium_channels(osc, media, series.temperatures)
-    return _log_residuals(medium, np.log(series.taus), osc, media, n3, mode,
-                          tau_vacuum)
+    total = compose(medium, osc, media, n3, mode, tau_vacuum).tau_total
+    return _log_residuals(total, np.log(series.taus))
 
 
 def _golden_minimize(fn: Callable[[float], float], lo: float, hi: float,
@@ -139,6 +136,32 @@ def _golden_minimize(fn: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
+def _levenberg_marquardt(fn: Callable[[np.ndarray], tuple], lo: np.ndarray,
+                         hi: np.ndarray, tol: float) -> np.ndarray:
+    """The p in the box [lo, hi] minimizing |r|^2, ``fn`` giving r and its
+    Jacobian: damped Gauss-Newton steps from the midpoint, clipped to the
+    box and holding a parameter that the gradient pushes out through its
+    bound, until the largest step is below ``tol``."""
+    p, damping = 0.5 * (lo + hi), 1e-3
+    r, J = fn(p)
+    while True:
+        grad = J.T @ r
+        held = ((p <= lo) & (grad > 0)) | ((p >= hi) & (grad < 0))
+        J_free = np.where(held, 0.0, J)
+        A = J_free.T @ J_free
+        trial = np.clip(p - np.linalg.lstsq(A + damping * np.diag(np.diag(A)),
+                                            J_free.T @ r, rcond=None)[0],
+                        lo, hi)
+        moved = np.max(np.abs(trial - p))
+        r_trial, J_trial = fn(trial)
+        if r_trial @ r_trial < r @ r:
+            p, r, J, damping = trial, r_trial, J_trial, 0.1 * damping
+        else:
+            damping *= 10.0
+        if moved < tol:
+            return p
+
+
 def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
                           media: HeliumMedia,
                           bracket: tuple[float, float] = (1e18, 1e23),
@@ -149,19 +172,18 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
                           regime_threshold: float = REGIME_WEIGHT_THRESHOLD,
                           regime_weight: float = REGIME_WEIGHT,
                           tol: float = 1e-6) -> ConcentrationFit:
-    """Golden-section fit of n3 on a logarithmic bracket.
+    """Fit n3 on a logarithmic bracket, and with ``fit_vacuum`` the
+    vacuum channel on ``vacuum_bracket``, by weighted log residuals.
 
     The bracket must span at least four decades. A minimum pinned to a
     bracket edge raises :class:`BracketError`: the data carry no
     impurity signature (or the bracket excludes the true value).
 
-    With ``fit_vacuum`` the constant vacuum channel is fitted too, by a
-    nested 1-D search at every n3 candidate.
-
-    The hydrodynamic, phonon and roton channels do not depend on n3 or
-    the vacuum channel, so they are evaluated once per fit; each
-    objective evaluation adds only the impurity and vacuum channels
-    over the whole series.
+    ``RECIPROCAL_SUM`` runs one bounded Levenberg-Marquardt fit of
+    (ln n3, ln tau_vac), or ln n3 alone, from the brackets' log-midpoint
+    until its largest step is below ``tol``. ``DOMINANT_ONLY``, whose
+    minimum over channels is not smooth, keeps a golden-section search
+    over ln n3 to a bracket ``tol`` wide, nesting one over ln tau_vac.
     """
     n3_lo, n3_hi = bracket
     if not 0 < n3_lo < n3_hi:
@@ -173,45 +195,51 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
     medium = medium_channels(osc, media, series.temperatures)
     log_taus = np.log(series.taus)
 
-    def residuals(n3: float, tau_vac: float | None) -> np.ndarray:
-        return _log_residuals(medium, log_taus, osc, media, n3, mode,
-                              tau_vac)
-
-    def objective_for(n3: float, tau_vac: float | None) -> float:
-        r = residuals(n3, tau_vac)
+    def residuals(n3: float, tau_vac: float | None) -> tuple:
+        """The composite, the log residuals and their weighted squares."""
+        table = compose(medium, osc, media, n3, mode, tau_vac)
+        r = _log_residuals(table.tau_total, log_taus)
         ok = np.isfinite(r)
         if not ok.any():
             raise DataError("model undefined on every row")
-        return float(np.sum(weights[ok] * r[ok]**2))
+        return table, r, float(np.sum(weights[ok] * r[ok]**2))
 
-    if fit_vacuum:
-        v_lo, v_hi = math.log(vacuum_bracket[0]), math.log(vacuum_bracket[1])
+    def weighted(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        table, r, _ = residuals(math.exp(p[0]), math.exp(p[-1])
+                                if fit_vacuum else tau_vacuum)
+        # d r / d ln n3 = -n3 g tau_total = -tau_total / tau_imp and
+        # d r / d ln tau_vac = tau_total / tau_vac
+        J = table.tau_total[:, None] / np.column_stack((-table.tau_imp,
+                                                        table.tau_vacuum))
+        ok, root_w = np.isfinite(r), np.sqrt(weights)
+        return (root_w * r)[ok], (root_w[:, None] * J)[ok, :len(p)]
 
-        def best_vacuum(n3: float) -> float:
-            return _golden_minimize(
-                lambda v: objective_for(n3, math.exp(v)), v_lo, v_hi, 1e-4)
-
-        def objective(u: float) -> float:
-            n3 = math.exp(u)
-            return objective_for(n3, math.exp(best_vacuum(n3)))
+    box = [(math.log(lo), math.log(hi)) for lo, hi in
+           ([bracket, vacuum_bracket] if fit_vacuum else [bracket])]
+    (u_lo, u_hi), (v_lo, v_hi) = box[0], box[-1]
+    if mode is RegimeMode.RECIPROCAL_SUM:
+        p = _levenberg_marquardt(weighted, *np.array(box).T, tol)
+        u_star = float(p[0])
+        vac_used = math.exp(p[-1]) if fit_vacuum else tau_vacuum
     else:
-        def objective(u: float) -> float:
-            return objective_for(math.exp(u), tau_vacuum)
+        def vacuum_for(n3: float) -> float | None:
+            if not fit_vacuum:
+                return tau_vacuum
+            return math.exp(_golden_minimize(
+                lambda v: residuals(n3, math.exp(v))[2], v_lo, v_hi, 1e-4))
 
-    u_lo, u_hi = math.log(n3_lo), math.log(n3_hi)
-    u_star = _golden_minimize(objective, u_lo, u_hi, tol)
+        u_star = _golden_minimize(lambda u: residuals(
+            math.exp(u), vacuum_for(math.exp(u)))[2], u_lo, u_hi, tol)
+        vac_used = vacuum_for(math.exp(u_star))
     span = u_hi - u_lo
     if (u_star - u_lo) < 0.005 * span or (u_hi - u_star) < 0.005 * span:
         raise BracketError(
             "fitted n3 pinned to the bracket edge; the series has no "
             "identifiable impurity signature inside the bracket")
     n3 = math.exp(u_star)
-    fitted_vac = math.exp(best_vacuum(n3)) if fit_vacuum else None
-    vac_used = fitted_vac if fit_vacuum else tau_vacuum
-    r = residuals(n3, vac_used)
-    ok = np.isfinite(r)
-    rms = float(np.sqrt(np.sum(weights[ok] * r[ok]**2)
-                        / np.sum(weights[ok])))
+    fitted_vac = vac_used if fit_vacuum else None
+    _, r, objective = residuals(n3, vac_used)
+    rms = math.sqrt(objective / np.sum(weights[np.isfinite(r)]))
     return ConcentrationFit(n3=n3, x3=n3 / media.n4, residual_rms=rms,
                             n3_bracket=(n3_lo, n3_hi), regime_mode=mode,
                             search_tolerance=tol,
@@ -245,8 +273,10 @@ def predict_contamination(x3: float, added_x3: float,
 
 def load_tau_series_csv(data: bytes, source: str | Path
                         ) -> TauTemperatureSeries:
-    """The (T_K, tau_s[, sigma_tau_s]) rows of a CSV, header optional."""
-    rows = read_numeric_csv(data, source, "tau series", 2, optional=1)
+    """The (T_K, tau_s[, sigma_tau_s]) rows of a CSV, header optional;
+    a row above the superfluid transition is refused."""
+    rows = read_numeric_csv(data, source, "tau series", 2, optional=1,
+                            check=lambda row: above_lambda(row[0]))
     try:
         return TauTemperatureSeries(rows=tuple(rows))
     except ValueError as exc:

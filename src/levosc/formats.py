@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -173,7 +173,8 @@ def _is_number(text: str) -> bool:
 
 
 def read_numeric_csv(data: bytes, source: str | Path, what: str,
-                     required: int, optional: int = 0
+                     required: int, optional: int = 0,
+                     check: Callable[[list], str | None] | None = None,
                      ) -> list[tuple[float | None, ...]]:
     """The rows of a numeric CSV, each a tuple of its first ``required``
     fields as floats and its next ``optional`` ones as floats or, when
@@ -181,9 +182,10 @@ def read_numeric_csv(data: bytes, source: str | Path, what: str,
 
     Lines starting with ``#`` are skipped. The first other line is a
     header when its first field is not a number; any other line that
-    does not parse is a :class:`DataError` naming ``source:line``, as
-    are bytes that are not UTF-8 text and a file without data rows.
-    ``what`` names the file's content in the messages.
+    does not parse, or for which ``check`` returns a reason, is a
+    :class:`DataError` naming ``source:line``, as are bytes that are not
+    UTF-8 text and a file without data rows. ``what`` names the file's
+    content in the messages.
     """
     try:
         records = [(lineno, rec) for lineno, rec in enumerate(
@@ -203,6 +205,9 @@ def read_numeric_csv(data: bytes, source: str | Path, what: str,
         except (ValueError, IndexError):
             raise DataError(f"{source}:{lineno}: bad {what} row {rec!r}") \
                 from None
+        reason = check(row) if check is not None else None
+        if reason is not None:
+            raise DataError(f"{source}:{lineno}: {reason}")
         rows.append(tuple(row))
     if not rows:
         raise DataError(f"{what} {source} has no data rows")

@@ -5,10 +5,11 @@ Everything here is SI. The property set is deliberately small: atomic
 constants, quasiparticle-gas parameters, and a normal-component
 viscosity table, bundled in :class:`HeliumMedia`, which also gives the
 helium-4 number density ``n4``. The property functions take arrays of
-temperatures. All values are overridable through a plain-text
-``key = value`` file (``OVERRIDE_TABLE``), and the viscosity table
-through a two-column CSV with at most one header line. The readers parse
-bytes; the caller opens the files.
+temperatures; :data:`T_LAMBDA_K`, the superfluid transition, bounds the
+temperatures the models accept. All values are overridable through a
+plain-text ``key = value`` file (``OVERRIDE_TABLE``), and the viscosity
+table through a two-column CSV with at most one header line. The readers
+parse bytes; the caller opens the files.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "HeliumMedia",
     "DEFAULT_VISCOSITY_TABLE",
     "DEFAULT_HE4_MASS_DENSITY",
+    "T_LAMBDA_K",
+    "above_lambda",
     "viscosity_normal_grid",
     "thermal_velocity_he3",
     "OVERRIDE_TABLE",
@@ -38,6 +41,18 @@ __all__ = [
 ]
 
 DEFAULT_HE4_MASS_DENSITY = 145.1  # kg/m^3, liquid at SVP below ~1 K
+
+# Superfluid transition of helium-4 at saturated vapour pressure. Above
+# it the liquid is normal and no quasiparticle channel applies.
+T_LAMBDA_K = 2.1768  # K
+
+
+def above_lambda(T: float) -> str | None:
+    """Why temperature ``T`` lies outside the models, or None."""
+    if T > T_LAMBDA_K:
+        return (f"T = {T:g} K is above the superfluid transition "
+                f"T_lambda = {T_LAMBDA_K} K")
+    return None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levosc import (GeometryError, axisymmetric_oracle, coaxial_geometry,
@@ -139,6 +139,22 @@ class TestSphereSolves:
         # one pose off the axis fails the whole sweep
         with pytest.raises(GeometryError, match="coil axis"):
             oracle_sweep(g, [CENTER, (0.0, 1e-3, 9e-3)], RADIUS, 64)
+
+    @settings(max_examples=15, deadline=None)
+    @given(positions=st.lists(st.floats(-5e-3, 5e-3), min_size=1,
+                              max_size=4, unique=True).map(sorted),
+           radius=st.floats(1e-3, 4.5e-3))
+    @example(positions=[0.0], radius=2.95e-3)
+    def test_oracle_refuses_what_the_model_refuses(self, geometry,
+                                                   positions, radius):
+        # a sphere within 0.1 mm of a winding covers coil current that
+        # the solver pins to psi = 0: no oracle value for that pose
+        centers = on_axis(positions)
+        refused = {i for i, _ in
+                   position_sweep(geometry, centers, radius).errors}
+        oracle = oracle_sweep(geometry, centers, radius, 64)
+        assert {i for i, dL in enumerate(oracle.tolist())
+                if math.isnan(dL)} == refused
 
     def test_grid_size_validated(self, geometry):
         with pytest.raises(ValueError, match="at least 64 x 64"):

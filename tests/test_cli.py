@@ -161,6 +161,11 @@ REJECTED_INPUTS = [
     ("damping-curve", '{"damping": {"points": 5, "points": 7}}',
      "duplicate key 'damping.points'"),
     ("sensitivity", "[" * 10**5, "recursion depth"),
+    # above T_lambda helium-4 is a normal liquid: no channel applies
+    ("damping-curve", {"damping": {"T_min_K": 0.5, "T_max_K": 4.0,
+                                   "points": 5}}, "damping.T_max_K"),
+    ("fit-he3", {"fit": {"added_x3": 1e-7, "predict_T_max_K": 3.0}},
+     "fit.predict_T_max_K"),
 ]
 
 
@@ -883,7 +888,8 @@ def test_fit_he3_missing_data_exits_3(tmp_path):
 
 
 # each of these ran at exit 0 with a channel dropped or blanked, or a
-# fit row kept at full weight or dropped; float() reads "2_40" as 240
+# fit row kept at full weight or dropped; float() reads "2_40" as 240,
+# and a row above T_lambda is outside every channel's model
 NON_FINITE_INPUTS = [
     ("media.properties", "m3_eff_ratio = nan\n", 2, "finite"),
     ("media.properties", "c = inf\n", 2, "finite"),
@@ -892,13 +898,15 @@ NON_FINITE_INPUTS = [
     ("tau_data.csv", "0.1,inf\n", 3, "finite"),
     ("media.properties", "c = 2_40\n", 2, "media.properties:1: "),
     ("tau_data.csv", "0.0_15,1.2e5\n", 3, "tau_data.csv:17: "),
+    ("tau_data.csv", "2.5,1.2e5\n", 3,
+     "tau_data.csv:17: T = 2.5 K is above the superfluid transition"),
 ]
 
 
 @pytest.mark.parametrize("name, text, code, message", NON_FINITE_INPUTS,
                          ids=["m3_eff_ratio-nan", "c-inf", "viscosity-nan",
                               "T_K-nan", "tau_s-inf", "c-underscore",
-                              "T_K-underscore"])
+                              "T_K-underscore", "T_K-above-lambda"])
 def test_non_finite_input_rejected(tmp_path, capsys, name, text, code,
                                    message):
     out = ["--out", str(tmp_path / "out")]

@@ -1,8 +1,9 @@
 """Concentration fitting against model-generated decay-time series.
 
 Forward data always come from damping_table; the checks on the fit use
-closed-form scaling identities (tau_imp proportional to 1/n3) and plain
-ratio arithmetic as the independent route.
+closed-form scaling identities (tau_imp proportional to 1/n3), plain
+ratio arithmetic and scipy's bounded least squares as the independent
+route.
 """
 
 import io
@@ -10,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from levosc.damping import (
     DEFAULT_TAU_VACUUM,
@@ -17,6 +21,7 @@ from levosc.damping import (
     RegimeMode,
     damping_table,
 )
+from levosc import fitting
 from levosc.errors import BracketError, ConfigError, DataError
 from levosc.fitting import (
     REGIME_WEIGHT,
@@ -52,6 +57,30 @@ def series_from_model(osc, media, T_grid, n3, tau_vacuum=DEFAULT_TAU_VACUUM,
 
 IMPURITY_GRID = [0.015, 0.018, 0.022, 0.027, 0.033, 0.04]
 WIDE_GRID = list(np.geomspace(0.015, 0.5, 15))
+
+# n3 that the golden-section search finds in DOMINANT_ONLY on criterion
+# 08's series, with and without the vacuum co-fit
+DOMINANT_ONLY_N3 = "0x1.d4e09c9242772p+69"
+
+
+def criterion_08_series(osc, media):
+    """Criterion 08's 15 rows: 5 % log-normal noise drawn row by row."""
+    table = damping_table(osc, media, WIDE_GRID, X3_REFERENCE * n4_of(media),
+                          RegimeMode.RECIPROCAL_SUM, DEFAULT_TAU_VACUUM)
+    rng = np.random.default_rng(20260823)
+    return TauTemperatureSeries(rows=tuple(
+        (T, tau * math.exp(0.05 * rng.standard_normal()), None)
+        for T, tau in zip(table.T.tolist(), table.tau_total.tolist())))
+
+
+def weighted_objective(series, osc, media, n3, tau_vacuum,
+                       mode=RegimeMode.RECIPROCAL_SUM):
+    """The fit's weighted sum of squared log residuals at (n3, tau_vac)."""
+    weights = np.where(series.temperatures > REGIME_WEIGHT_THRESHOLD,
+                       REGIME_WEIGHT, 1.0)
+    r = model_residuals(series, osc, media, n3, mode, tau_vacuum)
+    ok = np.isfinite(r)
+    return float(np.sum(weights[ok] * r[ok] ** 2))
 
 
 # ------------------------------------------------------------ series type
@@ -246,6 +275,56 @@ def test_fit_vacuum_nested_recovery(osc, media):
     assert fit.fitted_tau_vacuum is not None
     assert abs(fit.fitted_tau_vacuum - tau_vac_true) / tau_vac_true < 5e-3
     assert abs(fit.n3 - n3_true) / n3_true < 1e-3
+
+
+@settings(max_examples=20, deadline=None)
+@given(x3=st.floats(1e-8, 1e-7), tau_vac=st.floats(5e4, 2e6),
+       noise=st.floats(1e-3, 0.05), seed=st.integers(0, 2**32 - 1))
+def test_fit_vacuum_matches_least_squares_reference(osc, media, x3, tau_vac,
+                                                     noise, seed):
+    # reference: scipy's trust-region least squares on the same bounded
+    # log parameters, finite-difference Jacobian, started at the truth
+    series = series_from_model(osc, media, WIDE_GRID, x3 * n4_of(media),
+                               tau_vacuum=tau_vac, noise=noise, seed=seed)
+    root_w = np.sqrt(np.where(series.temperatures > REGIME_WEIGHT_THRESHOLD,
+                              REGIME_WEIGHT, 1.0))
+
+    def residuals(p):
+        return root_w * model_residuals(series, osc, media, math.exp(p[0]),
+                                        tau_vacuum=math.exp(p[1]))
+
+    ref = least_squares(residuals, np.log([x3 * n4_of(media), tau_vac]),
+                        bounds=(np.log([1e18, 1e4]), np.log([1e23, 1e7])),
+                        jac="3-point", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    n3_ref, vac_ref = np.exp(ref.x).tolist()
+    fit = fit_he3_concentration(series, osc, media, fit_vacuum=True)
+    ours = weighted_objective(series, osc, media, fit.n3,
+                              fit.fitted_tau_vacuum)
+    assert ours <= weighted_objective(series, osc, media, n3_ref,
+                                      vac_ref) * (1.0 + 1e-9)
+    assert abs(fit.n3 - n3_ref) / n3_ref < 1e-4
+
+
+def test_fit_vacuum_takes_few_model_evaluations(osc, media, monkeypatch):
+    calls = []
+    compose = fitting.compose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "compose", counted)
+    fit_he3_concentration(criterion_08_series(osc, media), osc, media,
+                          fit_vacuum=True)
+    assert 0 < len(calls) < 50
+
+
+@pytest.mark.parametrize("fit_vacuum", [False, True])
+def test_dominant_only_keeps_the_golden_search(osc, media, fit_vacuum):
+    fit = fit_he3_concentration(criterion_08_series(osc, media), osc, media,
+                                mode=RegimeMode.DOMINANT_ONLY,
+                                fit_vacuum=fit_vacuum)
+    assert fit.n3.hex() == DOMINANT_ONLY_N3
 
 
 def test_bracket_span_enforced(osc, media):

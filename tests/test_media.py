@@ -13,8 +13,9 @@ from hypothesis import given, strategies as st
 from levosc import (ConfigError, DataError, DomainError, HeliumMedia,
                     PhysicalConstants, QuasiparticleParams, ViscosityTable,
                     thermal_velocity_he3)
-from levosc.media import (DEFAULT_VISCOSITY_TABLE, load_property_overrides,
-                          media_from_overrides, viscosity_normal_grid)
+from levosc.media import (DEFAULT_VISCOSITY_TABLE, T_LAMBDA_K, above_lambda,
+                          load_property_overrides, media_from_overrides,
+                          viscosity_normal_grid)
 
 
 def rel(a, b):
@@ -224,3 +225,12 @@ class TestDefaultsAndOverrides:
             media.he4_mass_density = 150.0
         with pytest.raises(Exception):
             media.constants.k_B = 1.0
+
+
+def test_superfluid_transition_bounds_the_models():
+    # the viscosity table, like every channel, stops below T_lambda
+    assert DEFAULT_VISCOSITY_TABLE.valid_range[1] < T_LAMBDA_K
+    assert above_lambda(T_LAMBDA_K) is None
+    assert above_lambda(0.5) is None
+    assert "superfluid transition" in above_lambda(2.18)
+    assert above_lambda(math.nan) is None    # refused as not finite
