@@ -9,12 +9,10 @@ helium-3 concentration from measured decay times.
 
 from .errors import (BracketError, ConfigError, DataError, DomainError,
                      FitError, GeometryError, LevoscError, SolverError)
-from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
-                    ViscosityTable, thermal_velocity_he3,
+from .media import (HeliumMedia, ViscosityTable, thermal_velocity_he3,
                     viscosity_normal_grid)
-from .damping import (DampingTable, OscillatorSpec, RegimeMode,
-                      SensitivityReport, damping_table, drag_force,
-                      linewidth, noise_density, sensitivity_report)
+from .damping import (DampingTable, OscillatorSpec, RegimeMode, damping_table,
+                      drag_force, linewidth, noise_density)
 from .detection import (CoilSpec, DetectionGeometry, DriveSpec, SweepResult,
                         capacitance_from_resonance, coaxial_geometry,
                         coil_field, induced_dipole, load_geometry,
@@ -34,11 +32,9 @@ __all__ = [
     "__version__",
     "LevoscError", "ConfigError", "DomainError", "GeometryError",
     "SolverError", "DataError", "FitError", "BracketError",
-    "PhysicalConstants", "QuasiparticleParams", "ViscosityTable",
-    "HeliumMedia", "viscosity_normal_grid", "thermal_velocity_he3",
-    "OscillatorSpec", "RegimeMode", "DampingTable", "SensitivityReport",
+    "ViscosityTable", "HeliumMedia", "viscosity_normal_grid",
+    "thermal_velocity_he3", "OscillatorSpec", "RegimeMode", "DampingTable",
     "damping_table", "linewidth", "drag_force", "noise_density",
-    "sensitivity_report",
     "CoilSpec", "DriveSpec", "DetectionGeometry", "SweepResult",
     "coil_field", "self_inductance", "mutual_inductance", "induced_dipole",
     "resonance_frequency", "capacitance_from_resonance", "position_sweep",

@@ -438,6 +438,11 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
     _require_positive(cfg, "fit", "tau_vacuum_s", "predict_T_min_K",
                       "predict_T_max_K", "predict_points")
     _require_superfluid(cfg, "fit", "predict_T_max_K")
+    if not sec["predict_T_min_K"] < sec["predict_T_max_K"]:
+        raise ConfigError("need fit.predict_T_min_K < fit.predict_T_max_K")
+    if sec["added_x3"] < 0:
+        raise ConfigError(f"fit.added_x3 must be non-negative, got "
+                          f"{sec['added_x3']!r}")
     osc = _osc_from_config(cfg)
     med, series = inputs["media"], inputs["series"]
     mode = damping.RegimeMode(sec["mode"])
@@ -474,14 +479,12 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
 def _cmd_sensitivity(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["sensitivity"]
     osc = _osc_from_config(cfg)
-    med = inputs["media"]
-    report = damping.sensitivity_report(osc, sec["temperature_K"],
-                                        sec["tau_s"], sec["velocity_m_s"],
-                                        med.constants)
+    T, tau = sec["temperature_K"], sec["tau_s"]
     return [_json_out(args, "sensitivity.json", {
-        "S_F_N2_per_Hz": report.S_F, "F_D_N": report.F_D,
-        "T_over_tau_K_per_s": report.T_over_tau,
-        "linewidth_Hz": report.linewidth, **sec})]
+        "S_F_N2_per_Hz": damping.noise_density(osc, T, tau, inputs["media"]),
+        "F_D_N": damping.drag_force(osc, tau, sec["velocity_m_s"]),
+        "T_over_tau_K_per_s": T / tau, "linewidth_Hz": damping.linewidth(tau),
+        **sec})]
 
 
 _DISPATCH = {

@@ -1,7 +1,8 @@
 """Per-regime decay times of the oscillating sphere and their
 composition into a total ring-down time, plus the derived sensitivity
-quantities: linewidth, drag force, force-noise floor, and the T/tau
-figure of merit.
+quantities: linewidth, drag force and force-noise floor. The channels
+and the noise floor read the medium's constants straight from one
+:class:`HeliumMedia`.
 
 Channels:
 
@@ -34,21 +35,18 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .formats import write_csv
-from .media import (HeliumMedia, PhysicalConstants, QuasiparticleParams,
-                    thermal_velocity_he3, viscosity_normal_grid)
+from .media import HeliumMedia, thermal_velocity_he3, viscosity_normal_grid
 
 __all__ = [
     "OscillatorSpec",
     "RegimeMode",
     "DampingTable",
     "MediumChannels",
-    "SensitivityReport",
     "DEFAULT_TAU_VACUUM",
     "KNUDSEN_DRAG_COEFF",
     "linewidth",
     "drag_force",
     "noise_density",
-    "sensitivity_report",
     "medium_channels",
     "compose",
     "damping_table",
@@ -98,21 +96,6 @@ class RegimeMode(Enum):
     DOMINANT_ONLY = "DominantOnly"
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Force-sensing figures of merit at one operating point."""
-
-    S_F: float          # N^2/Hz
-    F_D: float          # N
-    T_over_tau: float   # K/s
-    linewidth: float    # Hz
-
-    def __post_init__(self):
-        for name in ("S_F", "F_D", "T_over_tau", "linewidth"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
 def _radius_sq(osc: OscillatorSpec, channel: str) -> float:
     """Square of the cold radius for the cross-section of ``channel``;
     a square past the float range leaves the channel no decay time."""
@@ -130,31 +113,29 @@ def _hydrodynamic(osc: OscillatorSpec, eta_n):
         return np.divide(osc.mass, 3.0 * math.pi * eta_n * osc.radius)
 
 
-def _phonon(osc: OscillatorSpec, params: QuasiparticleParams,
-            constants: PhysicalConstants, T):
+def _phonon(osc: OscillatorSpec, media: HeliumMedia, T):
     """Phonon decay time 45 M hbar^3 c^4 / (pi^2 (k_B T)^4 pi r^2)."""
-    kT = constants.k_B * np.asarray(T, dtype=float)
+    kT = media.k_B * np.asarray(T, dtype=float)
     # (k_B T)^4 underflows to zero below about 1e-70 K: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
-        return np.divide(45.0 * osc.mass * constants.hbar**3 * params.c**4,
+        return np.divide(45.0 * osc.mass * media.hbar**3 * media.c**4,
                          math.pi**2 * kT**4 * math.pi
                          * _radius_sq(osc, "phonon"))
 
 
-def _roton(osc: OscillatorSpec, params: QuasiparticleParams,
-           constants: PhysicalConstants, T):
+def _roton(osc: OscillatorSpec, media: HeliumMedia, T):
     """Roton decay time 6 pi^2 M / (hbar k0^4 e^(-Delta/kT) pi r^2)."""
-    boltzmann = np.exp(-params.delta_over_kB / np.asarray(T, dtype=float))
+    boltzmann = np.exp(-media.delta_over_kB / np.asarray(T, dtype=float))
     # the Boltzmann factor underflows: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(6.0 * math.pi**2 * osc.mass,
-                         constants.hbar * params.k0**4 * boltzmann
+                         media.hbar * media.k0**4 * boltzmann
                          * math.pi * _radius_sq(osc, "roton"))
 
 
 def _impurity(osc: OscillatorSpec, media: HeliumMedia, v_th, n3: float):
     """Knudsen helium-3 drag decay time 4 M / (4.1906 pi r^2 n3 m3* v_th)."""
-    m3_eff = media.quasiparticles.m3_eff_ratio * media.constants.m3
+    m3_eff = media.m3_eff_ratio * media.m3
     # an extreme mass or radius overflows the time: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
         return np.divide(4.0 * osc.mass,
@@ -215,28 +196,14 @@ def drag_force(osc: OscillatorSpec, tau: float, velocity: float) -> float:
 
 
 def noise_density(osc: OscillatorSpec, T: float, tau: float,
-                  constants: PhysicalConstants = PhysicalConstants(),
-                  ) -> float:
+                  media: HeliumMedia = HeliumMedia()) -> float:
     """Thermal force-noise spectral density 8 k_B M T / tau, with k_B
-    from ``constants``."""
+    from ``media``."""
     if T < 0:
         raise DomainError(f"temperature must be non-negative, got {T:g} K")
     if tau <= 0:
         raise DomainError(f"tau must be positive, got {tau:g}")
-    return 8.0 * constants.k_B * osc.mass * T / tau
-
-
-def sensitivity_report(osc: OscillatorSpec, T: float, tau: float,
-                       velocity: float,
-                       constants: PhysicalConstants = PhysicalConstants(),
-                       ) -> SensitivityReport:
-    """Bundle noise floor, drag force, T/tau, and linewidth; the noise
-    floor takes k_B from ``constants``."""
-    return SensitivityReport(
-        S_F=noise_density(osc, T, tau, constants),
-        F_D=drag_force(osc, tau, velocity),
-        T_over_tau=T / tau,
-        linewidth=linewidth(tau))
+    return 8.0 * media.k_B * osc.mass * T / tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +225,11 @@ def medium_channels(osc: OscillatorSpec, media: HeliumMedia,
                     T) -> MediumChannels:
     """Evaluate the n3-independent channels at every positive ``T``."""
     T = np.asarray(T, dtype=float)
-    q, c = media.quasiparticles, media.constants
     hydr = _hydrodynamic(osc, viscosity_normal_grid(media.viscosity, T))
-    ph = _phonon(osc, q, c, T)
-    rot = _roton(osc, q, c, T)
+    ph = _phonon(osc, media, T)
+    rot = _roton(osc, media, T)
     return MediumChannels(T=T, tau_hydr=hydr, tau_ph=ph, tau_rot=rot,
-                          v_th=thermal_velocity_he3(c, q, T),
+                          v_th=thermal_velocity_he3(media, T),
                           folded=_fold((hydr, ph, rot)))
 
 

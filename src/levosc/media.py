@@ -1,21 +1,23 @@
 """Physical constants and temperature-dependent properties of liquid
 helium-4 with dilute helium-3 impurities, at saturated vapour pressure.
 
-Everything here is SI. The property set is deliberately small: atomic
-constants, quasiparticle-gas parameters, and a normal-component
-viscosity table, bundled in :class:`HeliumMedia`, which also gives the
+Everything here is SI. The medium is one flat record,
+:class:`HeliumMedia`: nine numbers (atomic constants and
+quasiparticle-gas parameters), each named as its key in an override
+file, and a normal-component viscosity table. It also gives the
 helium-4 number density ``n4``. The property functions take arrays of
 temperatures; :data:`T_LAMBDA_K`, the superfluid transition, bounds the
-temperatures the models accept. All values are overridable through a
-plain-text ``key = value`` file (``OVERRIDE_TABLE``), and the viscosity
-table through a two-column CSV with at most one header line. The readers
+temperatures the models accept. The nine numbers are overridable
+through a plain-text ``key = value`` file (``OVERRIDE_TABLE``, built
+from the fields of :class:`HeliumMedia`), and the viscosity table
+through a two-column CSV with at most one header line. The readers
 parse bytes; the caller opens the files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -25,12 +27,9 @@ from .errors import ConfigError, DataError, DomainError
 from .formats import read_key_lines, read_keys, read_numeric_csv
 
 __all__ = [
-    "PhysicalConstants",
-    "QuasiparticleParams",
     "ViscosityTable",
     "HeliumMedia",
     "DEFAULT_VISCOSITY_TABLE",
-    "DEFAULT_HE4_MASS_DENSITY",
     "T_LAMBDA_K",
     "above_lambda",
     "viscosity_normal_grid",
@@ -39,8 +38,6 @@ __all__ = [
     "load_property_overrides",
     "media_from_overrides",
 ]
-
-DEFAULT_HE4_MASS_DENSITY = 145.1  # kg/m^3, liquid at SVP below ~1 K
 
 # Superfluid transition of helium-4 at saturated vapour pressure. Above
 # it the liquid is normal and no quasiparticle channel applies.
@@ -53,60 +50,6 @@ def above_lambda(T: float) -> str | None:
         return (f"T = {T:g} K is above the superfluid transition "
                 f"T_lambda = {T_LAMBDA_K} K")
     return None
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants used throughout, CODATA magnitudes.
-
-    Attributes
-    ----------
-    k_B : float
-        Boltzmann constant, J/K.
-    hbar : float
-        Reduced Planck constant, J*s.
-    m3 : float
-        Bare helium-3 atomic mass, kg.
-    m4 : float
-        Helium-4 atomic mass, kg.
-    """
-
-    k_B: float = 1.380649e-23
-    hbar: float = 1.054571817e-34
-    m3: float = 5.0082345e-27
-    m4: float = 6.6464770e-27
-
-    def __post_init__(self):
-        for name in ("k_B", "hbar", "m3", "m4"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-
-
-@dataclass(frozen=True)
-class QuasiparticleParams:
-    """Excitation-gas parameters of He II at SVP.
-
-    Attributes
-    ----------
-    c : float
-        First-sound speed, m/s.
-    k0 : float
-        Roton-minimum wave number, 1/m.
-    delta_over_kB : float
-        Roton gap divided by k_B, K.
-    m3_eff_ratio : float
-        Effective-to-bare mass ratio of a helium-3 quasiparticle.
-    """
-
-    c: float = 238.0
-    k0: float = 1.918e10
-    delta_over_kB: float = 8.65
-    m3_eff_ratio: float = 2.64
-
-    def __post_init__(self):
-        for name in ("c", "k0", "delta_over_kB", "m3_eff_ratio"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
 
 
 # Normal-component viscosity of He II, 1.00-2.17 K (Donnelly-style
@@ -158,23 +101,31 @@ DEFAULT_VISCOSITY_TABLE = ViscosityTable(
 
 @dataclass(frozen=True)
 class HeliumMedia:
-    """Bundle of everything the damping and fitting models need to know
-    about the medium."""
+    """Everything the damping and fitting models know about the medium:
+    nine numbers, each named as its key in an override file, and the
+    viscosity table."""
 
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    quasiparticles: QuasiparticleParams = field(
-        default_factory=QuasiparticleParams)
+    k_B: float = 1.380649e-23           # Boltzmann constant, J/K
+    hbar: float = 1.054571817e-34       # reduced Planck constant, J*s
+    m3: float = 5.0082345e-27           # bare helium-3 atomic mass, kg
+    m4: float = 6.6464770e-27           # helium-4 atomic mass, kg
+    c: float = 238.0                    # first-sound speed, m/s
+    k0: float = 1.918e10                # roton-minimum wave number, 1/m
+    delta_over_kB: float = 8.65         # roton gap over k_B, K
+    m3_eff_ratio: float = 2.64          # m3* / m3 of a helium-3 quasiparticle
+    he4_mass_density: float = 145.1     # kg/m^3, liquid at SVP below ~1 K
     viscosity: ViscosityTable = DEFAULT_VISCOSITY_TABLE
-    he4_mass_density: float = DEFAULT_HE4_MASS_DENSITY
 
     def __post_init__(self):
-        if not 0 < self.he4_mass_density < math.inf:
-            raise ValueError("he4_mass_density must be finite and positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "viscosity" and not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be finite and positive")
 
     @property
     def n4(self) -> float:
         """Helium-4 number density rho4 / m4, 1/m^3."""
-        return self.he4_mass_density / self.constants.m4
+        return self.he4_mass_density / self.m4
 
 
 def viscosity_normal_grid(table: ViscosityTable, T) -> np.ndarray:
@@ -200,26 +151,23 @@ def viscosity_normal_grid(table: ViscosityTable, T) -> np.ndarray:
     return np.where((T >= lo) & (T <= hi), eta, np.nan)
 
 
-def thermal_velocity_he3(constants: PhysicalConstants,
-                         params: QuasiparticleParams, T):
+def thermal_velocity_he3(media: HeliumMedia, T):
     """Thermal velocity sqrt(2 k_B T / m3*) of a helium-3 quasiparticle,
     for a temperature or an array of them."""
     if np.any(np.less_equal(T, 0.0)):
         raise DomainError(
             f"temperature must be positive, got {np.min(T):g} K")
-    m3_eff = params.m3_eff_ratio * constants.m3
+    m3_eff = media.m3_eff_ratio * media.m3
     with np.errstate(over="ignore"):    # past the float range: inf
-        return np.sqrt(2.0 * constants.k_B * np.asarray(T, dtype=float)
+        return np.sqrt(2.0 * media.k_B * np.asarray(T, dtype=float)
                        / m3_eff)
 
 
 # Every key of a media override file, as levosc.formats.read_keys lays
 # out a table; viscosity_csv names a table relative to the override file.
 OVERRIDE_TABLE = {
-    **{f.name: ("number", f.default)
-       for cls in (PhysicalConstants, QuasiparticleParams)
-       for f in fields(cls)},
-    "he4_mass_density": ("number", DEFAULT_HE4_MASS_DENSITY),
+    **{f.name: ("number", f.default) for f in fields(HeliumMedia)
+       if f.name != "viscosity"},
     "viscosity_csv": ("string or null", None)}
 
 
@@ -236,11 +184,8 @@ def media_from_overrides(overrides: Mapping[str, object],
     the table read from the file that ``viscosity_csv`` names, or
     ``DEFAULT_VISCOSITY_TABLE`` when it names none."""
     values = read_keys(OVERRIDE_TABLE, dict(overrides), "media overrides")
+    del values["viscosity_csv"]
     try:
-        constants, qp = (cls(**{f.name: values[f.name] for f in fields(cls)})
-                         for cls in (PhysicalConstants, QuasiparticleParams))
-        return HeliumMedia(constants=constants, quasiparticles=qp,
-                           viscosity=viscosity,
-                           he4_mass_density=values["he4_mass_density"])
+        return HeliumMedia(**values, viscosity=viscosity)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

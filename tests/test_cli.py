@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from levosc.cli import CONFIG_TABLE, SIZE_CAPS, _load_config, main
 from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
-                            damping_table)
+                            damping_table, drag_force, linewidth,
+                            noise_density)
 from levosc.detection import coaxial_geometry
 from levosc.media import HeliumMedia
 
@@ -87,6 +88,17 @@ def test_malformed_config_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+def test_unreadable_config_exits_2(tmp_path, capsys, name):
+    (tmp_path / "a_directory").mkdir()
+    path = tmp_path / name
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--config", str(path),
+                 "--out", str(out)]) == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_config_list_not_object_exits_2(tmp_path):
@@ -166,6 +178,12 @@ REJECTED_INPUTS = [
                                    "points": 5}}, "damping.T_max_K"),
     ("fit-he3", {"fit": {"added_x3": 1e-7, "predict_T_max_K": 3.0}},
      "fit.predict_T_max_K"),
+    # checked with the rest of the fit section, before the fit runs
+    ("fit-he3", {"fit": {"added_x3": 1e-7, "predict_T_min_K": 0.8,
+                         "predict_T_max_K": 0.7}},
+     "need fit.predict_T_min_K < fit.predict_T_max_K"),
+    ("fit-he3", {"fit": {"added_x3": -1e-7}},
+     "fit.added_x3 must be non-negative"),
 ]
 
 
@@ -175,7 +193,7 @@ def test_config_input_rejected_exits_2(tmp_path, capsys, command, cfg_obj,
                                        name):
     assert run_command(tmp_path, command, cfg_obj)[0] == 2
     assert name in capsys.readouterr().err
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert not list((tmp_path / "out").glob("*"))
 
 
 @pytest.mark.parametrize("name", sorted(SIZE_CAPS))
@@ -431,6 +449,18 @@ def test_detection_sweep_default_monotonicity(tmp_path):
     assert all(abs(b) > abs(a) for a, b in zip(dL, dL[1:]))
     m = manifest_of(out)
     assert comments[0].startswith(f"# manifest {m['manifest_hash']}")
+
+
+def test_detection_sweep_svg_carries_manifest(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"detection": {"sweep_points": 5}})
+    assert main(["detection-sweep", "--config", str(cfg), "--out", str(out),
+                 "--svg"]) == 0
+    m = manifest_of(out)
+    svg = (out / "detection_sweep.svg").read_text()
+    assert f"manifest {m['manifest_hash']}" in svg
+    assert svg.rstrip().endswith("</svg>")
+    assert "detection_sweep.svg" in m["outputs"]
 
 
 def test_detection_sweep_oracle_columns(tmp_path):
@@ -937,6 +967,12 @@ def test_sensitivity_defaults(tmp_path):
         < 1e-48
     assert abs(rep["T_over_tau_K_per_s"] - 0.005 / 4.1e5) < 1e-20
     assert abs(rep["linewidth_Hz"] - 1.0 / (math.pi * 4.1e5)) < 1e-18
+    # each figure is its model function at the defaults, exactly
+    osc = OscillatorSpec(mass=6.33e-6, radius_warm=1.00e-3)
+    assert rep["S_F_N2_per_Hz"] == noise_density(osc, 0.005, 4.1e5)
+    assert rep["F_D_N"] == drag_force(osc, 4.1e5, 1e-5)
+    assert rep["T_over_tau_K_per_s"] == 0.005 / 4.1e5
+    assert rep["linewidth_Hz"] == linewidth(4.1e5)
     m = manifest_of(out)
     assert rep["manifest_hash"] == m["manifest_hash"]
 

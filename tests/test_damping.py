@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from levosc import (ConfigError, DomainError, HeliumMedia, OscillatorSpec,
                     RegimeMode, ViscosityTable, damping_table, drag_force,
-                    linewidth, noise_density, sensitivity_report,
-                    viscosity_normal_grid)
+                    linewidth, noise_density, viscosity_normal_grid)
 from levosc.damping import (DEFAULT_TAU_VACUUM, KNUDSEN_DRAG_COEFF,
                             compose, damping_metadata, medium_channels,
                             write_damping_csv)
@@ -245,13 +244,6 @@ class TestSensitivity:
             assert rel(noise_density(scaled, 0.1, 4e4),
                        k * noise_density(osc, 0.1, 4e4)) < 1e-12
 
-    def test_report_consistent_with_parts(self, osc):
-        rep = sensitivity_report(osc, 0.005, 4.1e5, 1e-5)
-        assert rep.S_F == noise_density(osc, 0.005, 4.1e5)
-        assert rep.F_D == drag_force(osc, 4.1e5, 1e-5)
-        assert rep.linewidth == linewidth(4.1e5)
-        assert rel(rep.T_over_tau, 1.2195121951219512e-08) < 1e-14
-
     def test_invalid_inputs(self, osc):
         with pytest.raises(DomainError):
             linewidth(0.0)
@@ -352,19 +344,18 @@ class TestIntrinsicLimitBracket:
 
 def _reference_channels(osc, media, T, n3, tau_vacuum):
     """The closed forms in plain float arithmetic, None where absent."""
-    q, c = media.quasiparticles, media.constants
     eta = float(viscosity_normal_grid(media.viscosity, T))
     hydr = None if math.isnan(eta) else \
         osc.mass / (3.0 * math.pi * eta * osc.radius)
-    kT = c.k_B * T
-    ph = (45.0 * osc.mass * c.hbar**3 * q.c**4
+    kT = media.k_B * T
+    ph = (45.0 * osc.mass * media.hbar**3 * media.c**4
           / (math.pi**2 * kT**4 * math.pi * osc.radius**2))
-    boltzmann = math.exp(-q.delta_over_kB / T)
+    boltzmann = math.exp(-media.delta_over_kB / T)
     rot = math.inf if boltzmann == 0.0 else (
         6.0 * math.pi**2 * osc.mass
-        / (c.hbar * q.k0**4 * boltzmann * math.pi * osc.radius**2))
-    m3_eff = q.m3_eff_ratio * c.m3
-    v_th = math.sqrt(2.0 * c.k_B * T / m3_eff)
+        / (media.hbar * media.k0**4 * boltzmann * math.pi * osc.radius**2))
+    m3_eff = media.m3_eff_ratio * media.m3
+    v_th = math.sqrt(2.0 * media.k_B * T / m3_eff)
     imp = None if n3 == 0.0 else (
         4.0 * osc.mass / (KNUDSEN_DRAG_COEFF * math.pi * osc.radius**2
                           * n3 * m3_eff * v_th))

@@ -5,21 +5,25 @@ High-precision reference values below were computed independently with
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from levosc import (ConfigError, DataError, DomainError, HeliumMedia,
-                    PhysicalConstants, QuasiparticleParams, ViscosityTable,
-                    thermal_velocity_he3)
-from levosc.media import (DEFAULT_VISCOSITY_TABLE, T_LAMBDA_K, above_lambda,
-                          load_property_overrides, media_from_overrides,
-                          viscosity_normal_grid)
+                    ViscosityTable, thermal_velocity_he3)
+from levosc.media import (DEFAULT_VISCOSITY_TABLE, OVERRIDE_TABLE, T_LAMBDA_K,
+                          above_lambda, load_property_overrides,
+                          media_from_overrides, viscosity_normal_grid)
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+NUMBER_KEYS = sorted(key for key, (kind, _) in OVERRIDE_TABLE.items()
+                     if kind == "number")
 
 
 def viscosity_normal(table, T):
@@ -109,25 +113,24 @@ class TestViscosity:
 
 class TestThermalVelocity:
     def test_reference_value_40mK(self, media):
-        v = thermal_velocity_he3(media.constants, media.quasiparticles, 0.04)
+        v = thermal_velocity_he3(media, 0.04)
         assert rel(v, 9.139918929787715) < 1e-13
 
     def test_rejects_nonpositive_T(self, media):
         for T in (0.0, -1.0):
             with pytest.raises(DomainError):
-                thermal_velocity_he3(media.constants, media.quasiparticles, T)
+                thermal_velocity_he3(media, T)
 
     @given(st.floats(min_value=1e-4, max_value=10.0))
     def test_v_squared_over_T_constant(self, T):
         med = HeliumMedia()
-        v = thermal_velocity_he3(med.constants, med.quasiparticles, T)
-        v1 = thermal_velocity_he3(med.constants, med.quasiparticles, 1.0)
+        v = thermal_velocity_he3(med, T)
+        v1 = thermal_velocity_he3(med, 1.0)
         assert rel(v * v / T, v1 * v1) < 1e-12
 
     def test_strictly_increasing(self, media):
         Ts = np.geomspace(1e-3, 2.0, 200)
-        vs = [thermal_velocity_he3(media.constants, media.quasiparticles,
-                                   float(T)) for T in Ts]
+        vs = [thermal_velocity_he3(media, float(T)) for T in Ts]
         assert np.all(np.diff(vs) > 0)
 
 
@@ -135,7 +138,7 @@ class TestNumberDensities:
     def test_he4_reference(self, media):
         assert rel(media.n4, 2.1831114438521342e+28) < 1e-14
         assert HeliumMedia(he4_mass_density=125.0).n4 \
-            == 125.0 / media.constants.m4
+            == 125.0 / media.m4
 
     def test_he3_density_at_reference_fraction(self, media):
         n3 = 4.2e-8 * media.n4
@@ -153,12 +156,11 @@ class TestNumberDensities:
 
 class TestDefaultsAndOverrides:
     def test_default_parameter_values(self, media):
-        assert media.constants == PhysicalConstants(
+        assert media == HeliumMedia(
             k_B=1.380649e-23, hbar=1.054571817e-34,
-            m3=5.0082345e-27, m4=6.6464770e-27)
-        assert media.quasiparticles == QuasiparticleParams(
-            c=238.0, k0=1.918e10, delta_over_kB=8.65, m3_eff_ratio=2.64)
-        assert media.he4_mass_density == 145.1
+            m3=5.0082345e-27, m4=6.6464770e-27,
+            c=238.0, k0=1.918e10, delta_over_kB=8.65, m3_eff_ratio=2.64,
+            he4_mass_density=145.1)
         assert media.viscosity.valid_range == (1.00, 2.17)
 
     def test_override_file(self, tmp_path):
@@ -170,11 +172,25 @@ class TestDefaultsAndOverrides:
                         "m3_eff_ratio = 2.5\n")
         overrides = load_property_overrides(path.read_bytes(), path)
         med = media_from_overrides(overrides, DEFAULT_VISCOSITY_TABLE)
-        assert med.quasiparticles.c == 240.0
-        assert med.quasiparticles.m3_eff_ratio == 2.5
+        assert med.c == 240.0
+        assert med.m3_eff_ratio == 2.5
         assert med.he4_mass_density == 145.3
         # untouched values keep their defaults
-        assert med.constants.k_B == 1.380649e-23
+        assert med.k_B == 1.380649e-23
+
+    @given(st.sampled_from(NUMBER_KEYS),
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_one_override_line_sets_its_field_alone(self, key, value):
+        defaults = HeliumMedia()
+        numbers = sorted(f.name for f in fields(HeliumMedia)
+                         if isinstance(getattr(defaults, f.name), float))
+        assert numbers == NUMBER_KEYS
+        data = f"{key} = {value!r}\n".encode()
+        med = media_from_overrides(load_property_overrides(data, "props.txt"),
+                                   DEFAULT_VISCOSITY_TABLE)
+        for f in fields(HeliumMedia):
+            expected = value if f.name == key else getattr(defaults, f.name)
+            assert getattr(med, f.name) == expected, f.name
 
     def test_override_viscosity_csv_resolved_relative(self, tmp_path):
         # the reader keeps the name as written; the CLI resolves it
@@ -209,9 +225,9 @@ class TestDefaultsAndOverrides:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("make", [
-        lambda v: PhysicalConstants(hbar=v),
-        lambda v: QuasiparticleParams(c=v),
-        lambda v: QuasiparticleParams(m3_eff_ratio=v),
+        lambda v: HeliumMedia(hbar=v),
+        lambda v: HeliumMedia(c=v),
+        lambda v: HeliumMedia(m3_eff_ratio=v),
         lambda v: ViscosityTable(((1.0, 2e-5), (2.0, v))),
         lambda v: ViscosityTable(((1.0, 2e-5), (v, 1e-6))),
         lambda v: HeliumMedia(he4_mass_density=v),
@@ -224,7 +240,7 @@ class TestDefaultsAndOverrides:
         with pytest.raises(Exception):
             media.he4_mass_density = 150.0
         with pytest.raises(Exception):
-            media.constants.k_B = 1.0
+            media.k_B = 1.0
 
 
 def test_superfluid_transition_bounds_the_models():
