@@ -6,6 +6,7 @@ the implementation must reproduce them from its own code path.
 """
 
 import io
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from levosc import (ConfigError, DomainError, HeliumMedia, OscillatorSpec,
                     RegimeMode, ViscosityTable, damping_table, drag_force,
                     linewidth, noise_density, viscosity_normal_grid)
+from levosc.cli import main
 from levosc.damping import (DEFAULT_TAU_VACUUM, KNUDSEN_DRAG_COEFF,
                             compose, damping_metadata, medium_channels,
                             write_damping_csv)
@@ -243,6 +245,20 @@ class TestSensitivity:
                        k * drag_force(osc, 4e4, 1e-5)) < 1e-12
             assert rel(noise_density(scaled, 0.1, 4e4),
                        k * noise_density(osc, 0.1, 4e4)) < 1e-12
+
+    def test_report_consistent_with_parts(self, osc, tmp_path):
+        # the sensitivity report is the CLI's sensitivity.json
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sensitivity": {
+            "temperature_K": 0.005, "tau_s": 4.1e5, "velocity_m_s": 1e-5}}))
+        out = tmp_path / "out"
+        assert main(["sensitivity", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rep = json.loads((out / "sensitivity.json").read_text())
+        assert rep["S_F_N2_per_Hz"] == noise_density(osc, 0.005, 4.1e5)
+        assert rep["F_D_N"] == drag_force(osc, 4.1e5, 1e-5)
+        assert rep["linewidth_Hz"] == linewidth(4.1e5)
+        assert rel(rep["T_over_tau_K_per_s"], 1.2195121951219512e-08) < 1e-14
 
     def test_invalid_inputs(self, osc):
         with pytest.raises(DomainError):
