@@ -212,9 +212,9 @@ def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
 
 def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
     """The parsed inputs of this command (``media``, ``geometry``,
-    ``series`` or ``blocks`` by index) and the sha256 of each file's
-    bytes by manifest name. Each file is read once, and a file that
-    cannot be read is a :class:`DataError` naming it."""
+    ``series`` or ``blocks`` by index, kept without their samples) and
+    the sha256 of each file's bytes by manifest name. Each file is read
+    once, and a file that cannot be read is a :class:`DataError` naming it."""
     digests: dict[str, str] = {}
 
     def parse(name: str, path: Path, parser, *extra):
@@ -256,10 +256,22 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
             raise DataError(f"no block files found in {blocks_dir}")
         # a binary frame carries no start time; the block index gives it
         interval = cfg["ringdown"]["block_interval_s"]
+        try:
+            f0 = _ringdown_from_config(args, cfg)[0].f0
+        except ConfigError:     # _cmd_ringdown raises it once --out is made
+            f0 = None
+
+        def kept(block):    # its measurement or error, never its samples
+            try:
+                row = None if f0 is None else rd.measure_block(block, f0)
+            except (LevoscError, ValueError, ArithmeticError) as exc:
+                row = exc.with_traceback(None)  # its frames hold samples
+            return block.start_time, block.sample_rate, len(block.samples), row
+
         inputs["blocks"] = {
-            k: parse(f"block:{path.name}", path, rd.read_block_bin,
-                     k * interval)
-            if bins else parse(f"block:{path.name}", path, rd.read_block_csv)
+            k: kept(parse(f"block:{path.name}", path, rd.read_block_bin,
+                          k * interval) if bins
+                    else parse(f"block:{path.name}", path, rd.read_block_csv))
             for k, path in (bins or csvs).items()}
     return inputs, digests
 
@@ -388,7 +400,7 @@ def _cmd_detection_sweep(args, cfg: dict, inputs: dict) -> list[str]:
     return outputs
 
 
-def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
+def _ringdown_from_config(args, cfg: dict) -> tuple:
     sec = cfg["ringdown"]
     try:
         params = rd.RingdownParams(
@@ -402,12 +414,18 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
             block_interval=sec["block_interval_s"])
     except ValueError as exc:
         raise ConfigError(f"ringdown config: {exc}") from exc
+    return params, schedule
+
+
+def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
+    sec = cfg["ringdown"]
+    params, schedule = _ringdown_from_config(args, cfg)
     outputs = []
     if args.action == "simulate":
         blocks_dir = _blocks_dir(args)
         blocks_dir.mkdir(parents=True, exist_ok=True)
-        blocks = rd.synthesize_ringdown(params, schedule)
-        for k, block in enumerate(blocks):
+        for k in range(schedule.n_blocks):
+            block = rd.synthesize_block(params, schedule, k)
             if sec["format"] == "bin":
                 path = blocks_dir / f"block_{k:06d}.rngd"
                 rd.write_block_bin(block, path)
@@ -417,13 +435,19 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
                     rd.write_block_csv(block, fh,
                                        header_comment=_csv_comment(args))
             outputs.append(str(path))
-        truth = dict(sec, seed=params.seed, n_blocks=len(blocks))
+        truth = dict(sec, seed=params.seed, n_blocks=schedule.n_blocks)
         outputs.append(_json_out(args, "ringdown_truth.json", truth))
         return outputs
 
+    # rd.analyze_ringdown's faults, in its order, over what was kept
     blocks = inputs["blocks"]
-    series, fit = rd.analyze_ringdown(list(blocks.values()), schedule,
-                                      params.f0)
+    for start, rate, n, _ in blocks.values():
+        rd.check_block(schedule, start, rate, n)
+    starts, _, _, rows = zip(*blocks.values())
+    for error in filter(lambda row: isinstance(row, Exception), rows):
+        raise error
+    series = rd.AmplitudeSeries(starts, *zip(*rows))
+    fit = rd.fit_decay(series)
     outputs.append(_csv_out(args, "amplitude_series.csv",
                             rd.write_series_csv, series))
     record = rd.decay_fit_dict(fit)

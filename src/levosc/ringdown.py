@@ -4,7 +4,10 @@ weighted log-linear fit of the amplitude envelope giving the ring-down
 time, its uncertainty, and the implied resonance linewidth. The
 per-block measurements leave as columns: :class:`AmplitudeSeries` holds
 one array per quantity, and a row is flagged when its SNR is below
-``SNR_FLAG_THRESHOLD``.
+``SNR_FLAG_THRESHOLD``. The block is the unit of work:
+:func:`synthesize_block` makes one and :func:`measure_block` measures
+one, so a caller that streams blocks holds one block's samples; the list
+functions are these two over a list.
 
 Synthesis noise comes from a counter-based (Philox) generator split per
 block, so a given seed produces bit-identical signals on any platform
@@ -13,6 +16,7 @@ and blocks are independent of how many of them are generated.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
@@ -31,8 +35,11 @@ __all__ = [
     "Block",
     "AmplitudeSeries",
     "DecayFit",
+    "synthesize_block",
     "synthesize_ringdown",
+    "measure_block",
     "amplitude_series",
+    "check_block",
     "fit_decay",
     "analyze_ringdown",
     "write_block_csv",
@@ -51,8 +58,9 @@ _BIN_HEADER = struct.Struct("<4sId")    # magic, version, sample rate
 
 SNR_FLAG_THRESHOLD = 3.0
 
-# Most samples a schedule may ask for: 1 GiB of float64. The default
-# record, 120 blocks of 15,000 samples, is 1.8 M.
+# Most samples a schedule may ask for: 1 GiB of float64. The CLI holds
+# one block at a time, so this bounds disk space and run time, not
+# memory. The default record, 120 blocks of 15,000 samples, is 1.8 M.
 MAX_SCHEDULE_SAMPLES = 2**27
 
 
@@ -181,45 +189,41 @@ class DecayFit:
             raise ValueError("sigma_tau must be non-negative")
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(block_index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def synthesize_ringdown(params: RingdownParams,
-                        schedule: BlockSchedule) -> list[Block]:
-    """Generate the blocks a real run would record.
-
-    Within each block x(t) = A0 exp(-t/tau) cos(2 pi f0 t + phi) plus
-    white gaussian noise of the requested rms, with t measured from the
-    start of the whole run.
-    """
+def synthesize_block(params: RingdownParams, schedule: BlockSchedule,
+                     k: int) -> Block:
+    """Block ``k`` of the run: x(t) = A0 exp(-t/tau) cos(2 pi f0 t + phi),
+    t from the start of the run, plus white gaussian noise of the
+    requested rms from block ``k``'s own stream."""
     if schedule.sample_rate <= 4.0 * params.f0:
         raise ConfigError(
             f"sample rate {schedule.sample_rate:g} Hz too low for "
             f"f0 = {params.f0:g} Hz (need > 4 f0)")
     n = schedule.samples_per_block
-    blocks = []
-    for k, start in enumerate(schedule.block_starts()):
-        t = start + np.arange(n) / schedule.sample_rate
-        x = (params.amplitude0 * np.exp(-t / params.tau)
-             * np.cos(2.0 * math.pi * params.f0 * t + params.phase0))
-        if params.noise_rms > 0:
-            x = x + _block_rng(params.seed, k).normal(
-                0.0, params.noise_rms, n)
-        blocks.append(Block(start_time=start,
-                            sample_rate=schedule.sample_rate, samples=x))
-    return blocks
+    start = k * schedule.block_interval
+    t = start + np.arange(n) / schedule.sample_rate
+    x = (params.amplitude0 * np.exp(-t / params.tau)
+         * np.cos(2.0 * math.pi * params.f0 * t + params.phase0))
+    if params.noise_rms > 0:
+        seeds = np.random.SeedSequence(int(params.seed), spawn_key=(k,))
+        x += np.random.Generator(np.random.Philox(seeds)).normal(
+            0.0, params.noise_rms, n)
+    return Block(start, schedule.sample_rate, x)
 
 
+def synthesize_ringdown(params: RingdownParams,
+                        schedule: BlockSchedule) -> list[Block]:
+    """Every block of the run, by :func:`synthesize_block`."""
+    return [synthesize_block(params, schedule, k)
+            for k in range(schedule.n_blocks)]
+
+
+@functools.lru_cache(maxsize=4)     # shared by every block of length n
 def _hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
 
 
-def amplitude_series(blocks: Sequence[Block],
-                     f0_hint: float) -> AmplitudeSeries:
-    """Extract the oscillation amplitude of each block.
+def measure_block(block: Block, f0_hint: float) -> tuple[float, float, float]:
+    """The peak frequency, amplitude and SNR of one block.
 
     Hann-windowed real FFT; the peak is searched within two bins of the
     hint, refined by parabolic interpolation of the log magnitude, and
@@ -227,43 +231,43 @@ def amplitude_series(blocks: Sequence[Block],
     amplitude A reads back as A. SNR is peak over median off-peak
     magnitude; below 3 the row is flagged as noise-dominated but kept.
     """
-    frequency, amplitude, snr = [], [], []
-    w = None    # one window for every block of the same length
-    for block in blocks:
-        x = block.samples
-        n = len(x)
-        if w is None or len(w) != n:
-            w = _hann(n)
-        if n * f0_hint / block.sample_rate < 20.0:
-            raise DataError(
-                "block shorter than 20 periods of the hint frequency")
-        # a huge signal overflows the transform; the peak check reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = np.abs(np.fft.rfft(x * w))
-        hint_bin = f0_hint * n / block.sample_rate
-        lo = max(1, round(hint_bin) - 2)
-        hi = min(len(mag) - 2, round(hint_bin) + 2)
-        if lo > hi:
-            raise DataError("hint frequency outside the resolvable band")
-        k = lo + int(np.argmax(mag[lo:hi + 1]))
-        around = mag[k - 1:k + 2]
-        if not np.all((around > 0.0) & (around < math.inf)):
-            raise DataError(f"block at t = {block.start_time:g} s: spectral "
-                            "peak is zero or not finite")
-        # parabolic refinement on log magnitude (exact for a gaussian-ish
-        # peak, excellent for a Hann main lobe)
-        alpha, beta, gamma = np.log(around)
-        denom = alpha - 2.0 * beta + gamma
-        delta = 0.0 if denom == 0.0 else 0.5 * (alpha - gamma) / denom
-        delta = float(np.clip(delta, -0.5, 0.5))
-        peak = math.exp(beta - 0.25 * (alpha - gamma) * delta)
-        off = np.concatenate([mag[1:max(k - 3, 1)], mag[k + 4:]])
-        floor = float(np.median(off)) if len(off) else 0.0
-        frequency.append((k + delta) * block.sample_rate / n)
-        amplitude.append(peak * 2.0 / float(np.sum(w)))
-        snr.append(math.inf if floor == 0.0 else peak / floor)
-    return AmplitudeSeries([b.start_time for b in blocks], frequency,
-                           amplitude, snr)
+    n = len(block.samples)
+    w = _hann(n)
+    if n * f0_hint / block.sample_rate < 20.0:
+        raise DataError("block shorter than 20 periods of the hint frequency")
+    # a huge signal overflows the transform; the peak check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = np.abs(np.fft.rfft(block.samples * w))
+    hint_bin = f0_hint * n / block.sample_rate
+    lo = max(1, round(hint_bin) - 2)
+    hi = min(len(mag) - 2, round(hint_bin) + 2)
+    if lo > hi:
+        raise DataError("hint frequency outside the resolvable band")
+    k = lo + int(np.argmax(mag[lo:hi + 1]))
+    around = mag[k - 1:k + 2]
+    if not np.all((around > 0.0) & (around < math.inf)):
+        raise DataError(f"block at t = {block.start_time:g} s: spectral "
+                        "peak is zero or not finite")
+    # parabolic refinement on log magnitude (exact for a gaussian-ish
+    # peak, excellent for a Hann main lobe)
+    alpha, beta, gamma = np.log(around)
+    denom = alpha - 2.0 * beta + gamma
+    delta = 0.0 if denom == 0.0 else 0.5 * (alpha - gamma) / denom
+    delta = float(np.clip(delta, -0.5, 0.5))
+    peak = math.exp(beta - 0.25 * (alpha - gamma) * delta)
+    off = np.concatenate([mag[1:max(k - 3, 1)], mag[k + 4:]])
+    floor = float(np.median(off)) if len(off) else 0.0
+    return ((k + delta) * block.sample_rate / n,
+            peak * 2.0 / float(np.sum(w)),
+            math.inf if floor == 0.0 else peak / floor)
+
+
+def amplitude_series(blocks: Sequence[Block],
+                     f0_hint: float) -> AmplitudeSeries:
+    """The :func:`measure_block` row of each block, as columns."""
+    rows = [measure_block(block, f0_hint) for block in blocks]
+    return AmplitudeSeries([b.start_time for b in blocks],
+                           *np.reshape(rows, (-1, 3)).T)
 
 
 def fit_decay(series: AmplitudeSeries) -> DecayFit:
@@ -310,22 +314,24 @@ def fit_decay(series: AmplitudeSeries) -> DecayFit:
                     linewidth=1.0 / (math.pi * tau))
 
 
+def check_block(schedule: BlockSchedule, start_time: float,
+                sample_rate: float, n: int) -> None:
+    """Refuse a block whose sample rate or length is not the schedule's."""
+    # a rate from a CSV time column carries its rounding: a tight tolerance
+    if abs(sample_rate - schedule.sample_rate) > 1e-9 * schedule.sample_rate:
+        raise DataError("block sample rate differs from the schedule")
+    if abs(n - schedule.samples_per_block) > 1:
+        raise DataError(f"block at t = {start_time:g} s has {n} samples, "
+                        f"schedule expects {schedule.samples_per_block}")
+
+
 def analyze_ringdown(blocks: Sequence[Block], schedule: BlockSchedule,
                      f0_hint: float) -> tuple[AmplitudeSeries, DecayFit]:
     """Full pipeline: per-block amplitudes, then the decay fit."""
     if not blocks:
         raise DataError("no blocks to analyze")
-    n_expect = schedule.samples_per_block
     for b in blocks:
-        # rates recovered from timestamp columns carry representation
-        # rounding, so compare with a tight relative tolerance
-        if abs(b.sample_rate - schedule.sample_rate) \
-                > 1e-9 * schedule.sample_rate:
-            raise DataError("block sample rate differs from the schedule")
-        if abs(len(b.samples) - n_expect) > 1:
-            raise DataError(
-                f"block at t = {b.start_time:g} s has {len(b.samples)} "
-                f"samples, schedule expects {n_expect}")
+        check_block(schedule, b.start_time, b.sample_rate, len(b.samples))
     series = amplitude_series(blocks, f0_hint)
     return series, fit_decay(series)
 
@@ -376,7 +382,7 @@ def write_block_bin(block: Block, path: str | Path) -> None:
     frame (file naming or a run manifest)."""
     with open(path, "wb") as fh:
         fh.write(_BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, block.sample_rate))
-        fh.write(block.samples.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(block.samples, dtype="<f8"))
 
 
 def read_block_bin(raw: bytes, source: str | Path,

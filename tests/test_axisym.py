@@ -174,7 +174,7 @@ class TestSphereSolves:
             axisymmetric_oracle(geometry, CENTER, RADIUS, 64)
 
 
-class TestConjugateGradientSolve:
+class TestDirectSolve:
     def test_delta_L_pinned_to_relaxation_value(self, geometry):
         # value the red-black relaxation solver converged to on this mesh
         dL = oracle_sweep(geometry, [CENTER], RADIUS, GRID)[0]

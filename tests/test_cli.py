@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
                             noise_density)
 from levosc.detection import coaxial_geometry
 from levosc.media import HeliumMedia
+from levosc.ringdown import amplitude_series, read_block_bin, write_series_csv
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -765,6 +767,110 @@ def test_ringdown_analyze_missing_blocks_keeps_tau(tmp_path):
     _, rows, _ = read_csv(out / "amplitude_series.csv")
     assert [float(r[0]) for r in rows] == [
         k * 3600.0 for k in range(12) if k not in (0, 5, 6)]
+
+
+def test_ringdown_memory_does_not_grow_with_the_record(tmp_path):
+    # 48 blocks of 15,000 samples: the record is 5.8 MB, a block 0.12 MB
+    cfg = write_config(tmp_path, {"ringdown": {
+        "total_duration_s": 48 * 3600.0, "noise_rms": 0.5}})
+    block_bytes = 15000 * 8
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for action in ("simulate", "analyze"):
+            argv = ["ringdown", action, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]
+            assert main(argv) == 0     # warm-up: imports and caches
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peaks[action] = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) < 8 * block_bytes, peaks
+
+
+def _ringdown_run(tmp_path):
+    """A simulated record: its config, its --out and its 12 block files."""
+    cfg = write_config(tmp_path, RINGDOWN_CFG)
+    out = tmp_path / "out"
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    return cfg, out, sorted((out / "blocks").glob("block_*.rngd"))
+
+
+def _shorten(path):
+    """A valid frame 40 samples short of the schedule."""
+    path.write_bytes(path.read_bytes()[:-320])
+
+
+def test_ringdown_corrupt_block_beats_an_earlier_wrong_length(tmp_path,
+                                                              capsys):
+    cfg, out, blocks = _ringdown_run(tmp_path)
+    _shorten(blocks[2])
+    blocks[5].write_bytes(b"XXXX" + blocks[5].read_bytes()[4:])
+    capsys.readouterr()
+    assert main(["ringdown", "analyze", "--config", str(cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "block_000005.rngd" in err and "not a ring-down block" in err
+
+
+def test_ringdown_corrupt_block_beats_a_bad_schedule(tmp_path, capsys):
+    _, out, blocks = _ringdown_run(tmp_path)
+    blocks[5].write_bytes(b"garbage")
+    bad = write_config(tmp_path, {"ringdown": {"block_length_s": 4000.0}},
+                       name="bad.json")
+    capsys.readouterr()
+    assert main(["ringdown", "analyze", "--config", str(bad),
+                 "--out", str(out)]) == 3
+    assert "block_000005.rngd" in capsys.readouterr().err
+
+
+def test_ringdown_wrong_length_beats_a_later_bad_peak(tmp_path, capsys):
+    cfg, out, blocks = _ringdown_run(tmp_path)
+    _shorten(blocks[2])
+    raw = blocks[5].read_bytes()
+    blocks[5].write_bytes(raw[:16] + bytes(len(raw) - 16))   # all zero
+    capsys.readouterr()
+    assert main(["ringdown", "analyze", "--config", str(cfg),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "block at t = 7200 s has 14960 samples" in err
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_blocks=st.integers(8, 14), rate=st.sampled_from([20.0, 50.0]),
+       length=st.sampled_from([30.0, 60.0, 120.0]),
+       interval=st.sampled_from([600.0, 1800.0]),
+       tau_per_span=st.floats(0.5, 3.0), noise=st.floats(0.0, 0.3),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_ringdown_analyze_series_equals_library_series(
+        n_blocks, rate, length, interval, tau_per_span, noise, seed, data):
+    missing = data.draw(st.sets(st.integers(0, n_blocks - 1),
+                                max_size=n_blocks - 6))
+    span = (n_blocks - 1) * interval
+    cfg_obj = {"ringdown": {
+        "sample_rate_Hz": rate, "block_length_s": length,
+        "block_interval_s": interval, "total_duration_s": n_blocks * interval,
+        "tau_s": tau_per_span * span, "noise_rms": noise, "seed": seed}}
+    with tempfile.TemporaryDirectory() as work:
+        cfg = write_config(Path(work), cfg_obj)
+        out = Path(work) / "out"
+        assert main(["ringdown", "simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        for k in missing:
+            (out / "blocks" / f"block_{k:06d}.rngd").unlink()
+        assert main(["ringdown", "analyze", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        written = (out / "amplitude_series.csv").read_text()
+        blocks = [read_block_bin(
+            (out / "blocks" / f"block_{k:06d}.rngd").read_bytes(), "block",
+            k * interval) for k in range(n_blocks) if k not in missing]
+    expected = io.StringIO()
+    write_series_csv(amplitude_series(blocks, 2.7), expected,
+                     header_comment=written.splitlines()[0][2:])
+    assert written == expected.getvalue()
 
 
 @pytest.mark.parametrize("name", ["block_7.rngd", "block_extra.rngd",

@@ -553,6 +553,14 @@ def test_bin_block_round_trip(tmp_path):
     assert len(raw) == 16 + 8 * len(block.samples)
 
 
+def test_bin_block_writes_strided_samples(tmp_path):
+    # the frame holds the samples' values, not the memory of a strided view
+    x = np.arange(40.0)[::3]
+    path = tmp_path / "b.rngd"
+    write_block_bin(Block(start_time=0.0, sample_rate=50.0, samples=x), path)
+    assert np.array_equal(read_block_bin(path.read_bytes(), path).samples, x)
+
+
 def test_bin_block_malformed(tmp_path):
     good = tmp_path / "good.rngd"
     write_block_bin(Block(start_time=0.0, sample_rate=50.0,
