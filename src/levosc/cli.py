@@ -15,13 +15,14 @@ Only this module opens input files, each once (:func:`_load_config`,
 :func:`_read_inputs`): the manifest digests the bytes that are parsed.
 
 Exit codes: 0 success, 2 usage or configuration problems (an input too
-large for the available memory among them), 3 physics, geometry, or
-data problems.
+large for the available memory, or an output that cannot be written,
+among them), 3 physics, geometry, or data problems.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -268,11 +269,15 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
                 row = exc.with_traceback(None)  # its frames hold samples
             return block.start_time, block.sample_rate, len(block.samples), row
 
-        inputs["blocks"] = {
-            k: kept(parse(f"block:{path.name}", path, rd.read_block_bin,
-                          k * interval) if bins
-                    else parse(f"block:{path.name}", path, rd.read_block_csv))
-            for k, path in (bins or csvs).items()}
+        files = bins or csvs
+
+        def read(k):    # on either thread; each adds its own digest key
+            name, path = f"block:{files[k].name}", files[k]
+            if bins:
+                return kept(parse(name, path, rd.read_block_bin, k * interval))
+            return kept(parse(name, path, rd.read_block_csv))
+
+        inputs["blocks"] = dict(zip(files, rd.map_blocks(read, list(files))))
     return inputs, digests
 
 
@@ -292,8 +297,18 @@ def _write_manifest(out_dir: Path, core: dict, status: str,
                     outputs: list[str], wall_clock: float) -> None:
     record = dict(core, status=status, outputs=sorted(outputs),
                   wall_clock_s=wall_clock)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n")
+    path = out_dir / "manifest.json"
+    with _writing(path):
+        path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Turn an OSError while writing ``path`` into an exit 2 naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_out(args, name: str, obj: dict) -> str:
@@ -303,8 +318,9 @@ def _json_out(args, name: str, obj: dict) -> str:
     # records that already state an effective seed keep it; the manifest
     # seed is only the command-line override (None means "from config")
     obj.setdefault("seed", core["seed"])
-    (args.out / name).write_text(json.dumps(obj, sort_keys=True, indent=2)
-                                 + "\n")
+    path = args.out / name
+    with _writing(path):
+        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return name
 
 
@@ -315,7 +331,7 @@ def _csv_comment(args) -> str:
 
 def _csv_out(args, name: str, writer, *data, **options) -> str:
     """Write ``data`` by ``writer`` as ``name`` in --out; ``name``."""
-    with open(args.out / name, "w") as fh:
+    with _writing(args.out / name), open(args.out / name, "w") as fh:
         writer(*data, fh, header_comment=_csv_comment(args), **options)
     return name
 
@@ -342,7 +358,8 @@ def _cmd_damping_curve(args, cfg: dict, inputs: dict) -> list[str]:
     outputs.append(_json_out(args, "damping_metadata.json", meta))
     if args.svg:
         svg_path = args.out / "damping_curve.svg"
-        svg_path.write_text(_damping_svg(table, _csv_comment(args)))
+        with _writing(svg_path):
+            svg_path.write_text(_damping_svg(table, _csv_comment(args)))
         outputs.append(svg_path.name)
     return outputs
 
@@ -390,12 +407,13 @@ def _cmd_detection_sweep(args, cfg: dict, inputs: dict) -> list[str]:
                         result, oracle_delta_L=oracle_col)]
     if args.svg:
         svg_path = args.out / "detection_sweep.svg"
-        svg_path.write_text(line_plot_svg(
-            [Series(result.position.tolist(),
-                    np.abs(result.delta_L).tolist(), "|delta L|")],
-            "position (m)", "|delta L| (H)",
-            title="inductance shift versus sphere position", log_y=True,
-            comment=_csv_comment(args)))
+        with _writing(svg_path):
+            svg_path.write_text(line_plot_svg(
+                [Series(result.position.tolist(),
+                        np.abs(result.delta_L).tolist(), "|delta L|")],
+                "position (m)", "|delta L| (H)",
+                title="inductance shift versus sphere position",
+                log_y=True, comment=_csv_comment(args)))
         outputs.append(svg_path.name)
     return outputs
 
@@ -420,21 +438,28 @@ def _ringdown_from_config(args, cfg: dict) -> tuple:
 def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
     sec = cfg["ringdown"]
     params, schedule = _ringdown_from_config(args, cfg)
-    outputs = []
     if args.action == "simulate":
         blocks_dir = _blocks_dir(args)
-        blocks_dir.mkdir(parents=True, exist_ok=True)
-        for k in range(schedule.n_blocks):
+        try:
+            blocks_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create block directory {blocks_dir}: "
+                              f"{exc}") from exc
+        suffix = "rngd" if sec["format"] == "bin" else "csv"
+
+        def write(k):   # on either thread of rd.map_blocks
             block = rd.synthesize_block(params, schedule, k)
-            if sec["format"] == "bin":
-                path = blocks_dir / f"block_{k:06d}.rngd"
-                rd.write_block_bin(block, path)
-            else:
-                path = blocks_dir / f"block_{k:06d}.csv"
-                with open(path, "w") as fh:
-                    rd.write_block_csv(block, fh,
-                                       header_comment=_csv_comment(args))
-            outputs.append(str(path))
+            path = blocks_dir / f"block_{k:06d}.{suffix}"
+            with _writing(path):
+                if suffix == "rngd":
+                    rd.write_block_bin(block, path)
+                else:
+                    with open(path, "w") as fh:
+                        rd.write_block_csv(block, fh,
+                                           header_comment=_csv_comment(args))
+            return str(path)
+
+        outputs = rd.map_blocks(write, range(schedule.n_blocks))
         truth = dict(sec, seed=params.seed, n_blocks=schedule.n_blocks)
         outputs.append(_json_out(args, "ringdown_truth.json", truth))
         return outputs
@@ -448,8 +473,8 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
         raise error
     series = rd.AmplitudeSeries(starts, *zip(*rows))
     fit = rd.fit_decay(series)
-    outputs.append(_csv_out(args, "amplitude_series.csv",
-                            rd.write_series_csv, series))
+    outputs = [_csv_out(args, "amplitude_series.csv", rd.write_series_csv,
+                        series)]
     record = rd.decay_fit_dict(fit)
     record["missing_block_indices"] = sorted(
         set(range(schedule.n_blocks)) - set(blocks))
@@ -491,7 +516,7 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
         base, contam = fitting.predict_contamination(fit.x3, added, osc,
                                                      med, grid, mode)
         pred_path = args.out / "contamination_prediction.csv"
-        with open(pred_path, "w") as fh:
+        with _writing(pred_path), open(pred_path, "w") as fh:
             write_csv(fh, [_csv_comment(args)],
                       ["T_K", "tau_s", "tau_contaminated_s", "ratio"],
                       [base.T, base.tau_total, contam.tau_total,

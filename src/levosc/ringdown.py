@@ -7,7 +7,12 @@ one array per quantity, and a row is flagged when its SNR is below
 ``SNR_FLAG_THRESHOLD``. The block is the unit of work:
 :func:`synthesize_block` makes one and :func:`measure_block` measures
 one, so a caller that streams blocks holds one block's samples; the list
-functions are these two over a list.
+functions are these two over a list. :func:`map_blocks` runs such
+per-block work on the calling thread and one helper thread, two blocks
+in flight, in block order; every heavy step of a block (``exp``,
+``cos``, the Philox draws, the FFT, file IO, the sha256 digest) releases
+the interpreter lock, so the two overlap. There is no setting for the
+thread count.
 
 Synthesis noise comes from a counter-based (Philox) generator split per
 block, so a given seed produces bit-identical signals on any platform
@@ -20,9 +25,10 @@ import functools
 import io
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,6 +41,7 @@ __all__ = [
     "Block",
     "AmplitudeSeries",
     "DecayFit",
+    "map_blocks",
     "synthesize_block",
     "synthesize_ringdown",
     "measure_block",
@@ -59,8 +66,9 @@ _BIN_HEADER = struct.Struct("<4sId")    # magic, version, sample rate
 SNR_FLAG_THRESHOLD = 3.0
 
 # Most samples a schedule may ask for: 1 GiB of float64. The CLI holds
-# one block at a time, so this bounds disk space and run time, not
-# memory. The default record, 120 blocks of 15,000 samples, is 1.8 M.
+# two blocks at a time, one per thread, so this bounds disk space and
+# run time, not memory. The default record, 120 blocks of 15,000
+# samples, is 1.8 M.
 MAX_SCHEDULE_SAMPLES = 2**27
 
 
@@ -189,6 +197,50 @@ class DecayFit:
             raise ValueError("sigma_tau must be non-negative")
 
 
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def map_blocks(fn: Callable[[_Item], _Result],
+               items: Sequence[_Item]) -> list[_Result]:
+    """``[fn(item) for item in items]``, run on this thread and one helper
+    thread, so that two items are in flight.
+
+    Both threads take the next index from one counter, so items start in
+    index order. Once an item raises, no item of a higher index starts,
+    and the exception of the lowest-indexed item that raised is raised
+    here: the one that the plain loop would raise.
+    """
+    results: list = [None] * len(items)
+    faults: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    next_index, stop = 0, len(items)    # stop: the first not to start
+
+    def work():
+        nonlocal next_index, stop
+        while True:
+            with lock:
+                i = next_index
+                if i >= stop:
+                    return
+                next_index += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:    # the caller raises it below
+                with lock:
+                    faults[i] = exc
+                    stop = min(stop, i)
+                return
+
+    helper = threading.Thread(target=work, daemon=True)
+    helper.start()
+    work()
+    helper.join()
+    if faults:
+        raise faults[min(faults)]
+    return results
+
+
 def synthesize_block(params: RingdownParams, schedule: BlockSchedule,
                      k: int) -> Block:
     """Block ``k`` of the run: x(t) = A0 exp(-t/tau) cos(2 pi f0 t + phi),
@@ -200,21 +252,34 @@ def synthesize_block(params: RingdownParams, schedule: BlockSchedule,
             f"f0 = {params.f0:g} Hz (need > 4 f0)")
     n = schedule.samples_per_block
     start = k * schedule.block_interval
-    t = start + np.arange(n) / schedule.sample_rate
-    x = (params.amplitude0 * np.exp(-t / params.tau)
-         * np.cos(2.0 * math.pi * params.f0 * t + params.phase0))
+    # in place, each operation of the formula in its order, so that the
+    # samples are bit for bit those of the plain expression
+    t = np.arange(n, dtype=float)
+    t /= schedule.sample_rate
+    t += start
+    x = np.negative(t)
+    x /= params.tau
+    np.exp(x, out=x)
+    np.multiply(params.amplitude0, x, out=x)
+    t *= 2.0 * math.pi * params.f0
+    t += params.phase0
+    x *= np.cos(t, out=t)
     if params.noise_rms > 0:
         seeds = np.random.SeedSequence(int(params.seed), spawn_key=(k,))
-        x += np.random.Generator(np.random.Philox(seeds)).normal(
-            0.0, params.noise_rms, n)
+        rng = np.random.Generator(np.random.Philox(seeds))
+        noise = rng.standard_normal(n, out=t)
+        with np.errstate(over="ignore"):    # normal() warns of none either
+            noise *= params.noise_rms
+        noise += 0.0    # normal(0.0, rms) draws 0.0 + rms z: no -0.0
+        x += noise
     return Block(start, schedule.sample_rate, x)
 
 
 def synthesize_ringdown(params: RingdownParams,
                         schedule: BlockSchedule) -> list[Block]:
     """Every block of the run, by :func:`synthesize_block`."""
-    return [synthesize_block(params, schedule, k)
-            for k in range(schedule.n_blocks)]
+    return map_blocks(functools.partial(synthesize_block, params, schedule),
+                      range(schedule.n_blocks))
 
 
 @functools.lru_cache(maxsize=4)     # shared by every block of length n
@@ -265,7 +330,7 @@ def measure_block(block: Block, f0_hint: float) -> tuple[float, float, float]:
 def amplitude_series(blocks: Sequence[Block],
                      f0_hint: float) -> AmplitudeSeries:
     """The :func:`measure_block` row of each block, as columns."""
-    rows = [measure_block(block, f0_hint) for block in blocks]
+    rows = map_blocks(lambda block: measure_block(block, f0_hint), blocks)
     return AmplitudeSeries([b.start_time for b in blocks],
                            *np.reshape(rows, (-1, 3)).T)
 
@@ -306,9 +371,12 @@ def fit_decay(series: AmplitudeSeries) -> DecayFit:
     var_slope = (chi2 / dof) / s_tt
     sigma_tau = math.sqrt(var_slope) * tau * tau
     A0 = math.exp(intercept)
-    amp = np.exp(y)
-    model = A0 * np.exp(-t / tau)
-    residual_rms = float(np.sqrt(np.mean((amp - model)**2)))
+    diff = np.exp(y) - A0 * np.exp(-t / tau)
+    with np.errstate(over="ignore"):
+        residual_rms = float(np.sqrt(np.mean(diff**2)))
+    if not math.isfinite(residual_rms):     # the squares overflowed
+        scale = float(np.max(np.abs(diff)))
+        residual_rms = scale * float(np.sqrt(np.mean((diff / scale)**2)))
     return DecayFit(A0=A0, tau=tau, sigma_tau=sigma_tau,
                     residual_rms=residual_rms,
                     linewidth=1.0 / (math.pi * tau))

@@ -905,6 +905,52 @@ def test_ringdown_analyze_mixed_block_formats_exits_2(tmp_path, capsys):
     assert not (out / "decay_fit.json").exists()
 
 
+def _block_is_a_directory(cfg, out):
+    (out / "blocks" / "block_000005.rngd").mkdir(parents=True)
+    return "simulate", out / "blocks" / "block_000005.rngd"
+
+
+def _blocks_is_a_file(cfg, out):
+    out.mkdir()
+    (out / "blocks").write_text("not a directory")
+    return "simulate", out / "blocks"
+
+
+def _fit_is_a_directory(cfg, out):
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    (out / "decay_fit.json").mkdir()
+    return "analyze", out / "decay_fit.json"
+
+
+@pytest.mark.parametrize("make", [_block_is_a_directory, _blocks_is_a_file,
+                                  _fit_is_a_directory])
+def test_ringdown_unwritable_output_exits_2(tmp_path, capsys, make):
+    cfg = write_config(tmp_path, RINGDOWN_CFG)
+    out = tmp_path / "out"
+    action, path = make(cfg, out)
+    capsys.readouterr()
+    assert main(["ringdown", action, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("levosc: config error: cannot ")
+    assert f"{path}: " in err
+
+
+def test_ringdown_first_unwritable_block_is_reported(tmp_path, capsys):
+    # blocks 5 and 8 cannot be written: block 5's fault is the one named,
+    # and every block before it is written
+    cfg = write_config(tmp_path, RINGDOWN_CFG)
+    blocks = tmp_path / "out" / "blocks"
+    for k in (5, 8):
+        (blocks / f"block_{k:06d}.rngd").mkdir(parents=True)
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "block_000005.rngd" in err and "block_000008" not in err
+    assert all((blocks / f"block_{k:06d}.rngd").is_file() for k in range(5))
+
+
 def test_ringdown_huge_duration_exits_2_at_once(tmp_path, capsys):
     cfg = write_config(tmp_path, {"ringdown": {"total_duration_s": 1e300}})
     started = time.monotonic()

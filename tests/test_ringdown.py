@@ -8,6 +8,8 @@ decaying envelope, computed directly as a weighted sum.
 import io
 import math
 import struct
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -28,8 +30,10 @@ from levosc.ringdown import (
     amplitude_series,
     decay_fit_dict,
     fit_decay,
+    map_blocks,
     read_block_bin,
     read_block_csv,
+    synthesize_block,
     synthesize_ringdown,
     write_block_bin,
     write_block_csv,
@@ -144,6 +148,24 @@ def test_synthesis_matches_formula_noiseless():
     assert blocks[1].start_time == 3600.0
 
 
+@pytest.mark.parametrize("noise", [1e-3, 0.4, 7.0, 1e308])
+@pytest.mark.parametrize("k", [0, 1, 37])
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+def test_synthesis_matches_formula_with_noise(seed, k, noise):
+    # the formula and the noise draw as a plain expression: the in-place
+    # synthesis must give these bits
+    p = RingdownParams(amplitude0=0.7, f0=2.7, tau=5e4, phase0=0.3,
+                       noise_rms=noise, seed=seed)
+    s = BlockSchedule(sample_rate=50.0, total_duration=40 * 3600.0,
+                      block_length=60.0, block_interval=3600.0)
+    t = k * 3600.0 + np.arange(3000) / 50.0
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(k,))))
+    want = (0.7 * np.exp(-t / 5e4) * np.cos(2 * math.pi * 2.7 * t + 0.3)
+            + rng.normal(0.0, noise, 3000))
+    assert np.array_equal(synthesize_block(p, s, k).samples, want)
+
+
 def test_synthesis_deterministic_per_seed():
     p = RingdownParams(amplitude0=1.0, f0=2.7, tau=410400.0,
                        noise_rms=1.5, seed=7)
@@ -166,6 +188,63 @@ def test_block_noise_independent_of_run_length():
     assert len(short) == 12
     for a, b in zip(short, full):
         assert np.array_equal(a.samples, b.samples)
+
+
+class Boom(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 16), data=st.data())
+def test_map_blocks_keeps_order_and_raises_the_first_fault(n, data):
+    faulty = data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))
+    pauses = data.draw(st.lists(st.sampled_from([0.0, 1e-4, 1e-3]),
+                                min_size=n, max_size=n))
+    events = []     # ("start" or "fault", index), in the order they happen
+
+    def fn(i):
+        events.append(("start", i))
+        time.sleep(pauses[i])
+        if i in faulty:
+            events.append(("fault", i))
+            raise Boom(i)
+        return -i
+
+    # threads change hands only where one blocks (the sleeps in fn), never
+    # between a fault's log entry and map_blocks recording it, so the log
+    # is in the order that map_blocks sees
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(10.0)
+    try:
+        if faulty:
+            with pytest.raises(Boom) as caught:
+                map_blocks(fn, range(n))
+            assert caught.value.args == (min(faulty),)
+        else:
+            assert map_blocks(fn, range(n)) == [-i for i in range(n)]
+    finally:
+        sys.setswitchinterval(interval)
+    starts = [i for kind, i in events if kind == "start"]
+    assert starts == sorted(set(starts))
+    assert set(range(min(faulty, default=n - 1) + 1)) <= set(starts)
+    for at, (kind, i) in enumerate(events):
+        if kind == "fault":
+            assert all(j < i for later, j in events[at:] if later == "start")
+
+
+def test_map_blocks_runs_each_item_once_under_fast_switching():
+    # the two threads trade the interpreter every microsecond: a lost
+    # update of the shared index would skip or repeat an item
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            ran = []
+            got = map_blocks(lambda i: ran.append(i) or -i, range(500))
+            assert got == [-i for i in range(500)]
+            assert sorted(ran) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_synthesis_rejects_low_sample_rate():
@@ -375,6 +454,19 @@ def test_fit_recovers_any_exact_decay(tau, a0):
     fit = fit_decay(exact_series(tau, a0=a0))
     assert abs(fit.tau - tau) / tau < 1e-9
     assert abs(fit.A0 - a0) / a0 < 1e-9
+
+
+def test_fit_residual_stays_finite_at_huge_amplitude():
+    # squaring residuals of 1e300 overflows; the fit rescales instead
+    base = exact_series(3e4, a0=1.0)
+    wobble = 1.0 + 1e-3 * np.sin(np.arange(len(base.time)))
+    fits = [fit_decay(AmplitudeSeries(base.time, base.frequency,
+                                      scale * wobble * base.amplitude,
+                                      base.snr))
+            for scale in (1.0, 1e300)]
+    assert math.isfinite(fits[1].residual_rms)
+    assert fits[1].residual_rms == pytest.approx(
+        1e300 * fits[0].residual_rms, rel=1e-9)
 
 
 def test_fit_downweights_low_snr_row():
