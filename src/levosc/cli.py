@@ -13,6 +13,9 @@ naming ``section.key``.
 
 Only this module opens input files, each once (:func:`_load_config`,
 :func:`_read_inputs`): the manifest digests the bytes that are parsed.
+``ringdown analyze`` only loads block files: :func:`_read_inputs` hands
+a loader to :func:`levosc.ringdown.measure_blocks`, and
+:func:`levosc.ringdown.fit_blocks` checks, orders the faults and fits.
 
 Exit codes: 0 success, 2 usage or configuration problems (an input too
 large for the available memory, or an output that cannot be written,
@@ -255,29 +258,19 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
                               "blocks; analyze one format at a time")
         if not (bins or csvs):
             raise DataError(f"no block files found in {blocks_dir}")
+        files = bins or csvs
         # a binary frame carries no start time; the block index gives it
         interval = cfg["ringdown"]["block_interval_s"]
-        try:
-            f0 = _ringdown_from_config(args, cfg)[0].f0
-        except ConfigError:     # _cmd_ringdown raises it once --out is made
-            f0 = None
 
-        def kept(block):    # its measurement or error, never its samples
-            try:
-                row = None if f0 is None else rd.measure_block(block, f0)
-            except (LevoscError, ValueError, ArithmeticError) as exc:
-                row = exc.with_traceback(None)  # its frames hold samples
-            return block.start_time, block.sample_rate, len(block.samples), row
-
-        files = bins or csvs
-
-        def read(k):    # on either thread; each adds its own digest key
+        def load(k):    # on either thread; each adds its own digest key
             name, path = f"block:{files[k].name}", files[k]
             if bins:
-                return kept(parse(name, path, rd.read_block_bin, k * interval))
-            return kept(parse(name, path, rd.read_block_csv))
+                return parse(name, path, rd.read_block_bin, k * interval)
+            return parse(name, path, rd.read_block_csv)
 
-        inputs["blocks"] = dict(zip(files, rd.map_blocks(read, list(files))))
+        # a hint that the config refuses: _cmd_ringdown raises it first
+        inputs["blocks"] = dict(zip(files, rd.measure_blocks(
+            load, list(files), cfg["ringdown"]["f0_Hz"])))
     return inputs, digests
 
 
@@ -300,6 +293,14 @@ def _write_manifest(out_dir: Path, core: dict, status: str,
     path = out_dir / "manifest.json"
     with _writing(path):
         path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def _mkdir(path: Path, what: str) -> None:
+    """Create directory ``path``; a failure is an exit 2 naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
+        raise ConfigError(f"cannot create {what} {path}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -440,11 +441,7 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
     params, schedule = _ringdown_from_config(args, cfg)
     if args.action == "simulate":
         blocks_dir = _blocks_dir(args)
-        try:
-            blocks_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create block directory {blocks_dir}: "
-                              f"{exc}") from exc
+        _mkdir(blocks_dir, "block directory")
         suffix = "rngd" if sec["format"] == "bin" else "csv"
 
         def write(k):   # on either thread of rd.map_blocks
@@ -464,20 +461,12 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
         outputs.append(_json_out(args, "ringdown_truth.json", truth))
         return outputs
 
-    # rd.analyze_ringdown's faults, in its order, over what was kept
-    blocks = inputs["blocks"]
-    for start, rate, n, _ in blocks.values():
-        rd.check_block(schedule, start, rate, n)
-    starts, _, _, rows = zip(*blocks.values())
-    for error in filter(lambda row: isinstance(row, Exception), rows):
-        raise error
-    series = rd.AmplitudeSeries(starts, *zip(*rows))
-    fit = rd.fit_decay(series)
+    series, fit = rd.fit_blocks(list(inputs["blocks"].values()), schedule)
     outputs = [_csv_out(args, "amplitude_series.csv", rd.write_series_csv,
                         series)]
     record = rd.decay_fit_dict(fit)
     record["missing_block_indices"] = sorted(
-        set(range(schedule.n_blocks)) - set(blocks))
+        set(range(schedule.n_blocks)) - set(inputs["blocks"]))
     outputs.append(_json_out(args, "decay_fit.json", record))
     return outputs
 
@@ -553,11 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg, blob = _load_config(args.config)
         inputs, digests = _read_inputs(args, cfg)
         args._manifest = _manifest_core(args, blob, digests)
-        try:
-            args.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot create output directory {args.out}: {exc}") from exc
+        _mkdir(args.out, "output directory")
         outputs = _DISPATCH[args.command](args, cfg, inputs)
         _write_manifest(args.out, args._manifest, "ok", outputs,
                         time.monotonic() - started)

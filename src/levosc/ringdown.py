@@ -1,18 +1,18 @@
 """Free-decay signal synthesis and the block spectral measurement
 pipeline: Hann-windowed Fourier amplitude extraction per block, then a
 weighted log-linear fit of the amplitude envelope giving the ring-down
-time, its uncertainty, and the implied resonance linewidth. The
-per-block measurements leave as columns: :class:`AmplitudeSeries` holds
-one array per quantity, and a row is flagged when its SNR is below
-``SNR_FLAG_THRESHOLD``. The block is the unit of work:
-:func:`synthesize_block` makes one and :func:`measure_block` measures
-one, so a caller that streams blocks holds one block's samples; the list
-functions are these two over a list. :func:`map_blocks` runs such
-per-block work on the calling thread and one helper thread, two blocks
-in flight, in block order; every heavy step of a block (``exp``,
-``cos``, the Philox draws, the FFT, file IO, the sha256 digest) releases
-the interpreter lock, so the two overlap. There is no setting for the
-thread count.
+time, its uncertainty, and the implied resonance linewidth.
+
+The block is the unit of work: :func:`synthesize_block` makes one and
+:func:`measure_block` measures one. The analysis is one path of two
+stages: :func:`measure_blocks` loads and measures each block and keeps
+its measurement, never its samples; :func:`fit_blocks` checks the blocks
+against the schedule, raises the first fault and fits the decay. The
+list functions are these over a list. :func:`map_blocks` runs per-block
+work on this thread and one helper thread, two blocks in flight, in
+block order; every heavy step of a block (``exp``, ``cos``, the Philox
+draws, the FFT, file IO, the sha256 digest) releases the interpreter
+lock, so the two overlap. There is no setting for the thread count.
 
 Synthesis noise comes from a counter-based (Philox) generator split per
 block, so a given seed produces bit-identical signals on any platform
@@ -32,7 +32,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FitError
+from .errors import ConfigError, DataError, FitError, LevoscError
 from .formats import read_numeric_csv, write_csv
 
 __all__ = [
@@ -45,9 +45,10 @@ __all__ = [
     "synthesize_block",
     "synthesize_ringdown",
     "measure_block",
+    "measure_blocks",
     "amplitude_series",
-    "check_block",
     "fit_decay",
+    "fit_blocks",
     "analyze_ringdown",
     "write_block_csv",
     "read_block_csv",
@@ -327,12 +328,36 @@ def measure_block(block: Block, f0_hint: float) -> tuple[float, float, float]:
             math.inf if floor == 0.0 else peak / floor)
 
 
+def measure_blocks(load: Callable[[int], Block], indices: Sequence[int],
+                   f0_hint: float) -> list[tuple]:
+    """``(start_time, sample_rate, length, row)`` of block ``load(k)`` for
+    each index, through :func:`map_blocks`: ``row`` is its
+    :func:`measure_block` row or that fault, kept without the traceback
+    whose frames hold the samples. A ``load`` fault is raised at once."""
+    def record(k):
+        block = load(k)
+        try:
+            row = measure_block(block, f0_hint)
+        except (LevoscError, ValueError, ArithmeticError) as exc:
+            row = exc.with_traceback(None)
+        return block.start_time, block.sample_rate, len(block.samples), row
+    return map_blocks(record, indices)
+
+
+def _series(records: Sequence[tuple]) -> AmplitudeSeries:
+    """The records' rows as columns, or the first measurement fault."""
+    for *_, row in records:
+        if isinstance(row, Exception):
+            raise row
+    return AmplitudeSeries([r[0] for r in records],
+                           *np.reshape([r[3] for r in records], (-1, 3)).T)
+
+
 def amplitude_series(blocks: Sequence[Block],
                      f0_hint: float) -> AmplitudeSeries:
     """The :func:`measure_block` row of each block, as columns."""
-    rows = map_blocks(lambda block: measure_block(block, f0_hint), blocks)
-    return AmplitudeSeries([b.start_time for b in blocks],
-                           *np.reshape(rows, (-1, 3)).T)
+    return _series(measure_blocks(blocks.__getitem__, range(len(blocks)),
+                                  f0_hint))
 
 
 def fit_decay(series: AmplitudeSeries) -> DecayFit:
@@ -382,26 +407,34 @@ def fit_decay(series: AmplitudeSeries) -> DecayFit:
                     linewidth=1.0 / (math.pi * tau))
 
 
-def check_block(schedule: BlockSchedule, start_time: float,
-                sample_rate: float, n: int) -> None:
-    """Refuse a block whose sample rate or length is not the schedule's."""
-    # a rate from a CSV time column carries its rounding: a tight tolerance
-    if abs(sample_rate - schedule.sample_rate) > 1e-9 * schedule.sample_rate:
-        raise DataError("block sample rate differs from the schedule")
-    if abs(n - schedule.samples_per_block) > 1:
-        raise DataError(f"block at t = {start_time:g} s has {n} samples, "
-                        f"schedule expects {schedule.samples_per_block}")
+def fit_blocks(records: Sequence[tuple], schedule: BlockSchedule
+               ) -> tuple[AmplitudeSeries, DecayFit]:
+    """The series and decay fit of :func:`measure_blocks` records. Faults
+    in order: no records, a bad rate, length or start, a measurement, the
+    fit."""
+    if not records:
+        raise DataError("no blocks to analyze")
+    last = (schedule.n_blocks - 1) * schedule.block_interval
+    for start, rate, n, _ in records:
+        # a CSV block's rate carries its time column's rounding
+        if abs(rate - schedule.sample_rate) > 1e-9 * schedule.sample_rate:
+            raise DataError("block sample rate differs from the schedule")
+        if abs(n - schedule.samples_per_block) > 1:
+            raise DataError(f"block at t = {start:g} s has {n} samples, "
+                            f"schedule expects {schedule.samples_per_block}")
+        # a CSV block's start is its first time, rounded: half a sample
+        if start - last > 0.5 / schedule.sample_rate:
+            raise DataError(f"block at t = {start:g} s starts after the "
+                            f"schedule's last block, at t = {last:g} s")
+    series = _series(records)
+    return series, fit_decay(series)
 
 
 def analyze_ringdown(blocks: Sequence[Block], schedule: BlockSchedule,
                      f0_hint: float) -> tuple[AmplitudeSeries, DecayFit]:
     """Full pipeline: per-block amplitudes, then the decay fit."""
-    if not blocks:
-        raise DataError("no blocks to analyze")
-    for b in blocks:
-        check_block(schedule, b.start_time, b.sample_rate, len(b.samples))
-    series = amplitude_series(blocks, f0_hint)
-    return series, fit_decay(series)
+    return fit_blocks(measure_blocks(blocks.__getitem__, range(len(blocks)),
+                                     f0_hint), schedule)
 
 
 def write_block_csv(block: Block, fh: io.TextIOBase,

@@ -4,6 +4,7 @@ Each run happens in-process through main(argv); outputs land in pytest
 temp dirs and are parsed back with plain csv/json.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -28,8 +29,12 @@ from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
                             damping_table, drag_force, linewidth,
                             noise_density)
 from levosc.detection import coaxial_geometry
+from levosc.errors import DataError
 from levosc.media import HeliumMedia
-from levosc.ringdown import amplitude_series, read_block_bin, write_series_csv
+from levosc.ringdown import (Block, BlockSchedule, RingdownParams,
+                             amplitude_series, analyze_ringdown,
+                             read_block_bin, synthesize_block,
+                             write_block_bin, write_series_csv)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -839,6 +844,119 @@ def test_ringdown_wrong_length_beats_a_later_bad_peak(tmp_path, capsys):
     assert "block at t = 7200 s has 14960 samples" in err
 
 
+def test_ringdown_block_past_the_schedule_exits_3(tmp_path, capsys):
+    # the last block copied as block 500 once gave tau 7.3e6 s at exit 0
+    cfg, out, blocks = _ringdown_run(tmp_path)
+    (out / "blocks" / "block_000500.rngd").write_bytes(blocks[-1].read_bytes())
+    capsys.readouterr()
+    assert main(["ringdown", "analyze", "--config", str(cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "levosc: block at t = 1.8e+06 s starts after the schedule's last "
+        "block, at t = 39600 s\n")
+    assert not (out / "decay_fit.json").exists()
+
+
+def test_ringdown_csv_block_past_a_shorter_schedule_exits_3(tmp_path, capsys):
+    # a CSV block's start comes from its time column, not its file name
+    sec = dict(RINGDOWN_CFG["ringdown"], format="csv")
+    cfg = write_config(tmp_path, {"ringdown": sec})
+    short = write_config(tmp_path, {"ringdown": dict(
+        sec, total_duration_s=21600.0)}, name="short.json")
+    out = tmp_path / "out"
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["ringdown", "analyze", "--config", str(short),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "levosc: block at t = 21600 s starts after the schedule's last "
+        "block, at t = 18000 s\n")
+
+
+# The README's fault order after the reads: a block whose rate, length or
+# start does not fit the schedule, by block index; then a block that
+# cannot be measured, by block index; then the fit.
+FAULT_CFG = {"sample_rate_Hz": 20.0, "block_length_s": 30.0,
+             "block_interval_s": 600.0, "tau_s": 5000.0, "noise_rms": 0.05,
+             "seed": 3}
+FAULT_KINDS = ("short", "rate", "zero", "past")
+
+
+def _expected_fault(n_blocks, faults):
+    """The message of the fault that the README's order puts first, or
+    None: ``faults`` maps a block index to its kind."""
+    interval, per_block = FAULT_CFG["block_interval_s"], 600   # 30 s at 20 Hz
+    # a block past the schedule is filed under index n_blocks + k
+    index = {k: n_blocks + k if faults.get(k) == "past" else k
+             for k in range(n_blocks)}
+    by_index = sorted(range(n_blocks), key=index.get)
+    for k in by_index:
+        if faults.get(k) == "short":
+            return (f"block at t = {k * interval:g} s has {per_block - 40} "
+                    f"samples, schedule expects {per_block}")
+        if faults.get(k) == "rate":
+            return "block sample rate differs from the schedule"
+        if faults.get(k) == "past":
+            return (f"block at t = {index[k] * interval:g} s starts after "
+                    f"the schedule's last block, at t = "
+                    f"{(n_blocks - 1) * interval:g} s")
+    for k in by_index:
+        if faults.get(k) == "zero":
+            return (f"block at t = {k * interval:g} s: spectral peak is zero "
+                    f"or not finite")
+    return None
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_blocks=st.integers(8, 14), data=st.data())
+def test_ringdown_faults_in_one_order_for_files_and_lists(n_blocks, data):
+    faults = data.draw(st.dictionaries(st.integers(0, n_blocks - 1),
+                                       st.sampled_from(FAULT_KINDS),
+                                       max_size=4))
+    interval = FAULT_CFG["block_interval_s"]
+    sec = dict(FAULT_CFG, total_duration_s=n_blocks * interval)
+    params = RingdownParams(amplitude0=1.0, f0=2.7, tau=sec["tau_s"],
+                            noise_rms=sec["noise_rms"], seed=sec["seed"])
+    schedule = BlockSchedule(sec["sample_rate_Hz"], sec["total_duration_s"],
+                             sec["block_length_s"], interval)
+    blocks = {}
+    for k in range(n_blocks):
+        block = synthesize_block(params, schedule, k)
+        kind, index, rate = faults.get(k), k, block.sample_rate
+        samples = block.samples
+        if kind == "short":
+            samples = samples[:-40]
+        elif kind == "rate":
+            rate = 1.25 * rate
+        elif kind == "zero":
+            samples = np.zeros_like(samples)
+        elif kind == "past":
+            index = n_blocks + k
+        blocks[index] = Block(index * interval, rate, samples)
+    listed = [blocks[k] for k in sorted(blocks)]
+    expected = _expected_fault(n_blocks, faults)
+    with tempfile.TemporaryDirectory() as work:
+        cfg = write_config(Path(work), {"ringdown": sec})
+        block_dir = Path(work) / "blocks"
+        block_dir.mkdir()
+        for k, block in blocks.items():
+            write_block_bin(block, block_dir / f"block_{k:06d}.rngd")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["ringdown", "analyze", "--config", str(cfg),
+                         "--out", str(Path(work) / "out"),
+                         "--blocks", str(block_dir)])
+    if expected is None:
+        assert code == 0 and err.getvalue() == ""
+        analyze_ringdown(listed, schedule, 2.7)
+        return
+    assert (code, err.getvalue()) == (3, f"levosc: {expected}\n")
+    with pytest.raises(DataError) as raised:
+        analyze_ringdown(listed, schedule, 2.7)
+    assert str(raised.value) == expected
+
+
 @settings(max_examples=15, deadline=None)
 @given(n_blocks=st.integers(8, 14), rate=st.sampled_from([20.0, 50.0]),
        length=st.sampled_from([30.0, 60.0, 120.0]),
@@ -923,15 +1041,21 @@ def _fit_is_a_directory(cfg, out):
     return "analyze", out / "decay_fit.json"
 
 
+def _blocks_has_a_nul(cfg, out):
+    return "simulate", out.parent / "bl\0cks"
+
+
 @pytest.mark.parametrize("make", [_block_is_a_directory, _blocks_is_a_file,
-                                  _fit_is_a_directory])
+                                  _fit_is_a_directory, _blocks_has_a_nul])
 def test_ringdown_unwritable_output_exits_2(tmp_path, capsys, make):
     cfg = write_config(tmp_path, RINGDOWN_CFG)
     out = tmp_path / "out"
     action, path = make(cfg, out)
+    argv = ["ringdown", action, "--config", str(cfg), "--out", str(out)]
+    if make is _blocks_has_a_nul:
+        argv += ["--blocks", str(path)]
     capsys.readouterr()
-    assert main(["ringdown", action, "--config", str(cfg),
-                 "--out", str(out)]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("levosc: config error: cannot ")
     assert f"{path}: " in err
@@ -1188,6 +1312,11 @@ def test_out_under_regular_file_exits_2(tmp_path, capsys):
     out = blocker / "out"
     assert main(["sensitivity", "--out", str(out)]) == 2
     assert str(out) in capsys.readouterr().err
+    # a NUL byte is refused by the path's system call, not by the disk
+    out = tmp_path / "a\0b"
+    assert main(["sensitivity", "--out", str(out)]) == 2
+    assert f"cannot create output directory {out}: " \
+        in capsys.readouterr().err
 
 
 def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):

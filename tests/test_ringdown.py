@@ -557,6 +557,21 @@ def test_analyze_length_tolerance_is_one_sample():
         analyze_ringdown([toofar] + blocks[1:], REFERENCE_SCHEDULE, 2.7)
 
 
+def test_analyze_rejects_a_block_past_the_schedule():
+    # 12 blocks an hour apart: the schedule's last block starts at 39600 s
+    schedule = BlockSchedule(sample_rate=50.0, total_duration=43200.0)
+    params = RingdownParams(amplitude0=1.0, f0=2.7, tau=1e5)
+    blocks = synthesize_ringdown(params, schedule)
+    last = blocks[-1]
+    # a start read from a CSV time column may be rounded
+    nearly = Block(last.start_time + 0.4 / 50.0, 50.0, last.samples)
+    analyze_ringdown(blocks[:-1] + [nearly], schedule, 2.7)
+    late = Block(500 * 3600.0, 50.0, last.samples)
+    with pytest.raises(DataError, match=r"block at t = 1\.8e\+06 s starts "
+                       r"after the schedule's last block, at t = 39600 s"):
+        analyze_ringdown(blocks[:-1] + [late], schedule, 2.7)
+
+
 # -------------------------------------------------------------- block io
 
 def test_csv_block_round_trip(tmp_path):
