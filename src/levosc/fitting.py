@@ -1,12 +1,13 @@
 """Helium-3 concentration estimation from measured decay times.
 
-In ``RECIPROCAL_SUM`` the decay rate 1/tau = Gamma_medium + n3 g +
-1/tau_vac is linear in the unknowns, so a Levenberg-Marquardt fit
-(Levenberg 1944, Marquardt 1963) with the analytic Jacobian takes a few
-dozen evaluations. Residuals live in log space because tau spans many
-decades. Rows above the regime threshold (default 0.6 K) are
-down-weighted: the hydrodynamic-ballistic cross-over has no trustworthy
-model, so those points should steer the fit only weakly.
+Residuals live in log space because tau spans many decades. In
+``RECIPROCAL_SUM`` the decay rate 1/tau = Gamma_medium + n3 g + 1/tau_vac
+is linear in the unknowns, so a Levenberg-Marquardt fit (Levenberg 1944,
+Marquardt 1963) with the analytic Jacobian takes a few dozen evaluations.
+In ``DOMINANT_ONLY`` the objective is piecewise quadratic in ln n3, so one
+evaluation gives its exact minimum. Rows above the regime threshold
+(default 0.6 K) are down-weighted: the hydrodynamic-ballistic cross-over
+has no trustworthy model, so those points should steer the fit only weakly.
 
 The model is evaluated over the whole series at once: the channels that
 do not depend on n3 once per fit, the impurity and vacuum channels and
@@ -47,8 +48,6 @@ __all__ = [
 # Rows warmer than this get their weight multiplied by REGIME_WEIGHT.
 REGIME_WEIGHT_THRESHOLD = 0.6  # K
 REGIME_WEIGHT = 0.1
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -118,22 +117,22 @@ def model_residuals(series: TauTemperatureSeries, osc: OscillatorSpec,
     return _log_residuals(total, np.log(series.taus))
 
 
-def _golden_minimize(fn: Callable[[float], float], lo: float, hi: float,
-                     tol: float) -> float:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+def _dominant_minimum(a: np.ndarray, b: np.ndarray, y: np.ndarray,
+                      w: np.ndarray, lo: float, hi: float) -> float:
+    """The u in [lo, hi] minimizing sum w (min(a, b - u) - y)^2, exactly.
+    A row stays at a below its breakpoint b - a and follows b - u above
+    it, so between neighbouring sorted breakpoints the objective is one
+    quadratic; cumulative sums give each one's minimum on its stretch.
+    u is counted from the bracket's middle to keep the sums small."""
+    mid, h, order = 0.5 * (lo + hi), 0.5 * (hi - lo), np.argsort(b - a)
+    a, b, y, w = a[order], b[order] - mid, y[order], w[order]
+    W, S, Q = (np.append(0.0, np.cumsum(x))
+               for x in (w, w * (b - y), w * (b - y)**2))
+    M = np.append(np.cumsum((w * (a - y)**2)[::-1])[::-1], 0.0)
+    ends = np.concatenate(([-h], np.clip(b - a, -h, h), [h]))
+    u = np.clip(np.divide(S, W, out=ends[:-1].copy(), where=W > 0),
+                ends[:-1], ends[1:])
+    return float(u[np.argmin(W * u * u - 2.0 * S * u + Q + M)] + mid)
 
 
 def _levenberg_marquardt(fn: Callable[[np.ndarray], tuple], lo: np.ndarray,
@@ -181,10 +180,14 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
 
     ``RECIPROCAL_SUM`` runs one bounded Levenberg-Marquardt fit of
     (ln n3, ln tau_vac), or ln n3 alone, from the brackets' log-midpoint
-    until its largest step is below ``tol``. ``DOMINANT_ONLY``, whose
-    minimum over channels is not smooth, keeps a golden-section search
-    over ln n3 to a bracket ``tol`` wide, nesting one over ln tau_vac.
+    until its largest step is below ``tol`` (finite and positive).
+    ``DOMINANT_ONLY`` takes the exact minimum over ln n3, without
+    ``tol``, and refuses ``fit_vacuum``.
     """
+    if fit_vacuum and mode is RegimeMode.DOMINANT_ONLY:
+        raise ConfigError("fit_vacuum needs ReciprocalSum, not DominantOnly")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
     n3_lo, n3_hi = bracket
     if not 0 < n3_lo < n3_hi:
         raise ConfigError("bracket must satisfy 0 < low < high")
@@ -216,34 +219,30 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
 
     box = [(math.log(lo), math.log(hi)) for lo, hi in
            ([bracket, vacuum_bracket] if fit_vacuum else [bracket])]
-    (u_lo, u_hi), (v_lo, v_hi) = box[0], box[-1]
+    u_lo, u_hi = box[0]
     if mode is RegimeMode.RECIPROCAL_SUM:
         p = _levenberg_marquardt(weighted, *np.array(box).T, tol)
         u_star = float(p[0])
-        vac_used = math.exp(p[-1]) if fit_vacuum else tau_vacuum
-    else:
-        def vacuum_for(n3: float) -> float | None:
-            if not fit_vacuum:
-                return tau_vacuum
-            return math.exp(_golden_minimize(
-                lambda v: residuals(n3, math.exp(v))[2], v_lo, v_hi, 1e-4))
-
-        u_star = _golden_minimize(lambda u: residuals(
-            math.exp(u), vacuum_for(math.exp(u)))[2], u_lo, u_hi, tol)
-        vac_used = vacuum_for(math.exp(u_star))
-    span = u_hi - u_lo
-    if (u_star - u_lo) < 0.005 * span or (u_hi - u_star) < 0.005 * span:
+    else:   # ln tau_total = min(a, b - u), b = ln tau_imp at n3 = 1
+        table, r, _ = residuals(1.0, tau_vacuum)
+        with np.errstate(divide="ignore"):
+            a, b = np.log([np.fmin.reduce([table.tau_hydr, table.tau_ph,
+                                           table.tau_rot, table.tau_vacuum],
+                                          initial=np.inf), table.tau_imp])
+        ok = np.isfinite(r) & np.isfinite(b)
+        u_star = _dominant_minimum(a[ok], b[ok], log_taus[ok], weights[ok],
+                                   u_lo, u_hi)
+    if min(u_star - u_lo, u_hi - u_star) < 0.005 * (u_hi - u_lo):
         raise BracketError(
             "fitted n3 pinned to the bracket edge; the series has no "
             "identifiable impurity signature inside the bracket")
     n3 = math.exp(u_star)
-    fitted_vac = vac_used if fit_vacuum else None
-    _, r, objective = residuals(n3, vac_used)
+    fitted_vac = math.exp(p[-1]) if fit_vacuum else None
+    _, r, objective = residuals(n3, fitted_vac if fit_vacuum else tau_vacuum)
     rms = math.sqrt(objective / np.sum(weights[np.isfinite(r)]))
     return ConcentrationFit(n3=n3, x3=n3 / media.n4, residual_rms=rms,
                             n3_bracket=(n3_lo, n3_hi), regime_mode=mode,
-                            search_tolerance=tol,
-                            tau_vacuum=tau_vacuum,
+                            search_tolerance=tol, tau_vacuum=tau_vacuum,
                             fitted_tau_vacuum=fitted_vac,
                             regime_threshold=regime_threshold,
                             regime_weight=regime_weight)

@@ -1187,6 +1187,18 @@ def test_fit_he3_bad_bracket_exits_2(tmp_path, capsys, bracket):
     assert "bracket_per_m3" in capsys.readouterr().err
 
 
+def test_fit_he3_dominant_only_refuses_fit_vacuum(tmp_path, capsys):
+    data = model_data_csv(tmp_path, 4.2e-8)
+    cfg = write_config(tmp_path, {"fit": {"mode": "DominantOnly",
+                                          "fit_vacuum": True}})
+    out = tmp_path / "out"
+    assert main(["fit-he3", "--data", str(data), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fit_vacuum" in err and "DominantOnly" in err
+    assert not (out / "he3_fit.json").exists()
+
+
 def test_fit_he3_missing_data_exits_3(tmp_path):
     rc = main(["fit-he3", "--data", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "out")])

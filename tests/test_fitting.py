@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
@@ -19,7 +19,9 @@ from levosc.damping import (
     DEFAULT_TAU_VACUUM,
     OscillatorSpec,
     RegimeMode,
+    compose,
     damping_table,
+    medium_channels,
 )
 from levosc import fitting
 from levosc.errors import BracketError, ConfigError, DataError
@@ -58,8 +60,8 @@ def series_from_model(osc, media, T_grid, n3, tau_vacuum=DEFAULT_TAU_VACUUM,
 IMPURITY_GRID = [0.015, 0.018, 0.022, 0.027, 0.033, 0.04]
 WIDE_GRID = list(np.geomspace(0.015, 0.5, 15))
 
-# n3 that the golden-section search finds in DOMINANT_ONLY on criterion
-# 08's series, with and without the vacuum co-fit
+# n3 that the golden-section search, which the exact DOMINANT_ONLY fit
+# replaced, found on criterion 08's series
 DOMINANT_ONLY_N3 = "0x1.d4e09c9242772p+69"
 
 
@@ -305,7 +307,8 @@ def test_fit_vacuum_matches_least_squares_reference(osc, media, x3, tau_vac,
     assert abs(fit.n3 - n3_ref) / n3_ref < 1e-4
 
 
-def test_fit_vacuum_takes_few_model_evaluations(osc, media, monkeypatch):
+def compose_calls(osc, media, monkeypatch, **options):
+    """How many times a fit of criterion 08's series calls ``compose``."""
     calls = []
     compose = fitting.compose
 
@@ -315,16 +318,101 @@ def test_fit_vacuum_takes_few_model_evaluations(osc, media, monkeypatch):
 
     monkeypatch.setattr(fitting, "compose", counted)
     fit_he3_concentration(criterion_08_series(osc, media), osc, media,
-                          fit_vacuum=True)
-    assert 0 < len(calls) < 50
+                          **options)
+    return len(calls)
+
+
+def test_fit_vacuum_takes_few_model_evaluations(osc, media, monkeypatch):
+    assert 0 < compose_calls(osc, media, monkeypatch, fit_vacuum=True) < 50
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_fit_refuses_a_tolerance_not_finite_and_positive(osc, media, tol):
+    with pytest.raises(ConfigError, match="tol must be finite and positive"):
+        fit_he3_concentration(criterion_08_series(osc, media), osc, media,
+                              fit_vacuum=True, tol=tol)
 
 
 @pytest.mark.parametrize("fit_vacuum", [False, True])
-def test_dominant_only_keeps_the_golden_search(osc, media, fit_vacuum):
-    fit = fit_he3_concentration(criterion_08_series(osc, media), osc, media,
-                                mode=RegimeMode.DOMINANT_ONLY,
-                                fit_vacuum=fit_vacuum)
-    assert fit.n3.hex() == DOMINANT_ONLY_N3
+def test_dominant_only_fit_is_exact(osc, media, fit_vacuum):
+    series, mode = criterion_08_series(osc, media), RegimeMode.DOMINANT_ONLY
+    if fit_vacuum:
+        with pytest.raises(ConfigError, match="fit_vacuum.*DominantOnly"):
+            fit_he3_concentration(series, osc, media, mode=mode,
+                                  fit_vacuum=True)
+        return
+    fit = fit_he3_concentration(series, osc, media, mode=mode)
+    golden = float.fromhex(DOMINANT_ONLY_N3)
+    assert abs(fit.n3 - golden) <= 1e-7 * golden
+    assert (weighted_objective(series, osc, media, fit.n3,
+                               DEFAULT_TAU_VACUUM, mode)
+            <= weighted_objective(series, osc, media, golden,
+                                  DEFAULT_TAU_VACUUM, mode))
+
+
+def test_dominant_only_takes_two_model_evaluations(osc, media, monkeypatch):
+    assert 0 < compose_calls(osc, media, monkeypatch,
+                             mode=RegimeMode.DOMINANT_ONLY) <= 2
+
+
+def dominant_grid_objective(series, osc, media, tau_vacuum, u):
+    """The DOMINANT_ONLY objective at each ln n3 in ``u``, by one
+    broadcast of min(a, b - u) over the rows where the model is defined
+    (a: the fastest channel other than the impurity one, b: ln tau_imp
+    at n3 = 1), and whether any row is defined."""
+    mode = RegimeMode.DOMINANT_ONLY
+    table = compose(medium_channels(osc, media, series.temperatures), osc,
+                    media, 1.0, mode, tau_vacuum)
+    others = np.vstack([table.tau_hydr, table.tau_ph, table.tau_rot,
+                        table.tau_vacuum, np.full(len(table.T), np.inf)])
+    ok = np.isfinite(model_residuals(series, osc, media, 1.0, mode,
+                                     tau_vacuum))
+    a, b = np.log(np.nanmin(others, axis=0))[ok], np.log(table.tau_imp)[ok]
+    y = np.log(series.taus)[ok]
+    w = np.where(series.temperatures > REGIME_WEIGHT_THRESHOLD,
+                 REGIME_WEIGHT, 1.0)[ok]
+    r = np.minimum(a, b - u[:, None]) - y
+    return np.sum(w * r**2, axis=1), bool(ok.any())
+
+
+@settings(max_examples=300, deadline=None)
+@given(temps=st.lists(st.floats(math.log(0.012), math.log(2.0)),
+                      min_size=3, max_size=40).map(np.exp),
+       x3=st.floats(-9.0, -6.0).map(lambda e: 10.0**e),
+       tau_vac=st.floats(4.0, 7.0).map(lambda e: 10.0**e),
+       noise=st.floats(0.0, 0.2), seed=st.integers(0, 2**32 - 1),
+       given_vacuum=st.one_of(st.none(), st.just(DEFAULT_TAU_VACUUM),
+                              st.floats(4.0, 7.0).map(lambda e: 10.0**e)))
+@example(temps=np.array(WIDE_GRID), x3=3.541377428587958e-09,
+         tau_vac=1623396.9551637252, noise=0.0, seed=0,
+         given_vacuum=DEFAULT_TAU_VACUUM)   # where the golden search missed
+def test_dominant_only_fit_beats_a_dense_grid(osc, media, temps, x3, tau_vac,
+                                              noise, seed, given_vacuum):
+    # noisy ReciprocalSum data, fitted with the min(...) model
+    mode = RegimeMode.DOMINANT_ONLY
+    data = compose(medium_channels(osc, media, temps), osc, media,
+                   x3 * n4_of(media), RegimeMode.RECIPROCAL_SUM, tau_vac)
+    noisy = data.tau_total * np.exp(
+        noise * np.random.default_rng(seed).standard_normal(len(temps)))
+    series = TauTemperatureSeries(rows=tuple(
+        (T, tau, None) for T, tau in zip(temps.tolist(), noisy.tolist())))
+    u = np.linspace(math.log(1e18), math.log(1e23), 4001)
+    grid, defined = dominant_grid_objective(series, osc, media, given_vacuum,
+                                            u)
+    try:
+        fit = fit_he3_concentration(series, osc, media, mode=mode,
+                                    tau_vacuum=given_vacuum)
+    except DataError:
+        assert not defined
+        return
+    except BracketError:
+        # the grid also finds its minimum within 0.5 % of an edge
+        edge = np.minimum(u - u[0], u[-1] - u) < 0.005 * (u[-1] - u[0])
+        assert grid[edge].min() <= grid[~edge].min() * (1.0 + 1e-12)
+        return
+    assert defined
+    assert (weighted_objective(series, osc, media, fit.n3, given_vacuum,
+                               mode) <= grid.min() * (1.0 + 1e-12))
 
 
 def test_bracket_span_enforced(osc, media):
