@@ -21,11 +21,16 @@ system on those nodes, solved against the sphere-free inverse (Buzbee,
 Dorr, George & Golub 1971).
 
 Only the sphere depends on the pose. The sphere-free operator of one
-mesh and driven coil (link lengths, source, the eigenpairs of both
-pencils and the sphere-free solution) is built once and shared,
-read-only, by the base solve and every pose of ``oracle_sweep``, which
-is the one path to a sphere-induced inductance change; a question about
-one pose is a sweep of one pose.
+mesh and driven coil (link lengths and conductances, the mesh rim, the
+source, the eigenpairs of both pencils and the sphere-free solution) is
+built once and shared, read-only, by the base solve and every pose of
+``oracle_sweep``, which is the one path to a sphere-induced inductance
+change; a question about one pose is a sweep of one pose. A pose works
+on the small index box around the sphere: the inside test, the links
+that cross its surface and the capacitance nodes come from that box
+alone. Only the reconstruction psi0 + G e and the residual check span
+the whole mesh, and the residual is still the max-norm over every free
+node.
 
 Receiver flux is the turns-weighted integral of B_z over the mean
 cross-section, which for the flux function is simply
@@ -208,16 +213,23 @@ def _pencil(k: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _FieldOperator:
     """Everything about one mesh and one driven coil that no sphere
     changes: node coordinates, 1-D link data (cell heights ``dz``, the
-    integral ``ln_fac`` of 1/rho across each cell), the source, the
-    eigenpairs of the two 1-D pencils whose Kronecker sum is the
-    sphere-free operator, and the sphere-free solution ``psi0``, all in
-    read-only views, so solves that share the operator cannot alter it."""
+    integral ``ln_fac`` of 1/rho across each cell), the conductance of
+    every link (``k_rho[i, j]`` joins node (i, j) to (i + 1, j),
+    ``k_z[i, j]`` joins it to (i, j + 1)), the mask ``rim`` of the
+    mesh's boundary nodes, the source, the eigenpairs of the two 1-D
+    pencils whose Kronecker sum is the sphere-free operator, and the
+    sphere-free solution ``psi0``. All are built once per operator, in
+    read-only views, so solves that share the operator cannot alter
+    it."""
 
     receiver: CoilSpec
     rho: np.ndarray
     z: np.ndarray
     dz: np.ndarray
     ln_fac: np.ndarray
+    k_rho: np.ndarray
+    k_z: np.ndarray
+    rim: np.ndarray
     source: np.ndarray
     source_norm: float
     phi_r: np.ndarray
@@ -233,19 +245,17 @@ class _FieldOperator:
                 object.__setattr__(self, name, view)
 
 
-def _link_conductance(op: _FieldOperator, i, j, di: int, dj: int):
-    """Conductance of the links from the nodes (i, j), broadcasting index
-    arrays, to their neighbours (i + di, j + dj): (1 / rho_f) dz / h
-    across rho, rho_f the face between the nodes, and ln_fac / h across
-    z. The one definition of the operator's links: the residual check
-    and the sphere's surface links both take their conductances here."""
-    if di:
-        lo = i + min(di, 0)
-        rho_f = 0.5 * (op.rho[lo + 1] + op.rho[lo])
-        return ((1.0 / np.maximum(rho_f, 1e-300)) * op.dz[j]
-                / (op.rho[lo + 1] - op.rho[lo]))
-    lo = j + min(dj, 0)
-    return op.ln_fac[i] / (op.z[lo + 1] - op.z[lo])
+def _link_conductance(rho: np.ndarray, z: np.ndarray, dz: np.ndarray,
+                      ln_fac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conductance of every link of the mesh: (1 / rho_f) dz / h across
+    rho, rho_f the face between the two nodes, and ln_fac / h across z.
+    The one definition of the operator's links, built once into it: the
+    residual check and the sphere's surface links both read them."""
+    rho_f = 0.5 * (rho[1:] + rho[:-1])
+    k_rho = ((1.0 / np.maximum(rho_f, 1e-300))[:, None] * dz[None, :]
+             / np.diff(rho)[:, None])
+    k_z = ln_fac[:, None] / np.diff(z)[None, :]
+    return k_rho, k_z
 
 
 def _field_operator(geometry: DetectionGeometry,
@@ -293,43 +303,62 @@ def _field_operator(geometry: DetectionGeometry,
     psi0 = np.zeros((nr, nz))
     psi0[1:-1, 1:-1] = phi_r @ ((phi_r.T @ source[1:-1, 1:-1] @ phi_z)
                                 / lam) @ phi_z.T
+    k_rho, k_z = _link_conductance(rho, z, dz, ln_fac)
+    rim = np.ones((nr, nz), dtype=bool)
+    rim[1:-1, 1:-1] = False
     return _FieldOperator(
         receiver=geometry.receivers[0], rho=rho, z=z, dz=dz, ln_fac=ln_fac,
-        source=source, source_norm=source_norm, phi_r=phi_r, phi_z=phi_z,
-        lam=lam, psi0=psi0)
+        k_rho=k_rho, k_z=k_z, rim=rim, source=source,
+        source_norm=source_norm, phi_r=phi_r, phi_z=phi_z, lam=lam,
+        psi0=psi0)
 
 
 def _surface_links(op: _FieldOperator, inside: np.ndarray, free: np.ndarray,
-                   sphere_z: float, rs: float) -> np.ndarray:
-    """Extra diagonal conductance d >= 0 of every free node, from its
-    links that cross the sphere surface. A link that meets the surface
-    at the fraction t of its length conducts c / t instead of c, so the
-    boundary condition lands on the surface, not the nearest node."""
+                   sphere_z: float, rs: float,
+                   origin: tuple[int, int]) -> np.ndarray:
+    """Extra diagonal conductance d >= 0 of every free node of a box of
+    nodes starting at the mesh node ``origin``, from its links that
+    cross the sphere surface; ``inside`` and ``free`` cover the box. A
+    link that meets the surface at the fraction t of its length conducts
+    c / t instead of c, so the boundary condition lands on the surface,
+    not the nearest node. Nodes just outside the box count as outside
+    the sphere."""
     rho, z = op.rho, op.z
+    n_i, n_j = inside.shape
+    padded = np.zeros((n_i + 2, n_j + 2), dtype=bool)
+    padded[1:-1, 1:-1] = inside
     d = np.zeros(inside.shape)
     for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        # free nodes are interior, so the rolled-in edge is never used
-        i, j = np.nonzero(free & np.roll(inside, (-di, -dj), axis=(0, 1)))
+        across = padded[1 + di:1 + di + n_i, 1 + dj:1 + dj + n_j]
+        bi, bj = np.nonzero(free & across)
+        i, j = bi + origin[0], bj + origin[1]
         t = _segment_sphere_theta(rho[i], z[j], rho[i + di], z[j + dj],
                                   sphere_z, rs)
-        c = _link_conductance(op, i, j, di, dj)
-        d[i, j] += c / t - c
+        c = (op.k_rho[i + min(di, 0), j] if di
+             else op.k_z[i, j + min(dj, 0)])
+        d[bi, bj] += c / t - c
     return d
 
 
 def _residual(op: _FieldOperator, psi: np.ndarray, d: np.ndarray,
-              fixed: np.ndarray) -> float:
+              fixed: np.ndarray, origin: tuple[int, int]) -> float:
     """Max-norm of the source less the net link flux out of each free
-    node, relative to the source; ``d`` is the extra diagonal."""
-    i, j = np.ogrid[:psi.shape[0], :psi.shape[1]]
-    flux_rho = _link_conductance(op, i[:-1], j, 1, 0) * np.diff(psi, axis=0)
-    flux_z = _link_conductance(op, i, j[:, :-1], 0, 1) * np.diff(psi, axis=1)
-    a_psi = d * psi
+    node of the whole mesh, relative to the source. ``d`` (the extra
+    diagonal) and ``fixed`` (nodes held at psi = 0 besides the rim)
+    cover a box of nodes starting at the mesh node ``origin``."""
+    box = np.s_[origin[0]:origin[0] + d.shape[0],
+                origin[1]:origin[1] + d.shape[1]]
+    flux_rho = op.k_rho * (psi[1:, :] - psi[:-1, :])
+    flux_z = op.k_z * (psi[:, 1:] - psi[:, :-1])
+    a_psi = np.zeros(psi.shape)
+    a_psi[box] = d * psi[box]
     a_psi[:-1, :] -= flux_rho
     a_psi[1:, :] += flux_rho
     a_psi[:, :-1] -= flux_z
     a_psi[:, 1:] += flux_z
-    r = np.where(fixed, 0.0, op.source - a_psi)
+    r = op.source - a_psi
+    r[op.rim] = 0.0
+    r[box][fixed] = 0.0
     return float(np.max(np.abs(r))) / op.source_norm
 
 
@@ -381,31 +410,41 @@ def _solve(op: _FieldOperator, sphere_z: float | None = None,
     Dorr, George & Golub 1971): psi = psi0 + G e. The conditions
     psi[S] = 0 and e[N] = -d psi[N] make the m x m system
     (G[P, P] + diag(0 on S, 1 / d on N)) e = -psi0[P], solved directly.
-    The true residual of the result is checked against RESIDUAL_TOL."""
+    All of this works on the index box of nodes within the sphere's
+    reach; only psi = psi0 + G e and the residual span the whole mesh.
+    The true residual of the result, the max-norm over every free node,
+    is checked against RESIDUAL_TOL."""
     rho, z = op.rho, op.z
-    nr, nz = len(rho), len(z)
-    fixed = np.zeros((nr, nz), dtype=bool)
-    fixed[0, :] = fixed[-1, :] = True
-    fixed[:, 0] = fixed[:, -1] = True
-    d = np.zeros((nr, nz))
     psi = op.psi0.copy()
+    origin, d, inside = (0, 0), np.zeros((0, 0)), np.zeros((0, 0), bool)
     if sphere_z is not None:
         if not z[0] <= sphere_z <= z[-1]:
             raise GeometryError("sphere outside the solver mesh")
-        inside = rho[:, None]**2 + (z[None, :] - sphere_z)**2 <= rs * rs
+        # the nodes with rho <= rs and |z - zs| <= rs (the sphere sits on
+        # the axis, so from rho = 0), and two more on every side: one so
+        # that rounding in the inside test cannot put an inside node
+        # outside the box, one for the free nodes whose links reach into
+        # the sphere; slicing clips the box to the mesh
+        j0 = max(int(np.searchsorted(z, sphere_z - rs)) - 2, 0)
+        box = np.s_[:int(np.searchsorted(rho, rs, side="right")) + 2,
+                    j0:int(np.searchsorted(z, sphere_z + rs,
+                                           side="right")) + 2]
+        origin = (0, j0)
+        inside = (rho[box[0], None]**2 + (z[None, box[1]] - sphere_z)**2
+                  <= rs * rs)
         if not inside.any():
             raise GeometryError("sphere smaller than one grid cell")
-        pinned = inside & ~fixed
-        fixed |= inside
-        d = _surface_links(op, inside, ~fixed, sphere_z, rs)
-        i, j = np.nonzero(pinned | (d > 0.0))
-        d_p = d[i, j]
+        rim = op.rim[box]
+        d = _surface_links(op, inside, ~(inside | rim), sphere_z, rs, origin)
+        bi, bj = np.nonzero((inside & ~rim) | (d > 0.0))
+        i, j = bi + origin[0], bj + origin[1]
+        d_p = d[bi, bj]
         extra = np.divide(1.0, d_p, out=np.zeros_like(d_p), where=d_p > 0.0)
         psi[1:-1, 1:-1] += _capacitance_correction(op, i, j, extra,
                                                    -op.psi0[i, j])
-        psi[fixed] = 0.0
+        psi[box][inside] = 0.0
 
-    residual = _residual(op, psi, d, fixed)
+    residual = _residual(op, psi, d, inside, origin)
     if residual >= RESIDUAL_TOL:
         raise SolverError(
             f"field solve residual {residual:.3e} is not under the "

@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -353,18 +354,30 @@ def _min_circle_separation(coil_a: CoilSpec, coil_b: CoilSpec,
     return float(np.min(_circle_distance(ring, coil_b)))
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-node Gauss-Legendre rule on [-1, 1],
+    computed on first use and shared read-only."""
+    rule = np.polynomial.legendre.leggauss(32)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def mutual_inductance(coil_a: CoilSpec, coil_b: CoilSpec) -> float:
     """Mutual inductance: flux of a's unit-current field through b's
     mean cross-section, times b's turns.
 
     Quadrature is 32-node Gauss-Legendre in radius and 64-node periodic
     trapezoid in angle over the mean disk of ``coil_b``; both converge
-    fast because the integrand is smooth for disjoint coils.
+    fast because the integrand is smooth for disjoint coils. The
+    Gauss-Legendre rule is built by the first call and reused by every
+    later one.
     """
     if _min_circle_separation(coil_a, coil_b) < MIN_COIL_CLEARANCE:
         raise GeometryError("coils overlap or nearly touch")
     n_angular = 64
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _gauss_legendre_32()
     r = 0.5 * coil_b.mean_radius * (nodes + 1.0)
     w_r = 0.5 * coil_b.mean_radius * weights
     phi = 2.0 * math.pi * np.arange(n_angular) / n_angular

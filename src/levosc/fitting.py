@@ -174,9 +174,12 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
     """Fit n3 on a logarithmic bracket, and with ``fit_vacuum`` the
     vacuum channel on ``vacuum_bracket``, by weighted log residuals.
 
-    The bracket must span at least four decades. A minimum pinned to a
-    bracket edge raises :class:`BracketError`: the data carry no
-    impurity signature (or the bracket excludes the true value).
+    Both brackets must be finite with 0 < low < high, and the n3
+    bracket must span at least four decades; ``regime_weight`` must be
+    finite and positive and ``regime_threshold`` finite. A minimum
+    pinned to a bracket edge raises :class:`BracketError`: the data
+    carry no impurity signature (or the bracket excludes the true
+    value).
 
     ``RECIPROCAL_SUM`` runs one bounded Levenberg-Marquardt fit of
     (ln n3, ln tau_vac), or ln n3 alone, from the brackets' log-midpoint
@@ -188,11 +191,22 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
         raise ConfigError("fit_vacuum needs ReciprocalSum, not DominantOnly")
     if not 0 < tol < math.inf:
         raise ConfigError(f"tol must be finite and positive, got {tol!r}")
+    brackets = {"bracket": bracket}
+    if fit_vacuum:
+        brackets["vacuum_bracket"] = vacuum_bracket
+    for name, (lo, hi) in brackets.items():
+        if not 0 < lo < hi < math.inf:
+            raise ConfigError(f"{name} must satisfy 0 < low < high < inf, "
+                              f"got {(lo, hi)!r}")
     n3_lo, n3_hi = bracket
-    if not 0 < n3_lo < n3_hi:
-        raise ConfigError("bracket must satisfy 0 < low < high")
     if math.log10(n3_hi / n3_lo) < 4.0:
         raise ConfigError("bracket must span at least four decades of n3")
+    if not 0 < regime_weight < math.inf:
+        raise ConfigError(f"regime_weight must be finite and positive, "
+                          f"got {regime_weight!r}")
+    if not math.isfinite(regime_threshold):
+        raise ConfigError(f"regime_threshold must be finite, "
+                          f"got {regime_threshold!r}")
     weights = np.where(series.temperatures > regime_threshold,
                        regime_weight, 1.0)
     medium = medium_channels(osc, media, series.temperatures)

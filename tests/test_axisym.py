@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 
 from levosc import (GeometryError, axisymmetric_oracle, coaxial_geometry,
                     mutual_inductance, orthogonal_geometry, position_sweep)
-from levosc.axisym import (RESIDUAL_TOL, _axial_coordinates, _build_axes,
-                           _field_operator, _residual, _surface_links,
+from levosc import axisym
+from levosc.axisym import (RESIDUAL_TOL, _axial_coordinates, _bilinear,
+                           _build_axes, _capacitance_correction,
+                           _field_operator, _residual,
+                           _segment_sphere_theta, _solve, _surface_links,
                            oracle_sweep)
 from levosc.errors import SolverError
 
@@ -69,6 +72,46 @@ def five_point_links(rho, z):
                 ((i, l), math.log(r_hi / r_lo) / abs(z[l] - z[j]))
                 for l in (j + 1, j - 1)]
     return links
+
+
+def full_mesh_pose(op, zs, rs):
+    """One sphere pose built over the whole mesh: the inside test at
+    every node, each node's neighbours by rolling the inside mask, the
+    link conductances from the mesh spacing, and the capacitance nodes
+    from np.nonzero over the whole mesh. Returns the node indices, the
+    extra diagonal, psi and L_eff, or None when no node is inside."""
+    rho, z = op.rho, op.z
+    fixed = np.zeros((len(rho), len(z)), dtype=bool)
+    fixed[[0, -1], :] = fixed[:, [0, -1]] = True
+    inside = rho[:, None]**2 + (z[None, :] - zs)**2 <= rs * rs
+    if not inside.any():
+        return None
+    pinned = inside & ~fixed
+    fixed |= inside
+    d = np.zeros(inside.shape)
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        i, j = np.nonzero(~fixed & np.roll(inside, (-di, -dj), axis=(0, 1)))
+        t = _segment_sphere_theta(rho[i], z[j], rho[i + di], z[j + dj], zs,
+                                  rs)
+        if di:
+            lo = i + min(di, 0)
+            rho_f = 0.5 * (rho[lo + 1] + rho[lo])
+            c = ((1.0 / np.maximum(rho_f, 1e-300)) * op.dz[j]
+                 / (rho[lo + 1] - rho[lo]))
+        else:
+            lo = j + min(dj, 0)
+            c = op.ln_fac[i] / (z[lo + 1] - z[lo])
+        d[i, j] += c / t - c
+    i, j = np.nonzero(pinned | (d > 0.0))
+    d_p = d[i, j]
+    extra = np.divide(1.0, d_p, out=np.zeros_like(d_p), where=d_p > 0.0)
+    psi = op.psi0.copy()
+    psi[1:-1, 1:-1] += _capacitance_correction(op, i, j, extra,
+                                               -op.psi0[i, j])
+    psi[fixed] = 0.0
+    L_eff = op.receiver.turns * 2.0 * math.pi * _bilinear(
+        psi, rho, z, op.receiver.mean_radius, 0.0)
+    return i, j, d, psi, L_eff
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +278,7 @@ class TestDirectSolve:
                 cc = p_r * p_r + p_z * p_z - rs * rs
                 t = (-b - math.sqrt(max(b * b - 4.0 * a * cc, 0.0))) / (2 * a)
                 expected[i, j] += c * (1.0 / min(max(t, 0.05), 1.0) - 1)
-        got = _surface_links(op, inside, free, zs, rs)
+        got = _surface_links(op, inside, free, zs, rs, (0, 0))
         assert np.count_nonzero(expected) > 4
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
 
@@ -250,8 +293,8 @@ class TestDirectSolve:
                           for (k, l), c in neighbours)
                 r[i, j] = op.source[i, j] - out - got[i, j] * psi[i, j]
         want = np.max(np.abs(r)) / np.max(np.abs(op.source))
-        assert _residual(op, psi, got, fixed) == pytest.approx(want,
-                                                              rel=1e-9)
+        assert _residual(op, psi, got, fixed, (0, 0)) == pytest.approx(
+            want, rel=1e-9)
 
     def test_sweep_matches_per_pose_solves(self, geometry):
         positions = (0.017, 0.011, 0.006)
@@ -293,7 +336,8 @@ class TestDirectSolve:
         op = _field_operator(geometry, coils, *mesh, "receiver")
         arrays = {name: value for name, value in vars(op).items()
                   if isinstance(value, np.ndarray)}
-        assert {"rho", "z", "source", "phi_r", "phi_z", "lam"} <= set(arrays)
+        assert {"rho", "z", "source", "phi_r", "phi_z", "lam", "k_rho", "k_z",
+                "rim"} <= set(arrays)
         for name, value in arrays.items():
             assert not value.flags.writeable, name
             with pytest.raises(ValueError):
@@ -313,3 +357,66 @@ class TestDirectSolve:
         assert without.residual < RESIDUAL_TOL
         assert dL < 0.0
         assert with_sphere.L_eff < without.L_eff
+
+    # on the axis, the coils' core box spans about -5 mm to 28 mm; three
+    # examples put the sphere at the mesh's far ends, where the mesh
+    # clips its index box, and one between two far nodes, where no node
+    # is inside it
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(64, 160), rs=st.floats(0.3e-3, 2e-3),
+           zs=st.floats(-5e-3, 28e-3))
+    @example(n=64, rs=2e-3, zs=-0.1112977)
+    @example(n=160, rs=2e-3, zs=0.1341916)
+    @example(n=97, rs=0.3e-3, zs=-0.1112977)
+    @example(n=64, rs=0.3e-3, zs=-0.0505)
+    @example(n=128, rs=0.985e-3, zs=9e-3)
+    def test_pose_box_matches_full_mesh(self, geometry, n, rs, zs):
+        # the pose works on the sphere's index box; built over the whole
+        # mesh instead it must give the same bits
+        coils, _ = _axial_coordinates(geometry)
+        op = _field_operator(geometry, coils, *_build_axes(coils, n),
+                             "receiver")
+        want = full_mesh_pose(op, zs, rs)
+        seen = {}
+
+        def surface_links(op, inside, free, sphere_z, rs, origin):
+            d = _surface_links(op, inside, free, sphere_z, rs, origin)
+            seen["d"] = np.zeros(op.psi0.shape)
+            seen["d"][origin[0]:origin[0] + d.shape[0],
+                      origin[1]:origin[1] + d.shape[1]] = d
+            return d
+
+        def correction(op, i, j, extra, rhs):
+            seen["ij"] = i, j
+            return _capacitance_correction(op, i, j, extra, rhs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(axisym, "_surface_links", surface_links)
+            patch.setattr(axisym, "_capacitance_correction", correction)
+            if want is None:
+                with pytest.raises(GeometryError, match="one grid cell"):
+                    _solve(op, zs, rs)
+                return
+            got = _solve(op, zs, rs)
+        i, j, d, psi, L_eff = want
+        assert np.array_equal(seen["ij"][0], i)
+        assert np.array_equal(seen["ij"][1], j)
+        assert np.array_equal(seen["d"], d)
+        assert np.array_equal(got.psi, psi)
+        assert got.L_eff.hex() == L_eff.hex()
+
+    def test_residual_gate_covers_the_whole_mesh(self, geometry,
+                                                 monkeypatch):
+        # an error at one free node far outside the sphere's index box
+        # must still trip the residual gate
+        node = (60, 60)
+
+        def bumped(op, i, j, extra, rhs):
+            assert op.rho[node[0]] > 10 * RADIUS
+            out = _capacitance_correction(op, i, j, extra, rhs)
+            out[node[0] - 1, node[1] - 1] += 1e-6 * np.max(np.abs(op.psi0))
+            return out
+
+        monkeypatch.setattr(axisym, "_capacitance_correction", bumped)
+        with pytest.raises(SolverError, match="residual"):
+            axisymmetric_oracle(geometry, CENTER, RADIUS, 64)

@@ -23,6 +23,7 @@ from levosc import (ConfigError, DomainError, GeometryError,
                     mutual_inductance, oracle_sweep, orthogonal_geometry,
                     position_sweep,
                     resonance_frequency, self_inductance)
+from levosc import detection
 from levosc.detection import MU0, SweepResult, _ellipke, write_sweep_csv
 
 
@@ -203,6 +204,24 @@ class TestInductances:
         M_ref = coaxial_closed_form(g.transmitter, g.receivers[0])
         assert rel(M, M_ref) < 1e-9
         assert rel(M, 9.435139592492353e-07) < 1e-9
+
+    def test_quadrature_built_once(self, monkeypatch):
+        # three calls share one Gauss-Legendre rule, and reusing it keeps
+        # the reference pair's bits
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(degree):
+            calls.append(degree)
+            return leggauss(degree)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        detection._gauss_legendre_32.cache_clear()
+        g = coaxial_geometry()
+        values = [mutual_inductance(g.transmitter, g.receivers[0])
+                  for _ in range(3)]
+        assert len(calls) <= 1
+        assert [v.hex() for v in values] == ["0x1.fa8b923696622p-21"] * 3
 
     def test_closed_form_across_separations(self):
         for d in (0.008, 0.0227, 0.05, 0.12):

@@ -333,6 +333,26 @@ def test_fit_refuses_a_tolerance_not_finite_and_positive(osc, media, tol):
                               fit_vacuum=True, tol=tol)
 
 
+
+@pytest.mark.parametrize("options, name", [
+    ({"fit_vacuum": True, "vacuum_bracket": (0.0, 1e7)}, "vacuum_bracket"),
+    ({"fit_vacuum": True, "vacuum_bracket": (1e4, math.inf)},
+     "vacuum_bracket"),
+    ({"fit_vacuum": True, "vacuum_bracket": (1e7, 1e4)}, "vacuum_bracket"),
+    ({"regime_weight": -1.0, "regime_threshold": 0.1}, "regime_weight"),
+    ({"regime_weight": math.nan, "regime_threshold": 0.1}, "regime_weight"),
+    ({"bracket": (1e18, math.inf)}, "bracket"),
+    ({"regime_threshold": math.nan}, "regime_threshold"),
+], ids=["vacuum_low_zero", "vacuum_high_inf", "vacuum_reversed",
+        "weight_negative", "weight_nan", "n3_high_inf", "threshold_nan"])
+def test_fit_refuses_bad_brackets_and_weights(osc, media, options, name):
+    # each of these once ended in a math domain error, a LinAlgError
+    # after RuntimeWarnings, or a BracketError or DataError that named
+    # the wrong thing
+    with pytest.raises(ConfigError, match=f"^{name} must"):
+        fit_he3_concentration(criterion_08_series(osc, media), osc, media,
+                              **options)
+
 @pytest.mark.parametrize("fit_vacuum", [False, True])
 def test_dominant_only_fit_is_exact(osc, media, fit_vacuum):
     series, mode = criterion_08_series(osc, media), RegimeMode.DOMINANT_ONLY
