@@ -445,7 +445,7 @@ def _solve(op: _FieldOperator, sphere_z: float | None = None,
         psi[box][inside] = 0.0
 
     residual = _residual(op, psi, d, inside, origin)
-    if residual >= RESIDUAL_TOL:
+    if not residual < RESIDUAL_TOL:     # NaN fails too
         raise SolverError(
             f"field solve residual {residual:.3e} is not under the "
             f"tolerance {RESIDUAL_TOL:.1e}")

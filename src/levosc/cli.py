@@ -17,6 +17,10 @@ Only this module opens input files, each once (:func:`_load_config`,
 a loader to :func:`levosc.ringdown.measure_blocks`, and
 :func:`levosc.ringdown.fit_blocks` checks, orders the faults and fits.
 
+Only :class:`_Run` writes files: it stamps each output with the run
+hash, dumps every JSON record by one ``json.dumps``, and lists each
+output in the manifest by its path relative to ``--out``.
+
 Exit codes: 0 success, 2 usage or configuration problems (an input too
 large for the available memory, or an output that cannot be written,
 among them), 3 physics, geometry, or data problems.
@@ -25,9 +29,11 @@ among them), 3 physics, geometry, or data problems.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import functools
 import hashlib
 import json
+import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -37,7 +43,7 @@ import numpy as np
 from . import __version__, axisym, damping, detection, fitting, media
 from . import ringdown as rd
 from .errors import ConfigError, DataError, LevoscError
-from .formats import read_json, read_keys, write_csv
+from .formats import read_json, read_keys
 from .svgplot import Series, line_plot_svg
 
 __all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS"]
@@ -89,14 +95,16 @@ CONFIG_TABLE = {
 
 # The largest accepted value of each input that sizes the arrays of a
 # run, so that a larger one exits 2 before anything is allocated. Peak
-# memory at the cap, from tracemalloc on numpy 2: a damping row (the
-# channel columns and the CSV text) takes about 680 B, a sweep pose (its
-# columns, field arrays and CSV text) about 490 B, a prediction row
-# about 200 B, and one node of the field solver about 140 B (the two
-# dense pencil eigenbases, n^2 each, and some 15 grid-sized arrays).
+# memory of a whole run at the cap, from tracemalloc on numpy 2: a
+# damping row (its channel columns) takes about 110 B, a sweep pose (its
+# columns and field arrays) about 300 B, a prediction row (two damping
+# tables) about 200 B, and one node of the field solver about 140 B (the
+# two dense pencil eigenbases, n^2 each, and some 15 grid-sized arrays).
+# The CSV text adds a few MB at most: write_csv formats a chunk of rows
+# at a time.
 SIZE_CAPS = {
-    "damping.points": 10**5,            # about 70 MB
-    "detection.sweep_points": 10**5,    # about 50 MB
+    "damping.points": 10**5,            # about 11 MB
+    "detection.sweep_points": 10**5,    # about 30 MB
     "fit.predict_points": 10**5,        # about 20 MB
     "detection.oracle_grid": 1024,      # about 150 MB
 }
@@ -143,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sensitivity", parents=[common],
                    help="noise floor, drag force, linewidth, T/tau")
     return parser
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _load_config(path: Path | None) -> tuple[dict, bytes]:
@@ -197,10 +201,6 @@ def _osc_from_config(cfg: dict) -> damping.OscillatorSpec:
         raise ConfigError(f"oscillator config: {exc}") from exc
 
 
-def _blocks_dir(args) -> Path:
-    return args.blocks if args.blocks is not None else args.out / "blocks"
-
-
 def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
     """``block_NNNNNN.<suffix>`` files by block index, in index order."""
     files = {}
@@ -226,7 +226,7 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
             data = path.read_bytes()
         except (OSError, ValueError) as exc:   # ValueError: a NUL in a path
             raise DataError(f"cannot read {path}: {exc}") from exc
-        digests[name] = _sha256(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
         return parser(data, path, *extra)
 
     config_dir = args.config.parent if args.config is not None else Path(".")
@@ -250,7 +250,7 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
         inputs["series"] = parse("data", args.data,
                                  fitting.load_tau_series_csv)
     if args.command == "ringdown" and args.action == "analyze":
-        blocks_dir = _blocks_dir(args)
+        blocks_dir = args.blocks or args.out / "blocks"
         bins = _block_files(blocks_dir, "rngd")
         csvs = _block_files(blocks_dir, "csv")
         if bins and csvs:
@@ -274,27 +274,6 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
     return inputs, digests
 
 
-def _manifest_core(args, config_blob: bytes, digests: dict[str, str]) -> dict:
-    config_sha256 = _sha256(config_blob)
-    if args.config is not None:
-        digests = dict(digests, config=config_sha256)
-    core = {"tool_version": __version__, "command": args.command,
-            "config_sha256": config_sha256, "input_sha256": digests,
-            "seed": getattr(args, "seed", None)}
-    blob = json.dumps(core, sort_keys=True).encode()
-    core["manifest_hash"] = _sha256(blob)[:16]
-    return core
-
-
-def _write_manifest(out_dir: Path, core: dict, status: str,
-                    outputs: list[str], wall_clock: float) -> None:
-    record = dict(core, status=status, outputs=sorted(outputs),
-                  wall_clock_s=wall_clock)
-    path = out_dir / "manifest.json"
-    with _writing(path):
-        path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
-
-
 def _mkdir(path: Path, what: str) -> None:
     """Create directory ``path``; a failure is an exit 2 naming it."""
     try:
@@ -303,41 +282,81 @@ def _mkdir(path: Path, what: str) -> None:
         raise ConfigError(f"cannot create {what} {path}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _writing(path: Path):
-    """Turn an OSError while writing ``path`` into an exit 2 naming it."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+class _Run:
+    """Every file of a run is written here. JSON records carry the run
+    hash and seed, CSVs and SVGs a ``manifest ... seed ...`` comment. The
+    ``write_*`` methods list each file in the manifest, by its path
+    relative to ``--out``; ``save`` and ``save_csv`` list nothing."""
+
+    def __init__(self, args, config_blob: bytes, digests: dict[str, str]):
+        config_sha256 = hashlib.sha256(config_blob).hexdigest()
+        if args.config is not None:
+            digests = dict(digests, config=config_sha256)
+        core = {"tool_version": __version__, "command": args.command,
+                "config_sha256": config_sha256, "input_sha256": digests,
+                "seed": getattr(args, "seed", None)}
+        core["manifest_hash"] = hashlib.sha256(
+            json.dumps(core, sort_keys=True).encode()).hexdigest()[:16]
+        self.out, self.core, self.outputs = args.out, core, []
+        self.comment = f"manifest {core['manifest_hash']} seed {core['seed']}"
+
+    def save(self, path: Path, write) -> None:
+        """``write(path)``; an OSError is an exit 2 naming ``path``."""
+        try:
+            write(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+    def save_csv(self, path: Path, writer, *data, **options) -> None:
+        def write(path):
+            with open(path, "w") as fh:
+                writer(*data, fh, header_comment=self.comment, **options)
+        self.save(path, write)
+
+    def write_csv(self, name: str, writer, *data, **options) -> None:
+        self.save_csv(self.out / name, writer, *data, **options)
+        self.outputs.append(name)
+
+    def write_text(self, name: str, text: str) -> None:
+        self.save(self.out / name, lambda path: path.write_text(text))
+        self.outputs.append(name)
+
+    def write_json(self, name: str, record: dict) -> None:
+        record = dict(record, manifest_hash=self.core["manifest_hash"])
+        # records that already state an effective seed keep it; the manifest
+        # seed is only the command-line override (None means "from config")
+        record.setdefault("seed", self.core["seed"])
+        self.write_text(name, self._dumps(name, record))
+
+    def _dumps(self, name: str, record: dict) -> str:
+        """The one JSON dump; a number that is not finite exits 3."""
+        try:
+            return json.dumps(record, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+        except ValueError:
+            key = next(key for key in sorted(record)
+                       if not _finite(record[key]))
+            raise DataError(f"cannot write {self.out / name}: {key} is not "
+                            "finite") from None
+
+    def finish(self, wall_clock: float) -> None:
+        """Write manifest.json, which lists every output but itself."""
+        text = self._dumps("manifest.json", dict(
+            self.core, status="ok", outputs=sorted(self.outputs),
+            wall_clock_s=wall_clock))
+        self.save(self.out / "manifest.json", lambda p: p.write_text(text))
 
 
-def _json_out(args, name: str, obj: dict) -> str:
-    """Write ``obj`` with the run hash as ``name`` in --out; ``name``."""
-    core = args._manifest
-    obj = dict(obj, manifest_hash=core["manifest_hash"])
-    # records that already state an effective seed keep it; the manifest
-    # seed is only the command-line override (None means "from config")
-    obj.setdefault("seed", core["seed"])
-    path = args.out / name
-    with _writing(path):
-        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-    return name
+def _finite(value) -> bool:
+    """Whether every number in ``value`` is finite, as JSON needs."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
-def _csv_comment(args) -> str:
-    core = args._manifest
-    return f"manifest {core['manifest_hash']} seed {core['seed']}"
-
-
-def _csv_out(args, name: str, writer, *data, **options) -> str:
-    """Write ``data`` by ``writer`` as ``name`` in --out; ``name``."""
-    with _writing(args.out / name), open(args.out / name, "w") as fh:
-        writer(*data, fh, header_comment=_csv_comment(args), **options)
-    return name
-
-
-def _cmd_damping_curve(args, cfg: dict, inputs: dict) -> list[str]:
+def _cmd_damping_curve(args, cfg: dict, inputs: dict, run: _Run) -> None:
     sec = cfg["damping"]
     _require_positive(cfg, "damping", "points", "T_min_K", "tau_vacuum_s")
     _require_superfluid(cfg, "damping", "T_max_K")
@@ -352,17 +371,12 @@ def _cmd_damping_curve(args, cfg: dict, inputs: dict) -> list[str]:
     n3 = x3 * med.n4
     table = damping.damping_table(osc, med, grid, n3, mode, tau_vac)
 
-    outputs = [_csv_out(args, "damping_curve.csv", damping.write_damping_csv,
-                        table)]
+    run.write_csv("damping_curve.csv", damping.write_damping_csv, table)
     meta = damping.damping_metadata(osc, med, n3, mode, tau_vac)
     meta["x3"] = x3
-    outputs.append(_json_out(args, "damping_metadata.json", meta))
+    run.write_json("damping_metadata.json", meta)
     if args.svg:
-        svg_path = args.out / "damping_curve.svg"
-        with _writing(svg_path):
-            svg_path.write_text(_damping_svg(table, _csv_comment(args)))
-        outputs.append(svg_path.name)
-    return outputs
+        run.write_text("damping_curve.svg", _damping_svg(table, run.comment))
 
 
 def _damping_svg(table: damping.DampingTable, comment: str) -> str:
@@ -383,7 +397,7 @@ def _damping_svg(table: damping.DampingTable, comment: str) -> str:
                          log_x=True, log_y=True, comment=comment)
 
 
-def _cmd_detection_sweep(args, cfg: dict, inputs: dict) -> list[str]:
+def _cmd_detection_sweep(args, cfg: dict, inputs: dict, run: _Run) -> None:
     sec = cfg["detection"]
     _require_positive(cfg, "detection", "sweep_points", "sphere_radius_m")
     n = sec["oracle_grid"]
@@ -404,19 +418,15 @@ def _cmd_detection_sweep(args, cfg: dict, inputs: dict) -> list[str]:
     oracle_col = (axisym.oracle_sweep(geom, centers, radius, n)
                   if args.oracle else None)
 
-    outputs = [_csv_out(args, "detection_sweep.csv", detection.write_sweep_csv,
-                        result, oracle_delta_L=oracle_col)]
+    run.write_csv("detection_sweep.csv", detection.write_sweep_csv, result,
+                  oracle_delta_L=oracle_col)
     if args.svg:
-        svg_path = args.out / "detection_sweep.svg"
-        with _writing(svg_path):
-            svg_path.write_text(line_plot_svg(
-                [Series(result.position.tolist(),
-                        np.abs(result.delta_L).tolist(), "|delta L|")],
-                "position (m)", "|delta L| (H)",
-                title="inductance shift versus sphere position",
-                log_y=True, comment=_csv_comment(args)))
-        outputs.append(svg_path.name)
-    return outputs
+        run.write_text("detection_sweep.svg", line_plot_svg(
+            [Series(result.position.tolist(),
+                    np.abs(result.delta_L).tolist(), "|delta L|")],
+            "position (m)", "|delta L| (H)",
+            title="inductance shift versus sphere position",
+            log_y=True, comment=run.comment))
 
 
 def _ringdown_from_config(args, cfg: dict) -> tuple:
@@ -436,42 +446,38 @@ def _ringdown_from_config(args, cfg: dict) -> tuple:
     return params, schedule
 
 
-def _cmd_ringdown(args, cfg: dict, inputs: dict) -> list[str]:
+def _cmd_ringdown(args, cfg: dict, inputs: dict, run: _Run) -> None:
     sec = cfg["ringdown"]
     params, schedule = _ringdown_from_config(args, cfg)
     if args.action == "simulate":
-        blocks_dir = _blocks_dir(args)
+        blocks_dir = args.blocks or args.out / "blocks"
         _mkdir(blocks_dir, "block directory")
+        listed = Path(os.path.relpath(blocks_dir.resolve(), run.out.resolve()))
         suffix = "rngd" if sec["format"] == "bin" else "csv"
 
-        def write(k):   # on either thread of rd.map_blocks
+        def write(k):   # on either thread of rd.map_blocks: no shared state
             block = rd.synthesize_block(params, schedule, k)
             path = blocks_dir / f"block_{k:06d}.{suffix}"
-            with _writing(path):
-                if suffix == "rngd":
-                    rd.write_block_bin(block, path)
-                else:
-                    with open(path, "w") as fh:
-                        rd.write_block_csv(block, fh,
-                                           header_comment=_csv_comment(args))
-            return str(path)
+            if suffix == "rngd":
+                run.save(path, functools.partial(rd.write_block_bin, block))
+            else:
+                run.save_csv(path, rd.write_block_csv, block)
+            return str(listed / path.name)
 
-        outputs = rd.map_blocks(write, range(schedule.n_blocks))
-        truth = dict(sec, seed=params.seed, n_blocks=schedule.n_blocks)
-        outputs.append(_json_out(args, "ringdown_truth.json", truth))
-        return outputs
+        run.outputs += rd.map_blocks(write, range(schedule.n_blocks))
+        run.write_json("ringdown_truth.json",
+                       dict(sec, seed=params.seed, n_blocks=schedule.n_blocks))
+        return
 
     series, fit = rd.fit_blocks(list(inputs["blocks"].values()), schedule)
-    outputs = [_csv_out(args, "amplitude_series.csv", rd.write_series_csv,
-                        series)]
+    run.write_csv("amplitude_series.csv", rd.write_series_csv, series)
     record = rd.decay_fit_dict(fit)
     record["missing_block_indices"] = sorted(
         set(range(schedule.n_blocks)) - set(inputs["blocks"]))
-    outputs.append(_json_out(args, "decay_fit.json", record))
-    return outputs
+    run.write_json("decay_fit.json", record)
 
 
-def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
+def _cmd_fit_he3(args, cfg: dict, inputs: dict, run: _Run) -> None:
     sec = cfg["fit"]
     _require_positive(cfg, "fit", "tau_vacuum_s", "predict_T_min_K",
                       "predict_T_max_K", "predict_points")
@@ -489,14 +495,13 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
         series, osc, med, bracket=sec["bracket_per_m3"], mode=mode,
         tau_vacuum=tau_vac, fit_vacuum=sec["fit_vacuum"])
 
-    outputs = [_json_out(args, "he3_fit.json",
-                         fitting.concentration_fit_dict(fit))]
+    run.write_json("he3_fit.json", fitting.concentration_fit_dict(fit))
     vac_used = fit.fitted_tau_vacuum \
         if fit.fitted_tau_vacuum is not None else tau_vac
     residuals = fitting.model_residuals(series, osc, med, fit.n3, mode,
                                         vac_used)
-    outputs.append(_csv_out(args, "he3_residuals.csv",
-                            fitting.write_residuals_csv, series, residuals))
+    run.write_csv("he3_residuals.csv", fitting.write_residuals_csv, series,
+                  residuals)
 
     added = sec["added_x3"]
     if added > 0.0:
@@ -504,25 +509,19 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict) -> list[str]:
                             sec["predict_points"]).tolist()
         base, contam = fitting.predict_contamination(fit.x3, added, osc,
                                                      med, grid, mode)
-        pred_path = args.out / "contamination_prediction.csv"
-        with _writing(pred_path), open(pred_path, "w") as fh:
-            write_csv(fh, [_csv_comment(args)],
-                      ["T_K", "tau_s", "tau_contaminated_s", "ratio"],
-                      [base.T, base.tau_total, contam.tau_total,
-                       contam.tau_total / base.tau_total])
-        outputs.append(pred_path.name)
-    return outputs
+        run.write_csv("contamination_prediction.csv",
+                      fitting.write_contamination_csv, base, contam)
 
 
-def _cmd_sensitivity(args, cfg: dict, inputs: dict) -> list[str]:
+def _cmd_sensitivity(args, cfg: dict, inputs: dict, run: _Run) -> None:
     sec = cfg["sensitivity"]
     osc = _osc_from_config(cfg)
     T, tau = sec["temperature_K"], sec["tau_s"]
-    return [_json_out(args, "sensitivity.json", {
+    run.write_json("sensitivity.json", {
         "S_F_N2_per_Hz": damping.noise_density(osc, T, tau, inputs["media"]),
         "F_D_N": damping.drag_force(osc, tau, sec["velocity_m_s"]),
         "T_over_tau_K_per_s": T / tau, "linewidth_Hz": damping.linewidth(tau),
-        **sec})]
+        **sec})
 
 
 _DISPATCH = {
@@ -534,18 +533,20 @@ _DISPATCH = {
 }
 
 
+# parse_args keeps no state in the parser, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         cfg, blob = _load_config(args.config)
         inputs, digests = _read_inputs(args, cfg)
-        args._manifest = _manifest_core(args, blob, digests)
+        run = _Run(args, blob, digests)
         _mkdir(args.out, "output directory")
-        outputs = _DISPATCH[args.command](args, cfg, inputs)
-        _write_manifest(args.out, args._manifest, "ok", outputs,
-                        time.monotonic() - started)
+        _DISPATCH[args.command](args, cfg, inputs, run)
+        run.finish(time.monotonic() - started)
         return 0
     except ConfigError as exc:
         print(f"levosc: config error: {exc}", file=sys.stderr)

@@ -42,6 +42,7 @@ __all__ = [
     "predict_contamination",
     "load_tau_series_csv",
     "write_residuals_csv",
+    "write_contamination_csv",
     "concentration_fit_dict",
 ]
 
@@ -301,6 +302,16 @@ def write_residuals_csv(series: TauTemperatureSeries,
                         header_comment: str | None = None) -> None:
     write_csv(fh, [header_comment], ["T_K", "tau_s", "log_residual"],
               [series.temperatures, series.taus, residuals])
+
+
+def write_contamination_csv(base: DampingTable, contaminated: DampingTable,
+                            fh: io.TextIOBase,
+                            header_comment: str | None = None) -> None:
+    """Both tables' tau_total and their ratio, per temperature."""
+    write_csv(fh, [header_comment],
+              ["T_K", "tau_s", "tau_contaminated_s", "ratio"],
+              [base.T, base.tau_total, contaminated.tau_total,
+               contaminated.tau_total / base.tau_total])
 
 
 def concentration_fit_dict(fit: ConcentrationFit) -> dict[str, object]:

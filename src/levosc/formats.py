@@ -24,6 +24,7 @@ __all__ = ["REQUIRED", "read_json", "read_keys", "read_key_lines",
 REQUIRED = object()
 
 _COUNTS = {"two numbers": 2, "three numbers": 3}
+_CHUNK_ROWS = 4096    # CSV rows formatted per write: ~4.5 MB at 7 columns
 
 
 def _typed(kind, value):
@@ -218,12 +219,16 @@ def write_csv(fh: io.TextIOBase, comments: Sequence[str | None],
               header: Sequence[str], columns: Sequence) -> None:
     """Write each comment that is not None or empty as a ``#`` line, then
     the header and one record per row of the equal-length ``columns``:
-    every value by ``repr``, NaN as an empty field."""
+    every value by ``repr``, NaN as an empty field, _CHUNK_ROWS rows at
+    a time."""
     for comment in comments:
         if comment:
             fh.write(f"# {comment}\n")
     fh.write(",".join(header) + "\n")
-    fields = [["" if text == "nan" else text
-               for text in map(repr, np.asarray(col).tolist())]
-              for col in columns]
-    fh.writelines(",".join(record) + "\n" for record in zip(*fields))
+    columns = [np.asarray(col) for col in columns]
+    rows = min(map(len, columns), default=0)
+    for start in range(0, rows, _CHUNK_ROWS):
+        fields = [["" if text == "nan" else text for text in
+                   map(repr, col[start:start + _CHUNK_ROWS].tolist())]
+                  for col in columns]
+        fh.writelines(",".join(record) + "\n" for record in zip(*fields))

@@ -34,17 +34,10 @@ def _fmt(v: float) -> str:
 
 
 def _tick_values(lo: float, hi: float, log: bool) -> list[float]:
-    if log:
-        ticks = []
-        for d in range(math.floor(math.log10(lo)),
-                       math.ceil(math.log10(hi)) + 1):
-            try:
-                v = 10.0**d
-            except OverflowError:       # a decade beyond the largest double
-                continue
-            if lo <= v <= hi:
-                ticks.append(v)
-        return ticks
+    if log:     # 1e308 is the largest decade a double holds
+        decades = range(math.floor(math.log10(lo)),
+                        min(math.ceil(math.log10(hi)), 308) + 1)
+        return [10.0**d for d in decades if lo <= 10.0**d <= hi]
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):
@@ -69,18 +62,23 @@ def _tick_label(v: float, log: bool) -> str:
     return f"{v:g}"
 
 
+def _fraction(v: float, lo: float, hi: float, log: bool) -> float:
+    if log:
+        return (math.log10(v) - math.log10(lo)) \
+            / (math.log10(hi) - math.log10(lo))
+    return (v - lo) / (hi - lo)
+
+
 def line_plot_svg(series: Sequence[Series], xlabel: str, ylabel: str,
                   title: str = "", log_x: bool = False,
                   log_y: bool = False, comment: str | None = None) -> str:
-    xs, ys = [], []
-    for s in series:
-        for xv, yv in zip(s.x, s.y):
-            if not (math.isfinite(xv) and math.isfinite(yv)):
-                continue
-            if (log_x and xv <= 0) or (log_y and yv <= 0):
-                continue
-            xs.append(xv)
-            ys.append(yv)
+    # the finite points of each series that its axes can place
+    points = [[(xv, yv) for xv, yv in zip(s.x, s.y)
+               if math.isfinite(xv) and math.isfinite(yv)
+               and not (log_x and xv <= 0 or log_y and yv <= 0)]
+              for s in series]
+    xs = [xv for pts in points for xv, _ in pts]
+    ys = [yv for pts in points for _, yv in pts]
     if not xs:
         raise ValueError("nothing plottable")
     x_lo, x_hi = min(xs), max(xs)
@@ -91,20 +89,10 @@ def line_plot_svg(series: Sequence[Series], xlabel: str, ylabel: str,
         y_lo, y_hi = y_lo * 0.9 if y_lo else -1.0, y_hi * 1.1 if y_hi else 1.0
 
     def tx(v: float) -> float:
-        if log_x:
-            f = (math.log10(v) - math.log10(x_lo)) \
-                / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            f = (v - x_lo) / (x_hi - x_lo)
-        return _ML + f * (_W - _ML - _MR)
+        return _ML + _fraction(v, x_lo, x_hi, log_x) * (_W - _ML - _MR)
 
     def ty(v: float) -> float:
-        if log_y:
-            f = (math.log10(v) - math.log10(y_lo)) \
-                / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            f = (v - y_lo) / (y_hi - y_lo)
-        return _H - _MB - f * (_H - _MT - _MB)
+        return _H - _MB - _fraction(v, y_lo, y_hi, log_y) * (_H - _MT - _MB)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
            f'height="{_H}" viewBox="0 0 {_W} {_H}">']
@@ -135,16 +123,10 @@ def line_plot_svg(series: Sequence[Series], xlabel: str, ylabel: str,
     out.append(f'<text x="20" y="{_H // 2}" text-anchor="middle" {font} '
                f'transform="rotate(-90 20 {_H // 2})">{ylabel}</text>')
     legend_y = _MT + 16
-    for i, s in enumerate(series):
+    for i, (s, pts) in enumerate(zip(series, points)):
         color = s.color or _PALETTE[i % len(_PALETTE)]
         dash = ' stroke-dasharray="7 4"' if s.dashed else ""
-        pts = []
-        for xv, yv in zip(s.x, s.y):
-            if not (math.isfinite(xv) and math.isfinite(yv)):
-                continue
-            if (log_x and xv <= 0) or (log_y and yv <= 0):
-                continue
-            pts.append(f"{_fmt(tx(xv))},{_fmt(ty(yv))}")
+        pts = [f"{_fmt(tx(xv))},{_fmt(ty(yv))}" for xv, yv in pts]
         if not pts:
             continue
         out.append(f'<polyline fill="none" stroke="{color}" '

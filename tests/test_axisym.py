@@ -420,3 +420,14 @@ class TestDirectSolve:
         monkeypatch.setattr(axisym, "_capacitance_correction", bumped)
         with pytest.raises(SolverError, match="residual"):
             axisymmetric_oracle(geometry, CENTER, RADIUS, 64)
+
+    def test_nan_residual_fails_the_gate(self, geometry, monkeypatch):
+        # NaN is not under any tolerance, though it is not over it either
+        def poisoned(op, i, j, extra, rhs):
+            out = _capacitance_correction(op, i, j, extra, rhs)
+            out[59, 59] = np.nan
+            return out
+
+        monkeypatch.setattr(axisym, "_capacitance_correction", poisoned)
+        with pytest.raises(SolverError, match="residual nan is not under"):
+            axisymmetric_oracle(geometry, CENTER, RADIUS, 64)

@@ -24,7 +24,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from levosc.cli import CONFIG_TABLE, SIZE_CAPS, _load_config, main
+from levosc import cli
+from levosc.cli import (CONFIG_TABLE, SIZE_CAPS, _load_config, build_parser,
+                        main)
 from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
                             damping_table, drag_force, linewidth,
                             noise_density)
@@ -422,6 +424,25 @@ def test_damping_curve_svg_at_10000_points(tmp_path):
     svg = (out / "damping_curve.svg").read_text()
     assert svg.rstrip().endswith("</svg>")
     assert svg.count("<polyline") == 6
+
+
+def test_damping_curve_memory_at_the_points_cap(tmp_path):
+    # the CSV text of 100,000 rows is about 13 MB, and whole it took the
+    # run's peak to about 48 MB; written a chunk of rows at a time, the
+    # peak is mostly the channel columns
+    cfg = write_config(tmp_path, {"damping": {
+        "points": SIZE_CAPS["damping.points"]}})
+    argv = ["damping-curve", "--config", str(cfg), "--out"]
+    assert main([*argv, str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main([*argv, str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert (tmp_path / "out" / "damping_curve.csv").read_bytes() \
+        == (tmp_path / "warm" / "damping_curve.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["damping-curve", "fit-he3"])
@@ -1316,6 +1337,80 @@ def test_manifest_hash_covers_input_content(tmp_path):
     out2 = tmp_path / "o2"
     assert main(["fit-he3", "--data", str(d1), "--out", str(out2)]) == 0
     assert manifest_of(out2)["manifest_hash"] != h1
+
+
+def test_manifest_lists_outputs_relative_to_out(tmp_path, monkeypatch):
+    # every command, run from another working directory with a relative
+    # --out: each entry names a file as out / entry, and every file the
+    # run wrote is listed, blocks outside --out among them
+    data = model_data_csv(tmp_path, 4.2e-8)
+    ring = RINGDOWN_CFG["ringdown"]
+    outside = tmp_path / "outside" / "blocks"
+    runs = {
+        "dc": (["damping-curve", "--svg"], {"damping": {"points": 8}}),
+        "det": (["detection-sweep", "--svg", "--oracle"],
+                {"detection": {"oracle_grid": 64}}),
+        "fit": (["fit-he3", "--data", str(data)], {"fit": {"added_x3": 1e-7}}),
+        "sens": (["sensitivity"], {}),
+        "bin": (["ringdown", "simulate"], RINGDOWN_CFG),
+        "csv": (["ringdown", "simulate"],
+                {"ringdown": dict(ring, format="csv")}),
+        "ext": (["ringdown", "simulate", "--blocks", "../outside/blocks"],
+                RINGDOWN_CFG),
+        "ana": (["ringdown", "analyze", "--blocks", "../outside/blocks"],
+                RINGDOWN_CFG),
+    }
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    for name, (argv, cfg_obj) in runs.items():
+        cfg = write_config(tmp_path, cfg_obj, f"{name}.json")
+        out = Path("runs") / name
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs = manifest_of(out)["outputs"]
+        assert all((out / entry).is_file() for entry in outputs)
+        written = {path.resolve() for path in out.rglob("*")
+                   if path.is_file() and path.name != "manifest.json"}
+        if name == "ext":
+            written |= set(outside.iterdir())
+        assert {(out / entry).resolve() for entry in outputs} == written
+    assert "blocks/block_000011.rngd" in manifest_of(Path("runs/bin"))[
+        "outputs"]
+    assert "../../../outside/blocks/block_000000.rngd" in manifest_of(
+        Path("runs/ext"))["outputs"]
+
+
+def test_non_finite_json_record_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "oscillator": {"mass_kg": 1e300},
+        "sensitivity": {"velocity_m_s": 1e300, "tau_s": 1e-300}})
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--config", str(cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"levosc: cannot write {out / 'sensitivity.json'}: "
+        "F_D_N is not finite\n")
+    assert not (out / "sensitivity.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_consecutive_calls_share_no_parsed_state(tmp_path):
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    cfg = write_config(tmp_path, {"damping": {"points": 5}})
+    for name, flags in (("a", ["--svg"]), ("b", [])):
+        assert main(["damping-curve", *flags, "--config", str(cfg),
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a" / "damping_curve.svg").is_file()
+    assert not (tmp_path / "b" / "damping_curve.svg").exists()
+    assert manifest_of(tmp_path / "b")["outputs"] == [
+        "damping_curve.csv", "damping_metadata.json"]
+    cfg = write_config(tmp_path, RINGDOWN_CFG, "ring.json")
+    for name, flags in (("c", ["--seed", "99"]), ("d", [])):
+        assert main(["ringdown", "simulate", *flags, "--config", str(cfg),
+                     "--out", str(tmp_path / name)]) == 0
+    assert manifest_of(tmp_path / "d")["seed"] is None
+    truth = json.loads((tmp_path / "d" / "ringdown_truth.json").read_text())
+    assert truth["seed"] == 5
 
 
 def test_out_under_regular_file_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ read_numeric_csv reads back what write_csv writes.
 import io
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,3 +73,21 @@ def test_read_numeric_csv_reads_back_write_csv(rows):
     write_csv(buf, ["a comment"], ["x", "y", "z"], list(zip(*rows)))
     assert read_numeric_csv(buf.getvalue().encode(), "t.csv", "test",
                             3) == rows
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 9000])
+def test_write_csv_writes_chunks_as_one_table(rows):
+    # rows across chunk boundaries, NaN, inf, ints, bools and a list
+    # column; zip stops at the shortest column
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal(rows)
+    x[::7] = np.nan
+    x[::11] = np.inf
+    columns = [x, np.arange(rows), x > 0, x.tolist(),
+               rng.random(max(rows - 3, 0))]
+    want = "# c\nx,k,b,l,short\n" + "".join(
+        ",".join("" if text == "nan" else text for text in map(repr, row))
+        + "\n" for row in zip(*(np.asarray(c).tolist() for c in columns)))
+    buf = io.StringIO()
+    write_csv(buf, ["c", None], ["x", "k", "b", "l", "short"], columns)
+    assert buf.getvalue() == want
