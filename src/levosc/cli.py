@@ -411,6 +411,11 @@ def _cmd_detection_sweep(args, cfg: dict, inputs: dict, run: _Run) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
                                 sec["sweep_points"])
+        if np.any(np.diff(positions) == 0):
+            raise ConfigError(
+                "detection.sweep_start_m, detection.sweep_stop_m and "
+                "detection.sweep_points put two sweep positions at the "
+                "same place")
         centers = receiver.center_v + np.outer(positions, receiver.axis_v)
     result = detection.position_sweep(geom, centers, radius,
                                       driven=sec["driven"])

@@ -344,9 +344,9 @@ def self_inductance(coil: CoilSpec) -> float:
     return MU0 * coil.turns**2 * R * (math.log(8.0 * R / a_w) - 2.0)
 
 
-def _min_circle_separation(coil_a: CoilSpec, coil_b: CoilSpec,
-                           samples: int = 90) -> float:
-    phi = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+def _min_circle_separation(coil_a: CoilSpec, coil_b: CoilSpec) -> float:
+    """Least distance from 90 points on a's mean winding circle to b's."""
+    phi = np.linspace(0.0, 2.0 * math.pi, 90, endpoint=False)
     u, v = _orthobasis(coil_a.axis_v)
     ring = (coil_a.center_v[None, :]
             + coil_a.mean_radius * (np.outer(np.cos(phi), u)
@@ -533,53 +533,45 @@ def write_sweep_csv(result: SweepResult, fh: io.TextIOBase,
     write_csv(fh, comments, header, columns)
 
 
-def coaxial_geometry(d_z: float = 2.27e-2,
-                     drive_amplitude: float = 0.035,
-                     drive_frequency: float = 1.6e6,
-                     capacitance: float = 470e-12,
-                     receiver_inductance: float | None = 21e-6,
-                     ) -> DetectionGeometry:
+# 35 mA at 1.6 MHz, the drive of both built-in geometries
+_DRIVE = DriveSpec(amplitude=0.035, angular_frequency=2.0 * math.pi * 1.6e6)
+
+
+def coaxial_geometry() -> DetectionGeometry:
     """Coaxial measurement arrangement: 3 mm/60-turn receiver at the
-    origin and 12.5 mm/100-turn transmitter a distance ``d_z`` above it
-    on the shared +z axis."""
+    origin and 12.5 mm/100-turn transmitter 22.7 mm above it on the
+    shared +z axis, driven at 35 mA and 1.6 MHz, with a 470 pF tank
+    capacitor and a measured 21 uH receiver inductance."""
     receiver = CoilSpec(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
                         mean_radius=3e-3, turns=60,
                         conductor_cross_section_total=0.012e-4,
                         role="receiver")
-    transmitter = CoilSpec(center=(0.0, 0.0, d_z), axis=(0.0, 0.0, 1.0),
+    transmitter = CoilSpec(center=(0.0, 0.0, 2.27e-2), axis=(0.0, 0.0, 1.0),
                            mean_radius=12.5e-3, turns=100,
                            conductor_cross_section_total=0.022e-4,
                            role="transmitter")
-    drive = DriveSpec(amplitude=drive_amplitude,
-                      angular_frequency=2.0 * math.pi * drive_frequency)
     return DetectionGeometry(transmitter=transmitter, receivers=(receiver,),
-                             drive=drive, capacitance=capacitance,
-                             receiver_inductance=receiver_inductance)
+                             drive=_DRIVE, capacitance=470e-12,
+                             receiver_inductance=21e-6)
 
 
-def orthogonal_geometry(r_trans: float = 2.6e-2,
-                        d_z: float = 2.2e-2,
-                        drive_amplitude: float = 0.035,
-                        drive_frequency: float = 1.6e6,
-                        capacitance: float = 470e-12,
-                        ) -> DetectionGeometry:
+def orthogonal_geometry() -> DetectionGeometry:
     """Three-dimensional arrangement: vertical-axis transmitter ring of
-    radius ``r_trans`` in the levitation plane and a pair of mutually
-    orthogonal horizontal-axis receivers a height ``d_z`` above it."""
+    radius 26 mm in the levitation plane and a pair of mutually
+    orthogonal horizontal-axis receivers 22 mm above it, with the
+    coaxial pair's drive and capacitor."""
     transmitter = CoilSpec(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
-                           mean_radius=r_trans, turns=100,
+                           mean_radius=2.6e-2, turns=100,
                            conductor_cross_section_total=0.022e-4,
                            role="transmitter")
-    rx1 = CoilSpec(center=(0.0, 0.0, d_z), axis=(1.0, 0.0, 0.0),
+    rx1 = CoilSpec(center=(0.0, 0.0, 2.2e-2), axis=(1.0, 0.0, 0.0),
                    mean_radius=3e-3, turns=60,
                    conductor_cross_section_total=0.012e-4, role="receiver")
-    rx2 = CoilSpec(center=(0.0, 0.0, d_z), axis=(0.0, 1.0, 0.0),
+    rx2 = CoilSpec(center=(0.0, 0.0, 2.2e-2), axis=(0.0, 1.0, 0.0),
                    mean_radius=3e-3, turns=60,
                    conductor_cross_section_total=0.012e-4, role="receiver")
-    drive = DriveSpec(amplitude=drive_amplitude,
-                      angular_frequency=2.0 * math.pi * drive_frequency)
     return DetectionGeometry(transmitter=transmitter, receivers=(rx1, rx2),
-                             drive=drive, capacitance=capacitance)
+                             drive=_DRIVE, capacitance=470e-12)
 
 
 # Keys of a geometry file, in the layout of levosc.formats.read_keys.

@@ -5,9 +5,9 @@ Residuals live in log space because tau spans many decades. In
 is linear in the unknowns, so a Levenberg-Marquardt fit (Levenberg 1944,
 Marquardt 1963) with the analytic Jacobian takes a few dozen evaluations.
 In ``DOMINANT_ONLY`` the objective is piecewise quadratic in ln n3, so one
-evaluation gives its exact minimum. Rows above the regime threshold
-(default 0.6 K) are down-weighted: the hydrodynamic-ballistic cross-over
-has no trustworthy model, so those points should steer the fit only weakly.
+evaluation gives its exact minimum. Rows above REGIME_WEIGHT_THRESHOLD
+(0.6 K) are down-weighted: the hydrodynamic-ballistic cross-over has no
+trustworthy model, so those points should steer the fit only weakly.
 
 The model is evaluated over the whole series at once: the channels that
 do not depend on n3 once per fit, the impurity and vacuum channels and
@@ -37,6 +37,8 @@ __all__ = [
     "ConcentrationFit",
     "REGIME_WEIGHT_THRESHOLD",
     "REGIME_WEIGHT",
+    "SEARCH_TOLERANCE",
+    "VACUUM_BRACKET",
     "model_residuals",
     "fit_he3_concentration",
     "predict_contamination",
@@ -49,6 +51,11 @@ __all__ = [
 # Rows warmer than this get their weight multiplied by REGIME_WEIGHT.
 REGIME_WEIGHT_THRESHOLD = 0.6  # K
 REGIME_WEIGHT = 0.1
+# The ReciprocalSum fit stops once its largest step in (ln n3, ln tau_vac)
+# is below this.
+SEARCH_TOLERANCE = 1e-6
+# Bracket of the vacuum decay time when the fit varies it.
+VACUUM_BRACKET = (1e4, 1e7)  # s
 
 
 @dataclass(frozen=True)
@@ -84,11 +91,8 @@ class ConcentrationFit:
     residual_rms: float
     n3_bracket: tuple[float, float]
     regime_mode: RegimeMode
-    search_tolerance: float
     tau_vacuum: float | None = None
     fitted_tau_vacuum: float | None = None
-    regime_threshold: float = REGIME_WEIGHT_THRESHOLD
-    regime_weight: float = REGIME_WEIGHT
 
     def __post_init__(self):
         if self.n3 <= 0:
@@ -137,11 +141,11 @@ def _dominant_minimum(a: np.ndarray, b: np.ndarray, y: np.ndarray,
 
 
 def _levenberg_marquardt(fn: Callable[[np.ndarray], tuple], lo: np.ndarray,
-                         hi: np.ndarray, tol: float) -> np.ndarray:
+                         hi: np.ndarray) -> np.ndarray:
     """The p in the box [lo, hi] minimizing |r|^2, ``fn`` giving r and its
     Jacobian: damped Gauss-Newton steps from the midpoint, clipped to the
     box and holding a parameter that the gradient pushes out through its
-    bound, until the largest step is below ``tol``."""
+    bound, until the largest step is below SEARCH_TOLERANCE."""
     p, damping = 0.5 * (lo + hi), 1e-3
     r, J = fn(p)
     while True:
@@ -158,7 +162,7 @@ def _levenberg_marquardt(fn: Callable[[np.ndarray], tuple], lo: np.ndarray,
             p, r, J, damping = trial, r_trial, J_trial, 0.1 * damping
         else:
             damping *= 10.0
-        if moved < tol:
+        if moved < SEARCH_TOLERANCE:
             return p
 
 
@@ -167,49 +171,32 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
                           bracket: tuple[float, float] = (1e18, 1e23),
                           mode: RegimeMode = RegimeMode.RECIPROCAL_SUM,
                           tau_vacuum: float | None = DEFAULT_TAU_VACUUM,
-                          fit_vacuum: bool = False,
-                          vacuum_bracket: tuple[float, float] = (1e4, 1e7),
-                          regime_threshold: float = REGIME_WEIGHT_THRESHOLD,
-                          regime_weight: float = REGIME_WEIGHT,
-                          tol: float = 1e-6) -> ConcentrationFit:
+                          fit_vacuum: bool = False) -> ConcentrationFit:
     """Fit n3 on a logarithmic bracket, and with ``fit_vacuum`` the
-    vacuum channel on ``vacuum_bracket``, by weighted log residuals.
+    vacuum channel on VACUUM_BRACKET, by weighted log residuals: rows
+    warmer than REGIME_WEIGHT_THRESHOLD weigh REGIME_WEIGHT.
 
-    Both brackets must be finite with 0 < low < high, and the n3
-    bracket must span at least four decades; ``regime_weight`` must be
-    finite and positive and ``regime_threshold`` finite. A minimum
-    pinned to a bracket edge raises :class:`BracketError`: the data
-    carry no impurity signature (or the bracket excludes the true
-    value).
+    The bracket must be finite with 0 < low < high and span at least
+    four decades. A minimum pinned to a bracket edge raises
+    :class:`BracketError`: the data carry no impurity signature (or the
+    bracket excludes the true value).
 
     ``RECIPROCAL_SUM`` runs one bounded Levenberg-Marquardt fit of
     (ln n3, ln tau_vac), or ln n3 alone, from the brackets' log-midpoint
-    until its largest step is below ``tol`` (finite and positive).
-    ``DOMINANT_ONLY`` takes the exact minimum over ln n3, without
-    ``tol``, and refuses ``fit_vacuum``.
+    until its largest step is below SEARCH_TOLERANCE.
+    ``DOMINANT_ONLY`` takes the exact minimum over ln n3 and refuses
+    ``fit_vacuum``.
     """
     if fit_vacuum and mode is RegimeMode.DOMINANT_ONLY:
         raise ConfigError("fit_vacuum needs ReciprocalSum, not DominantOnly")
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"tol must be finite and positive, got {tol!r}")
-    brackets = {"bracket": bracket}
-    if fit_vacuum:
-        brackets["vacuum_bracket"] = vacuum_bracket
-    for name, (lo, hi) in brackets.items():
-        if not 0 < lo < hi < math.inf:
-            raise ConfigError(f"{name} must satisfy 0 < low < high < inf, "
-                              f"got {(lo, hi)!r}")
     n3_lo, n3_hi = bracket
+    if not 0 < n3_lo < n3_hi < math.inf:
+        raise ConfigError(f"bracket must satisfy 0 < low < high < inf, "
+                          f"got {(n3_lo, n3_hi)!r}")
     if math.log10(n3_hi / n3_lo) < 4.0:
         raise ConfigError("bracket must span at least four decades of n3")
-    if not 0 < regime_weight < math.inf:
-        raise ConfigError(f"regime_weight must be finite and positive, "
-                          f"got {regime_weight!r}")
-    if not math.isfinite(regime_threshold):
-        raise ConfigError(f"regime_threshold must be finite, "
-                          f"got {regime_threshold!r}")
-    weights = np.where(series.temperatures > regime_threshold,
-                       regime_weight, 1.0)
+    weights = np.where(series.temperatures > REGIME_WEIGHT_THRESHOLD,
+                       REGIME_WEIGHT, 1.0)
     medium = medium_channels(osc, media, series.temperatures)
     log_taus = np.log(series.taus)
 
@@ -233,10 +220,10 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
         return (root_w * r)[ok], (root_w[:, None] * J)[ok, :len(p)]
 
     box = [(math.log(lo), math.log(hi)) for lo, hi in
-           ([bracket, vacuum_bracket] if fit_vacuum else [bracket])]
+           ([bracket, VACUUM_BRACKET] if fit_vacuum else [bracket])]
     u_lo, u_hi = box[0]
     if mode is RegimeMode.RECIPROCAL_SUM:
-        p = _levenberg_marquardt(weighted, *np.array(box).T, tol)
+        p = _levenberg_marquardt(weighted, *np.array(box).T)
         u_star = float(p[0])
     else:   # ln tau_total = min(a, b - u), b = ln tau_imp at n3 = 1
         table, r, _ = residuals(1.0, tau_vacuum)
@@ -257,10 +244,8 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
     rms = math.sqrt(objective / np.sum(weights[np.isfinite(r)]))
     return ConcentrationFit(n3=n3, x3=n3 / media.n4, residual_rms=rms,
                             n3_bracket=(n3_lo, n3_hi), regime_mode=mode,
-                            search_tolerance=tol, tau_vacuum=tau_vacuum,
-                            fitted_tau_vacuum=fitted_vac,
-                            regime_threshold=regime_threshold,
-                            regime_weight=regime_weight)
+                            tau_vacuum=tau_vacuum,
+                            fitted_tau_vacuum=fitted_vac)
 
 
 def predict_contamination(x3: float, added_x3: float,
@@ -324,9 +309,9 @@ def concentration_fit_dict(fit: ConcentrationFit) -> dict[str, object]:
         "regime_mode": fit.regime_mode.value,
         "tau_vacuum_s": fit.tau_vacuum,
         "fitted_tau_vacuum_s": fit.fitted_tau_vacuum,
-        "search_tolerance": fit.search_tolerance,
-        "regime_weight_threshold_K": fit.regime_threshold,
-        "regime_weight": fit.regime_weight,
+        "search_tolerance": SEARCH_TOLERANCE,
+        "regime_weight_threshold_K": REGIME_WEIGHT_THRESHOLD,
+        "regime_weight": REGIME_WEIGHT,
         "notes": ("surface bound states can deplete the bulk helium-3 "
                   "concentration near a free surface; this is not "
                   "modeled, so x3 reflects the bulk actually coupled "

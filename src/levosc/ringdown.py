@@ -12,7 +12,10 @@ list functions are these over a list. :func:`map_blocks` runs per-block
 work on this thread and one helper thread, two blocks in flight, in
 block order; every heavy step of a block (``exp``, ``cos``, the Philox
 draws, the FFT, file IO, the sha256 digest) releases the interpreter
-lock, so the two overlap. There is no setting for the thread count.
+lock, so the two overlap. There is no setting for the thread count. A
+fault stops new blocks from starting, not the blocks that the other
+thread took before it, so blocks past a failing one can still be
+written.
 
 Synthesis noise comes from a counter-based (Philox) generator split per
 block, so a given seed produces bit-identical signals on any platform
@@ -208,9 +211,11 @@ def map_blocks(fn: Callable[[_Item], _Result],
     thread, so that two items are in flight.
 
     Both threads take the next index from one counter, so items start in
-    index order. Once an item raises, no item of a higher index starts,
-    and the exception of the lowest-indexed item that raised is raised
-    here: the one that the plain loop would raise.
+    index order. No item starts once an item has raised, but the items
+    that the other thread took before then still run: several of them
+    when the failing item is slow. The exception of the lowest-indexed
+    item that raised is raised here: the one that the plain loop would
+    raise.
     """
     results: list = [None] * len(items)
     faults: dict[int, BaseException] = {}

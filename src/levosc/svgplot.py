@@ -39,7 +39,8 @@ def _tick_values(lo: float, hi: float, log: bool) -> list[float]:
                         min(math.ceil(math.log10(hi)), 308) + 1)
         return [10.0**d for d in decades if lo <= 10.0**d <= hi]
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / 4))
+    # below 1e-322 the decade step would underflow to 0
+    step = 10.0 ** math.floor(math.log10(max(span / 4, 1e-322)))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= 6:
             step *= mult
@@ -47,7 +48,9 @@ def _tick_values(lo: float, hi: float, log: bool) -> list[float]:
     first = math.ceil(lo / step) * step
     ticks = []
     v = first
-    while v <= hi + 1e-12 * span:
+    # at most 8 ticks, none twice: a step under half an ulp of v leaves
+    # v where it is
+    while v <= hi + 1e-12 * span and len(ticks) < 8 and v not in ticks:
         ticks.append(v)
         v += step
     return ticks
@@ -69,6 +72,17 @@ def _fraction(v: float, lo: float, hi: float, log: bool) -> float:
     return (v - lo) / (hi - lo)
 
 
+def _axis_range(lo: float, hi: float, log: bool) -> tuple[float, float]:
+    """lo and hi, or 10 % either side of them (-1 to 1 about 0) where the
+    axis cannot tell them apart, as a log axis cannot two values a few
+    ulps apart."""
+    if (math.log10(hi) - math.log10(lo) if log else hi - lo) != 0:
+        return lo, hi
+    if not lo:
+        return -1.0, 1.0
+    return min(lo * 0.9, lo * 1.1), max(hi * 0.9, hi * 1.1)
+
+
 def line_plot_svg(series: Sequence[Series], xlabel: str, ylabel: str,
                   title: str = "", log_x: bool = False,
                   log_y: bool = False, comment: str | None = None) -> str:
@@ -81,12 +95,8 @@ def line_plot_svg(series: Sequence[Series], xlabel: str, ylabel: str,
     ys = [yv for pts in points for _, yv in pts]
     if not xs:
         raise ValueError("nothing plottable")
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo * 0.9 if x_lo else -1.0, x_hi * 1.1 if x_hi else 1.0
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo * 0.9 if y_lo else -1.0, y_hi * 1.1 if y_hi else 1.0
+    x_lo, x_hi = _axis_range(min(xs), max(xs), log_x)
+    y_lo, y_hi = _axis_range(min(ys), max(ys), log_y)
 
     def tx(v: float) -> float:
         return _ML + _fraction(v, x_lo, x_hi, log_x) * (_W - _ML - _MR)

@@ -193,6 +193,13 @@ REJECTED_INPUTS = [
      "need fit.predict_T_min_K < fit.predict_T_max_K"),
     ("fit-he3", {"fit": {"added_x3": -1e-7}},
      "fit.added_x3 must be non-negative"),
+    # two sweep positions at the same place once exited 3 naming no key
+    ("detection-sweep", {"detection": {
+        "sweep_start_m": 0.01, "sweep_stop_m": 0.01, "sweep_points": 3}},
+     "detection.sweep_start_m"),
+    ("detection-sweep", {"detection": {
+        "sweep_start_m": 0.019, "sweep_stop_m": 0.019000000000000003,
+        "sweep_points": 5}}, "detection.sweep_stop_m"),
 ]
 
 
@@ -489,6 +496,19 @@ def test_detection_sweep_svg_carries_manifest(tmp_path):
     assert f"manifest {m['manifest_hash']}" in svg
     assert svg.rstrip().endswith("</svg>")
     assert "detection_sweep.svg" in m["outputs"]
+
+
+def test_detection_sweep_svg_of_a_one_ulp_span(tmp_path):
+    # the linear ticks of this span once never ended, and the log axis of
+    # two |delta L| one ulp apart divided by zero
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"detection": {
+        "sweep_start_m": 0.019, "sweep_stop_m": 0.019000000000000003,
+        "sweep_points": 2}})
+    assert main(["detection-sweep", "--config", str(cfg), "--out", str(out),
+                 "--svg"]) == 0
+    svg = (out / "detection_sweep.svg").read_text()
+    assert svg.rstrip().endswith("</svg>")
 
 
 def test_detection_sweep_oracle_columns(tmp_path):

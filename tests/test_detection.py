@@ -6,6 +6,7 @@ mutual-inductance expression, and on-axis closed forms evaluated with
 40-digit arithmetic and frozen as literals.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -355,7 +356,8 @@ class TestEffectiveInductance:
 
     def test_measured_inductance_override(self):
         g = coaxial_geometry()
-        g_geo = coaxial_geometry(receiver_inductance=None)
+        g_geo = dataclasses.replace(coaxial_geometry(),
+                                    receiver_inductance=None)
         center = (0.0, 0.0, 9e-3)
         meas, geom = one_pose(g, center), one_pose(g_geo, center)
         dL1, dL2 = meas.delta_L[0], geom.delta_L[0]
@@ -500,7 +502,7 @@ class TestPositionSweep:
 
     @staticmethod
     def fat_receiver_geometry():
-        g = coaxial_geometry(receiver_inductance=None)
+        g = dataclasses.replace(coaxial_geometry(), receiver_inductance=None)
         rx = CoilSpec(center=(0.0, 0.0, 0.0), axis=(0.0, 0.0, 1.0),
                       mean_radius=3e-3, turns=60,
                       conductor_cross_section_total=5e-5)
@@ -523,7 +525,8 @@ class TestPositionSweep:
         # of that one pose, values and error text alike
         which = 1 if kind == "orthogonal-y" else 0
         g = {"coaxial": coaxial_geometry,
-             "geometric": lambda: coaxial_geometry(receiver_inductance=None),
+             "geometric": lambda: dataclasses.replace(
+                 coaxial_geometry(), receiver_inductance=None),
              "overlap": self.overlapping_transmitter_geometry,
              "fat": self.fat_receiver_geometry,
              "orthogonal-y": orthogonal_geometry}[kind]()
