@@ -4,7 +4,9 @@ Subcommands: damping-curve, detection-sweep, ringdown simulate|analyze,
 fit-he3, sensitivity. Every invocation writes a run manifest with a
 content hash over the configuration, input files, and seed; every
 output file references that hash, so a directory of results is
-traceable to the exact inputs that produced it.
+traceable to the exact inputs that produced it. A run first deletes the
+manifest of an earlier run in ``--out``, and writes its own only on
+success.
 
 Every config input is declared once, in CONFIG_TABLE, and read by
 :func:`levosc.formats.read_keys` before any compute: unknown sections
@@ -13,8 +15,10 @@ naming ``section.key``.
 
 Only this module opens input files, each once (:func:`_load_config`,
 :func:`_read_inputs`): the manifest digests the bytes that are parsed.
-``ringdown analyze`` only loads block files: :func:`_read_inputs` hands
-a loader to :func:`levosc.ringdown.measure_blocks`, and
+``ringdown analyze`` only loads ``block_NNNNNN.rngd`` files:
+:func:`_read_inputs` hands a loader to
+:func:`levosc.ringdown.measure_blocks` that reads block k at k times
+``block_interval_s``, which a version 2 header must repeat, and
 :func:`levosc.ringdown.fit_blocks` checks, orders the faults and fits.
 
 Only :class:`_Run` writes files: it stamps each output with the run
@@ -78,7 +82,7 @@ CONFIG_TABLE = {
         "total_duration_s": ("number", 432000.0),
         "block_length_s": ("number", 300.0),
         "block_interval_s": ("number", 3600.0),
-        "format": (("bin", "csv"), "bin")},
+        "format": (("bin",), "bin")},
     "fit": {
         "bracket_per_m3": ("two numbers", [1e18, 1e23]),
         "mode": (_MODES, "ReciprocalSum"),
@@ -146,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-he3", parents=[common],
                        help="fit the helium-3 concentration to tau(T) data")
     p.add_argument("--data", type=Path, required=True,
-                   help="CSV of T_K,tau_s[,sigma_tau_s]")
+                   help="CSV of T_K,tau_s[,sigma_tau_s]; sigma_tau_s "
+                        "is checked but not yet used as a weight")
 
     sub.add_parser("sensitivity", parents=[common],
                    help="noise floor, drag force, linewidth, T/tau")
@@ -201,15 +206,15 @@ def _osc_from_config(cfg: dict) -> damping.OscillatorSpec:
         raise ConfigError(f"oscillator config: {exc}") from exc
 
 
-def _block_files(blocks_dir: Path, suffix: str) -> dict[int, Path]:
-    """``block_NNNNNN.<suffix>`` files by block index, in index order."""
+def _block_files(blocks_dir: Path) -> dict[int, Path]:
+    """``block_NNNNNN.rngd`` files by block index, in index order."""
     files = {}
-    for path in blocks_dir.glob(f"block_*.{suffix}"):
-        digits = path.name[len("block_"):-len(suffix) - 1]
+    for path in blocks_dir.glob("block_*.rngd"):
+        digits = path.name[len("block_"):-len(".rngd")]
         if not (digits.isdecimal()
-                and path.name == f"block_{int(digits):06d}.{suffix}"):
+                and path.name == f"block_{int(digits):06d}.rngd"):
             raise ConfigError(f"block file {path.name!r} is not named "
-                              f"block_NNNNNN.{suffix} by its block index")
+                              "block_NNNNNN.rngd by its block index")
         files[int(digits)] = path
     return dict(sorted(files.items()))
 
@@ -251,27 +256,34 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
                                  fitting.load_tau_series_csv)
     if args.command == "ringdown" and args.action == "analyze":
         blocks_dir = args.blocks or args.out / "blocks"
-        bins = _block_files(blocks_dir, "rngd")
-        csvs = _block_files(blocks_dir, "csv")
-        if bins and csvs:
-            raise ConfigError(f"{blocks_dir} holds both .rngd and .csv "
-                              "blocks; analyze one format at a time")
-        if not (bins or csvs):
+        files = _block_files(blocks_dir)
+        if not files:
             raise DataError(f"no block files found in {blocks_dir}")
-        files = bins or csvs
-        # a binary frame carries no start time; the block index gives it
+        # block k starts at k intervals; a v2 header that disagrees exits 3
         interval = cfg["ringdown"]["block_interval_s"]
 
         def load(k):    # on either thread; each adds its own digest key
-            name, path = f"block:{files[k].name}", files[k]
-            if bins:
-                return parse(name, path, rd.read_block_bin, k * interval)
-            return parse(name, path, rd.read_block_csv)
+            return parse(f"block:{files[k].name}", files[k],
+                         rd.read_block_bin, k * interval)
 
         # a hint that the config refuses: _cmd_ringdown raises it first
         inputs["blocks"] = dict(zip(files, rd.measure_blocks(
             load, list(files), cfg["ringdown"]["f0_Hz"])))
     return inputs, digests
+
+
+def _remove_manifest(out: Path) -> None:
+    """Delete an earlier run's ``manifest.json`` from ``out``, so that a
+    run that fails leaves none behind. An absent file, an ``out`` that is
+    absent or not a directory and a NUL in the path leave nothing to
+    remove: the later steps report them. Any other failure exits 2."""
+    path = out / "manifest.json"
+    try:
+        path.unlink()
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot remove {path}: {exc}") from exc
 
 
 def _mkdir(path: Path, what: str) -> None:
@@ -286,7 +298,7 @@ class _Run:
     """Every file of a run is written here. JSON records carry the run
     hash and seed, CSVs and SVGs a ``manifest ... seed ...`` comment. The
     ``write_*`` methods list each file in the manifest, by its path
-    relative to ``--out``; ``save`` and ``save_csv`` list nothing."""
+    relative to ``--out``; ``save`` lists nothing."""
 
     def __init__(self, args, config_blob: bytes, digests: dict[str, str]):
         config_sha256 = hashlib.sha256(config_blob).hexdigest()
@@ -307,14 +319,11 @@ class _Run:
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc}") from exc
 
-    def save_csv(self, path: Path, writer, *data, **options) -> None:
+    def write_csv(self, name: str, writer, *data, **options) -> None:
         def write(path):
             with open(path, "w") as fh:
                 writer(*data, fh, header_comment=self.comment, **options)
-        self.save(path, write)
-
-    def write_csv(self, name: str, writer, *data, **options) -> None:
-        self.save_csv(self.out / name, writer, *data, **options)
+        self.save(self.out / name, write)
         self.outputs.append(name)
 
     def write_text(self, name: str, text: str) -> None:
@@ -458,15 +467,11 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict, run: _Run) -> None:
         blocks_dir = args.blocks or args.out / "blocks"
         _mkdir(blocks_dir, "block directory")
         listed = Path(os.path.relpath(blocks_dir.resolve(), run.out.resolve()))
-        suffix = "rngd" if sec["format"] == "bin" else "csv"
 
         def write(k):   # on either thread of rd.map_blocks: no shared state
             block = rd.synthesize_block(params, schedule, k)
-            path = blocks_dir / f"block_{k:06d}.{suffix}"
-            if suffix == "rngd":
-                run.save(path, functools.partial(rd.write_block_bin, block))
-            else:
-                run.save_csv(path, rd.write_block_csv, block)
+            path = blocks_dir / f"block_{k:06d}.rngd"
+            run.save(path, functools.partial(rd.write_block_bin, block))
             return str(listed / path.name)
 
         run.outputs += rd.map_blocks(write, range(schedule.n_blocks))
@@ -546,6 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
+        _remove_manifest(args.out)
         cfg, blob = _load_config(args.config)
         inputs, digests = _read_inputs(args, cfg)
         run = _Run(args, blob, digests)

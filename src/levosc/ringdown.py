@@ -17,6 +17,10 @@ fault stops new blocks from starting, not the blocks that the other
 thread took before it, so blocks past a failing one can still be
 written.
 
+A block file is one binary frame (:func:`write_block_bin`): a header
+with the sample rate and start time, then the samples. A frame of
+version 1, which has no start, is still read.
+
 Synthesis noise comes from a counter-based (Philox) generator split per
 block, so a given seed produces bit-identical signals on any platform
 and blocks are independent of how many of them are generated.
@@ -36,7 +40,7 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .errors import ConfigError, DataError, FitError, LevoscError
-from .formats import read_numeric_csv, write_csv
+from .formats import write_csv
 
 __all__ = [
     "RingdownParams",
@@ -53,8 +57,6 @@ __all__ = [
     "fit_decay",
     "fit_blocks",
     "analyze_ringdown",
-    "write_block_csv",
-    "read_block_csv",
     "write_block_bin",
     "read_block_bin",
     "write_series_csv",
@@ -64,8 +66,10 @@ __all__ = [
 ]
 
 BIN_MAGIC = b"RNGD"
-BIN_VERSION = 1
-_BIN_HEADER = struct.Struct("<4sId")    # magic, version, sample rate
+BIN_VERSION = 2
+# each frame version's header: magic, version, sample rate and, from
+# version 2, start time; version 1 frames are still read
+_BIN_HEADERS = {1: struct.Struct("<4sId"), 2: struct.Struct("<4sIdd")}
 
 SNR_FLAG_THRESHOLD = 3.0
 
@@ -421,13 +425,13 @@ def fit_blocks(records: Sequence[tuple], schedule: BlockSchedule
         raise DataError("no blocks to analyze")
     last = (schedule.n_blocks - 1) * schedule.block_interval
     for start, rate, n, _ in records:
-        # a CSV block's rate carries its time column's rounding
+        # relative: a caller's block may carry a computed rate
         if abs(rate - schedule.sample_rate) > 1e-9 * schedule.sample_rate:
             raise DataError("block sample rate differs from the schedule")
         if abs(n - schedule.samples_per_block) > 1:
             raise DataError(f"block at t = {start:g} s has {n} samples, "
                             f"schedule expects {schedule.samples_per_block}")
-        # a CSV block's start is its first time, rounded: half a sample
+        # half a sample: a caller's block may carry a computed start
         if start - last > 0.5 / schedule.sample_rate:
             raise DataError(f"block at t = {start:g} s starts after the "
                             f"schedule's last block, at t = {last:g} s")
@@ -442,69 +446,43 @@ def analyze_ringdown(blocks: Sequence[Block], schedule: BlockSchedule,
                                      f0_hint), schedule)
 
 
-def write_block_csv(block: Block, fh: io.TextIOBase,
-                    header_comment: str | None = None) -> None:
-    times = block.start_time + np.arange(len(block.samples)) \
-        / block.sample_rate
-    write_csv(fh, [header_comment], ["time_s", "displacement"],
-              [times, block.samples])
-
-
-def _block(source: str | Path, start_time: float, sample_rate: float,
-           samples: np.ndarray) -> Block:
-    """A block read from ``source``; a value it refuses names the file."""
-    try:
-        return Block(start_time=start_time, sample_rate=sample_rate,
-                     samples=samples)
-    except ValueError as exc:
-        raise DataError(f"{source}: {exc}") from exc
-
-
-def read_block_csv(data: bytes, source: str | Path) -> Block:
-    """The block in the bytes of a CSV that :func:`write_block_csv`
-    wrote; its time column gives the start time and sample rate."""
-    header = next((line for line in io.BytesIO(data)
-                   if not line.startswith(b"#")), b"")
-    if b"time_s" not in header:
-        raise DataError(f"{source}: missing time_s header")
-    times, values = zip(*read_numeric_csv(data, source, "block", 2))
-    if len(times) < 2:
-        raise DataError(f"{source}: fewer than two samples")
-    # write_block_csv's times carry rounding of about 1e-8 of the step
-    mean_step = (times[-1] - times[0]) / (len(times) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):   # inf: no even step
-        even = mean_step > 0 and np.all(
-            np.abs(np.diff(times) - mean_step) <= 1e-6 * mean_step)
-    if not even:
-        raise DataError(f"{source}: time column does not rise by an even "
-                        "step")
-    fs = (len(times) - 1) / (times[-1] - times[0])
-    return _block(source, times[0], fs, np.array(values))
-
-
 def write_block_bin(block: Block, path: str | Path) -> None:
-    """Binary frame: 16-byte header (magic, version, sample rate) then
-    little-endian float64 samples. Block start time travels outside the
-    frame (file naming or a run manifest)."""
+    """Binary frame, version 2: 24-byte header (magic, version, sample
+    rate, start time) then little-endian float64 samples."""
     with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(BIN_MAGIC, BIN_VERSION, block.sample_rate))
+        fh.write(_BIN_HEADERS[BIN_VERSION].pack(
+            BIN_MAGIC, BIN_VERSION, block.sample_rate, block.start_time))
         fh.write(np.ascontiguousarray(block.samples, dtype="<f8"))
 
 
 def read_block_bin(raw: bytes, source: str | Path,
                    start_time: float = 0.0) -> Block:
     """The block in the bytes of a :func:`write_block_bin` frame; its
-    samples are a view of ``raw``, not a copy."""
-    size = _BIN_HEADER.size
-    if len(raw) < size or raw[:4] != BIN_MAGIC:
+    samples are a view of ``raw``, not a copy. ``start_time`` is the
+    block's place in the schedule: a version 1 frame, which holds no
+    start, takes it, and a version 2 frame whose start differs from it
+    is a :class:`DataError` naming both."""
+    if len(raw) < 8 or raw[:4] != BIN_MAGIC:
         raise DataError(f"{source}: not a ring-down block file")
-    _, version, fs = _BIN_HEADER.unpack_from(raw)
-    if version != BIN_VERSION:
+    version = int.from_bytes(raw[4:8], "little")
+    if version not in _BIN_HEADERS:
         raise DataError(f"{source}: unsupported block version {version}")
-    if (len(raw) - size) % 8:
+    header = _BIN_HEADERS[version]
+    if len(raw) < header.size:
+        raise DataError(f"{source}: not a ring-down block file")
+    if (len(raw) - header.size) % 8:
         raise DataError(f"{source}: truncated sample payload")
-    return _block(source, start_time, fs,
-                  np.frombuffer(raw, dtype="<f8", offset=size))
+    _, _, fs, *written = header.unpack_from(raw)
+    if written and written[0] != float(start_time):
+        raise DataError(f"{source}: block starts at t = {written[0]!r} s "
+                        f"by its header but at t = {float(start_time)!r} s "
+                        "by its place in the schedule")
+    try:
+        return Block(start_time=start_time, sample_rate=fs,
+                     samples=np.frombuffer(raw, dtype="<f8",
+                                           offset=header.size))
+    except ValueError as exc:
+        raise DataError(f"{source}: {exc}") from exc
 
 
 def write_series_csv(series: AmplitudeSeries, fh: io.TextIOBase,

@@ -731,41 +731,6 @@ def test_ringdown_seed_override_and_reproducibility(tmp_path):
     assert truth["seed"] == 99
 
 
-def test_ringdown_csv_format_round_trip(tmp_path):
-    cfg_obj = {"ringdown": dict(RINGDOWN_CFG["ringdown"], format="csv",
-                                noise_rms=0.0)}
-    cfg = write_config(tmp_path, cfg_obj)
-    out = tmp_path / "out"
-    assert main(["ringdown", "simulate", "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    blocks = sorted((out / "blocks").glob("block_*.csv"))
-    assert len(blocks) == 12
-    first = blocks[0].read_text().splitlines()
-    assert first[0].startswith("# manifest ")
-    assert first[1] == "time_s,displacement"
-    assert main(["ringdown", "analyze", "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    fit = json.loads((out / "decay_fit.json").read_text())
-    assert abs(fit["tau_s"] - 1.0e5) / 1.0e5 < 1e-6
-
-
-def test_ringdown_csv_block_with_repeated_time_exits_3(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"ringdown": dict(RINGDOWN_CFG["ringdown"],
-                                                   format="csv")})
-    out = tmp_path / "out"
-    assert main(["ringdown", "simulate", "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    path = out / "blocks" / "block_000003.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    lines[5] = lines[4]   # one sample time twice
-    path.write_text("".join(lines))
-    assert main(["ringdown", "analyze", "--config", str(cfg),
-                 "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "block_000003.csv" in err and "time column" in err
-
-
 def test_ringdown_separate_blocks_dir(tmp_path):
     cfg = write_config(tmp_path, RINGDOWN_CFG)
     bdir = tmp_path / "elsewhere"
@@ -877,7 +842,7 @@ def test_ringdown_wrong_length_beats_a_later_bad_peak(tmp_path, capsys):
     cfg, out, blocks = _ringdown_run(tmp_path)
     _shorten(blocks[2])
     raw = blocks[5].read_bytes()
-    blocks[5].write_bytes(raw[:16] + bytes(len(raw) - 16))   # all zero
+    blocks[5].write_bytes(raw[:24] + bytes(len(raw) - 24))   # all zero
     capsys.readouterr()
     assert main(["ringdown", "analyze", "--config", str(cfg),
                  "--out", str(out)]) == 3
@@ -886,9 +851,11 @@ def test_ringdown_wrong_length_beats_a_later_bad_peak(tmp_path, capsys):
 
 
 def test_ringdown_block_past_the_schedule_exits_3(tmp_path, capsys):
-    # the last block copied as block 500 once gave tau 7.3e6 s at exit 0
+    # the last block's samples as block 500 once gave tau 7.3e6 s at exit 0
     cfg, out, blocks = _ringdown_run(tmp_path)
-    (out / "blocks" / "block_000500.rngd").write_bytes(blocks[-1].read_bytes())
+    last = read_block_bin(blocks[-1].read_bytes(), blocks[-1], 11 * 3600.0)
+    write_block_bin(Block(500 * 3600.0, last.sample_rate, last.samples),
+                    out / "blocks" / "block_000500.rngd")
     capsys.readouterr()
     assert main(["ringdown", "analyze", "--config", str(cfg),
                  "--out", str(out)]) == 3
@@ -898,21 +865,48 @@ def test_ringdown_block_past_the_schedule_exits_3(tmp_path, capsys):
     assert not (out / "decay_fit.json").exists()
 
 
-def test_ringdown_csv_block_past_a_shorter_schedule_exits_3(tmp_path, capsys):
-    # a CSV block's start comes from its time column, not its file name
-    sec = dict(RINGDOWN_CFG["ringdown"], format="csv")
-    cfg = write_config(tmp_path, {"ringdown": sec})
-    short = write_config(tmp_path, {"ringdown": dict(
-        sec, total_duration_s=21600.0)}, name="short.json")
+def _ten_block_run(tmp_path):
+    """A simulated 10-block record at tau 4e4 s: its config and --out."""
+    cfg = write_config(tmp_path, {"ringdown": {
+        "tau_s": 4.0e4, "noise_rms": 0.5, "total_duration_s": 36000.0}})
     out = tmp_path / "out"
     assert main(["ringdown", "simulate", "--config", str(cfg),
                  "--out", str(out)]) == 0
+    return cfg, out
+
+
+def test_ringdown_renamed_block_exits_3(tmp_path, capsys):
+    # blocks 2 and 3 renamed to 3 and 8 once moved tau from 40012 to
+    # 57293 s at exit 0; a block's header now holds its start
+    cfg, out = _ten_block_run(tmp_path)
+    blocks = out / "blocks"
+    (blocks / "block_000003.rngd").replace(blocks / "block_000008.rngd")
+    (blocks / "block_000002.rngd").replace(blocks / "block_000003.rngd")
     capsys.readouterr()
-    assert main(["ringdown", "analyze", "--config", str(short),
+    assert main(["ringdown", "analyze", "--config", str(cfg),
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
-        "levosc: block at t = 21600 s starts after the schedule's last "
-        "block, at t = 18000 s\n")
+        f"levosc: {blocks / 'block_000003.rngd'}: block starts at "
+        "t = 7200.0 s by its header but at t = 10800.0 s by its place in "
+        "the schedule\n")
+    assert not (out / "decay_fit.json").exists()
+
+
+def test_ringdown_blocks_of_another_interval_exit_3(tmp_path, capsys):
+    # blocks an hour apart, analyzed half an hour apart, once halved tau
+    # to 20006 s at exit 0
+    _, out = _ten_block_run(tmp_path)
+    half = write_config(tmp_path, {"ringdown": {
+        "tau_s": 4.0e4, "noise_rms": 0.5, "total_duration_s": 36000.0,
+        "block_interval_s": 1800.0}}, name="half.json")
+    capsys.readouterr()
+    assert main(["ringdown", "analyze", "--config", str(half),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"levosc: {out / 'blocks' / 'block_000001.rngd'}: block starts at "
+        "t = 3600.0 s by its header but at t = 1800.0 s by its place in "
+        "the schedule\n")
+    assert not (out / "decay_fit.json").exists()
 
 
 # The README's fault order after the reads: a block whose rate, length or
@@ -1045,25 +1039,6 @@ def test_ringdown_analyze_misnamed_block_exits_2(tmp_path, capsys, name):
     assert name in capsys.readouterr().err
 
 
-def test_ringdown_analyze_mixed_block_formats_exits_2(tmp_path, capsys):
-    # 12 .rngd blocks at tau 1e5 s beside 12 .csv blocks at tau 2e5 s:
-    # analyzing either set alone would silently drop the other
-    bin_cfg = write_config(tmp_path, RINGDOWN_CFG, name="bin.json")
-    csv_cfg = write_config(tmp_path, {"ringdown": dict(
-        RINGDOWN_CFG["ringdown"], tau_s=2.0e5, format="csv")},
-        name="csv.json")
-    out = tmp_path / "out"
-    for cfg in (bin_cfg, csv_cfg):
-        assert main(["ringdown", "simulate", "--config", str(cfg),
-                     "--out", str(out)]) == 0
-    assert len(list((out / "blocks").glob("block_*"))) == 24
-    assert main(["ringdown", "analyze", "--config", str(bin_cfg),
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert ".rngd" in err and ".csv" in err
-    assert not (out / "decay_fit.json").exists()
-
-
 def _block_is_a_directory(cfg, out):
     (out / "blocks" / "block_000005.rngd").mkdir(parents=True)
     return "simulate", out / "blocks" / "block_000005.rngd"
@@ -1129,10 +1104,12 @@ def test_ringdown_bad_config_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"ringdown": {"tau_s": -5.0}})
     assert main(["ringdown", "simulate", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
-    cfg2 = write_config(tmp_path, {"ringdown": {"format": "parquet"}},
-                        name="c2.json")
-    assert main(["ringdown", "simulate", "--config", str(cfg2),
-                 "--out", str(tmp_path / "out")]) == 2
+    # "csv" named a block format that is gone
+    for fmt in ("parquet", "csv"):
+        cfg2 = write_config(tmp_path, {"ringdown": {"format": fmt}},
+                            name="c2.json")
+        assert main(["ringdown", "simulate", "--config", str(cfg2),
+                     "--out", str(tmp_path / "out")]) == 2
 
 
 # -------------------------------------------------------------- fit-he3
@@ -1364,7 +1341,6 @@ def test_manifest_lists_outputs_relative_to_out(tmp_path, monkeypatch):
     # --out: each entry names a file as out / entry, and every file the
     # run wrote is listed, blocks outside --out among them
     data = model_data_csv(tmp_path, 4.2e-8)
-    ring = RINGDOWN_CFG["ringdown"]
     outside = tmp_path / "outside" / "blocks"
     runs = {
         "dc": (["damping-curve", "--svg"], {"damping": {"points": 8}}),
@@ -1373,8 +1349,6 @@ def test_manifest_lists_outputs_relative_to_out(tmp_path, monkeypatch):
         "fit": (["fit-he3", "--data", str(data)], {"fit": {"added_x3": 1e-7}}),
         "sens": (["sensitivity"], {}),
         "bin": (["ringdown", "simulate"], RINGDOWN_CFG),
-        "csv": (["ringdown", "simulate"],
-                {"ringdown": dict(ring, format="csv")}),
         "ext": (["ringdown", "simulate", "--blocks", "../outside/blocks"],
                 RINGDOWN_CFG),
         "ana": (["ringdown", "analyze", "--blocks", "../outside/blocks"],
@@ -1397,6 +1371,52 @@ def test_manifest_lists_outputs_relative_to_out(tmp_path, monkeypatch):
         "outputs"]
     assert "../../../outside/blocks/block_000000.rngd" in manifest_of(
         Path("runs/ext"))["outputs"]
+
+
+def test_failed_run_removes_an_earlier_manifest(tmp_path, capsys):
+    # a failing run once left the last success's manifest saying "ok"
+    good = model_data_csv(tmp_path, 4.2e-8)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("T_K,tau_s\n0.02,abc\n")
+    out = tmp_path / "same"
+    assert main(["fit-he3", "--data", str(good), "--out", str(out)]) == 0
+    assert manifest_of(out)["status"] == "ok"
+    capsys.readouterr()
+    assert main(["fit-he3", "--data", str(bad), "--out", str(out)]) == 3
+    assert "bad.csv:2: " in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_config_error_removes_an_earlier_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sensitivity", "--out", str(out)]) == 0
+    assert manifest_of(out)["status"] == "ok"
+    cfg = write_config(tmp_path, {"sensitivity": {"temperature_K": "abc"}})
+    capsys.readouterr()
+    assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sensitivity.temperature_K" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_rerun_writes_its_own_manifest(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"sensitivity": {"temperature_K": 0.01}})
+    assert main(["sensitivity", "--out", str(out)]) == 0
+    first = manifest_of(out)
+    assert main(["sensitivity", "--config", str(cfg), "--out", str(out)]) == 0
+    second = manifest_of(out)
+    assert second["status"] == "ok"
+    assert second["outputs"] == ["sensitivity.json"]
+    assert second["manifest_hash"] != first["manifest_hash"]
+
+
+def test_manifest_that_cannot_be_removed_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    assert main(["sensitivity", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"levosc: config error: cannot remove {out / 'manifest.json'}: ")
+    assert not (out / "sensitivity.json").exists()
 
 
 def test_non_finite_json_record_exits_3(tmp_path, capsys):
@@ -1502,12 +1522,9 @@ def test_each_input_file_is_read_once(tmp_path, monkeypatch):
         "media_overrides": "media/media.properties",
         "detection": {"geometry": "geom.json"},
         "damping": {"points": 4}, **RINGDOWN_CFG})
-    csv_cfg = write_config(tmp_path, {"ringdown": dict(
-        RINGDOWN_CFG["ringdown"], format="csv")}, name="csv.json")
     out = tmp_path / "out"
-    for config, blocks in ((cfg, "bin"), (csv_cfg, "csv")):
-        assert main(["ringdown", "simulate", "--config", str(config),
-                     "--out", str(out), "--blocks", str(out / blocks)]) == 0
+    assert main(["ringdown", "simulate", "--config", str(cfg),
+                 "--out", str(out), "--blocks", str(out / "bin")]) == 0
 
     media_inputs = [cfg, props, tmp_path / "media" / "eta.csv"]
     runs = [
@@ -1516,10 +1533,10 @@ def test_each_input_file_is_read_once(tmp_path, monkeypatch):
         (["fit-he3", "--config", str(cfg), "--data", str(data)],
          [*media_inputs, data]),
         (["detection-sweep", "--config", str(cfg)], [cfg, geom]),
-    ] + [(["ringdown", "analyze", "--config", str(config),
-           "--blocks", str(out / blocks)],
-          [config, *(out / blocks).glob("block_*")])
-         for config, blocks in ((cfg, "bin"), (csv_cfg, "csv"))]
+        (["ringdown", "analyze", "--config", str(cfg),
+          "--blocks", str(out / "bin")],
+         [cfg, *(out / "bin").glob("block_*")]),
+    ]
     real_open = io.open
     for argv, inputs in runs:
         reads = Counter()

@@ -20,8 +20,7 @@ from levosc.fitting import load_tau_series_csv
 from levosc.formats import read_numeric_csv, write_csv
 from levosc.media import (DEFAULT_VISCOSITY_TABLE, ViscosityTable,
                           load_property_overrides, media_from_overrides)
-from levosc.ringdown import (BIN_MAGIC, BIN_VERSION, read_block_bin,
-                             read_block_csv)
+from levosc.ringdown import BIN_MAGIC, BIN_VERSION, read_block_bin
 
 # each parser, with a start of a well-formed file so that the examples
 # also reach past the first check
@@ -39,8 +38,6 @@ PARSERS = {
                    b"T_K,tau_s\n0.02,1.2e5\n"),
     "rngd": (lambda data: read_block_bin(data, "block.rngd"),
              BIN_MAGIC + struct.pack("<I", BIN_VERSION)),
-    "csv-block": (lambda data: read_block_csv(data, "block.csv"),
-                  b"time_s,displacement\n0.0,1.0\n"),
 }
 
 # text made of the characters these formats are written in, and packed

@@ -32,11 +32,9 @@ from levosc.ringdown import (
     fit_decay,
     map_blocks,
     read_block_bin,
-    read_block_csv,
     synthesize_block,
     synthesize_ringdown,
     write_block_bin,
-    write_block_csv,
     write_series_csv,
 )
 
@@ -563,7 +561,7 @@ def test_analyze_rejects_a_block_past_the_schedule():
     params = RingdownParams(amplitude0=1.0, f0=2.7, tau=1e5)
     blocks = synthesize_ringdown(params, schedule)
     last = blocks[-1]
-    # a start read from a CSV time column may be rounded
+    # a start that a caller computed may be rounded
     nearly = Block(last.start_time + 0.4 / 50.0, 50.0, last.samples)
     analyze_ringdown(blocks[:-1] + [nearly], schedule, 2.7)
     late = Block(500 * 3600.0, 50.0, last.samples)
@@ -573,72 +571,6 @@ def test_analyze_rejects_a_block_past_the_schedule():
 
 
 # -------------------------------------------------------------- block io
-
-def test_csv_block_round_trip(tmp_path):
-    p = RingdownParams(amplitude0=1.0, f0=2.7, tau=410400.0,
-                       noise_rms=1.5, seed=3)
-    s = BlockSchedule(sample_rate=50.0, total_duration=3600.0,
-                      block_length=60.0)
-    block = synthesize_ringdown(p, s)[0]
-    path = tmp_path / "b.csv"
-    with open(path, "w") as fh:
-        write_block_csv(block, fh, header_comment="manifest cafe some run")
-    text = path.read_text()
-    assert text.startswith("# manifest cafe some run\ntime_s,displacement\n")
-    back = read_block_csv(path.read_bytes(), path)
-    assert np.array_equal(back.samples, block.samples)
-    assert back.start_time == block.start_time
-    assert abs(back.sample_rate - 50.0) < 1e-9
-
-
-def test_csv_block_round_trip_no_comment(tmp_path):
-    block = Block(start_time=7.5, sample_rate=20.0,
-                  samples=np.array([0.1, -0.2, 0.3, 1.0 / 3.0]))
-    path = tmp_path / "b.csv"
-    with open(path, "w") as fh:
-        write_block_csv(block, fh)
-    back = read_block_csv(path.read_bytes(), path)
-    assert np.array_equal(back.samples, block.samples)
-    assert back.start_time == 7.5
-
-
-def test_csv_block_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("wrong,header\n1,2\n")
-    with pytest.raises(DataError, match="time_s"):
-        read_block_csv(bad.read_bytes(), bad)
-    junk = tmp_path / "junk.csv"
-    junk.write_text("time_s,displacement\n0.0,hello\n0.02,1.0\n")
-    with pytest.raises(DataError, match="junk.csv"):
-        read_block_csv(junk.read_bytes(), junk)
-    short = tmp_path / "short.csv"
-    short.write_text("time_s,displacement\n0.0,1.0\n")
-    with pytest.raises(DataError, match="fewer than two"):
-        read_block_csv(short.read_bytes(), short)
-
-
-def test_csv_block_time_column_must_step_evenly(tmp_path):
-    for name, times in [("repeat.csv", "0.0 0.02 0.02 0.04"),
-                        ("gap.csv", "0.0 0.02 0.5 0.52"),
-                        ("still.csv", "5.0 5.0")]:
-        path = tmp_path / name
-        path.write_text("time_s,displacement\n" + "".join(
-            f"{t},1.0\n" for t in times.split()))
-        with pytest.raises(DataError, match=f"{name}: time column"):
-            read_block_csv(path.read_bytes(), path)
-    # the last block of the default schedule: its times, near 4.3e5 s,
-    # carry rounding of about 1e-8 of the 0.02 s step
-    n = REFERENCE_SCHEDULE.samples_per_block
-    block = Block(start_time=REFERENCE_SCHEDULE.block_starts()[-1],
-                  sample_rate=50.0, samples=tone(n, 50.0, 2.7))
-    path = tmp_path / "last.csv"
-    with open(path, "w") as fh:
-        write_block_csv(block, fh)
-    back = read_block_csv(path.read_bytes(), path)
-    assert back.start_time == 428400.0
-    assert abs(back.sample_rate - 50.0) < 1e-9 * 50.0
-    assert np.array_equal(back.samples, block.samples)
-
 
 def test_bin_block_round_trip(tmp_path):
     p = RingdownParams(amplitude0=1.0, f0=2.7, tau=410400.0,
@@ -655,9 +587,49 @@ def test_bin_block_round_trip(tmp_path):
     assert back.start_time == block.start_time
     raw = path.read_bytes()
     assert raw[:4] == BIN_MAGIC
-    assert struct.unpack("<I", raw[4:8])[0] == BIN_VERSION
+    assert struct.unpack("<I", raw[4:8])[0] == BIN_VERSION == 2
     assert struct.unpack("<d", raw[8:16])[0] == 50.0
-    assert len(raw) == 16 + 8 * len(block.samples)
+    assert struct.unpack("<d", raw[16:24])[0] == block.start_time
+    assert len(raw) == 24 + 8 * len(block.samples)
+
+
+STARTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda k, interval: k * interval, st.integers(0, 10**6),
+              st.floats(1e-3, 1e7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate=st.floats(1e-300, 1e300), start=STARTS, other=STARTS,
+       samples=st.lists(st.floats(), min_size=2, max_size=64))
+def test_bin_block_start_round_trip(tmp_path_factory, rate, start, other,
+                                    samples):
+    # the reader returns the written block at its written start, and
+    # names both times when asked for the block at any other start
+    path = tmp_path_factory.getbasetemp() / "start.rngd"
+    block = Block(start_time=start, sample_rate=rate, samples=samples)
+    write_block_bin(block, path)
+    raw = path.read_bytes()
+    back = read_block_bin(raw, path, start)
+    assert np.array_equal(back.samples, block.samples, equal_nan=True)
+    assert (back.sample_rate, back.start_time) == (rate, start)
+    if other == start:
+        return
+    with pytest.raises(DataError) as raised:
+        read_block_bin(raw, path, other)
+    message = str(raised.value)
+    assert message.startswith(f"{path}: ")
+    assert f"t = {start!r} s" in message and f"t = {other!r} s" in message
+
+
+def test_bin_block_version_1_takes_the_callers_start():
+    # a frame written before the header held the start: 16-byte header
+    samples = [0.5, -1.0, 2.25]
+    raw = struct.pack("<4sId3d", BIN_MAGIC, 1, 50.0, *samples)
+    for start in (0.0, 7200.0):
+        block = read_block_bin(raw, "old.rngd", start)
+        assert block.start_time == start and block.sample_rate == 50.0
+        assert block.samples.tolist() == samples
 
 
 def test_bin_block_writes_strided_samples(tmp_path):
