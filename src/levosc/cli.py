@@ -11,10 +11,14 @@ success.
 Every config input is declared once, in CONFIG_TABLE, and read by
 :func:`levosc.formats.read_keys` before any compute: unknown sections
 and keys, values of the wrong JSON type and sizes past SIZE_CAPS exit 2
-naming ``section.key``.
+naming ``section.key``. The ``media`` section is
+:data:`levosc.media.MEDIA_TABLE`, the medium's constants; a value that
+:class:`levosc.media.HeliumMedia` refuses also exits 2.
 
 Only this module opens input files, each once (:func:`_load_config`,
 :func:`_read_inputs`): the manifest digests the bytes that are parsed.
+File references (``detection.geometry``, ``media.viscosity_csv``)
+resolve against the config file's directory.
 ``ringdown analyze`` only loads ``block_NNNNNN.rngd`` files:
 :func:`_read_inputs` hands a loader to
 :func:`levosc.ringdown.measure_blocks` that reads block k at k times
@@ -55,13 +59,13 @@ __all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS"]
 _MODES = tuple(mode.value for mode in damping.RegimeMode)
 
 # Every config input: section -> key -> (JSON type, default); a tuple
-# type lists the strings allowed. media_overrides is a top-level value.
+# type lists the strings allowed.
 CONFIG_TABLE = {
     "oscillator": {
         "mass_kg": ("number", 6.33e-6), "radius_warm_m": ("number", 1.00e-3),
         "contraction_fraction": ("number", 0.015),
         "resonant_frequency_Hz": ("number", 2.7)},
-    "media_overrides": ("string or null", None),
+    "media": media.MEDIA_TABLE,
     "damping": {
         "T_min_K": ("number", 0.01), "T_max_K": ("number", 2.1),
         "points": ("integer", 50), "grid": (("log", "linear"), "log"),
@@ -237,16 +241,14 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
     config_dir = args.config.parent if args.config is not None else Path(".")
     inputs = {}
     if args.command in ("damping-curve", "fit-he3", "sensitivity"):
-        overrides, viscosity = {}, media.DEFAULT_VISCOSITY_TABLE
-        if cfg["media_overrides"] is not None:
-            path = config_dir / cfg["media_overrides"]
-            overrides = parse("media_overrides", path,
-                              media.load_property_overrides)
-            if overrides["viscosity_csv"] is not None:
-                viscosity = parse("viscosity_csv", path.parent
-                                  / overrides["viscosity_csv"],
-                                  media.ViscosityTable.from_csv)
-        inputs["media"] = media.media_from_overrides(overrides, viscosity)
+        numbers = dict(cfg["media"])
+        ref = numbers.pop("viscosity_csv")
+        table = media.DEFAULT_VISCOSITY_TABLE if ref is None else parse(
+            "viscosity_csv", config_dir / ref, media.ViscosityTable.from_csv)
+        try:
+            inputs["media"] = media.HeliumMedia(**numbers, viscosity=table)
+        except ValueError as exc:
+            raise ConfigError(f"media.{exc}") from exc
     if args.command == "detection-sweep":
         ref = cfg["detection"]["geometry"]
         inputs["geometry"] = detection.coaxial_geometry() if ref is None \

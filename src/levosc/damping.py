@@ -115,9 +115,10 @@ def _hydrodynamic(osc: OscillatorSpec, eta_n):
 
 def _phonon(osc: OscillatorSpec, media: HeliumMedia, T):
     """Phonon decay time 45 M hbar^3 c^4 / (pi^2 (k_B T)^4 pi r^2)."""
-    kT = media.k_B * np.asarray(T, dtype=float)
-    # (k_B T)^4 underflows to zero below about 1e-70 K: saturate to inf
+    # (k_B T)^4 underflows to zero below about 1e-70 K: saturate to inf;
+    # past the float range it gives 0, which the composite refuses
     with np.errstate(divide="ignore", over="ignore"):
+        kT = media.k_B * np.asarray(T, dtype=float)
         return np.divide(45.0 * osc.mass * media.hbar**3 * media.c**4,
                          math.pi**2 * kT**4 * math.pi
                          * _radius_sq(osc, "phonon"))
@@ -125,22 +126,31 @@ def _phonon(osc: OscillatorSpec, media: HeliumMedia, T):
 
 def _roton(osc: OscillatorSpec, media: HeliumMedia, T):
     """Roton decay time 6 pi^2 M / (hbar k0^4 e^(-Delta/kT) pi r^2)."""
-    boltzmann = np.exp(-media.delta_over_kB / np.asarray(T, dtype=float))
     # the Boltzmann factor underflows: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
+        boltzmann = np.exp(-media.delta_over_kB / np.asarray(T, dtype=float))
         return np.divide(6.0 * math.pi**2 * osc.mass,
                          media.hbar * media.k0**4 * boltzmann
                          * math.pi * _radius_sq(osc, "roton"))
 
 
-def _impurity(osc: OscillatorSpec, media: HeliumMedia, v_th, n3: float):
-    """Knudsen helium-3 drag decay time 4 M / (4.1906 pi r^2 n3 m3* v_th)."""
+def _impurity(osc: OscillatorSpec, media: HeliumMedia,
+              medium: MediumChannels, n3: float):
+    """Knudsen helium-3 drag decay time 4 M / (4.1906 pi r^2 n3 m3* v_th)
+    at n3 > 0. Inf times 0 in that product is a DomainError: its NaN
+    would read as an absent channel."""
     m3_eff = media.m3_eff_ratio * media.m3
     # an extreme mass or radius overflows the time: saturate to inf
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.divide(4.0 * osc.mass,
-                         KNUDSEN_DRAG_COEFF * math.pi
-                         * _radius_sq(osc, "impurity") * n3 * m3_eff * v_th)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        tau = np.divide(4.0 * osc.mass,
+                        KNUDSEN_DRAG_COEFF * math.pi
+                        * _radius_sq(osc, "impurity") * n3 * m3_eff
+                        * medium.v_th)
+    bad = np.flatnonzero(np.isnan(tau))
+    if len(bad):
+        raise DomainError(f"impurity channel: at T = {medium.T[bad[0]]:g} K "
+                          "the drag n3 m3* v_th is inf times 0")
+    return tau
 
 
 # Running state of a composition: summed decay rate, fastest channel,
@@ -269,7 +279,7 @@ def compose(medium: MediumChannels, osc: OscillatorSpec,
     if not n3 >= 0:
         raise DomainError(f"grid row 0 (T = {T[0]:g} K): n3 must be "
                           f"non-negative, got {n3:g}")
-    imp = (_impurity(osc, media, medium.v_th, n3) if n3 > 0
+    imp = (_impurity(osc, media, medium, n3) if n3 > 0
            else np.full_like(T, np.nan))
     vac = np.full_like(T, np.nan if tau_vacuum is None else tau_vacuum)
     total = _composite(mode, _fold((imp, vac), medium.folded))

@@ -1,8 +1,8 @@
 """The file formats levosc reads and writes, each decided once: JSON
-(:func:`read_json`) and ``key = value`` lines (:func:`read_key_lines`)
-checked against key tables (:func:`read_keys`), numeric CSV in
-(:func:`read_numeric_csv`) and CSV out (:func:`write_csv`). The readers
-parse bytes; ``source`` names the file in messages only.
+(:func:`read_json`) checked against key tables (:func:`read_keys`),
+numeric CSV in (:func:`read_numeric_csv`) and CSV out
+(:func:`write_csv`). The readers parse bytes; ``source`` names the file
+in messages only.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-__all__ = ["REQUIRED", "read_json", "read_keys", "read_key_lines",
-           "read_numeric_csv", "write_csv"]
+__all__ = ["REQUIRED", "read_json", "read_keys", "read_numeric_csv",
+           "write_csv"]
 
 # The default of a key that has none: leaving it out is an error.
 REQUIRED = object()
@@ -126,41 +126,6 @@ def read_keys(table: dict, given, where: str = "") -> dict:
                 raise ConfigError(f"{name}: expected {kind}, got {value!r}") \
                     from None
     return typed
-
-
-def read_key_lines(table: dict, data: bytes, source: str | Path) -> dict:
-    """The ``key = value`` lines of ``data`` checked against ``table``
-    (laid out as for :func:`read_keys`), every default filled in; a
-    ``number`` value must be a finite float, others stay text. ``#``
-    comments are skipped. A line without ``=``, an unknown or repeated
-    key or a bad number is a :class:`ConfigError` naming ``source:line``;
-    bytes that are not UTF-8, a :class:`DataError`."""
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {source}: {exc}") from exc
-    given = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        key, equals, value = (part.strip() for part in line.partition("="))
-        if not equals:
-            raise ConfigError(f"{where}: expected 'key = value'")
-        if key not in table:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        if key in given:
-            raise ConfigError(f"{where}: duplicate key {key!r}")
-        kind = table[key][0]
-        try:
-            given[key] = _typed(kind, _number(value)) \
-                if kind.startswith("number") else value
-        except ValueError:
-            raise ConfigError(f"{where}: {key}: expected a finite number, "
-                              f"got {value!r}") from None
-    return {key: given.get(key, default)
-            for key, (_, default) in table.items()}
 
 
 def _is_number(text: str) -> bool:

@@ -3,15 +3,14 @@ helium-4 with dilute helium-3 impurities, at saturated vapour pressure.
 
 Everything here is SI. The medium is one flat record,
 :class:`HeliumMedia`: nine numbers (atomic constants and
-quasiparticle-gas parameters), each named as its key in an override
-file, and a normal-component viscosity table. It also gives the
-helium-4 number density ``n4``. The property functions take arrays of
-temperatures; :data:`T_LAMBDA_K`, the superfluid transition, bounds the
-temperatures the models accept. The nine numbers are overridable
-through a plain-text ``key = value`` file (``OVERRIDE_TABLE``, built
-from the fields of :class:`HeliumMedia`), and the viscosity table
-through a two-column CSV with at most one header line. The readers
-parse bytes; the caller opens the files.
+quasiparticle-gas parameters), each named as its key in the ``media``
+section of a run config, and a normal-component viscosity table. It
+also gives the helium-4 number density ``n4``. The property functions
+take arrays of temperatures; :data:`T_LAMBDA_K`, the superfluid
+transition, bounds the temperatures the models accept. ``MEDIA_TABLE``,
+built from the fields of :class:`HeliumMedia`, lays out that config
+section; its ``viscosity_csv`` names a two-column CSV with at most one
+header line. The reader parses bytes; the caller opens the file.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
-from .formats import read_key_lines, read_keys, read_numeric_csv
+from .errors import DataError, DomainError
+from .formats import read_numeric_csv
 
 __all__ = [
     "ViscosityTable",
@@ -34,9 +32,7 @@ __all__ = [
     "above_lambda",
     "viscosity_normal_grid",
     "thermal_velocity_he3",
-    "OVERRIDE_TABLE",
-    "load_property_overrides",
-    "media_from_overrides",
+    "MEDIA_TABLE",
 ]
 
 # Superfluid transition of helium-4 at saturated vapour pressure. Above
@@ -102,8 +98,8 @@ DEFAULT_VISCOSITY_TABLE = ViscosityTable(
 @dataclass(frozen=True)
 class HeliumMedia:
     """Everything the damping and fitting models know about the medium:
-    nine numbers, each named as its key in an override file, and the
-    viscosity table."""
+    nine numbers, each named as its key in the config's ``media``
+    section, and the viscosity table."""
 
     k_B: float = 1.380649e-23           # Boltzmann constant, J/K
     hbar: float = 1.054571817e-34       # reduced Planck constant, J*s
@@ -158,34 +154,15 @@ def thermal_velocity_he3(media: HeliumMedia, T):
         raise DomainError(
             f"temperature must be positive, got {np.min(T):g} K")
     m3_eff = media.m3_eff_ratio * media.m3
-    with np.errstate(over="ignore"):    # past the float range: inf
+    # past the float range, or over an m3* that underflowed to 0: inf
+    with np.errstate(over="ignore", divide="ignore"):
         return np.sqrt(2.0 * media.k_B * np.asarray(T, dtype=float)
                        / m3_eff)
 
 
-# Every key of a media override file, as levosc.formats.read_keys lays
-# out a table; viscosity_csv names a table relative to the override file.
-OVERRIDE_TABLE = {
+# Every key of the config's media section, as levosc.formats.read_keys
+# lays out a table; viscosity_csv names a table relative to the config.
+MEDIA_TABLE = {
     **{f.name: ("number", f.default) for f in fields(HeliumMedia)
        if f.name != "viscosity"},
     "viscosity_csv": ("string or null", None)}
-
-
-def load_property_overrides(data: bytes, source: str | Path) -> dict:
-    """Every key of ``OVERRIDE_TABLE`` from the bytes of an override
-    file, defaults filled in; ``viscosity_csv`` stays as written."""
-    return read_key_lines(OVERRIDE_TABLE, data, source)
-
-
-def media_from_overrides(overrides: Mapping[str, object],
-                         viscosity: ViscosityTable) -> HeliumMedia:
-    """A :class:`HeliumMedia` from defaults plus the entries of
-    ``overrides``, checked against ``OVERRIDE_TABLE``. ``viscosity`` is
-    the table read from the file that ``viscosity_csv`` names, or
-    ``DEFAULT_VISCOSITY_TABLE`` when it names none."""
-    values = read_keys(OVERRIDE_TABLE, dict(overrides), "media overrides")
-    del values["viscosity_csv"]
-    try:
-        return HeliumMedia(**values, viscosity=viscosity)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

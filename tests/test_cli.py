@@ -118,12 +118,8 @@ def test_config_list_not_object_exits_2(tmp_path):
 
 
 def table_entries():
-    """(name, section, key, JSON type, default) for every config input;
-    section is None for a top-level value."""
+    """(name, section, key, JSON type, default) for every config input."""
     for section, keys in CONFIG_TABLE.items():
-        if not isinstance(keys, dict):
-            yield (section, None, section, *keys)
-            continue
         for key, (kind, default) in keys.items():
             yield f"{section}.{key}", section, key, kind, default
 
@@ -136,8 +132,8 @@ def type_name(kind):
 
 # the commands that read each section; "ringdown" simulates then analyzes
 SECTION_COMMANDS = {
-    None: ["damping-curve"], "oscillator": ["damping-curve", "fit-he3",
-                                            "sensitivity"],
+    "oscillator": ["damping-curve", "fit-he3", "sensitivity"],
+    "media": ["damping-curve", "fit-he3", "sensitivity"],
     "damping": ["damping-curve"], "detection": ["detection-sweep"],
     "ringdown": ["ringdown"], "fit": ["fit-he3"],
     "sensitivity": ["sensitivity"]}
@@ -165,7 +161,10 @@ REJECTED_INPUTS = [
     ("ringdown", {"ringdown": {"seed": "abc"}}, "ringdown.seed"),
     ("fit-he3", {"fit": {"added_x3": 1e-7, "predict_T_min_K": 0}},
      "fit.predict_T_min_K"),
+    # the medium's constants are the media section: no such key
     ("damping-curve", {"media_overrides": 5}, "media_overrides"),
+    ("sensitivity", {"media": {"c": "fast"}}, "media.c"),
+    ("fit-he3", {"media": {"k_B": 0}}, "media.k_B"),
     ("damping-curve", {"damping": {"points": 2.5}}, "damping.points"),
     ("ringdown", {"ringdown": {"seed": 1.7}}, "ringdown.seed"),
     ("damping-curve", {"oscillator": {"mass_kg": True}},
@@ -262,10 +261,7 @@ FUZZ_BASE = {"ringdown": {"total_duration_s": 7200.0},
 def test_any_config_value_exits_0_2_or_3(case):
     (_, section, key, _, _), value = case
     cfg_obj = json.loads(json.dumps(FUZZ_BASE))
-    if section is None:
-        cfg_obj[key] = value
-    else:
-        cfg_obj.setdefault(section, {})[key] = value
+    cfg_obj.setdefault(section, {})[key] = value
     with tempfile.TemporaryDirectory() as work:
         for command in SECTION_COMMANDS[section]:
             assert set(run_command(Path(work), command, cfg_obj)) \
@@ -1002,7 +998,9 @@ def test_ringdown_analyze_series_equals_library_series(
         n_blocks, rate, length, interval, tau_per_span, noise, seed, data):
     missing = data.draw(st.sets(st.integers(0, n_blocks - 1),
                                 max_size=n_blocks - 6))
-    span = (n_blocks - 1) * interval
+    # the span of the blocks kept: one under 0.2 tau is refused, exit 3
+    kept = sorted(set(range(n_blocks)) - missing)
+    span = (kept[-1] - kept[0]) * interval
     cfg_obj = {"ringdown": {
         "sample_rate_Hz": rate, "block_length_s": length,
         "block_interval_s": interval, "total_duration_s": n_blocks * interval,
@@ -1224,15 +1222,17 @@ def test_fit_he3_missing_data_exits_3(tmp_path):
 
 
 # each of these ran at exit 0 with a channel dropped or blanked, or a
-# fit row kept at full weight or dropped; float() reads "2_40" as 240,
-# and a row above T_lambda is outside every channel's model
+# fit row kept at full weight or dropped; float() reads "0.0_15" as
+# 0.015, and a row above T_lambda is outside every channel's model.
+# Python's json module reads NaN and Infinity.
 NON_FINITE_INPUTS = [
-    ("media.properties", "m3_eff_ratio = nan\n", 2, "finite"),
-    ("media.properties", "c = inf\n", 2, "finite"),
+    ("config.json", '{"media": {"m3_eff_ratio": NaN}}', 2,
+     "media.m3_eff_ratio: expected number, got nan"),
+    ("config.json", '{"media": {"c": Infinity}}', 2,
+     "media.c: expected number, got inf"),
     ("eta.csv", "1.0,23e-6\n1.2,nan\n2.17,2.4e-6\n", 3, "finite"),
     ("tau_data.csv", "nan,4e5\n", 3, "finite"),
     ("tau_data.csv", "0.1,inf\n", 3, "finite"),
-    ("media.properties", "c = 2_40\n", 2, "media.properties:1: "),
     ("tau_data.csv", "0.0_15,1.2e5\n", 3, "tau_data.csv:17: "),
     ("tau_data.csv", "2.5,1.2e5\n", 3,
      "tau_data.csv:17: T = 2.5 K is above the superfluid transition"),
@@ -1241,8 +1241,8 @@ NON_FINITE_INPUTS = [
 
 @pytest.mark.parametrize("name, text, code, message", NON_FINITE_INPUTS,
                          ids=["m3_eff_ratio-nan", "c-inf", "viscosity-nan",
-                              "T_K-nan", "tau_s-inf", "c-underscore",
-                              "T_K-underscore", "T_K-above-lambda"])
+                              "T_K-nan", "tau_s-inf", "T_K-underscore",
+                              "T_K-above-lambda"])
 def test_non_finite_input_rejected(tmp_path, capsys, name, text, code,
                                    message):
     out = ["--out", str(tmp_path / "out")]
@@ -1252,15 +1252,33 @@ def test_non_finite_input_rejected(tmp_path, capsys, name, text, code,
             fh.write(text)
         rc = main(["fit-he3", "--data", str(data), *out])
     else:
-        (tmp_path / name).write_text(text)
         if name == "eta.csv":
-            (tmp_path / "media.properties").write_text(
-                "viscosity_csv = eta.csv\n")
-        cfg = write_config(tmp_path, {"media_overrides": "media.properties",
-                                      "damping": {"x3": 1e-8}})
+            (tmp_path / name).write_text(text)
+            text = {"media": {"viscosity_csv": "eta.csv"},
+                    "damping": {"x3": 1e-8}}
+        cfg = write_config(tmp_path, text)
         rc = main(["damping-curve", "--config", str(cfg), *out])
     assert rc == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["damping-curve", "fit-he3"])
+def test_overflowing_impurity_drag_exits_3(tmp_path, capfd, command):
+    # inf times 0 in the impurity channel once blanked every tau_imp_s
+    # at exit 0, or reached LAPACK, which printed to stdout
+    cfg = write_config(tmp_path, {
+        "media": {"m3": 1e300},
+        "damping": {"x3": 1e-8, "points": 3, "T_min_K": 0.01,
+                    "T_max_K": 0.1}})
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "fit-he3":
+        argv += ["--data", str(model_data_csv(tmp_path, 4.2e-8))]
+    assert main(argv) == 3
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert "impurity channel" in captured.err
+    assert not list(out.glob("*"))
 
 
 # ---------------------------------------------------------- sensitivity
@@ -1284,8 +1302,7 @@ def test_sensitivity_defaults(tmp_path):
 
 
 def test_sensitivity_uses_media_overrides(tmp_path):
-    (tmp_path / "media.properties").write_text("k_B = 2.0e-23\n")
-    cfg = write_config(tmp_path, {"media_overrides": "media.properties"})
+    cfg = write_config(tmp_path, {"media": {"k_B": 2.0e-23}})
     out = tmp_path / "out"
     assert main(["sensitivity", "--config", str(cfg),
                  "--out", str(out)]) == 0
@@ -1307,20 +1324,16 @@ def test_sensitivity_drag_force_window(tmp_path):
 # ----------------------------------------------------- manifest contract
 
 def test_manifest_inputs_cover_config_and_overrides(tmp_path):
-    props = tmp_path / "media.properties"
-    props.write_text("he4_mass_density = 145.1\n")
-    cfg = write_config(tmp_path, {"media_overrides": "media.properties",
+    # the medium's constants are part of the config and its digest
+    cfg = write_config(tmp_path, {"media": {"he4_mass_density": 145.1},
                                   "damping": {"points": 4}})
     out = tmp_path / "out"
     assert main(["damping-curve", "--config", str(cfg),
                  "--out", str(out)]) == 0
     m = manifest_of(out)
-    assert set(m["input_sha256"]) == {"config", "media_overrides"}
-    import hashlib
+    assert set(m["input_sha256"]) == {"config"}
     assert m["input_sha256"]["config"] == \
         hashlib.sha256(cfg.read_bytes()).hexdigest()
-    assert m["input_sha256"]["media_overrides"] == \
-        hashlib.sha256(props.read_bytes()).hexdigest()
 
 
 def test_manifest_hash_covers_input_content(tmp_path):
@@ -1476,17 +1489,8 @@ def test_memory_error_exits_2(tmp_path, capsys, monkeypatch):
     assert "too large for available memory" in capsys.readouterr().err
 
 
-def test_manifest_missing_override_file_exits_3(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"media_overrides": "ghost.properties"})
-    rc = main(["damping-curve", "--config", str(cfg),
-               "--out", str(tmp_path / "out")])
-    assert rc == 3
-    assert "ghost.properties" in capsys.readouterr().err
-
-
 def test_missing_viscosity_csv_exits_3(tmp_path, capsys):
-    (tmp_path / "media.properties").write_text("viscosity_csv = ghost.csv\n")
-    cfg = write_config(tmp_path, {"media_overrides": "media.properties"})
+    cfg = write_config(tmp_path, {"media": {"viscosity_csv": "ghost.csv"}})
     rc = main(["damping-curve", "--config", str(cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 3
@@ -1494,11 +1498,9 @@ def test_missing_viscosity_csv_exits_3(tmp_path, capsys):
 
 
 def test_manifest_digests_viscosity_csv(tmp_path):
-    import hashlib
     table = tmp_path / "eta.csv"
     table.write_text("T_K,eta_Pa_s\n1.0,2.3e-5\n2.0,1.4e-6\n")
-    (tmp_path / "media.properties").write_text("viscosity_csv = eta.csv\n")
-    cfg = write_config(tmp_path, {"media_overrides": "media.properties",
+    cfg = write_config(tmp_path, {"media": {"viscosity_csv": "eta.csv"},
                                   "damping": {"points": 4}})
     out = tmp_path / "out"
     assert main(["damping-curve", "--config", str(cfg),
@@ -1509,24 +1511,22 @@ def test_manifest_digests_viscosity_csv(tmp_path):
 
 
 def test_each_input_file_is_read_once(tmp_path, monkeypatch):
-    # the viscosity table resolves against the override file's directory
+    # the viscosity table resolves against the config file's directory
     (tmp_path / "media").mkdir()
     (tmp_path / "media" / "eta.csv").write_text(
         "T_K,eta_Pa_s\n1.0,2.3e-5\n2.0,1.4e-6\n")
-    props = tmp_path / "media" / "media.properties"
-    props.write_text("c = 240.0\nviscosity_csv = eta.csv\n")
     geom = tmp_path / "geom.json"
     geom.write_text(json.dumps(geometry_doc()))
     data = model_data_csv(tmp_path, 4.2e-8)
     cfg = write_config(tmp_path, {
-        "media_overrides": "media/media.properties",
+        "media": {"c": 240.0, "viscosity_csv": "media/eta.csv"},
         "detection": {"geometry": "geom.json"},
         "damping": {"points": 4}, **RINGDOWN_CFG})
     out = tmp_path / "out"
     assert main(["ringdown", "simulate", "--config", str(cfg),
                  "--out", str(out), "--blocks", str(out / "bin")]) == 0
 
-    media_inputs = [cfg, props, tmp_path / "media" / "eta.csv"]
+    media_inputs = [cfg, tmp_path / "media" / "eta.csv"]
     runs = [
         (["damping-curve", "--config", str(cfg)], media_inputs),
         (["sensitivity", "--config", str(cfg)], media_inputs),

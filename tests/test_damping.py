@@ -316,6 +316,14 @@ class TestDampingCurve:
         assert "row 0" in str(err.value)
         assert "0.1" in str(err.value)
 
+    def test_overflowing_impurity_drag_is_a_domain_error(self, osc):
+        # n3 m3* overflows to inf and v_th underflows to 0: their product
+        # is NaN, which once read as an absent channel at exit 0
+        med = HeliumMedia(m3=1e300)
+        with pytest.raises(DomainError,
+                           match=r"impurity channel: at T = 0\.01 K"):
+            damping_table(osc, med, [0.01, 0.05, 0.1], 1e-8 * med.n4)
+
     def test_csv_shape_and_roundtrip(self, osc, media):
         table = damping_table(osc, media, [0.02, 0.5, 1.5],
                               reference_n3(media))

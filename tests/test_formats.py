@@ -18,8 +18,7 @@ from levosc.detection import load_geometry
 from levosc.errors import ConfigError, DataError
 from levosc.fitting import load_tau_series_csv
 from levosc.formats import read_numeric_csv, write_csv
-from levosc.media import (DEFAULT_VISCOSITY_TABLE, ViscosityTable,
-                          load_property_overrides, media_from_overrides)
+from levosc.media import ViscosityTable
 from levosc.ringdown import BIN_MAGIC, BIN_VERSION, read_block_bin
 
 # each parser, with a start of a well-formed file so that the examples
@@ -29,9 +28,6 @@ PARSERS = {
                b'{"ringdown": {"seed": '),
     "geometry": (lambda data: load_geometry(data, "geom.json"),
                  b'{"transmitter": {"center_m": '),
-    "overrides": (lambda data: media_from_overrides(
-        load_property_overrides(data, "media.properties"),
-        DEFAULT_VISCOSITY_TABLE), b"c = "),
     "viscosity": (lambda data: ViscosityTable.from_csv(data, "eta.csv"),
                   b"T_K,eta_Pa_s\n1.0,2.3e-5\n"),
     "tau-series": (lambda data: load_tau_series_csv(data, "tau.csv"),

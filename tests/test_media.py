@@ -4,6 +4,7 @@ High-precision reference values below were computed independently with
 40-digit arithmetic from the same constants and frozen as literals.
 """
 
+import json
 import math
 from dataclasses import fields
 
@@ -13,17 +14,27 @@ from hypothesis import given, strategies as st
 
 from levosc import (ConfigError, DataError, DomainError, HeliumMedia,
                     ViscosityTable, thermal_velocity_he3)
-from levosc.media import (DEFAULT_VISCOSITY_TABLE, OVERRIDE_TABLE, T_LAMBDA_K,
-                          above_lambda, load_property_overrides,
-                          media_from_overrides, viscosity_normal_grid)
+from levosc.cli import _parse_config, _read_inputs, build_parser
+from levosc.media import (DEFAULT_VISCOSITY_TABLE, MEDIA_TABLE, T_LAMBDA_K,
+                          above_lambda, viscosity_normal_grid)
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
 
 
-NUMBER_KEYS = sorted(key for key, (kind, _) in OVERRIDE_TABLE.items()
+NUMBER_KEYS = sorted(key for key, (kind, _) in MEDIA_TABLE.items()
                      if kind == "number")
+
+
+def media_of(section, config=None):
+    """The medium that a ``sensitivity`` run reads from a config whose
+    ``media`` section is ``section``; the file ``config`` names is not
+    read, only the directory it lies in."""
+    argv = ["sensitivity"] + ([] if config is None
+                              else ["--config", str(config)])
+    cfg = _parse_config(json.dumps({"media": section}).encode(), config)
+    return _read_inputs(build_parser().parse_args(argv), cfg)[0]["media"]
 
 
 def viscosity_normal(table, T):
@@ -163,15 +174,9 @@ class TestDefaultsAndOverrides:
             he4_mass_density=145.1)
         assert media.viscosity.valid_range == (1.00, 2.17)
 
-    def test_override_file(self, tmp_path):
-        path = tmp_path / "props.txt"
-        path.write_text("# medium tweaks\n"
-                        "c = 240.0\n"
-                        "he4_mass_density = 145.3  # kg/m^3\n"
-                        "\n"
-                        "m3_eff_ratio = 2.5\n")
-        overrides = load_property_overrides(path.read_bytes(), path)
-        med = media_from_overrides(overrides, DEFAULT_VISCOSITY_TABLE)
+    def test_override_file(self):
+        med = media_of({"c": 240.0, "he4_mass_density": 145.3,
+                        "m3_eff_ratio": 2.5})
         assert med.c == 240.0
         assert med.m3_eff_ratio == 2.5
         assert med.he4_mass_density == 145.3
@@ -185,43 +190,20 @@ class TestDefaultsAndOverrides:
         numbers = sorted(f.name for f in fields(HeliumMedia)
                          if isinstance(getattr(defaults, f.name), float))
         assert numbers == NUMBER_KEYS
-        data = f"{key} = {value!r}\n".encode()
-        med = media_from_overrides(load_property_overrides(data, "props.txt"),
-                                   DEFAULT_VISCOSITY_TABLE)
+        med = media_of({key: value})
         for f in fields(HeliumMedia):
             expected = value if f.name == key else getattr(defaults, f.name)
             assert getattr(med, f.name) == expected, f.name
 
     def test_override_viscosity_csv_resolved_relative(self, tmp_path):
-        # the reader keeps the name as written; the CLI resolves it
-        # against the override file's directory and reads the table
+        # viscosity_csv resolves against the config file's directory
         (tmp_path / "eta.csv").write_text("1.1,9e-6\n1.9,1.3e-6\n")
-        path = tmp_path / "props.txt"
-        path.write_text("viscosity_csv = eta.csv\n")
-        overrides = load_property_overrides(path.read_bytes(), path)
-        assert overrides["viscosity_csv"] == "eta.csv"
-        table = path.parent / overrides["viscosity_csv"]
-        med = media_from_overrides(
-            overrides, ViscosityTable.from_csv(table.read_bytes(), table))
+        med = media_of({"viscosity_csv": "eta.csv"}, tmp_path / "run.json")
         assert med.viscosity.valid_range == (1.1, 1.9)
 
-    def test_override_errors(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("no equals sign here\n")
-        with pytest.raises(ConfigError):
-            load_property_overrides(bad.read_bytes(), bad)
-        bad2 = tmp_path / "bad2.txt"
-        bad2.write_text("c = fast\n")
-        with pytest.raises(ConfigError):
-            load_property_overrides(bad2.read_bytes(), bad2)
-        with pytest.raises(ConfigError):
-            media_from_overrides({"not_a_property": 1.0},
-                                 DEFAULT_VISCOSITY_TABLE)
-        # a repeated key is an error, not the last value silently winning
-        bad3 = tmp_path / "bad3.txt"
-        bad3.write_text("c = 240\nc = 250\n")
-        with pytest.raises(ConfigError, match="bad3.txt:2: .*'c'"):
-            load_property_overrides(bad3.read_bytes(), bad3)
+    def test_override_errors(self):
+        with pytest.raises(ConfigError, match="not_a_property"):
+            media_of({"not_a_property": 1.0})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("make", [
