@@ -20,10 +20,10 @@ Only this module opens input files, each once (:func:`_load_config`,
 File references (``detection.geometry``, ``media.viscosity_csv``)
 resolve against the config file's directory.
 ``ringdown analyze`` only loads ``block_NNNNNN.rngd`` files:
-:func:`_read_inputs` hands a loader to
-:func:`levosc.ringdown.measure_blocks` that reads block k at k times
-``block_interval_s``, which a version 2 header must repeat, and
-:func:`levosc.ringdown.fit_blocks` checks, orders the faults and fits.
+:func:`_read_inputs` builds the ring-down params and schedule, then hands
+:func:`levosc.ringdown.measure_blocks` a loader that reads block k at k
+times ``block_interval_s``, which a version 2 header must repeat, and
+checks it against the schedule: the first fault by block index wins.
 
 Only :class:`_Run` writes files: it stamps each output with the run
 hash, dumps every JSON record by one ``json.dumps``, and lists each
@@ -225,9 +225,9 @@ def _block_files(blocks_dir: Path) -> dict[int, Path]:
 
 def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
     """The parsed inputs of this command (``media``, ``geometry``,
-    ``series`` or ``blocks`` by index, kept without their samples) and
-    the sha256 of each file's bytes by manifest name. Each file is read
-    once, and a file that cannot be read is a :class:`DataError` naming it."""
+    ``ringdown`` params and schedule, the tau or amplitude ``series``, the
+    ``blocks`` read) and the sha256 of each file's bytes by manifest name.
+    Each file is read once; one that cannot be read is a DataError."""
     digests: dict[str, str] = {}
 
     def parse(name: str, path: Path, parser, *extra):
@@ -253,24 +253,32 @@ def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
         ref = cfg["detection"]["geometry"]
         inputs["geometry"] = detection.coaxial_geometry() if ref is None \
             else parse("geometry", config_dir / ref, detection.load_geometry)
+        n = len(inputs["geometry"].receivers)
+        if n > 1:    # the sweep reads receiver 0 alone
+            raise ConfigError(f"bad geometry file {config_dir / ref}: "
+                              "receivers: detection-sweep sweeps one "
+                              f"receiver, the file has {n}")
     if args.command == "fit-he3":
         inputs["series"] = parse("data", args.data,
                                  fitting.load_tau_series_csv)
+    if args.command == "ringdown":     # before any block is read
+        inputs["ringdown"] = _ringdown_from_config(args, cfg)
     if args.command == "ringdown" and args.action == "analyze":
+        params, schedule = inputs["ringdown"]
         blocks_dir = args.blocks or args.out / "blocks"
         files = _block_files(blocks_dir)
         if not files:
             raise DataError(f"no block files found in {blocks_dir}")
-        # block k starts at k intervals; a v2 header that disagrees exits 3
-        interval = cfg["ringdown"]["block_interval_s"]
 
+        # block k starts at k intervals: a v2 header that disagrees, or a
+        # block that does not fit the schedule, exits 3
         def load(k):    # on either thread; each adds its own digest key
-            return parse(f"block:{files[k].name}", files[k],
-                         rd.read_block_bin, k * interval)
+            return schedule.check(parse(
+                f"block:{files[k].name}", files[k], rd.read_block_bin,
+                k * schedule.block_interval))
 
-        # a hint that the config refuses: _cmd_ringdown raises it first
-        inputs["blocks"] = dict(zip(files, rd.measure_blocks(
-            load, list(files), cfg["ringdown"]["f0_Hz"])))
+        inputs["blocks"] = list(files)
+        inputs["series"] = rd.measure_blocks(load, list(files), params.f0)
     return inputs, digests
 
 
@@ -464,7 +472,7 @@ def _ringdown_from_config(args, cfg: dict) -> tuple:
 
 def _cmd_ringdown(args, cfg: dict, inputs: dict, run: _Run) -> None:
     sec = cfg["ringdown"]
-    params, schedule = _ringdown_from_config(args, cfg)
+    params, schedule = inputs["ringdown"]
     if args.action == "simulate":
         blocks_dir = args.blocks or args.out / "blocks"
         _mkdir(blocks_dir, "block directory")
@@ -481,7 +489,8 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict, run: _Run) -> None:
                        dict(sec, seed=params.seed, n_blocks=schedule.n_blocks))
         return
 
-    series, fit = rd.fit_blocks(list(inputs["blocks"].values()), schedule)
+    series = inputs["series"]
+    fit = rd.fit_decay(series)
     run.write_csv("amplitude_series.csv", rd.write_series_csv, series)
     record = rd.decay_fit_dict(fit)
     record["missing_block_indices"] = sorted(

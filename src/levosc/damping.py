@@ -106,6 +106,13 @@ def _radius_sq(osc: OscillatorSpec, channel: str) -> float:
     return r_sq
 
 
+def _past_float_range(channel: str, powers: str, T) -> DomainError:
+    """The error of a channel whose powers of the medium's constants
+    overflow, at the grid's first temperature."""
+    return DomainError(f"{channel} channel at T = {np.ravel(T)[0]:g} K: "
+                       f"{powers} is past the float range")
+
+
 def _hydrodynamic(osc: OscillatorSpec, eta_n):
     """Stokes-drag decay time M / (3 pi eta_n r)."""
     # an extreme mass or radius overflows the time: saturate to inf
@@ -118,9 +125,12 @@ def _phonon(osc: OscillatorSpec, media: HeliumMedia, T):
     # (k_B T)^4 underflows to zero below about 1e-70 K: saturate to inf;
     # past the float range it gives 0, which the composite refuses
     with np.errstate(divide="ignore", over="ignore"):
+        try:
+            scale = 45.0 * osc.mass * media.hbar**3 * media.c**4
+        except OverflowError:
+            raise _past_float_range("phonon", "hbar^3 or c^4", T) from None
         kT = media.k_B * np.asarray(T, dtype=float)
-        return np.divide(45.0 * osc.mass * media.hbar**3 * media.c**4,
-                         math.pi**2 * kT**4 * math.pi
+        return np.divide(scale, math.pi**2 * kT**4 * math.pi
                          * _radius_sq(osc, "phonon"))
 
 
@@ -128,10 +138,14 @@ def _roton(osc: OscillatorSpec, media: HeliumMedia, T):
     """Roton decay time 6 pi^2 M / (hbar k0^4 e^(-Delta/kT) pi r^2)."""
     # the Boltzmann factor underflows: saturate to inf
     with np.errstate(divide="ignore", over="ignore"):
+        try:
+            hbar_k0 = media.hbar * media.k0**4
+        except OverflowError:
+            raise _past_float_range("roton", "k0^4", T) from None
         boltzmann = np.exp(-media.delta_over_kB / np.asarray(T, dtype=float))
         return np.divide(6.0 * math.pi**2 * osc.mass,
-                         media.hbar * media.k0**4 * boltzmann
-                         * math.pi * _radius_sq(osc, "roton"))
+                         hbar_k0 * boltzmann * math.pi
+                         * _radius_sq(osc, "roton"))
 
 
 def _impurity(osc: OscillatorSpec, media: HeliumMedia,
@@ -268,6 +282,17 @@ class DampingTable:
         return (self.T, self.tau_hydr, self.tau_ph, self.tau_rot,
                 self.tau_imp, self.tau_vacuum, self.tau_total)
 
+    def fault(self, row: int) -> str | None:
+        """The first channel present in ``row`` whose decay rate there is
+        not positive and finite, or None."""
+        names = ("hydrodynamic", "phonon", "roton", "impurity", "vacuum")
+        for name, column in zip(names, self.columns()[1:6]):
+            tau = float(column[row])
+            if tau <= 0.0 or 1.0 / tau == math.inf:
+                return (f"the {name} channel's decay time is {tau:g} s, "
+                        "too short for a finite decay rate")
+        return None
+
 
 def compose(medium: MediumChannels, osc: OscillatorSpec,
             media: HeliumMedia, n3: float,
@@ -313,8 +338,9 @@ def damping_table(osc: OscillatorSpec, media: HeliumMedia,
     bad = np.flatnonzero(np.isnan(table.tau_total))
     if len(bad):
         raise ValueError(
-            f"grid row {bad[0]} (T = {T[bad[0]]:g} K): a channel is not "
-            "positive or the composite exceeds the fastest channel")
+            f"grid row {bad[0]} (T = {T[bad[0]]:g} K): "
+            + (table.fault(bad[0]) or "a channel is not positive or the "
+               "composite exceeds the fastest channel"))
     return table
 
 

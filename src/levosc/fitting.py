@@ -206,7 +206,10 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
         r = _log_residuals(table.tau_total, log_taus)
         ok = np.isfinite(r)
         if not ok.any():
-            raise DataError("model undefined on every row")
+            fault = table.fault(0)
+            raise DataError("model undefined on every row" + (
+                "" if fault is None else
+                f"; at T = {table.T[0]:g} K, {fault}"))
         return table, r, float(np.sum(weights[ok] * r[ok]**2))
 
     def weighted(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,18 +4,19 @@ weighted log-linear fit of the amplitude envelope giving the ring-down
 time, its uncertainty, and the implied resonance linewidth.
 
 The block is the unit of work: :func:`synthesize_block` makes one and
-:func:`measure_block` measures one. The analysis is one path of two
-stages: :func:`measure_blocks` loads and measures each block and keeps
-its measurement, never its samples; :func:`fit_blocks` checks the blocks
-against the schedule, raises the first fault and fits the decay. The
-list functions are these over a list. :func:`map_blocks` runs per-block
-work on this thread and one helper thread, two blocks in flight, in
-block order; every heavy step of a block (``exp``, ``cos``, the Philox
-draws, the FFT, file IO, the sha256 digest) releases the interpreter
-lock, so the two overlap. There is no setting for the thread count. A
-fault stops new blocks from starting, not the blocks that the other
-thread took before it, so blocks past a failing one can still be
-written.
+:func:`measure_block` measures one. The analysis is one pass over the
+blocks, then :func:`fit_decay`: :func:`measure_blocks` loads and
+measures each block in one step, keeps its measurement, never its
+samples, and raises the fault of the lowest block index. A loader that
+checks each block with :meth:`BlockSchedule.check` puts the schedule's
+faults in that same order. The list functions are these over a list.
+:func:`map_blocks` runs per-block work on this thread and one helper
+thread, two blocks in flight, in block order; every heavy step of a
+block (``exp``, ``cos``, the Philox draws, the FFT, file IO, the sha256
+digest) releases the interpreter lock, so the two overlap. There is no
+setting for the thread count. A fault stops new blocks from starting,
+not the blocks that the other thread took before it, so blocks past a
+failing one can still be written.
 
 A block file is one binary frame (:func:`write_block_bin`): a header
 with the sample rate and start time, then the samples. A frame of
@@ -39,7 +40,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FitError, LevoscError
+from .errors import ConfigError, DataError, FitError
 from .formats import write_csv
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "measure_blocks",
     "amplitude_series",
     "fit_decay",
-    "fit_blocks",
     "analyze_ringdown",
     "write_block_bin",
     "read_block_bin",
@@ -141,6 +141,23 @@ class BlockSchedule:
 
     def block_starts(self) -> list[float]:
         return [k * self.block_interval for k in range(self.n_blocks)]
+
+    def check(self, block: Block) -> Block:
+        """``block``, if its sample rate, length and start fit the
+        schedule; else a :class:`DataError`, in that order."""
+        # relative: a caller's block may carry a computed rate
+        if abs(block.sample_rate - self.sample_rate) > 1e-9 * self.sample_rate:
+            raise DataError("block sample rate differs from the schedule")
+        n, start = len(block.samples), block.start_time
+        if abs(n - self.samples_per_block) > 1:
+            raise DataError(f"block at t = {start:g} s has {n} samples, "
+                            f"schedule expects {self.samples_per_block}")
+        # half a sample: a caller's block may carry a computed start
+        last = (self.n_blocks - 1) * self.block_interval
+        if start - last > 0.5 / self.sample_rate:
+            raise DataError(f"block at t = {start:g} s starts after the "
+                            f"schedule's last block, at t = {last:g} s")
+        return block
 
 
 @dataclass(frozen=True)
@@ -338,35 +355,21 @@ def measure_block(block: Block, f0_hint: float) -> tuple[float, float, float]:
 
 
 def measure_blocks(load: Callable[[int], Block], indices: Sequence[int],
-                   f0_hint: float) -> list[tuple]:
-    """``(start_time, sample_rate, length, row)`` of block ``load(k)`` for
-    each index, through :func:`map_blocks`: ``row`` is its
-    :func:`measure_block` row or that fault, kept without the traceback
-    whose frames hold the samples. A ``load`` fault is raised at once."""
-    def record(k):
+                   f0_hint: float) -> AmplitudeSeries:
+    """The :func:`measure_block` row of block ``load(k)`` for each index,
+    as columns. Each block is loaded and measured in one step of
+    :func:`map_blocks`, which drops its samples after, and the fault of
+    the lowest index, in loading or in measuring, is raised."""
+    def row(k):
         block = load(k)
-        try:
-            row = measure_block(block, f0_hint)
-        except (LevoscError, ValueError, ArithmeticError) as exc:
-            row = exc.with_traceback(None)
-        return block.start_time, block.sample_rate, len(block.samples), row
-    return map_blocks(record, indices)
-
-
-def _series(records: Sequence[tuple]) -> AmplitudeSeries:
-    """The records' rows as columns, or the first measurement fault."""
-    for *_, row in records:
-        if isinstance(row, Exception):
-            raise row
-    return AmplitudeSeries([r[0] for r in records],
-                           *np.reshape([r[3] for r in records], (-1, 3)).T)
+        return (block.start_time, *measure_block(block, f0_hint))
+    return AmplitudeSeries(*np.reshape(map_blocks(row, indices), (-1, 4)).T)
 
 
 def amplitude_series(blocks: Sequence[Block],
                      f0_hint: float) -> AmplitudeSeries:
     """The :func:`measure_block` row of each block, as columns."""
-    return _series(measure_blocks(blocks.__getitem__, range(len(blocks)),
-                                  f0_hint))
+    return measure_blocks(blocks.__getitem__, range(len(blocks)), f0_hint)
 
 
 def fit_decay(series: AmplitudeSeries) -> DecayFit:
@@ -416,34 +419,15 @@ def fit_decay(series: AmplitudeSeries) -> DecayFit:
                     linewidth=1.0 / (math.pi * tau))
 
 
-def fit_blocks(records: Sequence[tuple], schedule: BlockSchedule
-               ) -> tuple[AmplitudeSeries, DecayFit]:
-    """The series and decay fit of :func:`measure_blocks` records. Faults
-    in order: no records, a bad rate, length or start, a measurement, the
-    fit."""
-    if not records:
-        raise DataError("no blocks to analyze")
-    last = (schedule.n_blocks - 1) * schedule.block_interval
-    for start, rate, n, _ in records:
-        # relative: a caller's block may carry a computed rate
-        if abs(rate - schedule.sample_rate) > 1e-9 * schedule.sample_rate:
-            raise DataError("block sample rate differs from the schedule")
-        if abs(n - schedule.samples_per_block) > 1:
-            raise DataError(f"block at t = {start:g} s has {n} samples, "
-                            f"schedule expects {schedule.samples_per_block}")
-        # half a sample: a caller's block may carry a computed start
-        if start - last > 0.5 / schedule.sample_rate:
-            raise DataError(f"block at t = {start:g} s starts after the "
-                            f"schedule's last block, at t = {last:g} s")
-    series = _series(records)
-    return series, fit_decay(series)
-
-
 def analyze_ringdown(blocks: Sequence[Block], schedule: BlockSchedule,
                      f0_hint: float) -> tuple[AmplitudeSeries, DecayFit]:
-    """Full pipeline: per-block amplitudes, then the decay fit."""
-    return fit_blocks(measure_blocks(blocks.__getitem__, range(len(blocks)),
-                                     f0_hint), schedule)
+    """Full pipeline: each block checked against the schedule and
+    measured, the lowest index's fault first, then the decay fit."""
+    if not blocks:
+        raise DataError("no blocks to analyze")
+    series = measure_blocks(lambda k: schedule.check(blocks[k]),
+                            range(len(blocks)), f0_hint)
+    return series, fit_decay(series)
 
 
 def write_block_bin(block: Block, path: str | Path) -> None:

@@ -662,6 +662,10 @@ BAD_GEOMETRY = {
     "repeated-coil-key": (lambda g: json.dumps(g).replace(
         '"turns": 60', '"turns": 60, "turns": 61'),
         "duplicate key 'geometry.receivers[0].turns'"),
+    # the sweep reads receiver 0 alone, but the manifest digested both
+    "second-receiver": (lambda g: g["receivers"].append(
+        dict(g["receivers"][0], axis=[1.0, 0.0, 0.0])),
+        "geom.json: receivers"),
 }
 
 
@@ -811,27 +815,32 @@ def _shorten(path):
     path.write_bytes(path.read_bytes()[:-320])
 
 
-def test_ringdown_corrupt_block_beats_an_earlier_wrong_length(tmp_path,
-                                                              capsys):
+def test_ringdown_earlier_wrong_length_beats_a_corrupt_block(tmp_path,
+                                                             capsys):
+    # one pass by block index: block 2's length before block 5's magic
     cfg, out, blocks = _ringdown_run(tmp_path)
     _shorten(blocks[2])
     blocks[5].write_bytes(b"XXXX" + blocks[5].read_bytes()[4:])
     capsys.readouterr()
     assert main(["ringdown", "analyze", "--config", str(cfg),
                  "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "block_000005.rngd" in err and "not a ring-down block" in err
+    assert capsys.readouterr().err == (
+        "levosc: block at t = 7200 s has 14960 samples, schedule expects "
+        "15000\n")
 
 
-def test_ringdown_corrupt_block_beats_a_bad_schedule(tmp_path, capsys):
+def test_ringdown_bad_schedule_beats_a_corrupt_block(tmp_path, capsys):
+    # the ring-down config is checked before any block is read
     _, out, blocks = _ringdown_run(tmp_path)
     blocks[5].write_bytes(b"garbage")
     bad = write_config(tmp_path, {"ringdown": {"block_length_s": 4000.0}},
                        name="bad.json")
     capsys.readouterr()
     assert main(["ringdown", "analyze", "--config", str(bad),
-                 "--out", str(out)]) == 3
-    assert "block_000005.rngd" in capsys.readouterr().err
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "block_length" in err and "block_000005.rngd" not in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_ringdown_wrong_length_beats_a_later_bad_peak(tmp_path, capsys):
@@ -844,6 +853,19 @@ def test_ringdown_wrong_length_beats_a_later_bad_peak(tmp_path, capsys):
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "block at t = 7200 s has 14960 samples" in err
+
+
+def test_ringdown_bad_peak_beats_a_later_wrong_length(tmp_path, capsys):
+    # one pass by block index: block 2's peak before block 5's length
+    cfg, out, blocks = _ringdown_run(tmp_path)
+    raw = blocks[2].read_bytes()
+    blocks[2].write_bytes(raw[:24] + bytes(len(raw) - 24))   # all zero
+    _shorten(blocks[5])
+    capsys.readouterr()
+    assert main(["ringdown", "analyze", "--config", str(cfg),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "levosc: block at t = 7200 s: spectral peak is zero or not finite\n")
 
 
 def test_ringdown_block_past_the_schedule_exits_3(tmp_path, capsys):
@@ -905,9 +927,9 @@ def test_ringdown_blocks_of_another_interval_exit_3(tmp_path, capsys):
     assert not (out / "decay_fit.json").exists()
 
 
-# The README's fault order after the reads: a block whose rate, length or
-# start does not fit the schedule, by block index; then a block that
-# cannot be measured, by block index; then the fit.
+# The README's fault order after the config: one pass by block index, in
+# which a block that does not fit the schedule (rate, length or start) or
+# cannot be measured stops the run; then the fit.
 FAULT_CFG = {"sample_rate_Hz": 20.0, "block_length_s": 30.0,
              "block_interval_s": 600.0, "tau_s": 5000.0, "noise_rms": 0.05,
              "seed": 3}
@@ -921,8 +943,7 @@ def _expected_fault(n_blocks, faults):
     # a block past the schedule is filed under index n_blocks + k
     index = {k: n_blocks + k if faults.get(k) == "past" else k
              for k in range(n_blocks)}
-    by_index = sorted(range(n_blocks), key=index.get)
-    for k in by_index:
+    for k in sorted(range(n_blocks), key=index.get):
         if faults.get(k) == "short":
             return (f"block at t = {k * interval:g} s has {per_block - 40} "
                     f"samples, schedule expects {per_block}")
@@ -932,7 +953,6 @@ def _expected_fault(n_blocks, faults):
             return (f"block at t = {index[k] * interval:g} s starts after "
                     f"the schedule's last block, at t = "
                     f"{(n_blocks - 1) * interval:g} s")
-    for k in by_index:
         if faults.get(k) == "zero":
             return (f"block at t = {k * interval:g} s: spectral peak is zero "
                     f"or not finite")
@@ -1278,6 +1298,45 @@ def test_overflowing_impurity_drag_exits_3(tmp_path, capfd, command):
     captured = capfd.readouterr()
     assert captured.out == ""
     assert "impurity channel" in captured.err
+    assert not list(out.glob("*"))
+
+
+# a medium constant, x3 or a viscosity that overflows one channel: each
+# once exited 3 with an errno or an unnamed channel
+OVERFLOWING_CHANNELS = {
+    "c": ({"media": {"c": 1e100}}, "phonon channel at T = "),
+    "k0": ({"media": {"k0": 1e100}}, "roton channel at T = "),
+    "hbar": ({"media": {"hbar": 1e110}}, "phonon channel at T = "),
+    "k_B": ({"media": {"k_B": 1.7976931348623157e308}},
+            "the phonon channel's decay time is 0 s"),
+    "x3": ({"damping": {"x3": 1e300}},
+           "the impurity channel's decay time is 0 s"),
+    "viscosity": ({"media": {"viscosity_csv": "eta_1e308.csv"},
+                   "damping": {"T_min_K": 1.1, "T_max_K": 1.9}},
+                  "T = 1.1 K): the hydrodynamic channel's decay time is 0 s"),
+    "viscosity-rate": ({"media": {"viscosity_csv": "eta_1e307.csv"},
+                        "damping": {"T_min_K": 1.1, "T_max_K": 1.9}},
+                       "T = 1.1 K): the hydrodynamic channel's decay time "
+                       "is 6.8"),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    *(("damping-curve", case) for case in OVERFLOWING_CHANNELS),
+    *(("fit-he3", case) for case in ("c", "k0", "hbar", "k_B"))])
+def test_overflowing_channel_is_named(tmp_path, capsys, command, case):
+    cfg_obj, named = OVERFLOWING_CHANNELS[case]
+    for eta in ("1e308", "1e307"):
+        (tmp_path / f"eta_{eta}.csv").write_text(f"1.0,{eta}\n2.0,{eta}\n")
+    cfg = write_config(tmp_path, cfg_obj)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "fit-he3":
+        argv += ["--data", str(model_data_csv(tmp_path, 4.2e-8))]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert named in err and "T = " in err, err
+    assert "Numerical result" not in err and "a channel is not" not in err
     assert not list(out.glob("*"))
 
 

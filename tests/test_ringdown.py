@@ -31,6 +31,8 @@ from levosc.ringdown import (
     decay_fit_dict,
     fit_decay,
     map_blocks,
+    measure_block,
+    measure_blocks,
     read_block_bin,
     synthesize_block,
     synthesize_ringdown,
@@ -568,6 +570,38 @@ def test_analyze_rejects_a_block_past_the_schedule():
     with pytest.raises(DataError, match=r"block at t = 1\.8e\+06 s starts "
                        r"after the schedule's last block, at t = 39600 s"):
         analyze_ringdown(blocks[:-1] + [late], schedule, 2.7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_measure_blocks_raises_the_fault_of_the_lowest_index(n, data):
+    # one pass: a block that cannot be loaded and one that cannot be
+    # measured stop the blocks at their index alike
+    faults = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                       st.sampled_from(["load", "zero"]),
+                                       max_size=3))
+    blocks = [Block(60.0 * k, 20.0, np.zeros(600) if faults.get(k) == "zero"
+                    else tone(600, 20.0, 2.7, amp=0.9 ** k))
+              for k in range(n)]
+
+    def load(k):
+        if faults.get(k) == "load":
+            raise DataError(f"block {k} cannot be read")
+        return blocks[k]
+
+    if not faults:
+        series = measure_blocks(load, range(n), 2.7)
+        rows = [(b.start_time, *measure_block(b, 2.7)) for b in blocks]
+        assert np.array_equal(np.column_stack(
+            (series.time, series.frequency, series.amplitude, series.snr)),
+            rows)
+        return
+    k = min(faults)
+    with pytest.raises(DataError) as raised:
+        measure_blocks(load, range(n), 2.7)
+    assert str(raised.value) == (
+        f"block {k} cannot be read" if faults[k] == "load" else
+        f"block at t = {60.0 * k:g} s: spectral peak is zero or not finite")
 
 
 # -------------------------------------------------------------- block io
