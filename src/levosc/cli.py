@@ -15,17 +15,20 @@ naming ``section.key``. The ``media`` section is
 :data:`levosc.media.MEDIA_TABLE`, the medium's constants; a value that
 :class:`levosc.media.HeliumMedia` refuses also exits 2.
 
-Only this module opens input files, each once (:func:`_load_config`,
-:func:`_read_inputs`): the manifest digests the bytes that are parsed.
+Every command runs in one order: it checks its config values, reads its
+input files through :meth:`_Run.read`, then :meth:`_Run.start` fixes the
+run hash and creates ``--out``, and it computes and writes. So neither a
+config value it refuses nor an input file it cannot read or parse
+creates ``--out``. Each file is read once, the config by
+:func:`_load_config`: the manifest digests the bytes that are parsed.
 File references (``detection.geometry``, ``media.viscosity_csv``)
-resolve against the config file's directory.
-``ringdown analyze`` only loads ``block_NNNNNN.rngd`` files:
-:func:`_read_inputs` builds the ring-down params and schedule, then hands
-:func:`levosc.ringdown.measure_blocks` a loader that reads block k at k
-times ``block_interval_s``, which a version 2 header must repeat, and
-checks it against the schedule: the first fault by block index wins.
+resolve against the config file's directory. ``ringdown analyze`` hands
+:func:`levosc.ringdown.measure_blocks` a loader that reads
+``block_NNNNNN.rngd`` k at k times ``block_interval_s``, which a version
+2 header must repeat, and checks it against the schedule: the first
+fault by block index wins.
 
-Only :class:`_Run` writes files: it stamps each output with the run
+:class:`_Run` also writes every file: it stamps each output with the run
 hash, dumps every JSON record by one ``json.dumps``, and lists each
 output in the manifest by its path relative to ``--out``.
 
@@ -37,6 +40,7 @@ among them), 3 physics, geometry, or data problems.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -223,65 +227,6 @@ def _block_files(blocks_dir: Path) -> dict[int, Path]:
     return dict(sorted(files.items()))
 
 
-def _read_inputs(args, cfg: dict) -> tuple[dict, dict[str, str]]:
-    """The parsed inputs of this command (``media``, ``geometry``,
-    ``ringdown`` params and schedule, the tau or amplitude ``series``, the
-    ``blocks`` read) and the sha256 of each file's bytes by manifest name.
-    Each file is read once; one that cannot be read is a DataError."""
-    digests: dict[str, str] = {}
-
-    def parse(name: str, path: Path, parser, *extra):
-        try:
-            data = path.read_bytes()
-        except (OSError, ValueError) as exc:   # ValueError: a NUL in a path
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        digests[name] = hashlib.sha256(data).hexdigest()
-        return parser(data, path, *extra)
-
-    config_dir = args.config.parent if args.config is not None else Path(".")
-    inputs = {}
-    if args.command in ("damping-curve", "fit-he3", "sensitivity"):
-        numbers = dict(cfg["media"])
-        ref = numbers.pop("viscosity_csv")
-        table = media.DEFAULT_VISCOSITY_TABLE if ref is None else parse(
-            "viscosity_csv", config_dir / ref, media.ViscosityTable.from_csv)
-        try:
-            inputs["media"] = media.HeliumMedia(**numbers, viscosity=table)
-        except ValueError as exc:
-            raise ConfigError(f"media.{exc}") from exc
-    if args.command == "detection-sweep":
-        ref = cfg["detection"]["geometry"]
-        inputs["geometry"] = detection.coaxial_geometry() if ref is None \
-            else parse("geometry", config_dir / ref, detection.load_geometry)
-        n = len(inputs["geometry"].receivers)
-        if n > 1:    # the sweep reads receiver 0 alone
-            raise ConfigError(f"bad geometry file {config_dir / ref}: "
-                              "receivers: detection-sweep sweeps one "
-                              f"receiver, the file has {n}")
-    if args.command == "fit-he3":
-        inputs["series"] = parse("data", args.data,
-                                 fitting.load_tau_series_csv)
-    if args.command == "ringdown":     # before any block is read
-        inputs["ringdown"] = _ringdown_from_config(args, cfg)
-    if args.command == "ringdown" and args.action == "analyze":
-        params, schedule = inputs["ringdown"]
-        blocks_dir = args.blocks or args.out / "blocks"
-        files = _block_files(blocks_dir)
-        if not files:
-            raise DataError(f"no block files found in {blocks_dir}")
-
-        # block k starts at k intervals: a v2 header that disagrees, or a
-        # block that does not fit the schedule, exits 3
-        def load(k):    # on either thread; each adds its own digest key
-            return schedule.check(parse(
-                f"block:{files[k].name}", files[k], rd.read_block_bin,
-                k * schedule.block_interval))
-
-        inputs["blocks"] = list(files)
-        inputs["series"] = rd.measure_blocks(load, list(files), params.f0)
-    return inputs, digests
-
-
 def _remove_manifest(out: Path) -> None:
     """Delete an earlier run's ``manifest.json`` from ``out``, so that a
     run that fails leaves none behind. An absent file, an ``out`` that is
@@ -305,22 +250,41 @@ def _mkdir(path: Path, what: str) -> None:
 
 
 class _Run:
-    """Every file of a run is written here. JSON records carry the run
-    hash and seed, CSVs and SVGs a ``manifest ... seed ...`` comment. The
-    ``write_*`` methods list each file in the manifest, by its path
+    """Every file of a run but the config is read and written here.
+    ``read`` parses an input file and digests its bytes; ``start`` fixes
+    the run hash over them and creates ``--out``. JSON records carry the
+    run hash and seed, CSVs and SVGs a ``manifest ... seed ...`` comment.
+    The ``write_*`` methods list each file in the manifest, by its path
     relative to ``--out``; ``save`` lists nothing."""
 
-    def __init__(self, args, config_blob: bytes, digests: dict[str, str]):
+    def __init__(self, args, config_blob: bytes):
         config_sha256 = hashlib.sha256(config_blob).hexdigest()
-        if args.config is not None:
-            digests = dict(digests, config=config_sha256)
-        core = {"tool_version": __version__, "command": args.command,
-                "config_sha256": config_sha256, "input_sha256": digests,
-                "seed": getattr(args, "seed", None)}
+        digests = {} if args.config is None else {"config": config_sha256}
+        self.core = {"tool_version": __version__, "command": args.command,
+                     "config_sha256": config_sha256, "input_sha256": digests,
+                     "seed": getattr(args, "seed", None)}
+        self.config_dir = args.config.parent if args.config else Path(".")
+        self.out, self.outputs = args.out, []
+
+    def read(self, name: str, path: Path, parser, *extra):
+        """``parser(data, path, *extra)`` of the bytes of ``path``, whose
+        sha256 the manifest lists as ``name``. A file that cannot be read
+        is a DataError."""
+        try:
+            data = path.read_bytes()
+        except (OSError, ValueError) as exc:   # ValueError: a NUL in a path
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        self.core["input_sha256"][name] = hashlib.sha256(data).hexdigest()
+        return parser(data, path, *extra)
+
+    def start(self) -> None:
+        """Fix the run hash over the config and the files read so far,
+        then create ``--out``."""
+        core = self.core
         core["manifest_hash"] = hashlib.sha256(
             json.dumps(core, sort_keys=True).encode()).hexdigest()[:16]
-        self.out, self.core, self.outputs = args.out, core, []
         self.comment = f"manifest {core['manifest_hash']} seed {core['seed']}"
+        _mkdir(self.out, "output directory")
 
     def save(self, path: Path, write) -> None:
         """``write(path)``; an OSError is an exit 2 naming ``path``."""
@@ -375,14 +339,30 @@ def _finite(value) -> bool:
     return not isinstance(value, float) or math.isfinite(value)
 
 
-def _cmd_damping_curve(args, cfg: dict, inputs: dict, run: _Run) -> None:
+def _media(cfg: dict, run: _Run) -> media.HeliumMedia:
+    """The medium of the ``media`` section: its numbers are checked
+    before the viscosity table it names is read."""
+    numbers = dict(cfg["media"])
+    ref = numbers.pop("viscosity_csv")
+    try:
+        med = media.HeliumMedia(**numbers)
+    except ValueError as exc:
+        raise ConfigError(f"media.{exc}") from exc
+    if ref is None:
+        return med
+    return dataclasses.replace(med, viscosity=run.read(
+        "viscosity_csv", run.config_dir / ref, media.ViscosityTable.from_csv))
+
+
+def _cmd_damping_curve(args, cfg: dict, run: _Run) -> None:
     sec = cfg["damping"]
     _require_positive(cfg, "damping", "points", "T_min_K", "tau_vacuum_s")
     _require_superfluid(cfg, "damping", "T_max_K")
     if not sec["T_min_K"] < sec["T_max_K"]:
         raise ConfigError("need damping.T_min_K < damping.T_max_K")
     osc = _osc_from_config(cfg)
-    med = inputs["media"]
+    med = _media(cfg, run)
+    run.start()
     space = np.geomspace if sec["grid"] == "log" else np.linspace
     grid = space(sec["T_min_K"], sec["T_max_K"], sec["points"])
     x3, tau_vac = sec["x3"], sec["tau_vacuum_s"]
@@ -416,17 +396,15 @@ def _damping_svg(table: damping.DampingTable, comment: str) -> str:
                          log_x=True, log_y=True, comment=comment)
 
 
-def _cmd_detection_sweep(args, cfg: dict, inputs: dict, run: _Run) -> None:
+def _cmd_detection_sweep(args, cfg: dict, run: _Run) -> None:
     sec = cfg["detection"]
     _require_positive(cfg, "detection", "sweep_points", "sphere_radius_m")
     n = sec["oracle_grid"]
     if args.oracle and n < axisym.MIN_GRID:
         raise ConfigError(f"detection.oracle_grid: grid must be at least "
                           f"{axisym.MIN_GRID} x {axisym.MIN_GRID}")
-    geom = inputs["geometry"]
-    receiver = geom.receivers[0]
-    radius = sec["sphere_radius_m"]
-    # an overflowing span gives centers that are not finite: rejected
+    # an overflowing span gives positions and centers that are not
+    # finite: the sweep rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
                                 sec["sweep_points"])
@@ -435,6 +413,17 @@ def _cmd_detection_sweep(args, cfg: dict, inputs: dict, run: _Run) -> None:
                 "detection.sweep_start_m, detection.sweep_stop_m and "
                 "detection.sweep_points put two sweep positions at the "
                 "same place")
+    ref = sec["geometry"]
+    geom = detection.coaxial_geometry() if ref is None else run.read(
+        "geometry", run.config_dir / ref, detection.load_geometry)
+    if len(geom.receivers) > 1:    # the sweep reads receiver 0 alone
+        raise ConfigError(f"bad geometry file {run.config_dir / ref}: "
+                          "receivers: detection-sweep sweeps one receiver, "
+                          f"the file has {len(geom.receivers)}")
+    run.start()
+    receiver = geom.receivers[0]
+    radius = sec["sphere_radius_m"]
+    with np.errstate(over="ignore", invalid="ignore"):
         centers = receiver.center_v + np.outer(positions, receiver.axis_v)
     result = detection.position_sweep(geom, centers, radius,
                                       driven=sec["driven"])
@@ -445,15 +434,22 @@ def _cmd_detection_sweep(args, cfg: dict, inputs: dict, run: _Run) -> None:
     run.write_csv("detection_sweep.csv", detection.write_sweep_csv, result,
                   oracle_delta_L=oracle_col)
     if args.svg:
-        run.write_text("detection_sweep.svg", line_plot_svg(
-            [Series(result.position.tolist(),
-                    np.abs(result.delta_L).tolist(), "|delta L|")],
-            "position (m)", "|delta L| (H)",
-            title="inductance shift versus sphere position",
-            log_y=True, comment=run.comment))
+        try:
+            svg = line_plot_svg(
+                [Series(result.position.tolist(),
+                        np.abs(result.delta_L).tolist(), "|delta L|")],
+                "position (m)", "|delta L| (H)",
+                title="inductance shift versus sphere position",
+                log_y=True, comment=run.comment)
+        except ValueError as exc:   # no row has a finite, nonzero delta L
+            first = "".join(f"; row {i} error: {text}"
+                            for i, text in result.errors[:1])
+            raise DataError(
+                f"cannot plot detection_sweep.svg: {exc}{first}") from exc
+        run.write_text("detection_sweep.svg", svg)
 
 
-def _ringdown_from_config(args, cfg: dict) -> tuple:
+def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
     sec = cfg["ringdown"]
     try:
         params = rd.RingdownParams(
@@ -467,14 +463,9 @@ def _ringdown_from_config(args, cfg: dict) -> tuple:
             block_interval=sec["block_interval_s"])
     except ValueError as exc:
         raise ConfigError(f"ringdown config: {exc}") from exc
-    return params, schedule
-
-
-def _cmd_ringdown(args, cfg: dict, inputs: dict, run: _Run) -> None:
-    sec = cfg["ringdown"]
-    params, schedule = inputs["ringdown"]
+    blocks_dir = args.blocks or args.out / "blocks"
     if args.action == "simulate":
-        blocks_dir = args.blocks or args.out / "blocks"
+        run.start()
         _mkdir(blocks_dir, "block directory")
         listed = Path(os.path.relpath(blocks_dir.resolve(), run.out.resolve()))
 
@@ -489,16 +480,28 @@ def _cmd_ringdown(args, cfg: dict, inputs: dict, run: _Run) -> None:
                        dict(sec, seed=params.seed, n_blocks=schedule.n_blocks))
         return
 
-    series = inputs["series"]
+    files = _block_files(blocks_dir)
+    if not files:
+        raise DataError(f"no block files found in {blocks_dir}")
+
+    # block k starts at k intervals: a v2 header that disagrees, or a
+    # block that does not fit the schedule, exits 3
+    def load(k):    # on either thread; each adds its own digest key
+        return schedule.check(run.read(
+            f"block:{files[k].name}", files[k], rd.read_block_bin,
+            k * schedule.block_interval))
+
+    series = rd.measure_blocks(load, list(files), params.f0)
+    run.start()
     fit = rd.fit_decay(series)
     run.write_csv("amplitude_series.csv", rd.write_series_csv, series)
     record = rd.decay_fit_dict(fit)
     record["missing_block_indices"] = sorted(
-        set(range(schedule.n_blocks)) - set(inputs["blocks"]))
+        set(range(schedule.n_blocks)) - set(files))
     run.write_json("decay_fit.json", record)
 
 
-def _cmd_fit_he3(args, cfg: dict, inputs: dict, run: _Run) -> None:
+def _cmd_fit_he3(args, cfg: dict, run: _Run) -> None:
     sec = cfg["fit"]
     _require_positive(cfg, "fit", "tau_vacuum_s", "predict_T_min_K",
                       "predict_T_max_K", "predict_points")
@@ -509,7 +512,9 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict, run: _Run) -> None:
         raise ConfigError(f"fit.added_x3 must be non-negative, got "
                           f"{sec['added_x3']!r}")
     osc = _osc_from_config(cfg)
-    med, series = inputs["media"], inputs["series"]
+    med = _media(cfg, run)
+    series = run.read("data", args.data, fitting.load_tau_series_csv)
+    run.start()
     mode = damping.RegimeMode(sec["mode"])
     tau_vac = sec["tau_vacuum_s"]
     fit = fitting.fit_he3_concentration(
@@ -534,12 +539,14 @@ def _cmd_fit_he3(args, cfg: dict, inputs: dict, run: _Run) -> None:
                       fitting.write_contamination_csv, base, contam)
 
 
-def _cmd_sensitivity(args, cfg: dict, inputs: dict, run: _Run) -> None:
+def _cmd_sensitivity(args, cfg: dict, run: _Run) -> None:
     sec = cfg["sensitivity"]
     osc = _osc_from_config(cfg)
+    med = _media(cfg, run)
+    run.start()
     T, tau = sec["temperature_K"], sec["tau_s"]
     run.write_json("sensitivity.json", {
-        "S_F_N2_per_Hz": damping.noise_density(osc, T, tau, inputs["media"]),
+        "S_F_N2_per_Hz": damping.noise_density(osc, T, tau, med),
         "F_D_N": damping.drag_force(osc, tau, sec["velocity_m_s"]),
         "T_over_tau_K_per_s": T / tau, "linewidth_Hz": damping.linewidth(tau),
         **sec})
@@ -564,10 +571,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _remove_manifest(args.out)
         cfg, blob = _load_config(args.config)
-        inputs, digests = _read_inputs(args, cfg)
-        run = _Run(args, blob, digests)
-        _mkdir(args.out, "output directory")
-        _DISPATCH[args.command](args, cfg, inputs, run)
+        run = _Run(args, blob)
+        _DISPATCH[args.command](args, cfg, run)
         run.finish(time.monotonic() - started)
         return 0
     except ConfigError as exc:

@@ -179,7 +179,8 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
     The bracket must be finite with 0 < low < high and span at least
     four decades. A minimum pinned to a bracket edge raises
     :class:`BracketError`: the data carry no impurity signature (or the
-    bracket excludes the true value).
+    bracket excludes the true value). Fewer rows where the model is
+    defined than fitted parameters raise :class:`DataError`.
 
     ``RECIPROCAL_SUM`` runs one bounded Levenberg-Marquardt fit of
     (ln n3, ln tau_vac), or ln n3 alone, from the brackets' log-midpoint
@@ -199,6 +200,7 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
                        REGIME_WEIGHT, 1.0)
     medium = medium_channels(osc, media, series.temperatures)
     log_taus = np.log(series.taus)
+    n_params = 2 if fit_vacuum else 1
 
     def residuals(n3: float, tau_vac: float | None) -> tuple:
         """The composite, the log residuals and their weighted squares."""
@@ -210,6 +212,9 @@ def fit_he3_concentration(series: TauTemperatureSeries, osc: OscillatorSpec,
             raise DataError("model undefined on every row" + (
                 "" if fault is None else
                 f"; at T = {table.T[0]:g} K, {fault}"))
+        if ok.sum() < n_params:     # the fit would stop anywhere on a valley
+            raise DataError(f"model defined on {ok.sum()} row(s), fewer "
+                            f"than the {n_params} fitted parameters")
         return table, r, float(np.sum(weights[ok] * r[ok]**2))
 
     def weighted(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -208,7 +208,47 @@ def test_config_input_rejected_exits_2(tmp_path, capsys, command, cfg_obj,
                                        name):
     assert run_command(tmp_path, command, cfg_obj)[0] == 2
     assert name in capsys.readouterr().err
-    assert not list((tmp_path / "out").glob("*"))
+    assert not (tmp_path / "out").exists()
+
+
+# a config value that the command refuses, the input file that the
+# config or an option names, and the key that the refusal names
+FAULT_THEN_FILE = {
+    "damping-curve": ({"damping": {"points": 0}},
+                      {"media": {"viscosity_csv": "absent.csv"}}, (),
+                      "damping.points"),
+    "detection-sweep": ({"detection": {"sweep_points": 0}},
+                        {"detection": {"geometry": "absent.json"}}, (),
+                        "detection.sweep_points"),
+    "fit-he3": ({"fit": {"predict_points": -3}}, {},
+                ("--data", "absent.csv"), "fit.predict_points"),
+    "sensitivity": ({"media": {"c": -1.0}},
+                    {"media": {"viscosity_csv": "absent.csv"}}, (),
+                    "media.c"),
+    "ringdown analyze": ({"ringdown": {"block_length_s": 4000.0}}, {},
+                         ("--blocks", "blocks"), "block_length"),
+}
+
+
+@pytest.mark.parametrize("command", FAULT_THEN_FILE)
+def test_config_value_is_refused_before_any_file_is_read(tmp_path, capsys,
+                                                         command):
+    fault, files, option, name = FAULT_THEN_FILE[command]
+    # a block that cannot be read: its file is a directory
+    (tmp_path / "blocks" / "block_000000.rngd").mkdir(parents=True)
+    argv = [*command.split(), "--out", str(tmp_path / "out")]
+    argv += [option[0], str(tmp_path / option[1])] if option else []
+    both = {section: {**files.get(section, {}), **fault.get(section, {})}
+            for section in {*fault, *files}}
+    cfg = write_config(tmp_path, both)
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the file alone: exit 3 naming it, and still no --out
+    cfg = write_config(tmp_path, files)
+    assert main([*argv, "--config", str(cfg)]) == 3
+    assert f"cannot read {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", sorted(SIZE_CAPS))
@@ -505,6 +545,20 @@ def test_detection_sweep_svg_of_a_one_ulp_span(tmp_path):
                  "--svg"]) == 0
     svg = (out / "detection_sweep.svg").read_text()
     assert svg.rstrip().endswith("</svg>")
+
+
+def test_detection_sweep_svg_of_no_plottable_row_says_why(tmp_path, capsys):
+    # every pose fails the clearance check; the run once said only
+    # "nothing plottable"
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"detection": {"sphere_radius_m": 1.0}})
+    assert main(["detection-sweep", "--config", str(cfg), "--out", str(out),
+                 "--svg"]) == 3
+    err = capsys.readouterr().err
+    _, _, comments = read_csv(out / "detection_sweep.csv")
+    row_0 = next(c for c in comments if c.startswith("# row 0 error: "))
+    assert "detection_sweep.svg" in err and row_0[2:] in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_detection_sweep_oracle_columns(tmp_path):

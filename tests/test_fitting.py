@@ -429,6 +429,21 @@ def test_bracket_span_enforced(osc, media):
         fit_he3_concentration(series, osc, media, bracket=(0.0, 1e23))
 
 
+def test_fit_needs_a_defined_row_per_fitted_parameter(osc, media):
+    # one row and two parameters: a valley of exact fits, where the
+    # search once stopped and reported a point of it
+    one = TauTemperatureSeries(rows=((0.02, 1e5, None),))
+    with pytest.raises(DataError, match="on 1 row.* the 2 fitted"):
+        fit_he3_concentration(one, osc, media, fit_vacuum=True)
+    assert fit_he3_concentration(one, osc, media).residual_rms < 1e-12
+    n3_true, tau_vac_true = X3_REFERENCE * n4_of(media), 2.0e5
+    two = series_from_model(osc, media, [0.02, 0.3], n3_true,
+                            tau_vacuum=tau_vac_true)
+    fit = fit_he3_concentration(two, osc, media, fit_vacuum=True)
+    assert abs(fit.n3 - n3_true) / n3_true < 1e-3
+    assert abs(fit.fitted_tau_vacuum - tau_vac_true) / tau_vac_true < 1e-3
+
+
 def test_no_impurity_signature_hits_bracket_edge(osc, media):
     # pure-solvent data above 1 K carry no n3 information at all
     grid = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0]

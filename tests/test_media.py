@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from levosc import (ConfigError, DataError, DomainError, HeliumMedia,
                     ViscosityTable, thermal_velocity_he3)
-from levosc.cli import _parse_config, _read_inputs, build_parser
+from levosc.cli import _Run, _media, _parse_config, build_parser
 from levosc.media import (DEFAULT_VISCOSITY_TABLE, MEDIA_TABLE, T_LAMBDA_K,
                           above_lambda, viscosity_normal_grid)
 
@@ -34,7 +34,7 @@ def media_of(section, config=None):
     argv = ["sensitivity"] + ([] if config is None
                               else ["--config", str(config)])
     cfg = _parse_config(json.dumps({"media": section}).encode(), config)
-    return _read_inputs(build_parser().parse_args(argv), cfg)[0]["media"]
+    return _media(cfg, _Run(build_parser().parse_args(argv), b"{}"))
 
 
 def viscosity_normal(table, T):
