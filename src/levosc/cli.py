@@ -8,10 +8,11 @@ traceable to the exact inputs that produced it. A run first deletes the
 manifest of an earlier run in ``--out``, and writes its own only on
 success.
 
-Every config input is declared once, in CONFIG_TABLE, and read by
-:func:`levosc.formats.read_keys` before any compute: unknown sections
-and keys, values of the wrong JSON type and sizes past SIZE_CAPS exit 2
-naming ``section.key``. The ``media`` section is
+Every config input is declared once, in CONFIG_TABLE, one key per
+quantity, and read by :func:`levosc.formats.read_keys` before any
+compute: unknown sections and keys, values of the wrong JSON type or
+sign and sizes past SIZE_CAPS exit 2 naming ``section.key``, in every
+section whichever command runs. The ``media`` section is
 :data:`levosc.media.MEDIA_TABLE`, the medium's constants; a value that
 :class:`levosc.media.HeliumMedia` refuses also exits 2.
 
@@ -19,7 +20,8 @@ Every command runs in one order: it checks its config values, reads its
 input files through :meth:`_Run.read`, then :meth:`_Run.start` fixes the
 run hash and creates ``--out``, and it computes and writes. So neither a
 config value it refuses nor an input file it cannot read or parse
-creates ``--out``. Each file is read once, the config by
+creates ``--out``; ``fit-he3`` also fits, and ``ringdown analyze``
+measures its blocks, before it. Each file is read once, the config by
 :func:`_load_config`: the manifest digests the bytes that are parsed.
 File references (``detection.geometry``, ``media.viscosity_csv``)
 resolve against the config file's directory. ``ringdown analyze`` hands
@@ -63,46 +65,46 @@ __all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS"]
 _MODES = tuple(mode.value for mode in damping.RegimeMode)
 
 # Every config input: section -> key -> (JSON type, default); a tuple
-# type lists the strings allowed.
+# type lists the strings allowed, and a type may start with a sign.
 CONFIG_TABLE = {
     "oscillator": {
-        "mass_kg": ("number", 6.33e-6), "radius_warm_m": ("number", 1.00e-3),
-        "contraction_fraction": ("number", 0.015),
-        "resonant_frequency_Hz": ("number", 2.7)},
+        "mass_kg": ("positive number", 6.33e-6),
+        "radius_warm_m": ("positive number", 1.00e-3),
+        "contraction_fraction": ("non-negative number", 0.015),
+        "resonant_frequency_Hz": ("positive number", 2.7)},
     "media": media.MEDIA_TABLE,
     "damping": {
-        "T_min_K": ("number", 0.01), "T_max_K": ("number", 2.1),
-        "points": ("integer", 50), "grid": (("log", "linear"), "log"),
+        "T_min_K": ("positive number", 0.01), "T_max_K": ("number", 2.1),
+        "points": ("positive integer", 50), "grid": (("log", "linear"), "log"),
         "x3": ("number", 0.0), "mode": (_MODES, "ReciprocalSum"),
-        "tau_vacuum_s": ("number or null", damping.DEFAULT_TAU_VACUUM)},
+        "tau_vacuum_s": ("positive number or null",
+                         damping.DEFAULT_TAU_VACUUM)},
     "detection": {
         "geometry": ("string or null", None),
         "sweep_start_m": ("number", 0.019), "sweep_stop_m": ("number", 0.002),
-        "sweep_points": ("integer", 18),
-        "sphere_radius_m": ("number", 0.985e-3),
+        "sweep_points": ("positive integer", 18),
         "driven": (("transmitter", "receiver"), "transmitter"),
         "oracle_grid": ("integer", 128)},
     "ringdown": {
-        "amplitude0": ("number", 1.0), "f0_Hz": ("number", 2.7),
-        "phase0_rad": ("number", 0.0), "tau_s": ("number", 410400.0),
-        "noise_rms": ("number", 0.0), "seed": ("integer", 0),
-        "sample_rate_Hz": ("number", 50.0),
-        "total_duration_s": ("number", 432000.0),
-        "block_length_s": ("number", 300.0),
-        "block_interval_s": ("number", 3600.0),
-        "format": (("bin",), "bin")},
+        "amplitude0": ("positive number", 1.0),
+        "phase0_rad": ("number", 0.0), "tau_s": ("positive number", 410400.0),
+        "noise_rms": ("non-negative number", 0.0),
+        "sample_rate_Hz": ("positive number", 50.0),
+        "total_duration_s": ("positive number", 432000.0),
+        "block_length_s": ("positive number", 300.0),
+        "block_interval_s": ("positive number", 3600.0),
+        "seed": ("non-negative integer", 0), "format": (("bin",), "bin")},
     "fit": {
         "bracket_per_m3": ("two numbers", [1e18, 1e23]),
-        "mode": (_MODES, "ReciprocalSum"),
-        "tau_vacuum_s": ("number or null", damping.DEFAULT_TAU_VACUUM),
-        "fit_vacuum": ("boolean", False), "added_x3": ("number", 0.0),
-        "predict_T_min_K": ("number", 0.015),
-        "predict_T_max_K": ("number", 0.7),
-        "predict_points": ("integer", 40)},
+        "fit_vacuum": ("boolean", False),
+        "added_x3": ("non-negative number", 0.0),
+        "predict_T_min_K": ("positive number", 0.015),
+        "predict_T_max_K": ("positive number", 0.7),
+        "predict_points": ("positive integer", 40)},
     "sensitivity": {
-        "temperature_K": ("number", 0.005),
-        "tau_s": ("number", damping.DEFAULT_TAU_VACUUM),
-        "velocity_m_s": ("number", 1e-5)},
+        "temperature_K": ("non-negative number", 0.005),
+        "tau_s": ("positive number", damping.DEFAULT_TAU_VACUUM),
+        "velocity_m_s": ("non-negative number", 1e-5)},
 }
 
 # The largest accepted value of each input that sizes the arrays of a
@@ -185,15 +187,6 @@ def _parse_config(blob: bytes, source: Path | None) -> dict:
             raise ConfigError(
                 f"{name}: at most {cap}, got {cfg[section][key]!r}")
     return cfg
-
-
-def _require_positive(cfg: dict, section: str, *keys: str) -> None:
-    """Keys that the models or numpy need above zero; null passes."""
-    for key in keys:
-        value = cfg[section][key]
-        if value is not None and not value > 0:
-            raise ConfigError(
-                f"{section}.{key} must be positive, got {value!r}")
 
 
 def _require_superfluid(cfg: dict, section: str, key: str) -> None:
@@ -356,7 +349,6 @@ def _media(cfg: dict, run: _Run) -> media.HeliumMedia:
 
 def _cmd_damping_curve(args, cfg: dict, run: _Run) -> None:
     sec = cfg["damping"]
-    _require_positive(cfg, "damping", "points", "T_min_K", "tau_vacuum_s")
     _require_superfluid(cfg, "damping", "T_max_K")
     if not sec["T_min_K"] < sec["T_max_K"]:
         raise ConfigError("need damping.T_min_K < damping.T_max_K")
@@ -398,7 +390,7 @@ def _damping_svg(table: damping.DampingTable, comment: str) -> str:
 
 def _cmd_detection_sweep(args, cfg: dict, run: _Run) -> None:
     sec = cfg["detection"]
-    _require_positive(cfg, "detection", "sweep_points", "sphere_radius_m")
+    radius = _osc_from_config(cfg).radius
     n = sec["oracle_grid"]
     if args.oracle and n < axisym.MIN_GRID:
         raise ConfigError(f"detection.oracle_grid: grid must be at least "
@@ -422,7 +414,6 @@ def _cmd_detection_sweep(args, cfg: dict, run: _Run) -> None:
                           f"the file has {len(geom.receivers)}")
     run.start()
     receiver = geom.receivers[0]
-    radius = sec["sphere_radius_m"]
     with np.errstate(over="ignore", invalid="ignore"):
         centers = receiver.center_v + np.outer(positions, receiver.axis_v)
     result = detection.position_sweep(geom, centers, radius,
@@ -453,7 +444,8 @@ def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
     sec = cfg["ringdown"]
     try:
         params = rd.RingdownParams(
-            amplitude0=sec["amplitude0"], f0=sec["f0_Hz"], tau=sec["tau_s"],
+            amplitude0=sec["amplitude0"], tau=sec["tau_s"],
+            f0=cfg["oscillator"]["resonant_frequency_Hz"],
             phase0=sec["phase0_rad"], noise_rms=sec["noise_rms"],
             seed=sec["seed"] if args.seed is None else args.seed)
         schedule = rd.BlockSchedule(
@@ -465,6 +457,10 @@ def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
         raise ConfigError(f"ringdown config: {exc}") from exc
     blocks_dir = args.blocks or args.out / "blocks"
     if args.action == "simulate":
+        if not schedule.sample_rate > 4.0 * params.f0:
+            raise ConfigError("need ringdown.sample_rate_Hz > 4 "
+                              "oscillator.resonant_frequency_Hz, got "
+                              f"{schedule.sample_rate!r} and {params.f0!r}")
         run.start()
         _mkdir(blocks_dir, "block directory")
         listed = Path(os.path.relpath(blocks_dir.resolve(), run.out.resolve()))
@@ -476,8 +472,9 @@ def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
             return str(listed / path.name)
 
         run.outputs += rd.map_blocks(write, range(schedule.n_blocks))
-        run.write_json("ringdown_truth.json",
-                       dict(sec, seed=params.seed, n_blocks=schedule.n_blocks))
+        run.write_json("ringdown_truth.json", dict(
+            sec, f0_Hz=params.f0, seed=params.seed,
+            n_blocks=schedule.n_blocks))
         return
 
     files = _block_files(blocks_dir)
@@ -503,23 +500,18 @@ def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
 
 def _cmd_fit_he3(args, cfg: dict, run: _Run) -> None:
     sec = cfg["fit"]
-    _require_positive(cfg, "fit", "tau_vacuum_s", "predict_T_min_K",
-                      "predict_T_max_K", "predict_points")
     _require_superfluid(cfg, "fit", "predict_T_max_K")
     if not sec["predict_T_min_K"] < sec["predict_T_max_K"]:
         raise ConfigError("need fit.predict_T_min_K < fit.predict_T_max_K")
-    if sec["added_x3"] < 0:
-        raise ConfigError(f"fit.added_x3 must be non-negative, got "
-                          f"{sec['added_x3']!r}")
     osc = _osc_from_config(cfg)
     med = _media(cfg, run)
     series = run.read("data", args.data, fitting.load_tau_series_csv)
-    run.start()
-    mode = damping.RegimeMode(sec["mode"])
-    tau_vac = sec["tau_vacuum_s"]
+    mode = damping.RegimeMode(cfg["damping"]["mode"])
+    tau_vac = cfg["damping"]["tau_vacuum_s"]
     fit = fitting.fit_he3_concentration(
         series, osc, med, bracket=sec["bracket_per_m3"], mode=mode,
         tau_vacuum=tau_vac, fit_vacuum=sec["fit_vacuum"])
+    run.start()
 
     run.write_json("he3_fit.json", fitting.concentration_fit_dict(fit))
     vac_used = fit.fitted_tau_vacuum \

@@ -234,15 +234,19 @@ def _circle_distance(points: np.ndarray, coil: CoilSpec) -> np.ndarray:
 def _clearance_failures(geometry: DetectionGeometry, centers: np.ndarray,
                         radii: np.ndarray) -> dict[int, str]:
     """Error text for each pose whose sphere surface comes within
-    MIN_COIL_CLEARANCE of a winding, keyed by pose index; the first
-    offending coil (transmitter, then receivers) is reported."""
+    MIN_COIL_CLEARANCE of a winding, or whose sphere holds one, keyed by
+    pose index; the first offending coil (transmitter, then receivers)
+    is reported."""
     failures: dict[int, str] = {}
     for coil in (geometry.transmitter, *geometry.receivers):
         d = _circle_distance(centers, coil)
         for i in np.flatnonzero(d < radii + MIN_COIL_CLEARANCE).tolist():
             failures.setdefault(i, (
+                f"sphere of radius {radii[i]:.4g} m holds part of a "
+                f"{coil.role} winding, which passes {d[i]:.4g} m from its "
+                "center" if d[i] < radii[i] else
                 f"sphere surface within {MIN_COIL_CLEARANCE * 1e3:.1f} mm "
-                f"of a {coil.role} winding (separation {d[i]:.4g} m)"))
+                f"of a {coil.role} winding (gap {d[i] - radii[i]:.4g} m)"))
     return failures
 
 

@@ -24,6 +24,9 @@ __all__ = ["REQUIRED", "read_json", "read_keys", "read_numeric_csv",
 REQUIRED = object()
 
 _COUNTS = {"two numbers": 2, "three numbers": 3}
+# The signs a kind may start with, as in "positive integer"; null passes.
+_SIGNS = {"positive": lambda v: v is None or v > 0,
+          "non-negative": lambda v: v is None or v >= 0}
 _CHUNK_ROWS = 4096    # CSV rows formatted per write: ~4.5 MB at 7 columns
 
 
@@ -87,10 +90,11 @@ def read_keys(table: dict, given, where: str = "") -> dict:
 
     ``table`` maps each key to (JSON type, default); a nested table is
     an object, a list of one table a list of such objects, and a default
-    of ``REQUIRED`` makes the key required. A repeated key, an unknown
-    one, a missing one or a value of the wrong JSON type is a
-    :class:`ConfigError` naming the key by its path below ``where`` (the
-    top level has none)."""
+    of ``REQUIRED`` makes the key required. A type may start with a sign
+    (``"positive integer"``, ``"non-negative number"``). A repeated key,
+    an unknown one, a missing one, a value of the wrong JSON type or of
+    the wrong sign is a :class:`ConfigError` naming the key by its path
+    below ``where`` (the top level has none)."""
     if not isinstance(given, dict):
         raise ConfigError(f"{where or 'the top level'} must be a JSON object")
     repeated = getattr(given, "repeated", None)
@@ -118,13 +122,18 @@ def read_keys(table: dict, given, where: str = "") -> dict:
             value = given.get(key, default)
             if value is REQUIRED:
                 raise ConfigError(f"{name} is missing")
+            sign = kind.split()[0] if isinstance(kind, str) else None
+            if sign in _SIGNS:
+                kind = kind.removeprefix(f"{sign} ")
             try:
-                typed[key] = _typed(kind, value)
+                value = typed[key] = _typed(kind, value)
             except (ValueError, OverflowError):
                 if not isinstance(kind, str):
                     kind = " or ".join(json.dumps(choice) for choice in kind)
                 raise ConfigError(f"{name}: expected {kind}, got {value!r}") \
                     from None
+            if sign in _SIGNS and not _SIGNS[sign](value):
+                raise ConfigError(f"{name} must be {sign}, got {value!r}")
     return typed
 
 

@@ -132,9 +132,10 @@ def type_name(kind):
 
 # the commands that read each section; "ringdown" simulates then analyzes
 SECTION_COMMANDS = {
-    "oscillator": ["damping-curve", "fit-he3", "sensitivity"],
+    "oscillator": ["damping-curve", "detection-sweep", "ringdown", "fit-he3",
+                   "sensitivity"],
     "media": ["damping-curve", "fit-he3", "sensitivity"],
-    "damping": ["damping-curve"], "detection": ["detection-sweep"],
+    "damping": ["damping-curve", "fit-he3"], "detection": ["detection-sweep"],
     "ringdown": ["ringdown"], "fit": ["fit-he3"],
     "sensitivity": ["sensitivity"]}
 
@@ -199,6 +200,11 @@ REJECTED_INPUTS = [
     ("detection-sweep", {"detection": {
         "sweep_start_m": 0.019, "sweep_stop_m": 0.019000000000000003,
         "sweep_points": 5}}, "detection.sweep_stop_m"),
+    # relations that a model checks, once only after --out existed
+    ("fit-he3", {"fit": {"bracket_per_m3": [1e18, 1e20]}},
+     "bracket must span at least four decades"),
+    ("ringdown", {"ringdown": {"sample_rate_Hz": 5}},
+     "need ringdown.sample_rate_Hz > 4 oscillator.resonant_frequency_Hz"),
 ]
 
 
@@ -306,6 +312,45 @@ def test_any_config_value_exits_0_2_or_3(case):
         for command in SECTION_COMMANDS[section]:
             assert set(run_command(Path(work), command, cfg_obj)) \
                 <= {0, 2, 3}
+
+
+def signed_entries():
+    """(name, sign, JSON type) of every config input whose type has a
+    sign."""
+    for name, _, _, kind, _ in table_entries():
+        sign = kind.split()[0] if isinstance(kind, str) else None
+        if sign in ("positive", "non-negative"):
+            yield name, sign, kind
+
+
+def wrong_sign(entry):
+    """``entry`` and a value of its JSON type that lacks its sign."""
+    _, sign, kind = entry
+    top = 0 if sign == "positive" else -1
+    values = st.integers(-10**30, top)
+    if "number" in kind:
+        values |= st.floats(max_value=float(top), exclude_max=top < 0,
+                            allow_nan=False, allow_infinity=False)
+    return st.tuples(st.just(entry), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(signed_entries())).flatmap(wrong_sign))
+def test_wrong_sign_exits_2_in_every_command(case):
+    # every section is checked whichever command runs, before any file
+    # is read or --out is created
+    (name, sign, _), value = case
+    section, key = name.split(".")
+    with tempfile.TemporaryDirectory() as work:
+        for command in ("damping-curve", "detection-sweep", "ringdown",
+                        "fit-he3", "sensitivity"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes = run_command(Path(work), command,
+                                    {section: {key: value}})
+            assert set(codes) == {2}, (command, codes)
+            assert f"{name} must be {sign}, got " in err.getvalue()
+            assert not (Path(work) / "out").exists()
 
 
 def test_readme_config_table_matches_cli_table():
@@ -491,13 +536,13 @@ def test_damping_curve_memory_at_the_points_cap(tmp_path):
 @pytest.mark.parametrize("command", ["damping-curve", "fit-he3"])
 @pytest.mark.parametrize("tau_vac", [-1.0, 0.0, "long"])
 def test_bad_tau_vacuum_exits_2(tmp_path, capsys, command, tau_vac):
-    section = "damping" if command == "damping-curve" else "fit"
-    cfg = write_config(tmp_path, {section: {"tau_vacuum_s": tau_vac}})
+    # fit-he3 reads the damping section's vacuum time
+    cfg = write_config(tmp_path, {"damping": {"tau_vacuum_s": tau_vac}})
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     if command == "fit-he3":
         argv += ["--data", str(model_data_csv(tmp_path, 4.2e-8))]
     assert main(argv) == 2
-    assert "tau_vacuum_s" in capsys.readouterr().err
+    assert "damping.tau_vacuum_s" in capsys.readouterr().err
 
 
 # ------------------------------------------------------ detection-sweep
@@ -551,13 +596,14 @@ def test_detection_sweep_svg_of_no_plottable_row_says_why(tmp_path, capsys):
     # every pose fails the clearance check; the run once said only
     # "nothing plottable"
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, {"detection": {"sphere_radius_m": 1.0}})
+    cfg = write_config(tmp_path, {"oscillator": {"radius_warm_m": 1.0}})
     assert main(["detection-sweep", "--config", str(cfg), "--out", str(out),
                  "--svg"]) == 3
     err = capsys.readouterr().err
     _, _, comments = read_csv(out / "detection_sweep.csv")
     row_0 = next(c for c in comments if c.startswith("# row 0 error: "))
     assert "detection_sweep.svg" in err and row_0[2:] in err
+    assert "holds part of a transmitter winding" in row_0
     assert not (out / "manifest.json").exists()
 
 
@@ -592,10 +638,11 @@ def test_detection_sweep_bad_oracle_grid_exits_2(tmp_path, capsys, grid):
 @pytest.mark.parametrize("radius", [0.0, -1e-3])
 def test_detection_sweep_bad_sphere_radius_exits_2(tmp_path, capsys,
                                                    radius):
-    cfg = write_config(tmp_path, {"detection": {"sphere_radius_m": radius}})
+    # the sweep's sphere is the oscillator's, at its cold radius
+    cfg = write_config(tmp_path, {"oscillator": {"radius_warm_m": radius}})
     assert main(["detection-sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 2
-    assert "sphere_radius_m" in capsys.readouterr().err
+    assert "oscillator.radius_warm_m" in capsys.readouterr().err
 
 
 def test_detection_sweep_empty_exits_2(tmp_path):
@@ -1184,6 +1231,16 @@ def test_ringdown_bad_config_exits_2(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("action", ["simulate", "analyze"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_ringdown_seed_outside_64_bits_exits_2(tmp_path, capsys, action,
+                                               seed):
+    out = tmp_path / "out"
+    assert main(["ringdown", action, "--seed", seed, "--out", str(out)]) == 2
+    assert "seed must fit in 64 bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- fit-he3
 
 def model_data_csv(tmp_path, x3, noise=0.0, seed=0):
@@ -1279,14 +1336,15 @@ def test_fit_he3_bad_bracket_exits_2(tmp_path, capsys, bracket):
 
 def test_fit_he3_dominant_only_refuses_fit_vacuum(tmp_path, capsys):
     data = model_data_csv(tmp_path, 4.2e-8)
-    cfg = write_config(tmp_path, {"fit": {"mode": "DominantOnly",
-                                          "fit_vacuum": True}})
+    # fit-he3 reads the damping section's mode
+    cfg = write_config(tmp_path, {"damping": {"mode": "DominantOnly"},
+                                  "fit": {"fit_vacuum": True}})
     out = tmp_path / "out"
     assert main(["fit-he3", "--data", str(data), "--config", str(cfg),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "fit_vacuum" in err and "DominantOnly" in err
-    assert not (out / "he3_fit.json").exists()
+    assert not out.exists()
 
 
 def test_fit_he3_missing_data_exits_3(tmp_path):

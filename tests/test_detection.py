@@ -374,13 +374,25 @@ class TestEffectiveInductance:
 
     def test_clearance_guard(self):
         g = coaxial_geometry()
-        # sphere surface 0.825 mm from the receiver winding circle
+        # sphere center 0.825 mm from the receiver winding circle
         res = one_pose(g, (2.2e-3, 0.0, 0.2e-3))
         assert [i for i, _ in res.errors] == [0]
         assert "of a receiver winding" in res.errors[0][1]
         assert math.isnan(res.L_eff[0])
         # passing clearance, touching nothing
         assert not one_pose(g, (0.0, 0.0, 9e-3)).errors
+
+    def test_clearance_message_measures_from_the_surface(self):
+        # the receiver's winding circle is 3 mm from the origin; a sphere
+        # that holds it once read "surface within 0.1 mm ... separation",
+        # giving the distance from the sphere's center
+        g = coaxial_geometry()
+        assert one_pose(g, (0.0, 0.0, 0.0), 3.05e-3).errors == ((0, (
+            "sphere of radius 0.00305 m holds part of a receiver winding, "
+            "which passes 0.003 m from its center")),)
+        assert one_pose(g, (0.0, 0.0, 0.0), 2.95e-3).errors == ((0, (
+            "sphere surface within 0.1 mm of a receiver winding "
+            "(gap 5e-05 m)")),)
 
 
 class TestInducedVoltage:
