@@ -26,9 +26,9 @@ measures its blocks, before it. Each file is read once, the config by
 File references (``detection.geometry``, ``media.viscosity_csv``)
 resolve against the config file's directory. ``ringdown analyze`` hands
 :func:`levosc.ringdown.measure_blocks` a loader that reads
-``block_NNNNNN.rngd`` k at k times ``block_interval_s``, which a version
-2 header must repeat, and checks it against the schedule: the first
-fault by block index wins.
+``block_NNNNNN.rngd`` k at k times ``block_interval_s``, which its
+header must repeat, and checks it against the schedule: the first fault
+by block index wins.
 
 :class:`_Run` also writes every file: it stamps each output with the run
 hash, dumps every JSON record by one ``json.dumps``, and lists each
@@ -481,8 +481,8 @@ def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
     if not files:
         raise DataError(f"no block files found in {blocks_dir}")
 
-    # block k starts at k intervals: a v2 header that disagrees, or a
-    # block that does not fit the schedule, exits 3
+    # block k starts at k intervals: a header that disagrees, or a block
+    # that does not fit the schedule, exits 3
     def load(k):    # on either thread; each adds its own digest key
         return schedule.check(run.read(
             f"block:{files[k].name}", files[k], rd.read_block_bin,

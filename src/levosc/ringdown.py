@@ -12,19 +12,21 @@ checks each block with :meth:`BlockSchedule.check` puts the schedule's
 faults in that same order. The list functions are these over a list.
 :func:`map_blocks` runs per-block work on this thread and one helper
 thread, two blocks in flight, in block order; every heavy step of a
-block (``exp``, ``cos``, the Philox draws, the FFT, file IO, the sha256
-digest) releases the interpreter lock, so the two overlap. There is no
-setting for the thread count. A fault stops new blocks from starting,
-not the blocks that the other thread took before it, so blocks past a
-failing one can still be written.
+block (the Philox draws, the FFT, file IO, the sha256 digest) releases
+the interpreter lock, so the two overlap. There is no setting for the
+thread count. A fault stops new blocks from starting, not the blocks
+that the other thread took before it, so blocks past a failing one can
+still be written.
 
 A block file is one binary frame (:func:`write_block_bin`): a header
-with the sample rate and start time, then the samples. A frame of
-version 1, which has no start, is still read.
+with the sample rate and start time, then the samples.
 
-Synthesis noise comes from a counter-based (Philox) generator split per
-block, so a given seed produces bit-identical signals on any platform
-and blocks are independent of how many of them are generated.
+Synthesis evaluates ``exp`` and ``cos`` per run, not per sample: a
+block is two scalars of its start times two offset arrays, cached by
+:func:`_offset_arrays` and read by both threads. Its noise comes from a
+counter-based (Philox) generator split per block, so a given seed
+produces bit-identical signals on any platform and blocks are
+independent of how many of them are generated.
 """
 
 from __future__ import annotations
@@ -67,16 +69,14 @@ __all__ = [
 
 BIN_MAGIC = b"RNGD"
 BIN_VERSION = 2
-# each frame version's header: magic, version, sample rate and, from
-# version 2, start time; version 1 frames are still read
-_BIN_HEADERS = {1: struct.Struct("<4sId"), 2: struct.Struct("<4sIdd")}
+_BIN_HEADER = struct.Struct("<4sIdd")
 
 SNR_FLAG_THRESHOLD = 3.0
 
 # Most samples a schedule may ask for: 1 GiB of float64. The CLI holds
-# two blocks at a time, one per thread, so this bounds disk space and
-# run time, not memory. The default record, 120 blocks of 15,000
-# samples, is 1.8 M.
+# two blocks at a time, one per thread, and synthesis two cached arrays
+# of a block's length, so this bounds disk space and run time, not
+# memory. The default record, 120 blocks of 15,000 samples, is 1.8 M.
 MAX_SCHEDULE_SAMPLES = 2**27
 
 
@@ -279,22 +279,18 @@ def synthesize_block(params: RingdownParams, schedule: BlockSchedule,
             f"f0 = {params.f0:g} Hz (need > 4 f0)")
     n = schedule.samples_per_block
     start = k * schedule.block_interval
-    # in place, each operation of the formula in its order, so that the
-    # samples are bit for bit those of the plain expression
-    t = np.arange(n, dtype=float)
-    t /= schedule.sample_rate
-    t += start
-    x = np.negative(t)
-    x /= params.tau
-    np.exp(x, out=x)
-    np.multiply(params.amplitude0, x, out=x)
-    t *= 2.0 * math.pi * params.f0
-    t += params.phase0
-    x *= np.cos(t, out=t)
+    cos_o, sin_o = _offset_arrays(n, schedule.sample_rate, params.tau,
+                                  params.f0)
+    # numpy scalars, so that an extreme config overflows as arrays do
+    a = params.amplitude0 * np.exp(-start / params.tau)
+    phase = 2.0 * math.pi * params.f0 * start + params.phase0
+    x = np.multiply(cos_o, a * np.cos(phase))
+    buf = np.multiply(sin_o, a * np.sin(phase))
+    x -= buf
     if params.noise_rms > 0:
         seeds = np.random.SeedSequence(int(params.seed), spawn_key=(k,))
         rng = np.random.Generator(np.random.Philox(seeds))
-        noise = rng.standard_normal(n, out=t)
+        noise = rng.standard_normal(n, out=buf)
         with np.errstate(over="ignore"):    # normal() warns of none either
             noise *= params.noise_rms
         noise += 0.0    # normal(0.0, rms) draws 0.0 + rms z: no -0.0
@@ -309,9 +305,31 @@ def synthesize_ringdown(params: RingdownParams,
                       range(schedule.n_blocks))
 
 
+@functools.lru_cache(maxsize=1)     # shared by every block of the run
+def _offset_arrays(n: int, rate: float, tau: float, f0: float) -> tuple:
+    """Read-only exp(-o/tau) cos(w o) and exp(-o/tau) sin(w o) at n offsets."""
+    o = np.arange(n, dtype=float) / rate
+    envelope, wo = np.exp(-o / tau), 2.0 * math.pi * f0 * o
+    pair = envelope * np.cos(wo), envelope * np.sin(wo)
+    for array in pair:
+        array.flags.writeable = False
+    return pair
+
+
 @functools.lru_cache(maxsize=4)     # shared by every block of length n
-def _hann(n: int) -> np.ndarray:
-    return 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
+def _hann(n: int) -> tuple[np.ndarray, float]:     # and its coherent gain
+    w = 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
+    return w, float(np.sum(w))
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` of a non-empty array, bit for bit and NaN
+    included, from one partition with numpy's own kth."""
+    m = len(values)
+    part = np.partition(values, [(m - 1) // 2, m // 2, -1])
+    if math.isnan(part[-1]):    # numpy's NaN check: NaNs sort last
+        return float(part[-1])
+    return float(np.mean(part[(m - 1) // 2:m // 2 + 1]))
 
 
 def measure_block(block: Block, f0_hint: float) -> tuple[float, float, float]:
@@ -324,7 +342,7 @@ def measure_block(block: Block, f0_hint: float) -> tuple[float, float, float]:
     magnitude; below 3 the row is flagged as noise-dominated but kept.
     """
     n = len(block.samples)
-    w = _hann(n)
+    w, gain = _hann(n)
     if n * f0_hint / block.sample_rate < 20.0:
         raise DataError("block shorter than 20 periods of the hint frequency")
     # a huge signal overflows the transform; the peak check reports it
@@ -348,9 +366,9 @@ def measure_block(block: Block, f0_hint: float) -> tuple[float, float, float]:
     delta = float(np.clip(delta, -0.5, 0.5))
     peak = math.exp(beta - 0.25 * (alpha - gamma) * delta)
     off = np.concatenate([mag[1:max(k - 3, 1)], mag[k + 4:]])
-    floor = float(np.median(off)) if len(off) else 0.0
+    floor = _median(off) if len(off) else 0.0
     return ((k + delta) * block.sample_rate / n,
-            peak * 2.0 / float(np.sum(w)),
+            peak * 2.0 / gain,
             math.inf if floor == 0.0 else peak / floor)
 
 
@@ -434,7 +452,7 @@ def write_block_bin(block: Block, path: str | Path) -> None:
     """Binary frame, version 2: 24-byte header (magic, version, sample
     rate, start time) then little-endian float64 samples."""
     with open(path, "wb") as fh:
-        fh.write(_BIN_HEADERS[BIN_VERSION].pack(
+        fh.write(_BIN_HEADER.pack(
             BIN_MAGIC, BIN_VERSION, block.sample_rate, block.start_time))
         fh.write(np.ascontiguousarray(block.samples, dtype="<f8"))
 
@@ -442,29 +460,24 @@ def write_block_bin(block: Block, path: str | Path) -> None:
 def read_block_bin(raw: bytes, source: str | Path,
                    start_time: float = 0.0) -> Block:
     """The block in the bytes of a :func:`write_block_bin` frame; its
-    samples are a view of ``raw``, not a copy. ``start_time`` is the
-    block's place in the schedule: a version 1 frame, which holds no
-    start, takes it, and a version 2 frame whose start differs from it
-    is a :class:`DataError` naming both."""
-    if len(raw) < 8 or raw[:4] != BIN_MAGIC:
+    samples are a view of ``raw``, not a copy. A frame whose start is
+    not ``start_time``, the block's place in the schedule, is a
+    :class:`DataError` naming both."""
+    if len(raw) < _BIN_HEADER.size or raw[:4] != BIN_MAGIC:
         raise DataError(f"{source}: not a ring-down block file")
-    version = int.from_bytes(raw[4:8], "little")
-    if version not in _BIN_HEADERS:
+    _, version, fs, written = _BIN_HEADER.unpack_from(raw)
+    if version != BIN_VERSION:
         raise DataError(f"{source}: unsupported block version {version}")
-    header = _BIN_HEADERS[version]
-    if len(raw) < header.size:
-        raise DataError(f"{source}: not a ring-down block file")
-    if (len(raw) - header.size) % 8:
+    if (len(raw) - _BIN_HEADER.size) % 8:
         raise DataError(f"{source}: truncated sample payload")
-    _, _, fs, *written = header.unpack_from(raw)
-    if written and written[0] != float(start_time):
-        raise DataError(f"{source}: block starts at t = {written[0]!r} s "
+    if written != float(start_time):
+        raise DataError(f"{source}: block starts at t = {written!r} s "
                         f"by its header but at t = {float(start_time)!r} s "
                         "by its place in the schedule")
     try:
         return Block(start_time=start_time, sample_rate=fs,
                      samples=np.frombuffer(raw, dtype="<f8",
-                                           offset=header.size))
+                                           offset=_BIN_HEADER.size))
     except ValueError as exc:
         raise DataError(f"{source}: {exc}") from exc
 

@@ -5,6 +5,7 @@ on-bin tone the windowed peak equals the Hann-weighted mean of the
 decaying envelope, computed directly as a weighted sum.
 """
 
+import dataclasses
 import io
 import math
 import struct
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levosc import ringdown
 from levosc.errors import ConfigError, DataError, FitError
 from levosc.ringdown import (
     BIN_MAGIC,
@@ -39,6 +41,7 @@ from levosc.ringdown import (
     write_block_bin,
     write_series_csv,
 )
+from levosc.ringdown import _median, _offset_arrays
 
 REFERENCE_PARAMS = RingdownParams(amplitude0=1.0, f0=2.7, tau=410400.0)
 REFERENCE_SCHEDULE = BlockSchedule(sample_rate=50.0, total_duration=432000.0)
@@ -135,35 +138,89 @@ def test_block_non_finite_rejected(field, value):
 
 # --------------------------------------------------------------- synthesis
 
+SYNTH_PARAMS = RingdownParams(amplitude0=0.7, f0=2.7, tau=410400.0,
+                              phase0=0.3)
+
+
+def synthesis_bound(p, block):
+    """How far two float64 evaluations of the formula may differ on a
+    block. The cosine argument w t + phi rounds in t, in w (pi and the
+    product with f0), in the product w t and in the sum, each by at most
+    about one ulp of the argument at the block's last sample, so the
+    samples differ by at most A0 times a few of those ulps; the products
+    with the envelope add a few eps of A0."""
+    t_last = block.start_time + (len(block.samples) - 1) / block.sample_rate
+    arg = abs(2 * math.pi * p.f0 * t_last) + abs(p.phase0)
+    return 4.0 * p.amplitude0 * (np.spacing(arg) + np.finfo(float).eps)
+
+
 def test_synthesis_matches_formula_noiseless():
-    p = RingdownParams(amplitude0=0.7, f0=2.7, tau=5e4, phase0=0.3)
-    s = BlockSchedule(sample_rate=50.0, total_duration=7200.0,
-                      block_length=60.0, block_interval=3600.0)
-    blocks = synthesize_ringdown(p, s)
-    assert len(blocks) == 2
+    # each block is split into its start's scalars times cached offset
+    # arrays, so it rounds differently from the direct formula, but
+    # within the argument's rounding; blocks run to t = 4.3e5 s, where
+    # the argument is near 7e6 rad
+    p = SYNTH_PARAMS
+    blocks = synthesize_ringdown(p, REFERENCE_SCHEDULE)
+    assert len(blocks) == 120 and blocks[1].start_time == 3600.0
     for b in blocks:
         t = b.start_time + np.arange(len(b.samples)) / 50.0
-        want = 0.7 * np.exp(-t / 5e4) * np.cos(2 * math.pi * 2.7 * t + 0.3)
-        assert np.array_equal(b.samples, want)
-    assert blocks[1].start_time == 3600.0
+        want = p.amplitude0 * np.exp(-t / p.tau) * np.cos(
+            2 * math.pi * p.f0 * t + p.phase0)
+        assert np.max(np.abs(b.samples - want)) <= synthesis_bound(p, b)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is float64 on this platform, so "
+                           "it is no more exact than the synthesis")
+def test_synthesis_matches_longdouble_formula():
+    # the same bound holds against the formula in extended precision,
+    # so the split is not less exact than the direct evaluation
+    ld, p = np.longdouble, SYNTH_PARAMS
+    pi = 4 * np.arctan(ld(1))
+    blocks = synthesize_ringdown(p, REFERENCE_SCHEDULE)
+    for k in (0, 1, 60, 77, 119):
+        b = blocks[k]
+        t = ld(b.start_time) + np.arange(len(b.samples), dtype=ld) / ld(50)
+        want = ld(p.amplitude0) * np.exp(-t / ld(p.tau)) * np.cos(
+            2 * pi * ld(p.f0) * t + ld(p.phase0))
+        assert np.max(np.abs(b.samples - want)) <= synthesis_bound(p, b)
 
 
 @pytest.mark.parametrize("noise", [1e-3, 0.4, 7.0, 1e308])
 @pytest.mark.parametrize("k", [0, 1, 37])
 @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
 def test_synthesis_matches_formula_with_noise(seed, k, noise):
-    # the formula and the noise draw as a plain expression: the in-place
-    # synthesis must give these bits
+    # the noise is block k's own normal() draw added to the noiseless
+    # block, bit for bit, at every rms
     p = RingdownParams(amplitude0=0.7, f0=2.7, tau=5e4, phase0=0.3,
                        noise_rms=noise, seed=seed)
     s = BlockSchedule(sample_rate=50.0, total_duration=40 * 3600.0,
                       block_length=60.0, block_interval=3600.0)
-    t = k * 3600.0 + np.arange(3000) / 50.0
+    clean = synthesize_block(dataclasses.replace(p, noise_rms=0.0), s, k)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(seed, spawn_key=(k,))))
-    want = (0.7 * np.exp(-t / 5e4) * np.cos(2 * math.pi * 2.7 * t + 0.3)
-            + rng.normal(0.0, noise, 3000))
+    want = clean.samples + rng.normal(0.0, noise, 3000)
     assert np.array_equal(synthesize_block(p, s, k).samples, want)
+
+
+def test_synthesis_offset_arrays_are_read_only_and_shared():
+    # both threads read one cached pair of offset arrays: neither may
+    # write it, no block holds it, and the threads give the plain loop's
+    # blocks
+    p = RingdownParams(amplitude0=1.0, f0=2.7, tau=410400.0,
+                       noise_rms=1.5, seed=7)
+    blocks = synthesize_ringdown(p, REFERENCE_SCHEDULE)
+    pair = _offset_arrays(15000, 50.0, 410400.0, 2.7)
+    assert _offset_arrays(15000, 50.0, 410400.0, 2.7) is pair
+    for array in pair:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+        assert not any(np.shares_memory(array, b.samples) for b in blocks)
+    loop = [synthesize_block(p, REFERENCE_SCHEDULE, k) for k in range(120)]
+    assert [b.start_time for b in blocks] == [b.start_time for b in loop]
+    assert all(np.array_equal(a.samples, b.samples)
+               for a, b in zip(blocks, loop))
 
 
 def test_synthesis_deterministic_per_seed():
@@ -255,6 +312,47 @@ def test_synthesis_rejects_low_sample_rate():
 
 
 # ----------------------------------------------------- amplitude extraction
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 8000), seed=st.integers(0, 2**32 - 1),
+       nans=st.integers(0, 3), levels=st.sampled_from([0, 3, 1000]),
+       tail=st.lists(st.floats(0.0), max_size=4))
+def test_median_floor_equals_np_median(m, seed, nans, levels, tail):
+    # magnitudes as measure_block sees them: non-negative, possibly
+    # repeated (few levels), infinite or NaN; odd and even lengths
+    rng = np.random.default_rng(seed)
+    values = rng.exponential(size=m)
+    if levels:
+        values = np.floor(values * levels) / levels
+    values[:len(tail)] = tail[:m]
+    values[rng.integers(0, m, size=nans)] = np.nan
+    rng.shuffle(values)
+    with np.errstate(over="ignore"):    # two huge middle values: inf
+        got, want = _median(values), float(np.median(values))
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+def test_measure_block_rows_equal_the_median_floor_rows(monkeypatch):
+    # the partition floor and the cached gain leave every row's bits as
+    # np.median and a per-call sum of the window gave them
+    rng = np.random.default_rng(11)
+    blocks = [Block(3600.0 * k, 50.0, 1e-3 * k * tone(n, 50.0, 2.7 + 1e-3 * k)
+                    + noise * rng.standard_normal(n))
+              for k, (n, noise) in enumerate([(15000, 1.2), (15001, 1.2),
+                                              (15000, 0.0), (4000, 0.3),
+                                              (3001, 7.0), (600, 1e-9)])]
+    rows = [measure_block(b, 2.7) for b in blocks]
+
+    def uncached_hann(n):
+        w = 0.5 * (1.0 - np.cos(2.0 * math.pi * np.arange(n) / n))
+        return w, float(np.sum(w))
+
+    monkeypatch.setattr(ringdown, "_hann", uncached_hann)
+    monkeypatch.setattr(ringdown, "_median",
+                        lambda off: float(np.median(off)))
+    assert np.array(rows).tobytes() == np.array(
+        [measure_block(b, 2.7) for b in blocks]).tobytes()
+
 
 def test_on_bin_amplitude_exact():
     fs, n = 50.0, 4000
@@ -656,14 +754,14 @@ def test_bin_block_start_round_trip(tmp_path_factory, rate, start, other,
     assert f"t = {start!r} s" in message and f"t = {other!r} s" in message
 
 
-def test_bin_block_version_1_takes_the_callers_start():
-    # a frame written before the header held the start: 16-byte header
-    samples = [0.5, -1.0, 2.25]
-    raw = struct.pack("<4sId3d", BIN_MAGIC, 1, 50.0, *samples)
+def test_bin_block_version_1_is_refused():
+    # a frame of version 1, with a 16-byte header that holds no start, is
+    # no longer read: no levosc since version 2 writes one
+    raw = struct.pack("<4sId3d", BIN_MAGIC, 1, 50.0, 0.5, -1.0, 2.25)
     for start in (0.0, 7200.0):
-        block = read_block_bin(raw, "old.rngd", start)
-        assert block.start_time == start and block.sample_rate == 50.0
-        assert block.samples.tolist() == samples
+        with pytest.raises(DataError) as raised:
+            read_block_bin(raw, "old.rngd", start)
+        assert str(raised.value) == "old.rngd: unsupported block version 1"
 
 
 def test_bin_block_writes_strided_samples(tmp_path):
