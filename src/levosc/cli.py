@@ -9,19 +9,24 @@ manifest of an earlier run in ``--out``, and writes its own only on
 success.
 
 Every config input is declared once, in CONFIG_TABLE, one key per
-quantity, and read by :func:`levosc.formats.read_keys` before any
-compute: unknown sections and keys, values of the wrong JSON type or
-sign and sizes past SIZE_CAPS exit 2 naming ``section.key``, in every
-section whichever command runs. The ``media`` section is
-:data:`levosc.media.MEDIA_TABLE`, the medium's constants; a value that
-:class:`levosc.media.HeliumMedia` refuses also exits 2.
+quantity, and read by :func:`levosc.formats.read_keys`: unknown
+sections and keys and values of the wrong JSON type or sign exit 2
+naming ``section.key``. The ``media`` section is
+:data:`levosc.media.MEDIA_TABLE`, the medium's constants. Then
+:func:`main` checks SIZE_CAPS and RELATIONS, every range and relation
+that a type and sign cannot state, with the ``ringdown --seed``
+override folded in. All of this covers every section, whichever command
+runs with whatever flags, so a config is valid for every command or for
+none; a fault exits 2 naming each key involved. The models keep their
+own checks for library callers; a config that passes these passes
+theirs.
 
-Every command runs in one order: it checks its config values, reads its
-input files through :meth:`_Run.read`, then :meth:`_Run.start` fixes the
-run hash and creates ``--out``, and it computes and writes. So neither a
-config value it refuses nor an input file it cannot read or parse
-creates ``--out``; ``fit-he3`` also fits, and ``ringdown analyze``
-measures its blocks, before it. Each file is read once, the config by
+Every command then runs in one order: it reads its input files through
+:meth:`_Run.read`, then :meth:`_Run.start` fixes the run hash and
+creates ``--out``, and it computes and writes. So neither a config
+fault nor an input file it cannot read or parse creates ``--out``;
+``fit-he3`` also fits, and ``ringdown analyze`` measures its blocks,
+before it. Each file is read once, the config by
 :func:`_load_config`: the manifest digests the bytes that are parsed.
 File references (``detection.geometry``, ``media.viscosity_csv``)
 resolve against the config file's directory. ``ringdown analyze`` hands
@@ -47,6 +52,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -60,7 +66,7 @@ from .errors import ConfigError, DataError, LevoscError
 from .formats import read_json, read_keys
 from .svgplot import Series, line_plot_svg
 
-__all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS"]
+__all__ = ["main", "build_parser", "CONFIG_TABLE", "SIZE_CAPS", "RELATIONS"]
 
 _MODES = tuple(mode.value for mode in damping.RegimeMode)
 
@@ -123,6 +129,75 @@ SIZE_CAPS = {
     "detection.oracle_grid": 1024,      # about 150 MB
 }
 
+_GRIDS = {"log": np.geomspace, "linear": np.linspace}
+_BELOW_LAMBDA = f"need {{}} <= T_lambda = {media.T_LAMBDA_K} K"
+
+
+def _distinct_positions(start: float, stop: float, points: int) -> bool:
+    # a span past the float range is left to the sweep, which rejects the
+    # positions that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.any(np.diff(np.linspace(start, stop, points)) == 0)
+
+
+def _schedule_samples(rate, length, interval, total) -> bool:
+    # counted as rd.BlockSchedule counts them; the first test keeps
+    # round() finite
+    if length * rate > rd.MAX_SCHEDULE_SAMPLES:
+        return False
+    per_block = round(length * rate)
+    blocks = (total - length) // interval + 1
+    return 2 <= per_block and blocks * per_block <= rd.MAX_SCHEDULE_SAMPLES
+
+
+# Every range and relation that a type and sign cannot state: (what it
+# needs, with "{}" for each key in turn; the keys; a test of their
+# values). main checks SIZE_CAPS, then these, in order, for every
+# command, before any file is read; the first that fails exits 2 naming
+# its keys and their values. An entry may rely on those above it: the
+# caps bound the grids, and the orders come first.
+RELATIONS = [
+    (_BELOW_LAMBDA, ("damping.T_max_K",), lambda T: T <= media.T_LAMBDA_K),
+    (_BELOW_LAMBDA, ("fit.predict_T_max_K",), lambda T: T <= media.T_LAMBDA_K),
+    ("need {} < {}", ("damping.T_min_K", "damping.T_max_K"), operator.lt),
+    ("need {} < {}", ("fit.predict_T_min_K", "fit.predict_T_max_K"),
+     operator.lt),
+    ("need {}, {}, {} and {} to give distinct temperatures",
+     ("damping.grid", "damping.T_min_K", "damping.T_max_K", "damping.points"),
+     lambda grid, lo, hi, n: np.all(np.diff(_GRIDS[grid](lo, hi, n)) > 0)),
+    ("need {}, {} and {} to give distinct temperatures",
+     ("fit.predict_T_min_K", "fit.predict_T_max_K", "fit.predict_points"),
+     lambda lo, hi, n: np.all(np.diff(np.geomspace(lo, hi, n)) > 0)),
+    ("need {} < 0.1", ("oscillator.contraction_fraction",),
+     lambda fraction: fraction < 0.1),
+    (f"need {{}} >= {axisym.MIN_GRID}", ("detection.oracle_grid",),
+     lambda n: n >= axisym.MIN_GRID),
+    ("need {}, {} and {} to give distinct sweep positions",
+     ("detection.sweep_start_m", "detection.sweep_stop_m",
+      "detection.sweep_points"),
+     _distinct_positions),
+    ("need {} <= {} <= {}", ("ringdown.block_length_s",
+                             "ringdown.block_interval_s",
+                             "ringdown.total_duration_s"),
+     lambda length, interval, total: length <= interval <= total),
+    (f"need 2 samples a block or more and {rd.MAX_SCHEDULE_SAMPLES} in all "
+     "or fewer from {}, {}, {} and {}",
+     ("ringdown.sample_rate_Hz", "ringdown.block_length_s",
+      "ringdown.block_interval_s", "ringdown.total_duration_s"),
+     _schedule_samples),
+    ("need {} > 4 {}",
+     ("ringdown.sample_rate_Hz", "oscillator.resonant_frequency_Hz"),
+     lambda rate, f0: rate > 4.0 * f0),
+    # --seed bypasses read_keys, so the sign is checked here too
+    ("{} must fit in 64 bits", ("ringdown.seed",),
+     lambda seed: 0 <= seed < 2**64),
+    ("{}: need 0 < low < high; the bracket must span at least four "
+     "decades of n3", ("fit.bracket_per_m3",),
+     lambda b: 0 < b[0] < b[1] and math.log10(b[1] / b[0]) >= 4.0),
+    ("{} needs {} ReciprocalSum", ("fit.fit_vacuum", "damping.mode"),
+     lambda fit_vacuum, mode: not fit_vacuum or mode == "ReciprocalSum"),
+]
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -178,33 +253,30 @@ def _load_config(path: Path | None) -> tuple[dict, bytes]:
 
 
 def _parse_config(blob: bytes, source: Path | None) -> dict:
-    """The config in ``blob`` checked against CONFIG_TABLE and SIZE_CAPS,
-    with every default filled in."""
-    cfg = read_keys(CONFIG_TABLE, read_json(blob, "config", source))
-    for name, cap in SIZE_CAPS.items():
-        section, key = name.split(".")
-        if cfg[section][key] > cap:
-            raise ConfigError(
-                f"{name}: at most {cap}, got {cfg[section][key]!r}")
-    return cfg
+    """The config in ``blob`` checked against CONFIG_TABLE, with every
+    default filled in."""
+    return read_keys(CONFIG_TABLE, read_json(blob, "config", source))
 
 
-def _require_superfluid(cfg: dict, section: str, key: str) -> None:
-    """A highest temperature that stays below the superfluid transition."""
-    reason = media.above_lambda(cfg[section][key])
-    if reason is not None:
-        raise ConfigError(f"{section}.{key}: {reason}")
+def _check_config(cfg: dict) -> None:
+    """SIZE_CAPS, then RELATIONS, in order: the first that ``cfg`` fails
+    is a ConfigError naming its keys and their values."""
+    caps = [(f"need {{}} <= {cap}", (name,), lambda n, cap=cap: n <= cap)
+            for name, cap in SIZE_CAPS.items()]
+    for need, names, holds in caps + RELATIONS:
+        values = [cfg[section][key] for section, key
+                  in (name.split(".") for name in names)]
+        if not holds(*values):
+            raise ConfigError(f"{need.format(*names)}, got "
+                              f"{', '.join(map(repr, values))}")
 
 
 def _osc_from_config(cfg: dict) -> damping.OscillatorSpec:
     sec = cfg["oscillator"]
-    try:
-        return damping.OscillatorSpec(
-            mass=sec["mass_kg"], radius_warm=sec["radius_warm_m"],
-            contraction_fraction=sec["contraction_fraction"],
-            resonant_frequency=sec["resonant_frequency_Hz"])
-    except ValueError as exc:
-        raise ConfigError(f"oscillator config: {exc}") from exc
+    return damping.OscillatorSpec(
+        mass=sec["mass_kg"], radius_warm=sec["radius_warm_m"],
+        contraction_fraction=sec["contraction_fraction"],
+        resonant_frequency=sec["resonant_frequency_Hz"])
 
 
 def _block_files(blocks_dir: Path) -> dict[int, Path]:
@@ -337,10 +409,7 @@ def _media(cfg: dict, run: _Run) -> media.HeliumMedia:
     before the viscosity table it names is read."""
     numbers = dict(cfg["media"])
     ref = numbers.pop("viscosity_csv")
-    try:
-        med = media.HeliumMedia(**numbers)
-    except ValueError as exc:
-        raise ConfigError(f"media.{exc}") from exc
+    med = media.HeliumMedia(**numbers)
     if ref is None:
         return med
     return dataclasses.replace(med, viscosity=run.read(
@@ -349,14 +418,9 @@ def _media(cfg: dict, run: _Run) -> media.HeliumMedia:
 
 def _cmd_damping_curve(args, cfg: dict, run: _Run) -> None:
     sec = cfg["damping"]
-    _require_superfluid(cfg, "damping", "T_max_K")
-    if not sec["T_min_K"] < sec["T_max_K"]:
-        raise ConfigError("need damping.T_min_K < damping.T_max_K")
-    osc = _osc_from_config(cfg)
-    med = _media(cfg, run)
+    osc, med = _osc_from_config(cfg), _media(cfg, run)
     run.start()
-    space = np.geomspace if sec["grid"] == "log" else np.linspace
-    grid = space(sec["T_min_K"], sec["T_max_K"], sec["points"])
+    grid = _GRIDS[sec["grid"]](sec["T_min_K"], sec["T_max_K"], sec["points"])
     x3, tau_vac = sec["x3"], sec["tau_vacuum_s"]
     mode = damping.RegimeMode(sec["mode"])
     n3 = x3 * med.n4
@@ -391,20 +455,6 @@ def _damping_svg(table: damping.DampingTable, comment: str) -> str:
 def _cmd_detection_sweep(args, cfg: dict, run: _Run) -> None:
     sec = cfg["detection"]
     radius = _osc_from_config(cfg).radius
-    n = sec["oracle_grid"]
-    if args.oracle and n < axisym.MIN_GRID:
-        raise ConfigError(f"detection.oracle_grid: grid must be at least "
-                          f"{axisym.MIN_GRID} x {axisym.MIN_GRID}")
-    # an overflowing span gives positions and centers that are not
-    # finite: the sweep rejects them
-    with np.errstate(over="ignore", invalid="ignore"):
-        positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
-                                sec["sweep_points"])
-        if np.any(np.diff(positions) == 0):
-            raise ConfigError(
-                "detection.sweep_start_m, detection.sweep_stop_m and "
-                "detection.sweep_points put two sweep positions at the "
-                "same place")
     ref = sec["geometry"]
     geom = detection.coaxial_geometry() if ref is None else run.read(
         "geometry", run.config_dir / ref, detection.load_geometry)
@@ -414,12 +464,17 @@ def _cmd_detection_sweep(args, cfg: dict, run: _Run) -> None:
                           f"the file has {len(geom.receivers)}")
     run.start()
     receiver = geom.receivers[0]
+    # an overflowing span gives positions and centers that are not
+    # finite: the sweep rejects them
     with np.errstate(over="ignore", invalid="ignore"):
+        positions = np.linspace(sec["sweep_start_m"], sec["sweep_stop_m"],
+                                sec["sweep_points"])
         centers = receiver.center_v + np.outer(positions, receiver.axis_v)
     result = detection.position_sweep(geom, centers, radius,
                                       driven=sec["driven"])
 
-    oracle_col = (axisym.oracle_sweep(geom, centers, radius, n)
+    oracle_col = (axisym.oracle_sweep(geom, centers, radius,
+                                      sec["oracle_grid"])
                   if args.oracle else None)
 
     run.write_csv("detection_sweep.csv", detection.write_sweep_csv, result,
@@ -442,25 +497,18 @@ def _cmd_detection_sweep(args, cfg: dict, run: _Run) -> None:
 
 def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
     sec = cfg["ringdown"]
-    try:
-        params = rd.RingdownParams(
-            amplitude0=sec["amplitude0"], tau=sec["tau_s"],
-            f0=cfg["oscillator"]["resonant_frequency_Hz"],
-            phase0=sec["phase0_rad"], noise_rms=sec["noise_rms"],
-            seed=sec["seed"] if args.seed is None else args.seed)
-        schedule = rd.BlockSchedule(
-            sample_rate=sec["sample_rate_Hz"],
-            total_duration=sec["total_duration_s"],
-            block_length=sec["block_length_s"],
-            block_interval=sec["block_interval_s"])
-    except ValueError as exc:
-        raise ConfigError(f"ringdown config: {exc}") from exc
+    params = rd.RingdownParams(
+        amplitude0=sec["amplitude0"], tau=sec["tau_s"],
+        f0=cfg["oscillator"]["resonant_frequency_Hz"],
+        phase0=sec["phase0_rad"], noise_rms=sec["noise_rms"],
+        seed=sec["seed"])
+    schedule = rd.BlockSchedule(
+        sample_rate=sec["sample_rate_Hz"],
+        total_duration=sec["total_duration_s"],
+        block_length=sec["block_length_s"],
+        block_interval=sec["block_interval_s"])
     blocks_dir = args.blocks or args.out / "blocks"
     if args.action == "simulate":
-        if not schedule.sample_rate > 4.0 * params.f0:
-            raise ConfigError("need ringdown.sample_rate_Hz > 4 "
-                              "oscillator.resonant_frequency_Hz, got "
-                              f"{schedule.sample_rate!r} and {params.f0!r}")
         run.start()
         _mkdir(blocks_dir, "block directory")
         listed = Path(os.path.relpath(blocks_dir.resolve(), run.out.resolve()))
@@ -473,8 +521,7 @@ def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
 
         run.outputs += rd.map_blocks(write, range(schedule.n_blocks))
         run.write_json("ringdown_truth.json", dict(
-            sec, f0_Hz=params.f0, seed=params.seed,
-            n_blocks=schedule.n_blocks))
+            sec, f0_Hz=params.f0, n_blocks=schedule.n_blocks))
         return
 
     files = _block_files(blocks_dir)
@@ -500,11 +547,7 @@ def _cmd_ringdown(args, cfg: dict, run: _Run) -> None:
 
 def _cmd_fit_he3(args, cfg: dict, run: _Run) -> None:
     sec = cfg["fit"]
-    _require_superfluid(cfg, "fit", "predict_T_max_K")
-    if not sec["predict_T_min_K"] < sec["predict_T_max_K"]:
-        raise ConfigError("need fit.predict_T_min_K < fit.predict_T_max_K")
-    osc = _osc_from_config(cfg)
-    med = _media(cfg, run)
+    osc, med = _osc_from_config(cfg), _media(cfg, run)
     series = run.read("data", args.data, fitting.load_tau_series_csv)
     mode = damping.RegimeMode(cfg["damping"]["mode"])
     tau_vac = cfg["damping"]["tau_vacuum_s"]
@@ -533,8 +576,7 @@ def _cmd_fit_he3(args, cfg: dict, run: _Run) -> None:
 
 def _cmd_sensitivity(args, cfg: dict, run: _Run) -> None:
     sec = cfg["sensitivity"]
-    osc = _osc_from_config(cfg)
-    med = _media(cfg, run)
+    osc, med = _osc_from_config(cfg), _media(cfg, run)
     run.start()
     T, tau = sec["temperature_K"], sec["tau_s"]
     run.write_json("sensitivity.json", {
@@ -563,6 +605,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _remove_manifest(args.out)
         cfg, blob = _load_config(args.config)
+        if getattr(args, "seed", None) is not None:    # ringdown --seed
+            cfg["ringdown"]["seed"] = args.seed
+        _check_config(cfg)
         run = _Run(args, blob)
         _DISPATCH[args.command](args, cfg, run)
         run.finish(time.monotonic() - started)

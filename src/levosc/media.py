@@ -163,6 +163,6 @@ def thermal_velocity_he3(media: HeliumMedia, T):
 # Every key of the config's media section, as levosc.formats.read_keys
 # lays out a table; viscosity_csv names a table relative to the config.
 MEDIA_TABLE = {
-    **{f.name: ("number", f.default) for f in fields(HeliumMedia)
+    **{f.name: ("positive number", f.default) for f in fields(HeliumMedia)
        if f.name != "viscosity"},
     "viscosity_csv": ("string or null", None)}

@@ -32,7 +32,7 @@ from levosc.damping import (DEFAULT_TAU_VACUUM, OscillatorSpec, RegimeMode,
                             noise_density)
 from levosc.detection import coaxial_geometry
 from levosc.errors import DataError
-from levosc.media import HeliumMedia
+from levosc.media import MEDIA_TABLE, HeliumMedia
 from levosc.ringdown import (Block, BlockSchedule, RingdownParams,
                              amplitude_series, analyze_ringdown,
                              read_block_bin, synthesize_block,
@@ -205,6 +205,17 @@ REJECTED_INPUTS = [
      "bracket must span at least four decades"),
     ("ringdown", {"ringdown": {"sample_rate_Hz": 5}},
      "need ringdown.sample_rate_Hz > 4 oscillator.resonant_frequency_Hz"),
+    # a grid with two equal temperatures once exited 2 naming no key,
+    # after --out existed and, in fit-he3, after the fit's two files
+    ("damping-curve", {"damping": {"T_min_K": 1.0,
+                                   "T_max_K": 1.0000000000000002,
+                                   "points": 5}},
+     "damping.T_max_K and damping.points to give distinct temperatures"),
+    ("fit-he3", {"fit": {"added_x3": 1e-7, "predict_T_min_K": 0.5,
+                         "predict_T_max_K": 0.5000000000000001,
+                         "predict_points": 5}},
+     "fit.predict_T_max_K and fit.predict_points to give distinct "
+     "temperatures"),
 ]
 
 
@@ -297,6 +308,29 @@ EXTREMES = st.one_of(st.sampled_from([0, 0.0, -1, -1e-300, 1e-300]),
 # small ring-down records and oracle sweeps keep each example fast
 FUZZ_BASE = {"ringdown": {"total_duration_s": 7200.0},
              "detection": {"sweep_points": 3, "oracle_grid": 64}}
+COMMANDS = ("damping-curve", "detection-sweep", "ringdown", "fit-he3",
+            "sensitivity")
+
+
+def with_value(base, name, value):
+    """A copy of config ``base`` with ``section.key`` ``name`` set."""
+    cfg_obj = json.loads(json.dumps(base))
+    section, key = name.split(".")
+    cfg_obj.setdefault(section, {})[key] = value
+    return cfg_obj
+
+
+def exit_codes(cfg_obj):
+    """Every command's exit codes on ``cfg_obj``, their stderr and
+    whether ``--out`` exists after them, all in one fresh directory;
+    ``ringdown`` simulates then analyzes."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, \
+            contextlib.redirect_stderr(err):
+        codes = [code for command in COMMANDS
+                 for code in run_command(Path(work), command, cfg_obj)]
+        made_out = (Path(work) / "out").exists()
+    return codes, err.getvalue(), made_out
 
 
 @settings(max_examples=150, deadline=None,
@@ -305,13 +339,133 @@ FUZZ_BASE = {"ringdown": {"total_duration_s": 7200.0},
     lambda entry: st.tuples(st.just(entry), st.one_of(
         WRONG_TYPES, SIZE_VALUES.get(entry[2], EXTREMES)))))
 def test_any_config_value_exits_0_2_or_3(case):
-    (_, section, key, _, _), value = case
-    cfg_obj = json.loads(json.dumps(FUZZ_BASE))
-    cfg_obj.setdefault(section, {})[key] = value
-    with tempfile.TemporaryDirectory() as work:
-        for command in SECTION_COMMANDS[section]:
-            assert set(run_command(Path(work), command, cfg_obj)) \
-                <= {0, 2, 3}
+    # and a config is valid for every command or for none
+    (name, _, _, _, _), value = case
+    codes, _, _ = exit_codes(with_value(FUZZ_BASE, name, value))
+    assert set(codes) <= {0, 2, 3}
+    assert 2 not in codes or set(codes) == {2}, codes
+
+
+@st.composite
+def inside_configs(draw):
+    """A config inside every range and relation, whose records, grids
+    and sweeps are small enough for every command to run in
+    milliseconds."""
+    def floats(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    def order(lo, hi):    # far enough apart for distinct grid points
+        low = floats(lo, hi / 2)
+        return low, floats(1.01 * low, hi)
+
+    T_min, T_max = order(1e-3, 2.1768)
+    predict_min, predict_max = order(1e-3, 2.1768)
+    f0 = floats(0.5, 5.0)
+    # 20 periods a block at least, and 5 blocks, for the decay fit
+    rate, length = 4.5 * f0 * floats(1.0, 4.0), floats(25.0 / f0, 600.0)
+    interval = floats(length, 3600.0)
+    start, low = floats(-0.02, 0.02), floats(1e16, 1e19)
+    fit_vacuum = draw(st.booleans())
+    medium = draw(st.sampled_from(sorted(
+        key for key in MEDIA_TABLE if key != "viscosity_csv")))
+    return {
+        "oscillator": {"mass_kg": floats(1e-7, 1e-4),
+                       "radius_warm_m": floats(9e-4, 1.5e-3),
+                       "contraction_fraction": floats(0.0, 0.099),
+                       "resonant_frequency_Hz": f0},
+        "media": {medium: MEDIA_TABLE[medium][1] * floats(0.5, 2.0)},
+        "damping": {"T_min_K": T_min, "T_max_K": T_max,
+                    "points": draw(st.integers(1, 60)),
+                    "grid": draw(st.sampled_from(["log", "linear"])),
+                    "x3": floats(0.0, 1e-6),
+                    "mode": "ReciprocalSum" if fit_vacuum else draw(
+                        st.sampled_from(["ReciprocalSum", "DominantOnly"])),
+                    "tau_vacuum_s": draw(st.none() | st.floats(1e4, 1e7))},
+        "detection": {"sweep_start_m": start,
+                      "sweep_stop_m": start + draw(st.sampled_from(
+                          [-1, 1])) * floats(1e-4, 0.02),
+                      "sweep_points": draw(st.integers(1, 4)),
+                      "driven": draw(st.sampled_from(["transmitter",
+                                                      "receiver"])),
+                      "oracle_grid": draw(st.integers(64, 70))},
+        "ringdown": {"amplitude0": floats(0.1, 10.0),
+                     "phase0_rad": floats(-7.0, 7.0),
+                     "tau_s": floats(interval, 10 * interval),
+                     "noise_rms": floats(0.0, 1.0),
+                     "sample_rate_Hz": rate, "block_length_s": length,
+                     "block_interval_s": interval,
+                     "total_duration_s": floats(5 * interval, 6 * interval),
+                     "seed": draw(st.integers(0, 2**64 - 1))},
+        "fit": {"bracket_per_m3": [low, low * 10 ** floats(4.01, 6.0)],
+                "fit_vacuum": fit_vacuum, "added_x3": floats(0.0, 1e-6),
+                "predict_T_min_K": predict_min,
+                "predict_T_max_K": predict_max,
+                "predict_points": draw(st.integers(1, 40))},
+        "sensitivity": {"temperature_K": floats(0.0, 0.1),
+                        "tau_s": floats(1.0, 1e7),
+                        "velocity_m_s": floats(0.0, 1e-3)}}
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(inside_configs())
+def test_config_inside_every_range_and_relation_never_exits_2(cfg_obj):
+    codes, err, _ = exit_codes(cfg_obj)
+    assert set(codes) <= {0, 3}, err
+
+
+def bracket(low, factor):
+    return st.tuples(low, factor).map(lambda b: [b[0], b[0] * b[1]])
+
+
+# one value outside a range or relation, and the config it is set in:
+# FUZZ_BASE, or one that the relation needs
+ABOVE_LAMBDA = st.floats(2.1769, 1.7e308)
+OUTSIDE = {
+    "damping.T_max_K": ABOVE_LAMBDA | st.floats(1e-300, 0.01)
+    | st.just(math.nextafter(0.01, 1.0)),
+    "damping.T_min_K": st.floats(2.1, 1.7e308),
+    "fit.predict_T_max_K": ABOVE_LAMBDA | st.floats(1e-300, 0.015)
+    | st.just(math.nextafter(0.015, 1.0)),
+    "fit.predict_T_min_K": st.floats(0.7, 1.7e308),
+    "oscillator.contraction_fraction": st.floats(0.1, 1.7e308),
+    "detection.oracle_grid": st.integers(-10**30, 63),
+    "detection.sweep_start_m": st.just(0.002),
+    "detection.sweep_stop_m": st.sampled_from(
+        [0.019, math.nextafter(0.019, 1.0)]),
+    "ringdown.block_length_s": st.floats(3600.0, 1.7e308, exclude_min=True),
+    "ringdown.block_interval_s": st.floats(1e-300, 300.0, exclude_max=True)
+    | st.floats(7200.0, 1.7e308, exclude_min=True),
+    "ringdown.total_duration_s": st.floats(1e-300, 3600.0, exclude_max=True)
+    | st.floats(4e7, 1.7e308),
+    "ringdown.sample_rate_Hz": st.floats(1e-300, 10.8)
+    | st.floats(5e5, 1.7e308),
+    "oscillator.resonant_frequency_Hz": st.floats(12.5, 1.7e308),
+    "ringdown.seed": st.integers(2**64, 2**100),
+    "fit.bracket_per_m3": bracket(st.floats(-1e30, 0.0),
+                                  st.floats(-1e3, 1e30))
+    | bracket(st.floats(1e-300, 1e30), st.floats(-1e3, 9999.0)),
+    "fit.fit_vacuum": st.just(True),
+    "damping.mode": st.just("DominantOnly"),
+}
+for name, cap in SIZE_CAPS.items():
+    OUTSIDE[name] = OUTSIDE.get(name, st.nothing()) \
+        | st.integers(cap + 1, 10**30)
+OUTSIDE_BASE = {
+    "fit.fit_vacuum": with_value(FUZZ_BASE, "damping.mode", "DominantOnly"),
+    "damping.mode": with_value(FUZZ_BASE, "fit.fit_vacuum", True)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(OUTSIDE)).flatmap(
+    lambda name: st.tuples(st.just(name), OUTSIDE[name])))
+def test_one_value_outside_exits_2_in_every_command(case):
+    name, value = case
+    base = OUTSIDE_BASE.get(name, FUZZ_BASE)
+    cli._check_config(cli._parse_config(json.dumps(base).encode(), None))
+    codes, err, made_out = exit_codes(with_value(base, name, value))
+    assert set(codes) == {2} and not made_out
+    assert all(name in line for line in err.splitlines()), err
 
 
 def signed_entries():

@@ -24,7 +24,7 @@ def rel(a, b):
 
 
 NUMBER_KEYS = sorted(key for key, (kind, _) in MEDIA_TABLE.items()
-                     if kind == "number")
+                     if kind == "positive number")
 
 
 def media_of(section, config=None):

@@ -186,21 +186,42 @@ def test_synthesis_matches_longdouble_formula():
         assert np.max(np.abs(b.samples - want)) <= synthesis_bound(p, b)
 
 
+NOISE_SCHEDULE = BlockSchedule(sample_rate=50.0, total_duration=40 * 3600.0,
+                               block_length=60.0, block_interval=3600.0)
+
+
+def noise_is_the_draw_bit_for_bit(p, k):
+    """Whether block ``k`` of ``p`` is the noiseless block plus block k's
+    own normal() draw, byte for byte: -0.0 is not 0.0 here."""
+    s = NOISE_SCHEDULE
+    clean = synthesize_block(dataclasses.replace(p, noise_rms=0.0), s, k)
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(p.seed, spawn_key=(k,))))
+    want = clean.samples + rng.normal(0.0, p.noise_rms, 3000)
+    return synthesize_block(p, s, k).samples.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("noise", [1e-3, 0.4, 7.0, 1e308])
 @pytest.mark.parametrize("k", [0, 1, 37])
 @pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
 def test_synthesis_matches_formula_with_noise(seed, k, noise):
     # the noise is block k's own normal() draw added to the noiseless
     # block, bit for bit, at every rms
-    p = RingdownParams(amplitude0=0.7, f0=2.7, tau=5e4, phase0=0.3,
-                       noise_rms=noise, seed=seed)
-    s = BlockSchedule(sample_rate=50.0, total_duration=40 * 3600.0,
-                      block_length=60.0, block_interval=3600.0)
-    clean = synthesize_block(dataclasses.replace(p, noise_rms=0.0), s, k)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=(k,))))
-    want = clean.samples + rng.normal(0.0, noise, 3000)
-    assert np.array_equal(synthesize_block(p, s, k).samples, want)
+    assert noise_is_the_draw_bit_for_bit(RingdownParams(
+        amplitude0=0.7, f0=2.7, tau=5e4, phase0=0.3, noise_rms=noise,
+        seed=seed), k)
+
+
+def test_synthesis_with_noise_keeps_no_negative_zero():
+    # at the smallest amplitude, noiseless samples of block 1 are -0.0,
+    # and at the smallest rms negative draws underflow to -0.0; normal()
+    # draws 0.0 + rms z, so the sum there is +0.0
+    p = RingdownParams(amplitude0=5e-324, f0=2.7, tau=5e4, phase0=0.3,
+                       noise_rms=5e-324, seed=5)
+    clean = synthesize_block(dataclasses.replace(p, noise_rms=0.0),
+                             NOISE_SCHEDULE, 1).samples
+    assert np.count_nonzero(np.signbit(clean) & (clean == 0)) > 0
+    assert noise_is_the_draw_bit_for_bit(p, 1)
 
 
 def test_synthesis_offset_arrays_are_read_only_and_shared():
